@@ -155,4 +155,5 @@ var (
 	_ dyngraph.InPlaceGraph = (*Periodic)(nil)
 	_ dyngraph.InPlaceGraph = (*BoundedRecurrence)(nil)
 	_ dyngraph.InPlaceGraph = (*Chain)(nil)
+	_ dyngraph.InPlaceGraph = (*MarkovStream)(nil)
 )

@@ -192,4 +192,5 @@ var (
 	_ dyngraph.WordGraph = (*BoundedRecurrence)(nil)
 	_ dyngraph.WordGraph = (*Chain)(nil)
 	_ dyngraph.WordGraph = (*Composed)(nil)
+	_ dyngraph.WordGraph = (*MarkovStream)(nil)
 )

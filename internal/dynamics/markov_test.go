@@ -1,9 +1,12 @@
 package dynamics
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"pef/internal/dyngraph"
+	"pef/internal/ring"
 )
 
 func TestGenerateMarkovShape(t *testing.T) {
@@ -121,6 +124,91 @@ func TestMarkovStreamMatchesMaterialized(t *testing.T) {
 		}()
 		stream.Present(0, 0)
 	}()
+}
+
+// TestGenerateMarkovPinnedDigests pins whole traces against digests taken
+// from the original float-comparison chain (src.Bool per transition), so
+// the integer-threshold kernel stays byte-identical to every recorded
+// campaign — including multi-word rings and the absorbing corners.
+func TestGenerateMarkovPinnedDigests(t *testing.T) {
+	cases := []struct {
+		n        int
+		up, down float64
+		seed     uint64
+		horizon  int
+		digest   uint64
+	}{
+		{6, 0.4, 0.25, 9, 400, 0xa25f08a1fdbe080d},
+		{11, 1, 0, 3, 100, 0xfa182bad5f2bbabd},
+		{13, 1.0 / 3, 1, 7, 300, 0xb07de1e257db0b00},
+		{65, 0.3, 0.1, 5, 300, 0x1d0383c197c90190},
+		{70, 0.999999, 0.5000000000000001, 17, 200, 0x232aff972079fdcc},
+	}
+	for _, c := range cases {
+		g, err := GenerateMarkov(c.n, c.up, c.down, c.seed, c.horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		for tt := 0; tt < c.horizon; tt++ {
+			s := g.Snapshot(tt)
+			for wi := 0; wi < s.Words(); wi++ {
+				binary.LittleEndian.PutUint64(buf[:], s.Word(wi))
+				h.Write(buf[:])
+			}
+		}
+		if got := h.Sum64(); got != c.digest {
+			t.Errorf("n=%d up=%v down=%v seed=%d: trace digest %#x, pinned %#x",
+				c.n, c.up, c.down, c.seed, got, c.digest)
+		}
+	}
+}
+
+// TestMarkovStreamMixedAccess interleaves the three read paths on one
+// stream: they share the window, so each sees the materialized chain.
+func TestMarkovStreamMixedAccess(t *testing.T) {
+	const n, horizon = 9, 300
+	full, err := GenerateMarkov(n, 0.3, 0.4, 21, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := NewMarkovStream(n, 0.3, 0.4, 21, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dst ring.EdgeSet
+	for i, tt := 0, 0; tt < horizon; i, tt = i+1, tt+1+i%2 { // skips exercise multi-step advances
+		want := full.Snapshot(tt)
+		switch i % 3 {
+		case 0:
+			for e := 0; e < n; e++ {
+				if stream.Present(e, tt) != want.Contains(e) {
+					t.Fatalf("Present(%d, %d) diverges", e, tt)
+				}
+			}
+		case 1:
+			stream.EdgesAtInto(tt, &dst)
+			if !dst.Equal(want) {
+				t.Fatalf("EdgesAtInto(%d) = %v, want %v", tt, dst, want)
+			}
+		default:
+			if w, ok := stream.EdgeWordAt(tt); !ok || w != want.Word(0) {
+				t.Fatalf("EdgeWordAt(%d) = %#x ok=%v, want %#x", tt, w, ok, want.Word(0))
+			}
+		}
+		// The previous instant is still inside the window, whichever path
+		// generated it.
+		if tt > 0 && stream.Present(0, tt-1) != full.Present(0, tt-1) {
+			t.Fatalf("window read at %d diverges", tt-1)
+		}
+	}
+	if stream.Present(0, -1) {
+		t.Fatal("negative instant has edges")
+	}
+	if stream.EdgesAtInto(-1, &dst); !dst.IsEmpty() {
+		t.Fatalf("EdgesAtInto(-1) = %v, want empty", dst)
+	}
 }
 
 func TestMarkovStreamRejectsBadProbabilities(t *testing.T) {

@@ -135,29 +135,46 @@ func TestLockstepOccupancyMatchesPositions(t *testing.T) {
 
 // TestLockstepStepAllocFree pins the hot path: once configured, stepping
 // a lockstep block must not allocate (the engine is pure word arithmetic
-// over preallocated buffers).
+// over preallocated buffers) — for stateless word graphs and for the
+// streaming Markov chain, whose window slots are reused in place.
 func TestLockstepStepAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	src := prng.NewSource(11)
-	var lanesCfg []LaneRun
 	const n, k = 12, 3
-	for l := 0; l < 64; l++ {
-		seed := src.Uint64()
-		lanesCfg = append(lanesCfg, LaneRun{
-			Graph:      dynamics.NewBernoulli(n, 0.8, seed),
-			Placements: RandomPlacements(n, k, prng.NewSource(seed)),
-			Horizon:    1 << 20,
+	for _, tc := range []struct {
+		name  string
+		graph func(seed uint64) dyngraph.EvolvingGraph
+	}{
+		{"bernoulli", func(seed uint64) dyngraph.EvolvingGraph { return dynamics.NewBernoulli(n, 0.8, seed) }},
+		{"markov-stream", func(seed uint64) dyngraph.EvolvingGraph {
+			m, err := dynamics.NewMarkovStream(n, 0.4, 0.25, seed, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := prng.NewSource(11)
+			var lanesCfg []LaneRun
+			for l := 0; l < 64; l++ {
+				seed := src.Uint64()
+				lanesCfg = append(lanesCfg, LaneRun{
+					Graph:      tc.graph(seed),
+					Placements: RandomPlacements(n, k, prng.NewSource(seed)),
+					Horizon:    1 << 20,
+				})
+			}
+			ls, err := AcquireLockstep(LockstepConfig{Algorithm: core.PEF3Plus{}, Lanes: lanesCfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ls.Release()
+			ls.Step() // warm the materialization buffers
+			if allocs := testing.AllocsPerRun(200, func() { ls.Step() }); allocs != 0 {
+				t.Fatalf("lockstep Step allocates %.1f times per round, want 0", allocs)
+			}
 		})
-	}
-	ls, err := AcquireLockstep(LockstepConfig{Algorithm: core.PEF3Plus{}, Lanes: lanesCfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ls.Release()
-	ls.Step() // warm the materialization buffers
-	if allocs := testing.AllocsPerRun(200, func() { ls.Step() }); allocs != 0 {
-		t.Fatalf("lockstep Step allocates %.1f times per round, want 0", allocs)
 	}
 }

@@ -138,8 +138,17 @@ func StreamPool[R any](ctx context.Context, cfg PoolConfig[R]) iter.Seq[PoolItem
 						return
 					}
 				}
+				// select picks at random among ready cases, so a cancelled
+				// context must be checked first, or it could still win a
+				// dispatch against Done.
+				if inner.Err() != nil {
+					return
+				}
 				if cfg.Feed != nil {
 					cfg.Feed(i)
+				}
+				if inner.Err() != nil {
+					return
 				}
 				select {
 				case jobs <- i:

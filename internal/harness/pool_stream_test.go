@@ -108,6 +108,38 @@ func TestStreamPoolFeedHappensBeforeRun(t *testing.T) {
 	}
 }
 
+// TestStreamPoolPreCancelledDispatchesNothing pins the dispatcher's
+// cancellation check: under a context cancelled before the pool starts, no
+// job is fed or run, and every job yields as cancelled. The dispatcher's
+// select chooses at random among ready cases, so the test repeats the run
+// to catch a dispatch that races Done.
+func TestStreamPoolPreCancelledDispatchesNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for rep := 0; rep < 200; rep++ {
+		var fed, ran atomic.Int64
+		items := 0
+		for item := range StreamPool(ctx, PoolConfig[int]{
+			Total:   16,
+			Workers: 2,
+			Window:  8,
+			Feed:    func(int) { fed.Add(1) },
+			Run:     func(i int) int { ran.Add(1); return i },
+		}) {
+			if item.Err == nil {
+				t.Fatalf("rep %d: job %d yielded without the cancellation error", rep, item.I)
+			}
+			items++
+		}
+		if items != 16 {
+			t.Fatalf("rep %d: yielded %d of 16 jobs", rep, items)
+		}
+		if f, r := fed.Load(), ran.Load(); f != 0 || r != 0 {
+			t.Fatalf("rep %d: pre-cancelled pool fed %d and ran %d jobs, want 0", rep, f, r)
+		}
+	}
+}
+
 // TestStreamPoolCancellation checks the tail contract: after
 // cancellation, finished jobs yield normally and unstarted jobs yield in
 // order with Err set and the Placeholder/Cancelled rewrites applied.
