@@ -60,8 +60,8 @@
 //	-json            emit the versioned campaign document (for BENCH_*.json)
 //	-list            list the registry contents (generators, families,
 //	                 algorithms, properties) and exit
-//	-checkpoint P    write a resumable campaign checkpoint to P when the
-//	                 campaign finishes or halts
+//	-checkpoint P    atomically write a resumable campaign checkpoint to
+//	                 P (via P.tmp) when the campaign finishes or halts
 //	-checkpoint-every N
 //	                 additionally write a rotating checkpoint (P.1, with
 //	                 the previous one kept at P.2; fsync + atomic rename)
@@ -124,7 +124,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -134,6 +133,7 @@ import (
 	"syscall"
 	"time"
 
+	"pef/internal/durable"
 	"pef/internal/harness"
 	"pef/internal/scenario"
 	"pef/internal/telemetry"
@@ -257,7 +257,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		LaneWidth:       *laneWidth,
 	}
 	if *resume != "" {
-		ckpt, err := loadResumeCheckpoint(*resume, stderr)
+		ckpt, err := durable.ReadFallback(*resume, scenario.DecodeCheckpoint, stderr, "pefscenarios")
 		if err != nil {
 			return err
 		}
@@ -326,7 +326,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				agg.Done(), agg.End()-agg.Start(), len(agg.Violations()))
 		}
 		if *ckptEvery > 0 && ran%*ckptEvery == 0 {
-			if err := writeRotatingCheckpoint(*checkpoint, agg); err != nil {
+			data, err := agg.Checkpoint().Encode()
+			if err != nil {
+				return err
+			}
+			if err := durable.WriteRotating(*checkpoint, data); err != nil {
 				return err
 			}
 			tracer.Emit("checkpoint-written", map[string]any{"kind": "rotating", "done": agg.Done()})
@@ -350,7 +354,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*checkpoint, data, 0o644); err != nil {
+		if err := durable.WriteAtomic(*checkpoint, data); err != nil {
 			return err
 		}
 		tracer.Emit("checkpoint-written", map[string]any{"kind": "final", "done": agg.Done()})
@@ -427,41 +431,6 @@ func explicitFlag(fs *flag.FlagSet, name string) bool {
 		}
 	})
 	return set
-}
-
-// loadResumeCheckpoint reads the checkpoint at path, falling back to the
-// rotation siblings when the preferred file is corrupt, truncated, or
-// missing: a campaign killed mid-write of c.json still resumes from the
-// last intact rotating checkpoint (c.json.1, then c.json.2) — losing at
-// most one -checkpoint-every window — with a loud stderr note instead of
-// failing or silently restarting. Resuming from a rotation file directly
-// (-resume c.json.1) falls back to its older sibling.
-func loadResumeCheckpoint(path string, stderr io.Writer) (*scenario.Checkpoint, error) {
-	candidates := []string{path}
-	if strings.HasSuffix(path, ".1") {
-		candidates = append(candidates, strings.TrimSuffix(path, ".1")+".2")
-	} else if !strings.HasSuffix(path, ".2") {
-		candidates = append(candidates, path+".1", path+".2")
-	}
-	var errs []error
-	for i, p := range candidates {
-		data, err := os.ReadFile(p)
-		if err == nil {
-			var ckpt *scenario.Checkpoint
-			if ckpt, err = scenario.DecodeCheckpoint(data); err == nil {
-				if i > 0 {
-					fmt.Fprintf(stderr, "pefscenarios: WARNING: checkpoint %s is unusable (%v); resuming from rotation %s instead\n",
-						path, errs[0], p)
-				}
-				return ckpt, nil
-			}
-		}
-		errs = append(errs, fmt.Errorf("%s: %w", p, err))
-	}
-	if len(errs) > 1 {
-		return nil, fmt.Errorf("checkpoint %s is unusable and no rotation could be recovered: %w", path, errors.Join(errs...))
-	}
-	return nil, errs[0]
 }
 
 // generatorName resolves the campaign's generator label for the
@@ -552,36 +521,4 @@ func runMerge(paths []string, jsonOut bool, stdout io.Writer) error {
 		return fmt.Errorf("%d of %d scenario(s) violate the paper's predicates", n, agg.Done())
 	}
 	return nil
-}
-
-// writeRotatingCheckpoint writes the aggregate's checkpoint to path.1,
-// rotating the previous one to path.2 (keep last two), via fsync and an
-// atomic rename so a kill mid-write never corrupts an existing file.
-func writeRotatingCheckpoint(path string, agg *scenario.Aggregate) error {
-	data, err := agg.Checkpoint().Encode()
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if _, err := os.Stat(path + ".1"); err == nil {
-		if err := os.Rename(path+".1", path+".2"); err != nil {
-			return err
-		}
-	}
-	return os.Rename(tmp, path+".1")
 }

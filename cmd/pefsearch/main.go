@@ -45,8 +45,8 @@
 //	-lockstep          bit-parallel lane engine (default true)
 //	-lanewidth N       lane packing width (default 1024)
 //	-json              emit the boundary-report document instead of text
-//	-checkpoint P      write a resumable search checkpoint to P on finish
-//	                   or halt
+//	-checkpoint P      atomically write a resumable search checkpoint to
+//	                   P (via P.tmp) on finish or halt
 //	-checkpoint-every N
 //	                   additionally write a rotating checkpoint (P.1, P.2;
 //	                   fsync + atomic rename) every N generations
@@ -70,15 +70,14 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
+	"pef/internal/durable"
 	"pef/internal/scenario"
 	"pef/internal/search"
 	"pef/internal/telemetry"
@@ -157,7 +156,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		DisableLockstep: !*lockstep,
 	}
 	if *resume != "" {
-		ckpt, err := loadResumeCheckpoint(*resume, stderr)
+		ckpt, err := durable.ReadFallback(*resume, search.DecodeCheckpoint, stderr, "pefsearch")
 		if err != nil {
 			return err
 		}
@@ -215,7 +214,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if *checkpoint != "" {
 			lastCk = p.Checkpoint()
 			if *ckptEvery > 0 && p.Generation%*ckptEvery == 0 {
-				if err := writeRotatingCheckpoint(*checkpoint, lastCk); err != nil {
+				data, err := lastCk.Encode()
+				if err != nil {
+					return err
+				}
+				if err := durable.WriteRotating(*checkpoint, data); err != nil {
 					return err
 				}
 				cfg.Trace.Emit("checkpoint-written", map[string]any{"kind": "rotating", "done": p.Generation})
@@ -243,7 +246,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*checkpoint, data, 0o644); err != nil {
+		if err := durable.WriteAtomic(*checkpoint, data); err != nil {
 			return err
 		}
 		cfg.Trace.Emit("checkpoint-written", map[string]any{"kind": "final", "done": res.Generations})
@@ -294,67 +297,4 @@ func generationsTarget(cfg search.Config) int {
 	default:
 		return 8
 	}
-}
-
-// loadResumeCheckpoint reads the checkpoint at path, falling back to the
-// rotation siblings when the preferred file is corrupt, truncated, or
-// missing — same recovery contract as pefscenarios.
-func loadResumeCheckpoint(path string, stderr io.Writer) (*search.Checkpoint, error) {
-	candidates := []string{path}
-	if strings.HasSuffix(path, ".1") {
-		candidates = append(candidates, strings.TrimSuffix(path, ".1")+".2")
-	} else if !strings.HasSuffix(path, ".2") {
-		candidates = append(candidates, path+".1", path+".2")
-	}
-	var errs []error
-	for i, p := range candidates {
-		data, err := os.ReadFile(p)
-		if err == nil {
-			var ckpt *search.Checkpoint
-			if ckpt, err = search.DecodeCheckpoint(data); err == nil {
-				if i > 0 {
-					fmt.Fprintf(stderr, "pefsearch: WARNING: checkpoint %s is unusable (%v); resuming from rotation %s instead\n",
-						path, errs[0], p)
-				}
-				return ckpt, nil
-			}
-		}
-		errs = append(errs, fmt.Errorf("%s: %w", p, err))
-	}
-	if len(errs) > 1 {
-		return nil, fmt.Errorf("checkpoint %s is unusable and no rotation could be recovered: %w", path, errors.Join(errs...))
-	}
-	return nil, errs[0]
-}
-
-// writeRotatingCheckpoint writes the checkpoint to path.1, rotating the
-// previous one to path.2 (keep last two), via fsync and an atomic rename
-// so a kill mid-write never corrupts an existing file.
-func writeRotatingCheckpoint(path string, ck *search.Checkpoint) error {
-	data, err := ck.Encode()
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if _, err := os.Stat(path + ".1"); err == nil {
-		if err := os.Rename(path+".1", path+".2"); err != nil {
-			return err
-		}
-	}
-	return os.Rename(tmp, path+".1")
 }

@@ -48,7 +48,7 @@ func testCampaign() Campaign {
 	}
 }
 
-func newTestCoordinator(t *testing.T, clock *fakeClock, mut func(*Config)) *Coordinator {
+func newTestCoordinator(t testing.TB, clock *fakeClock, mut func(*Config)) *Coordinator {
 	t.Helper()
 	cfg := Config{
 		Campaign:         testCampaign(),
@@ -67,7 +67,7 @@ func newTestCoordinator(t *testing.T, clock *fakeClock, mut func(*Config)) *Coor
 
 // blockCheckpoint runs block i of the campaign for real and returns its
 // encoded checkpoint — the exact bytes a healthy worker would ack.
-func blockCheckpoint(t *testing.T, camp Campaign, block int) []byte {
+func blockCheckpoint(t testing.TB, camp Campaign, block int) []byte {
 	t.Helper()
 	cfg := scenario.CampaignConfig{
 		Generator:  camp.Generator,

@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"time"
+
+	"pef/internal/telemetry"
 )
 
 // Protocol request bodies. Responses are LeaseResponse, AckResponse, and
@@ -58,7 +60,7 @@ func Handler(c *Coordinator) http.Handler {
 		if !decodeBody(w, r, &req) {
 			return
 		}
-		writeJSON(w, http.StatusOK, c.Lease(req.Worker))
+		telemetry.WriteJSON(w, http.StatusOK, c.Lease(req.Worker))
 	})
 	mux.HandleFunc("POST /heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
@@ -69,7 +71,7 @@ func Handler(c *Coordinator) http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, struct{}{})
+		telemetry.WriteJSON(w, http.StatusOK, struct{}{})
 	})
 	mux.HandleFunc("POST /ack", func(w http.ResponseWriter, r *http.Request) {
 		var req AckRequest
@@ -81,14 +83,12 @@ func Handler(c *Coordinator) http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, AckResponse{Duplicate: dup})
+		telemetry.WriteJSON(w, http.StatusOK, AckResponse{Duplicate: dup})
 	})
 	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Status())
+		telemetry.WriteJSON(w, http.StatusOK, c.Status())
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.cfg.Registry.Snapshot())
-	})
+	mux.Handle("GET /metrics", telemetry.MetricsHandler(c.cfg.Registry.Snapshot))
 	mux.HandleFunc("GET /", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
@@ -109,7 +109,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		err = json.Unmarshal(body, v)
 	}
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("lease: bad request body: %v", err)})
+		telemetry.WriteJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("lease: bad request body: %v", err)})
 		return false
 	}
 	return true
@@ -120,15 +120,7 @@ func writeError(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrStale) {
 		code = http.StatusConflict
 	}
-	writeJSON(w, code, errorBody{Error: err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone: nothing to report to
+	telemetry.WriteJSON(w, code, errorBody{Error: err.Error()})
 }
 
 // Server runs a coordinator's Handler on a TCP listener, with a

@@ -1,12 +1,9 @@
 package scenario
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
+	"pef/internal/durable"
 	"pef/internal/metrics"
 )
 
@@ -42,12 +39,10 @@ type Checkpoint struct {
 	Families   []FamilyStats         `json:"families,omitempty"`
 	Scalars    []metrics.ScalarState `json:"scalars,omitempty"`
 	Violations []Verdict             `json:"violations,omitempty"`
-	// Checksum is the hex SHA-256 of the checkpoint's content (the
-	// indented JSON rendering with this field empty). Encode always
-	// writes it; DecodeCheckpoint verifies it when present, so a
-	// truncated or bit-flipped checkpoint fails loudly instead of
-	// resuming a silently diverged campaign. Checkpoints from before the
-	// field simply lack it and skip the check.
+	// Checksum is the durable envelope's content checksum: Encode always
+	// writes it and DecodeCheckpoint verifies it when present (checkpoints
+	// from before the field lack it), so a corrupt checkpoint fails loudly
+	// instead of resuming a silently diverged campaign.
 	Checksum string `json:"checksum,omitempty"`
 }
 
@@ -143,50 +138,20 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	cp := *c
-	sum, err := cp.contentChecksum()
-	if err != nil {
-		return nil, err
-	}
-	cp.Checksum = sum
-	return json.MarshalIndent(&cp, "", "  ")
+	return durable.Encode(*c, checksumField)
 }
 
-// contentChecksum hashes the checkpoint's content: the indented JSON
-// rendering with the Checksum field cleared, so the stored hash covers
-// every other byte of the file.
-func (c *Checkpoint) contentChecksum() (string, error) {
-	cp := *c
-	cp.Checksum = ""
-	body, err := json.MarshalIndent(&cp, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:]), nil
-}
+func checksumField(c *Checkpoint) *string { return &c.Checksum }
 
 // DecodeCheckpoint parses and validates an encoded checkpoint,
 // verifying the content checksum when one is present.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	var c Checkpoint
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
-		return nil, fmt.Errorf("scenario: decode checkpoint: %w", err)
-	}
-	if c.Checksum != "" {
-		want, err := c.contentChecksum()
-		if err != nil {
-			return nil, err
-		}
-		if c.Checksum != want {
-			return nil, fmt.Errorf("scenario: checkpoint checksum mismatch (file is corrupt or truncated): stored %s, content %s",
-				c.Checksum, want)
-		}
+	c, err := durable.Decode(data, checksumField)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: checkpoint %w", err)
 	}
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	return &c, nil
+	return c, nil
 }

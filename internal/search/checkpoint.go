@@ -1,12 +1,9 @@
 package search
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
+	"pef/internal/durable"
 	"pef/internal/metrics"
 	"pef/internal/scenario"
 )
@@ -61,11 +58,9 @@ type Checkpoint struct {
 	// budget.
 	Violations []Violation `json:"violations,omitempty"`
 	Minimized  int         `json:"minimized,omitempty"`
-	// Checksum is the hex SHA-256 of the checkpoint's content (the
-	// indented JSON rendering with this field empty). Encode always
-	// writes it; DecodeCheckpoint verifies it when present, so a
-	// truncated or bit-flipped checkpoint fails loudly instead of
-	// resuming a silently diverged search.
+	// Checksum is the durable envelope's content checksum: Encode always
+	// writes it and DecodeCheckpoint verifies it, so a corrupt checkpoint
+	// fails loudly instead of resuming a silently diverged search.
 	Checksum string `json:"checksum,omitempty"`
 }
 
@@ -219,50 +214,20 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	cp := *c
-	sum, err := cp.contentChecksum()
-	if err != nil {
-		return nil, err
-	}
-	cp.Checksum = sum
-	return json.MarshalIndent(&cp, "", "  ")
+	return durable.Encode(*c, checksumField)
 }
 
-// contentChecksum hashes the checkpoint's content: the indented JSON
-// rendering with the Checksum field cleared, so the stored hash covers
-// every other byte of the file.
-func (c *Checkpoint) contentChecksum() (string, error) {
-	cp := *c
-	cp.Checksum = ""
-	body, err := json.MarshalIndent(&cp, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:]), nil
-}
+func checksumField(c *Checkpoint) *string { return &c.Checksum }
 
 // DecodeCheckpoint parses and validates an encoded search checkpoint,
 // verifying the content checksum when one is present.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	var c Checkpoint
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
-		return nil, fmt.Errorf("search: decode checkpoint: %w", err)
-	}
-	if c.Checksum != "" {
-		want, err := c.contentChecksum()
-		if err != nil {
-			return nil, err
-		}
-		if c.Checksum != want {
-			return nil, fmt.Errorf("search: checkpoint checksum mismatch (file is corrupt or truncated): stored %s, content %s",
-				c.Checksum, want)
-		}
+	c, err := durable.Decode(data, checksumField)
+	if err != nil {
+		return nil, fmt.Errorf("search: checkpoint %w", err)
 	}
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	return &c, nil
+	return c, nil
 }

@@ -1,14 +1,12 @@
 package cache
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 
+	"pef/internal/durable"
 	"pef/internal/scenario"
 )
 
@@ -26,25 +24,13 @@ type spillDoc struct {
 	Checksum    string             `json:"checksum,omitempty"`
 }
 
-// contentChecksum hashes the spill content: the indented JSON rendering
-// with the Checksum field cleared, so the stored hash covers everything
-// else.
-func (d *spillDoc) contentChecksum() (string, error) {
-	cp := *d
-	cp.Checksum = ""
-	body, err := json.MarshalIndent(&cp, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:]), nil
-}
+func spillChecksum(d *spillDoc) *string { return &d.Checksum }
 
-// WriteSpill atomically persists the cache under path (write to a temp
-// file, fsync, rename — the checkpoint discipline) and returns the
-// number of verdicts written. Keys are not stored: they are recomputed
-// from each verdict's spec on warm, which is also what keeps a spill
-// useless to a binary whose built-in surface moved.
+// WriteSpill atomically persists the cache under path (durable.WriteAtomic,
+// the checkpoint discipline) and returns the number of verdicts written.
+// Keys are not stored: they are recomputed from each verdict's spec on
+// warm, which is also what keeps a spill useless to a binary whose
+// built-in surface moved.
 func (c *Cache) WriteSpill(path string) (int, error) {
 	doc := spillDoc{Version: spillVersion, Fingerprint: Fingerprint()}
 	c.mu.Lock()
@@ -53,37 +39,11 @@ func (c *Cache) WriteSpill(path string) (int, error) {
 		doc.Verdicts = append(doc.Verdicts, el.Value.(*entry).v)
 	}
 	c.mu.Unlock()
-	sum, err := doc.contentChecksum()
-	if err != nil {
-		return 0, fmt.Errorf("verdict cache: spill checksum: %w", err)
-	}
-	doc.Checksum = sum
-	data, err := json.MarshalIndent(&doc, "", "  ")
+	data, err := durable.Encode(doc, spillChecksum)
 	if err != nil {
 		return 0, fmt.Errorf("verdict cache: encode spill: %w", err)
 	}
-	data = append(data, '\n')
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := durable.WriteAtomic(path, append(data, '\n')); err != nil {
 		return 0, err
 	}
 	return len(doc.Verdicts), nil
@@ -92,9 +52,9 @@ func (c *Cache) WriteSpill(path string) (int, error) {
 // WarmFromSpill loads a spill written by WriteSpill, returning the
 // number of verdicts admitted. A missing file is a quiet cold start.
 // Damaged or foreign spills — unparseable JSON, a version or fingerprint
-// mismatch, a failed checksum — are a LOUD warning through warnf and a
-// cold start: the cache recomputes rather than trusting suspect bytes.
-// warnf nil means stderr.
+// mismatch, a failed or missing checksum — are a LOUD warning through
+// warnf and a cold start: the cache recomputes rather than trusting
+// suspect bytes. warnf nil means stderr.
 func (c *Cache) WarmFromSpill(path string, warnf func(format string, args ...any)) (int, error) {
 	if warnf == nil {
 		warnf = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
@@ -106,22 +66,20 @@ func (c *Cache) WarmFromSpill(path string, warnf func(format string, args ...any
 	if err != nil {
 		return 0, err
 	}
-	var doc spillDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		warnf("verdict cache: WARNING: spill %s is unreadable (%v); starting cold, verdicts will be recomputed", path, err)
-		return 0, nil
+	doc, err := durable.Decode(data, spillChecksum)
+	var why string
+	switch {
+	case err != nil:
+		why = fmt.Sprintf("is unusable (%v)", err)
+	case doc.Checksum == "":
+		why = "carries no content checksum"
+	case doc.Version != spillVersion:
+		why = fmt.Sprintf("has format version %d (want %d)", doc.Version, spillVersion)
+	case doc.Fingerprint != Fingerprint():
+		why = "was written under a different built-in registry surface"
 	}
-	if doc.Version != spillVersion {
-		warnf("verdict cache: WARNING: spill %s has format version %d (want %d); starting cold", path, doc.Version, spillVersion)
-		return 0, nil
-	}
-	want, err := doc.contentChecksum()
-	if err != nil || doc.Checksum == "" || doc.Checksum != want {
-		warnf("verdict cache: WARNING: spill %s failed its content checksum; starting cold, verdicts will be recomputed", path)
-		return 0, nil
-	}
-	if doc.Fingerprint != Fingerprint() {
-		warnf("verdict cache: WARNING: spill %s was written under a different built-in registry surface; starting cold", path)
+	if why != "" {
+		warnf("verdict cache: WARNING: spill %s %s; starting cold, verdicts will be recomputed", path, why)
 		return 0, nil
 	}
 	warmed := 0

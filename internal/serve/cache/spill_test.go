@@ -1,13 +1,13 @@
 package cache
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"pef/internal/durable"
 	"pef/internal/scenario"
 )
 
@@ -151,12 +151,7 @@ func TestSpillUnparseableFallsBackLoudly(t *testing.T) {
 func TestSpillForeignFingerprintFallsBackLoudly(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.spill")
 	doc := spillDoc{Version: spillVersion, Fingerprint: strings.Repeat("ab", 32)}
-	sum, err := doc.contentChecksum()
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc.Checksum = sum
-	data, err := json.MarshalIndent(&doc, "", "  ")
+	data, err := durable.Encode(doc, spillChecksum)
 	if err != nil {
 		t.Fatal(err)
 	}

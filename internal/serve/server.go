@@ -140,7 +140,7 @@ func New(cfg Config) *Server {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /metrics", telemetry.MetricsHandler(s.tel.Snapshot))
 	mux.HandleFunc("POST /run", s.admit(s.handleRun))
 	mux.HandleFunc("POST /campaign", s.admit(s.handleCampaign))
 	s.mux = mux
@@ -228,20 +228,10 @@ type healthzResponse struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, healthzResponse{Status: "draining", Draining: true})
+		telemetry.WriteJSON(w, http.StatusServiceUnavailable, healthzResponse{Status: "draining", Draining: true})
 		return
 	}
-	writeJSON(w, http.StatusOK, healthzResponse{Status: "ok"})
-}
-
-// handleMetrics serves the shared telemetry snapshot — engine, pool,
-// cache.* and serve.* instruments — in the same indented-JSON shape as
-// telemetry.Server's /metrics.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.tel.Snapshot()) //nolint:errcheck // client gone: nothing to report to
+	telemetry.WriteJSON(w, http.StatusOK, healthzResponse{Status: "ok"})
 }
 
 // handleRun executes one encoded Spec and returns its Verdict. With a
@@ -298,7 +288,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// cancellation): a client error, reported with the full verdict.
 		code = http.StatusBadRequest
 	}
-	writeJSON(w, code, v)
+	telemetry.WriteJSON(w, code, v)
 }
 
 // runOne executes one spec under the server's registry and telemetry.
@@ -316,13 +306,5 @@ type errorBody struct {
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, errorBody{Error: "pefserve: " + msg})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone: nothing to report to
+	telemetry.WriteJSON(w, code, errorBody{Error: "pefserve: " + msg})
 }

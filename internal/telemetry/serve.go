@@ -43,14 +43,7 @@ func Serve(addr string, snapshot func() Snapshot) (*Server, error) {
 		fmt.Fprintln(w, "  /metrics      registry snapshot (JSON)")
 		fmt.Fprintln(w, "  /debug/pprof  runtime profiles")
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(snapshot()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	mux.Handle("/metrics", MetricsHandler(snapshot))
 	// The pprof package only auto-registers on http.DefaultServeMux;
 	// wire its handlers onto the private mux explicitly.
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -65,6 +58,24 @@ func Serve(addr string, snapshot func() Snapshot) (*Server, error) {
 	}
 	go s.srv.Serve(ln) //nolint:errcheck // Close() shutdown error is expected
 	return s, nil
+}
+
+// MetricsHandler serves snapshot() as indented JSON: the one /metrics
+// handler behind this endpoint, the lease fabric and the campaign
+// service, each mounting it under its own route pattern.
+func MetricsHandler(snapshot func() Snapshot) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		WriteJSON(w, http.StatusOK, snapshot())
+	})
+}
+
+// WriteJSON writes v as an indented JSON response with the status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v) //nolint:errcheck // client gone: nothing to report to
 }
 
 // Addr returns the bound listen address (useful with ":0").
