@@ -234,13 +234,13 @@ func (st *specStream) next() Spec {
 	return st.gen.Sample(st.reg, st.cfg, st.src)
 }
 
-// campaignWindow returns the pool window — and hence the size of the spec
-// ring and the reorder buffer — for a worker count.
-func campaignWindow(workers int) int {
+// poolWorkers resolves a worker count the way the harness pool does:
+// values < 1 mean GOMAXPROCS.
+func poolWorkers(workers int) int {
 	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
+		return runtime.GOMAXPROCS(0)
 	}
-	return 8 * workers
+	return workers
 }
 
 // StreamCampaign generates Count scenarios per seed and shards them
@@ -298,7 +298,7 @@ func StreamCampaign(ctx context.Context, cfg CampaignConfig) iter.Seq2[Verdict, 
 			"end":       end,
 		})
 
-		streamBlocks(ctx, rcfg, reg, stream.next, end-from, yield)
+		streamBlocks(ctx, rcfg, reg, stream.next, end-from, false, yield)
 	}
 }
 
@@ -331,7 +331,7 @@ func StreamSpecs(ctx context.Context, cfg CampaignConfig, specs []Spec) iter.Seq
 			pos++
 			return s
 		}
-		streamBlocks(ctx, rcfg, rcfg.registry(), next, len(specs), yield)
+		streamBlocks(ctx, rcfg, rcfg.registry(), next, len(specs), true, yield)
 	}
 }
 
@@ -339,7 +339,14 @@ func StreamSpecs(ctx context.Context, cfg CampaignConfig, specs []Spec) iter.Seq
 // pool in LaneWidth blocks and yields verdicts in canonical (input)
 // order — the shared engine core behind StreamCampaign's lazy sampler
 // streams and StreamSpecs' explicit lists.
-func streamBlocks(ctx context.Context, rcfg CampaignConfig, reg *Registry, next func() Spec, total int, yield func(Verdict, error) bool) {
+//
+// When spread is set, workers the pool cannot occupy (fewer jobs than
+// workers, as in a search generation that fits one lane block) go to
+// RunBlock's fan-out instead: each block runs its units on
+// max(1, workers/jobs) goroutines. Campaigns pass spread=false and keep
+// one goroutine per block: a served campaign shares the cores with the
+// server's /run traffic, and fanning it out slows that traffic down.
+func streamBlocks(ctx context.Context, rcfg CampaignConfig, reg *Registry, next func() Spec, total int, spread bool, yield func(Verdict, error) bool) {
 	// Jobs are blocks of LaneWidth consecutive specs of the canonical
 	// stream (1 when lockstep is disabled): the block is the unit the
 	// lane engine packs seed lanes from, and flattening block verdicts
@@ -352,11 +359,20 @@ func streamBlocks(ctx context.Context, rcfg CampaignConfig, reg *Registry, next 
 		}
 		return width
 	}
-	window := campaignWindow(rcfg.Workers)
-	ring := make([][]Spec, window)
-	for i := range ring {
-		ring[i] = make([]Spec, 0, width)
+	workers := poolWorkers(rcfg.Workers)
+	fan := 1
+	if spread {
+		fan = max(1, workers/jobs)
 	}
+	// The pool keeps at most window jobs in flight, so the spec ring
+	// needs no more slots than that — nor more than there are jobs, nor
+	// more capacity per slot than the whole stream.
+	window := 8 * workers
+	ring := make([][]Spec, min(window, jobs))
+	for i := range ring {
+		ring[i] = make([]Spec, 0, min(width, total))
+	}
+	slot := func(i int) int { return i % len(ring) }
 	fed := 0
 	for item := range harness.StreamPool(ctx, harness.PoolConfig[[]Verdict]{
 		Total:   jobs,
@@ -367,16 +383,16 @@ func streamBlocks(ctx context.Context, rcfg CampaignConfig, reg *Registry, next 
 		// before dispatch; the pool guarantees Feed(i) happens-before
 		// Run(i) and that the slot is not reused until job i was yielded.
 		Feed: func(i int) {
-			block := ring[i%window][:0]
+			block := ring[slot(i)][:0]
 			for j := 0; j < blockLen(i); j++ {
 				block = append(block, next())
 			}
-			ring[i%window] = block
+			ring[slot(i)] = block
 			fed = i + 1
 		},
 		Run: func(i int) []Verdict {
-			block := ring[i%window]
-			opts := RunOptions{Registry: reg, Telemetry: rcfg.Telemetry}
+			block := ring[slot(i)]
+			opts := RunOptions{Registry: reg, Telemetry: rcfg.Telemetry, fan: fan}
 			if rcfg.Cache == nil {
 				return runSpecs(ctx, block, opts, rcfg.DisableLockstep)
 			}
@@ -412,7 +428,7 @@ func streamBlocks(ctx context.Context, rcfg CampaignConfig, reg *Registry, next 
 		Placeholder: func(i int) []Verdict {
 			var block []Spec
 			if i < fed {
-				block = ring[i%window]
+				block = ring[slot(i)]
 			} else {
 				for j := 0; j < blockLen(i); j++ {
 					block = append(block, next())

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pef/internal/dyngraph"
@@ -47,7 +48,7 @@ var laneEvalPool = sync.Pool{New: func() any {
 // reports ineligible: the scalar path rebuilds and reports the identical
 // error verdict.
 func lockstepEligible(s Spec, o RunOptions, res preparedRun) (robot.LaneAlgorithm, dyngraph.EvolvingGraph, bool, string) {
-	if o.Algorithm != nil || o.Dynamics != nil || len(o.Placements) > 0 || len(o.Observers) > 0 {
+	if o.hasOverrides() {
 		return nil, nil, false, "overrides"
 	}
 	if s.Ring > laneWordSize {
@@ -76,21 +77,40 @@ type blockKey struct {
 	algorithm    string
 }
 
+// blockUnit is one independently executable piece of a block: a lane
+// group of at most 64 shape-aligned specs (alg non-nil) or a single
+// scalar spec (alg nil, one member). Units share nothing but read-only
+// plan state and write disjoint verdict slots.
+type blockUnit struct {
+	members []int
+	alg     robot.LaneAlgorithm
+}
+
 // RunBlock executes a block of specs, routing shape-aligned eligible runs
 // through the lockstep engine (up to 64 seeds per engine instance) and
 // everything else through the scalar oracle. Verdicts come back in spec
 // order and are byte-identical to per-spec RunWith calls, with run errors
 // folded into Verdict.Err exactly like the campaign worker folds them.
+//
+// It runs in two phases. The plan is sequential: it resolves every spec,
+// decides its engine and cuts the eligible ones into shape-aligned lane
+// groups, yielding a list of independent units (lane groups in
+// first-member order, then scalar specs in spec order). The execute phase
+// runs those units on up to o.fan goroutines pulling from one cursor,
+// each with its own lane scratch; verdicts are written by position, so
+// the output bytes do not depend on the fan or on scheduling. Only
+// StreamSpecs sets a fan above 1 (see streamBlocks); every other caller,
+// and any options carrying a caller-supplied override, runs the units one
+// at a time on the calling goroutine.
 func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 	out := make([]Verdict, len(specs))
-	ev := laneEvalPool.Get().(*laneEval)
-	defer laneEvalPool.Put(ev)
 
-	// Group eligible specs by shape; everything else runs scalar.
+	// Plan: group eligible specs by shape; everything else runs scalar.
 	tel := o.Telemetry
 	groups := map[blockKey][]int{}
 	algs := map[blockKey]robot.LaneAlgorithm{}
 	graphs := make([]dyngraph.EvolvingGraph, len(specs))
+	var scalar []int
 	for i, s := range specs {
 		v, res, err := prepareRun(s, o)
 		if err != nil {
@@ -104,7 +124,7 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 				tel.scalarSpecs.Inc()
 				tel.skipReason(reason).Inc()
 			}
-			out[i] = runScalar(ctx, specs[i], o)
+			scalar = append(scalar, i)
 			continue
 		}
 		key := blockKey{s.Ring, s.Robots, s.Algorithm}
@@ -115,8 +135,10 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 		}
 	}
 
-	// Iterate groups in first-member order so the engine's work schedule is
-	// deterministic (verdict order is positional either way).
+	// Cut groups into units in first-member order so the work schedule is
+	// deterministic (verdict order is positional either way). Lane groups
+	// come first: they are the heavy units, which keeps the tail short
+	// when several goroutines share the cursor.
 	keys := make([]blockKey, 0, len(groups))
 	for key := range groups {
 		keys = append(keys, key)
@@ -126,26 +148,63 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 			keys[j], keys[j-1] = keys[j-1], keys[j]
 		}
 	}
+	units := make([]blockUnit, 0, len(keys)+len(scalar))
 	for _, key := range keys {
 		members := groups[key]
 		for len(members) > 0 {
-			lanes := len(members)
-			if lanes > laneWordSize {
-				lanes = laneWordSize
-			}
+			lanes := min(len(members), laneWordSize)
 			if tel != nil {
 				tel.lockstepGroups.Inc()
 				tel.lockstepSpecs.Add(int64(lanes))
 				tel.laneOccupancy.Observe(lanes)
-				start := time.Now()
-				runLockstepGroup(ctx, specs, graphs, members[:lanes], algs[key], o, ev, out)
-				tel.lockstepMillis.Add(time.Since(start).Milliseconds())
-			} else {
-				runLockstepGroup(ctx, specs, graphs, members[:lanes], algs[key], o, ev, out)
 			}
+			units = append(units, blockUnit{members: members[:lanes], alg: algs[key]})
 			members = members[lanes:]
 		}
 	}
+	for j := range scalar {
+		units = append(units, blockUnit{members: scalar[j : j+1]})
+	}
+
+	// Execute: every goroutine drains the shared cursor with its own lane
+	// scratch. Overrides are caller objects that were never called
+	// concurrently, so they pin the block to the calling goroutine.
+	fan := min(max(o.fan, 1), len(units))
+	if o.hasOverrides() {
+		fan = 1
+	}
+	var cursor atomic.Int64
+	drain := func() {
+		ev := laneEvalPool.Get().(*laneEval)
+		defer laneEvalPool.Put(ev)
+		for u := int(cursor.Add(1)) - 1; u < len(units); u = int(cursor.Add(1)) - 1 {
+			unit := units[u]
+			switch {
+			case unit.alg == nil:
+				out[unit.members[0]] = runScalar(ctx, specs[unit.members[0]], o)
+			case tel != nil:
+				start := time.Now()
+				runLockstepGroup(ctx, specs, graphs, unit.members, unit.alg, o, ev, out)
+				tel.lockstepMillis.Add(time.Since(start).Milliseconds())
+			default:
+				runLockstepGroup(ctx, specs, graphs, unit.members, unit.alg, o, ev, out)
+			}
+		}
+	}
+	if fan <= 1 {
+		drain()
+		return out
+	}
+	var wg sync.WaitGroup
+	wg.Add(fan - 1)
+	for range fan - 1 {
+		go func() {
+			defer wg.Done()
+			drain()
+		}()
+	}
+	drain()
+	wg.Wait()
 	return out
 }
 

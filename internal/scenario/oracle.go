@@ -118,6 +118,18 @@ type RunOptions struct {
 	// — and, unlike Observers, it does not force a block off the lockstep
 	// path.
 	Telemetry *Telemetry
+
+	// fan bounds how many goroutines RunBlock spreads one block's units
+	// over; values < 2 run them one at a time on the caller. Only
+	// StreamSpecs sets it (see streamBlocks), and overrides force 1.
+	fan int
+}
+
+// hasOverrides reports whether the options carry caller-supplied engine
+// objects (algorithm, dynamics, placements, observers). Such runs stay on
+// the scalar path and on the calling goroutine.
+func (o RunOptions) hasOverrides() bool {
+	return o.Algorithm != nil || o.Dynamics != nil || len(o.Placements) > 0 || len(o.Observers) > 0
 }
 
 // registry resolves the effective registry of the options.

@@ -26,10 +26,14 @@ import (
 //	engine.lockstepSpecs|scalarSpecs      per-spec path routing
 //	engine.lockstepGroups     lane groups launched
 //	engine.laneOccupancy      lanes per group (packing efficiency)
-//	engine.lockstepMillis     wall ms spent inside lane groups
+//	engine.lockstepMillis     busy ms spent inside lane groups
 //	engine.skip.<reason>      why specs left the lockstep path
-//	family.<family>.millis    scalar-oracle wall ms per dynamics family
+//	family.<family>.millis    scalar-oracle busy ms per dynamics family
 //	campaign.<generator>.millis  campaign wall ms per generator (CLI-recorded)
+//
+// engine.lockstepMillis and family.<family>.millis sum time across
+// goroutines: a search block that RunBlock fans out runs units
+// concurrently, so they can exceed wall time.
 type Telemetry struct {
 	reg  *telemetry.Registry
 	pool *harness.PoolMetrics

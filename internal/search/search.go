@@ -5,8 +5,10 @@
 // Each generation runs one block of specs through the campaign engine
 // (scenario.StreamSpecs — the same worker pool, lockstep lane packing and
 // cache path campaigns use) and reads back the per-verdict predicate
-// margins (scenario.Margins). Two steering mechanisms spend the next
-// generation's budget:
+// margins (scenario.Margins). A generation usually fits one lane block,
+// so the pool has one job; StreamSpecs then spreads that block's lane
+// groups and scalar specs over the otherwise idle workers (campaigns do
+// not). Two steering mechanisms spend the next generation's budget:
 //
 //   - a seeded UCB bandit over the registered explorable-family pool,
 //     rewarded by margin tightness, chooses which families to sample;
