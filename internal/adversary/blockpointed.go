@@ -33,22 +33,34 @@ func NewBlockPointed(n, budget int) *BlockPointed {
 func (a *BlockPointed) Ring() ring.Ring { return a.r }
 
 // EdgesAt implements fsync.Dynamics.
-func (a *BlockPointed) EdgesAt(_ int, snap fsync.Snapshot) ring.EdgeSet {
-	edges := ring.FullEdgeSet(a.r.Edges())
+func (a *BlockPointed) EdgesAt(t int, snap fsync.Snapshot) ring.EdgeSet {
+	edges := ring.NewEdgeSet(a.r.Edges())
+	a.EdgesAtInto(t, snap, &edges)
+	return edges
+}
+
+// EdgesAtInto implements fsync.InPlaceDynamics.
+func (a *BlockPointed) EdgesAtInto(_ int, snap fsync.Snapshot, dst *ring.EdgeSet) {
+	dst.Fill()
 	for i, pos := range snap.Positions {
 		e := a.r.EdgeTowards(pos, snap.GlobalDirs[i])
 		if a.run[e] < a.budget {
-			edges.Remove(e)
+			dst.Remove(e)
 		}
 	}
-	for e := 0; e < a.r.Edges(); e++ {
+	updateRuns(a.run, *dst)
+}
+
+// updateRuns advances the per-edge consecutive-absence counters of the
+// budgeted adversaries by one round with presence set edges.
+func updateRuns(run []int, edges ring.EdgeSet) {
+	for e := range run {
 		if edges.Contains(e) {
-			a.run[e] = 0
+			run[e] = 0
 		} else {
-			a.run[e]++
+			run[e]++
 		}
 	}
-	return edges
 }
 
 // BlockBothSides removes, each round, both adjacent edges of every robot's
@@ -74,22 +86,22 @@ func NewBlockBothSides(n, budget int) *BlockBothSides {
 func (a *BlockBothSides) Ring() ring.Ring { return a.r }
 
 // EdgesAt implements fsync.Dynamics.
-func (a *BlockBothSides) EdgesAt(_ int, snap fsync.Snapshot) ring.EdgeSet {
-	edges := ring.FullEdgeSet(a.r.Edges())
+func (a *BlockBothSides) EdgesAt(t int, snap fsync.Snapshot) ring.EdgeSet {
+	edges := ring.NewEdgeSet(a.r.Edges())
+	a.EdgesAtInto(t, snap, &edges)
+	return edges
+}
+
+// EdgesAtInto implements fsync.InPlaceDynamics.
+func (a *BlockBothSides) EdgesAtInto(_ int, snap fsync.Snapshot, dst *ring.EdgeSet) {
+	dst.Fill()
 	for _, pos := range snap.Positions {
-		for _, d := range []ring.Direction{ring.CW, ring.CCW} {
+		for _, d := range [2]ring.Direction{ring.CW, ring.CCW} {
 			e := a.r.EdgeTowards(pos, d)
 			if a.run[e] < a.budget {
-				edges.Remove(e)
+				dst.Remove(e)
 			}
 		}
 	}
-	for e := 0; e < a.r.Edges(); e++ {
-		if edges.Contains(e) {
-			a.run[e] = 0
-		} else {
-			a.run[e]++
-		}
-	}
-	return edges
+	updateRuns(a.run, *dst)
 }

@@ -83,19 +83,26 @@ func (a *OneRobotConfinement) Ring() ring.Ring { return a.r }
 
 // EdgesAt implements fsync.Dynamics.
 func (a *OneRobotConfinement) EdgesAt(t int, snap fsync.Snapshot) ring.EdgeSet {
+	edges := ring.NewEdgeSet(a.r.Edges())
+	a.EdgesAtInto(t, snap, &edges)
+	return edges
+}
+
+// EdgesAtInto implements fsync.InPlaceDynamics.
+func (a *OneRobotConfinement) EdgesAtInto(t int, snap fsync.Snapshot, dst *ring.EdgeSet) {
 	pos := snap.Positions[a.robot]
 	if pos != a.lastNode {
 		a.phaseStart = t
 		a.lastNode = pos
 	}
-	full := ring.FullEdgeSet(a.r.Edges())
+	dst.Fill()
 	switch pos {
 	case a.u:
 		// Block e_ur: the clockwise adjacent edge of u.
-		return full.Without(a.r.EdgeTowards(a.u, ring.CW))
+		dst.Remove(a.r.EdgeTowards(a.u, ring.CW))
 	case a.v:
 		// Block e_vl: the counter-clockwise adjacent edge of v.
-		return full.Without(a.r.EdgeTowards(a.v, ring.CCW))
+		dst.Remove(a.r.EdgeTowards(a.v, ring.CCW))
 	default:
 		// Unreachable by construction: the victim can only ever occupy
 		// u or v. Fail loudly rather than let a bug masquerade as a

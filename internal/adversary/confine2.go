@@ -68,8 +68,9 @@ func (a *TwoRobotConfinement) watchedTarget() (robotIdx, target int) {
 	}
 }
 
-// blocked returns the edges removed during the current phase.
-func (a *TwoRobotConfinement) blocked() []int {
+// removeBlocked deletes from dst the edges removed during the current
+// phase.
+func (a *TwoRobotConfinement) removeBlocked(dst *ring.EdgeSet) {
 	eul := a.r.EdgeTowards(a.u, ring.CCW)
 	eur := a.r.EdgeTowards(a.u, ring.CW)
 	evl := eur
@@ -77,36 +78,49 @@ func (a *TwoRobotConfinement) blocked() []int {
 	ewr := a.r.EdgeTowards(a.w, ring.CW)
 	switch a.phase {
 	case 0:
-		return []int{eul, evl}
+		dst.Remove(eul)
+		dst.Remove(evl)
 	case 1:
-		return []int{eul, ewl, ewr}
+		dst.Remove(eul)
+		dst.Remove(ewl)
+		dst.Remove(ewr)
 	case 2:
-		return []int{ewl, ewr}
+		dst.Remove(ewl)
+		dst.Remove(ewr)
 	default:
-		return []int{eul, eur, ewr}
+		dst.Remove(eul)
+		dst.Remove(eur)
+		dst.Remove(ewr)
 	}
 }
 
 // EdgesAt implements fsync.Dynamics.
 func (a *TwoRobotConfinement) EdgesAt(t int, snap fsync.Snapshot) ring.EdgeSet {
+	edges := ring.NewEdgeSet(a.r.Edges())
+	a.EdgesAtInto(t, snap, &edges)
+	return edges
+}
+
+// EdgesAtInto implements fsync.InPlaceDynamics.
+func (a *TwoRobotConfinement) EdgesAtInto(t int, snap fsync.Snapshot, dst *ring.EdgeSet) {
 	watched, target := a.watchedTarget()
 	if snap.Positions[watched] == target {
 		a.phase = (a.phase + 1) % 4
 		a.phaseStart = t
 	}
-	a.guard(snap, t)
-	return ring.FullEdgeSet(a.r.Edges()).Without(a.blocked()...)
+	a.guard(snap, a.r1, t)
+	a.guard(snap, a.r2, t)
+	dst.Fill()
+	a.removeBlocked(dst)
 }
 
-// guard panics if either robot ever leaves {u, v, w}: by construction that
+// guard panics if robot idx ever leaves {u, v, w}: by construction that
 // is impossible, so an escape means a bug in the schedule, which must not
 // be reported as an algorithm win.
-func (a *TwoRobotConfinement) guard(snap fsync.Snapshot, t int) {
-	for _, idx := range []int{a.r1, a.r2} {
-		p := snap.Positions[idx]
-		if p != a.u && p != a.v && p != a.w {
-			panic(fmt.Sprintf("adversary: robot %d escaped to node %d at t=%d (phase %d)", idx, p, t, a.phase))
-		}
+func (a *TwoRobotConfinement) guard(snap fsync.Snapshot, idx, t int) {
+	p := snap.Positions[idx]
+	if p != a.u && p != a.v && p != a.w {
+		panic(fmt.Sprintf("adversary: robot %d escaped to node %d at t=%d (phase %d)", idx, p, t, a.phase))
 	}
 }
 

@@ -58,16 +58,22 @@ func (a *ArcContainment) Boundaries() (left, right int) {
 }
 
 // EdgesAt implements fsync.Dynamics.
-func (a *ArcContainment) EdgesAt(_ int, _ fsync.Snapshot) ring.EdgeSet {
-	edges := ring.FullEdgeSet(a.r.Edges())
+func (a *ArcContainment) EdgesAt(t int, snap fsync.Snapshot) ring.EdgeSet {
+	edges := ring.NewEdgeSet(a.r.Edges())
+	a.EdgesAtInto(t, snap, &edges)
+	return edges
+}
+
+// EdgesAtInto implements fsync.InPlaceDynamics.
+func (a *ArcContainment) EdgesAtInto(_ int, _ fsync.Snapshot, dst *ring.EdgeSet) {
+	dst.Fill()
 	left, right := a.Boundaries()
 	for i, e := range [2]int{left, right} {
 		if a.boundaryBudget == 0 || a.run[i] < a.boundaryBudget {
-			edges.Remove(e)
+			dst.Remove(e)
 			a.run[i]++
 		} else {
 			a.run[i] = 0 // forced reopening round
 		}
 	}
-	return edges
 }

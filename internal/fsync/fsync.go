@@ -12,12 +12,16 @@
 //
 // The round engine is allocation-free in steady state: Before/After
 // snapshots are double-buffered per simulator, presence sets are written
-// in place (InPlaceDynamics / dyngraph.EdgesInto), occupancy uses a
+// in place (InPlaceDynamics: dyngraph.EdgesInto for oblivious graphs and
+// the adaptive adversaries of package adversary alike), occupancy uses a
 // count slice instead of a map, and simulators themselves are pooled via
 // Acquire/Release so million-scenario campaigns reuse backing slices
-// across jobs. The price of the reuse is a retention contract: a
-// RoundEvent's slices (and its Edges set) are valid only until the next
-// Step on the same simulator — observers that keep data call Clone.
+// across jobs. A round reads every core once: Before is refilled by
+// copying the previous round's After, and each robot's global direction
+// is cached, set at Reset and updated only after Compute. The price of
+// the reuse is a retention contract: a RoundEvent's slices (and its Edges
+// set) are valid only until the next Step on the same simulator —
+// observers that keep data call Clone.
 package fsync
 
 import (
@@ -271,6 +275,7 @@ type RoundEvent struct {
 type simRobot struct {
 	core  robot.Core
 	chir  robot.Chirality
+	dir   ring.Direction // global direction of core.Dir(), kept by Reset and Compute
 	node  int
 	moved bool // moved during the previous round, scheduler-observed
 }
@@ -354,7 +359,7 @@ func (s *Simulator) Reset(cfg Config) error {
 		if core == nil {
 			core = cfg.Algorithm.NewCore()
 		}
-		s.robots[i] = simRobot{core: core, chir: p.Chirality, node: p.Node}
+		s.robots[i] = simRobot{core: core, chir: p.Chirality, dir: globalDir(p.Chirality, core.Dir()), node: p.Node}
 	}
 	for _, p := range cfg.Placements {
 		s.occ[p.Node] = 0
@@ -472,7 +477,7 @@ func (s *Simulator) fillSnapshot(snap *Snapshot) {
 	for i := range s.robots {
 		rb := &s.robots[i]
 		snap.Positions[i] = rb.node
-		snap.GlobalDirs[i] = globalDir(rb.chir, rb.core.Dir())
+		snap.GlobalDirs[i] = rb.dir
 		snap.States[i] = rb.core.State()
 		snap.MovedPrev[i] = rb.moved
 	}
@@ -494,7 +499,8 @@ func (s *Simulator) RecordedGraph() *dyngraph.Recorded { return s.recorded }
 // Step runs one synchronous round and returns its event. The event's
 // slices are valid until the next Step on this simulator.
 func (s *Simulator) Step() RoundEvent {
-	s.fillSnapshot(&s.before)
+	// Only Step changes the configuration, and it leaves it in s.after.
+	s.before.copyFrom(s.after)
 	edges := s.edges
 	if s.dynInto != nil {
 		s.dynInto.EdgesAtInto(s.t, s.before, &s.edges)
@@ -516,10 +522,9 @@ func (s *Simulator) Step() RoundEvent {
 	// Look: gather each robot's view on E_t.
 	for i := range s.robots {
 		rb := &s.robots[i]
-		pointed := globalDir(rb.chir, rb.core.Dir())
 		s.views[i] = robot.View{
-			EdgeDir:     edges.Contains(s.r.EdgeTowards(rb.node, pointed)),
-			EdgeOpp:     edges.Contains(s.r.EdgeTowards(rb.node, pointed.Opposite())),
+			EdgeDir:     edges.Contains(s.r.EdgeTowards(rb.node, rb.dir)),
+			EdgeOpp:     edges.Contains(s.r.EdgeTowards(rb.node, rb.dir.Opposite())),
 			OtherRobots: s.occ[rb.node] > 1,
 		}
 	}
@@ -530,21 +535,22 @@ func (s *Simulator) Step() RoundEvent {
 	// Compute: all robots atomically.
 	for i := range s.robots {
 		rb := &s.robots[i]
-		oldGlobal := globalDir(rb.chir, rb.core.Dir())
 		rb.core.Compute(s.views[i])
-		if !rb.core.Dir().Valid() {
+		d := rb.core.Dir()
+		if !d.Valid() {
 			panic(fmt.Sprintf("fsync: robot %d computed invalid direction", i))
 		}
-		s.flipped[i] = globalDir(rb.chir, rb.core.Dir()) != oldGlobal
+		g := globalDir(rb.chir, d)
+		s.flipped[i] = g != rb.dir
+		rb.dir = g
 	}
 
 	// Move: all robots atomically, on the same snapshot E_t.
 	for i := range s.robots {
 		rb := &s.robots[i]
-		pointed := globalDir(rb.chir, rb.core.Dir())
 		s.moved[i] = false
-		if edges.Contains(s.r.EdgeTowards(rb.node, pointed)) {
-			rb.node = s.r.Next(rb.node, pointed)
+		if edges.Contains(s.r.EdgeTowards(rb.node, rb.dir)) {
+			rb.node = s.r.Next(rb.node, rb.dir)
 			s.moved[i] = true
 		}
 		rb.moved = s.moved[i]

@@ -29,9 +29,7 @@ func NewEdgeSet(n int) EdgeSet {
 // FullEdgeSet returns the set containing every edge index in [0, n).
 func FullEdgeSet(n int) EdgeSet {
 	s := NewEdgeSet(n)
-	for e := 0; e < n; e++ {
-		s.Add(e)
-	}
+	s.Fill()
 	return s
 }
 
@@ -108,6 +106,18 @@ func (s EdgeSet) Clone() EdgeSet {
 func (s *EdgeSet) Clear() {
 	for i := range s.words {
 		s.words[i] = 0
+	}
+}
+
+// Fill adds every edge index in [0, n) in place: each word goes to all
+// ones and the tail word is masked to the set's n bits, so no bit beyond
+// n is ever set.
+func (s *EdgeSet) Fill() {
+	for i := range s.words {
+		s.words[i] = ^uint64(0)
+	}
+	if r := uint(s.n) % wordBits; r != 0 {
+		s.words[len(s.words)-1] = 1<<r - 1
 	}
 }
 

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -44,6 +45,43 @@ func TestFullEdgeSet(t *testing.T) {
 	}
 	if len(s.Missing()) != 0 {
 		t.Fatal("full set reports missing edges")
+	}
+}
+
+// TestEdgeSetFill pins Fill against a per-edge-built full set at sizes
+// around the word boundaries, including the empty set, and checks that no
+// bit beyond n is ever set (Count, Equal and IsFull all read whole words).
+func TestEdgeSetFill(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 128} {
+		want := NewEdgeSet(n)
+		for e := 0; e < n; e++ {
+			want.Add(e)
+		}
+		s := NewEdgeSet(n)
+		s.Fill()
+		if s.Count() != n {
+			t.Fatalf("n=%d: Fill count = %d", n, s.Count())
+		}
+		if !s.Equal(want) || !FullEdgeSet(n).Equal(want) {
+			t.Fatalf("n=%d: Fill = %v, want %v", n, s, want)
+		}
+		for i, w := range s.words {
+			if i*wordBits+bits.Len64(w) > n {
+				t.Fatalf("n=%d: word %d = %#x has bits beyond n", n, i, w)
+			}
+		}
+	}
+}
+
+// TestEdgeSetFillAllocFree guards the adversaries' per-round refill: Fill
+// rewrites the existing words and never allocates.
+func TestEdgeSetFillAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s := NewEdgeSet(100)
+	if allocs := testing.AllocsPerRun(100, s.Fill); allocs != 0 {
+		t.Fatalf("Fill allocates %v objects, want 0", allocs)
 	}
 }
 

@@ -48,6 +48,58 @@ func TestOracleEvaluationSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// familySpec is steadySpec on the given family, with the parameters and
+// team size the family needs.
+func familySpec(family string, horizon int) Spec {
+	s := steadySpec(horizon)
+	s.Family = family
+	switch family {
+	case "bernoulli":
+		s.Params.P = 0.6
+	case "markov":
+		s.Params.Up, s.Params.Down = 0.4, 0.25
+	case FamilyBlockPointed:
+		s.Params.Budget = 2
+	case FamilyConfineOne:
+		s.Robots = 1
+	case FamilyConfineTwo:
+		s.Robots = 2
+	}
+	return s
+}
+
+// adaptiveFamilies are the families whose specs never take the lockstep
+// engine: their dynamics react to robot positions.
+var adaptiveFamilies = []string{FamilyBlockPointed, FamilyConfineOne, FamilyConfineTwo}
+
+// TestAdversarialOracleSteadyStateAllocFree extends the oracle guard to
+// adaptive adversaries: their presence sets are written in place, so six
+// times the horizon may not cost more allocations beyond noise. Skipped
+// under -race (instrumented allocation counts).
+func TestAdversarialOracleSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, family := range adaptiveFamilies {
+		t.Run(family, func(t *testing.T) {
+			measure := func(horizon int) float64 {
+				s := familySpec(family, horizon)
+				Run(s) // warm pools and grow tracker capacity for this horizon
+				return testing.AllocsPerRun(20, func() {
+					if v := Run(s); !v.OK {
+						t.Fatalf("guard spec failed: %+v", v)
+					}
+				})
+			}
+			short := measure(200)
+			long := measure(1200)
+			if long > short+2 {
+				t.Fatalf("%s oracle evaluation allocates per round: %v allocs at horizon 200 vs %v at 1200", family, short, long)
+			}
+		})
+	}
+}
+
 // syntheticVerdict builds verdict i of a stream whose scalar values cycle
 // over a fixed universe — the shape of a long steady-state campaign.
 func syntheticVerdict(i int) Verdict {

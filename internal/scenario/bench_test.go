@@ -10,16 +10,9 @@ import (
 // build, pooled simulator run, predicate check) — the per-scenario unit
 // cost a million-scenario campaign pays.
 func BenchmarkOracleRun(b *testing.B) {
-	for _, family := range []string{"static", "bernoulli", "markov"} {
+	for _, family := range append([]string{"static", "bernoulli", "markov"}, adaptiveFamilies...) {
 		b.Run(family, func(b *testing.B) {
-			s := steadySpec(600)
-			s.Family = family
-			switch family {
-			case "bernoulli":
-				s.Params.P = 0.6
-			case "markov":
-				s.Params.Up, s.Params.Down = 0.4, 0.25
-			}
+			s := familySpec(family, 600)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

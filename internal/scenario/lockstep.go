@@ -310,14 +310,14 @@ func runLockstepGroup(ctx context.Context, specs []Spec, graphs []dyngraph.Evolv
 			}
 			rep := lv.Report(l, instants)
 			v.Covered, v.CoverTime, v.MaxGap = rep.Covered, rep.CoverTime, rep.MaxGap
-			v.Distinct = lv.Distinct(l)
+			v.Distinct = rep.Covered
 			v.Outcome = "cancelled"
 			v.Err = fmt.Sprintf("cancelled after %d of %d rounds: %v", executed, s.Horizon, ctx.Err())
 			v.OK = false
 			out[i] = v
 			continue
 		}
-		classify(&v, s, res, lv.Report(l, s.Horizon+1), lv.Distinct(l))
+		classify(&v, s, res, lv.Report(l, s.Horizon+1))
 		out[i] = v
 	}
 }

@@ -75,14 +75,15 @@ const markovWindow = 8
 
 // evaluator bundles the per-spec checkers a campaign worker reuses from
 // spec to spec; together with the fsync simulator pool it makes the
-// steady-state per-round cost of a campaign allocation-free.
+// steady-state per-round cost of a campaign allocation-free. The visit
+// tracker is the only one: its Covered count is also the verdict's
+// Distinct, since both count the nodes occupied in the recorded instants.
 type evaluator struct {
 	vt *spec.VisitTracker
-	ct *spec.ConfinementTracker
 }
 
 var evalPool = sync.Pool{New: func() any {
-	return &evaluator{vt: spec.NewVisitTracker(1), ct: spec.NewConfinementTracker()}
+	return &evaluator{vt: spec.NewVisitTracker(1)}
 }}
 
 // RunOptions customizes one oracle run beyond what the declarative Spec
@@ -249,11 +250,10 @@ func RunWith(ctx context.Context, s Spec, o RunOptions) (v Verdict, err error) {
 	}
 	ev := evalPool.Get().(*evaluator)
 	defer evalPool.Put(ev)
-	vt, ct := ev.vt, ev.ct
+	vt := ev.vt
 	vt.Reset(s.Ring)
-	ct.Reset()
-	observers := make([]fsync.Observer, 0, 2+len(o.Observers))
-	observers = append(observers, vt, ct)
+	observers := make([]fsync.Observer, 0, 1+len(o.Observers))
+	observers = append(observers, vt)
 	observers = append(observers, o.Observers...)
 	sim, err := fsync.Acquire(fsync.Config{
 		Algorithm:  alg,
@@ -290,13 +290,13 @@ func RunWith(ctx context.Context, s Spec, o RunOptions) (v Verdict, err error) {
 	if cancelled {
 		err := ctx.Err()
 		v.Covered, v.CoverTime, v.MaxGap = rep.Covered, rep.CoverTime, rep.MaxGap
-		v.Distinct = ct.Distinct()
+		v.Distinct = rep.Covered
 		v.Outcome = "cancelled"
 		v.Err = fmt.Sprintf("cancelled after %d of %d rounds: %v", executed, s.Horizon, err)
 		v.OK = false
 		return v, err
 	}
-	classify(&v, s, res, rep, ct.Distinct())
+	classify(&v, s, res, rep)
 	return v, nil
 }
 
@@ -365,9 +365,11 @@ func prepareRun(s Spec, o RunOptions) (Verdict, preparedRun, error) {
 // classify is the shared post-execution half of the oracle: it fills the
 // verdict's metrics from the exploration report and judges the run by the
 // registered property — identically for the scalar and lockstep engines.
-func classify(v *Verdict, s Spec, res preparedRun, rep spec.ExplorationReport, distinct int) {
+// Distinct is the report's Covered: the nodes occupied in some recorded
+// instant.
+func classify(v *Verdict, s Spec, res preparedRun, rep spec.ExplorationReport) {
 	v.Covered, v.CoverTime, v.MaxGap = rep.Covered, rep.CoverTime, rep.MaxGap
-	v.Distinct = distinct
+	v.Distinct = rep.Covered
 
 	exploreMsg := rep.ExploreViolation(2, s.Horizon/2)
 	v.Outcome = "partial"

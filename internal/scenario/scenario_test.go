@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"pef/internal/fsync"
 	"pef/internal/prng"
+	"pef/internal/spec"
 )
 
 // sampleAcross draws count specs from every generator under the seed.
@@ -331,5 +333,28 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 	if cancelledErrs == 0 {
 		t.Fatal("no verdict carries the cancellation error")
+	}
+}
+
+// TestVerdictDistinctMatchesConfinementTracker pins the oracle's Distinct,
+// now read off the visit tracker's coverage, to the confinement tracker it
+// replaced: for every generator, a ConfinementTracker attached as an extra
+// observer (which keeps the run on the scalar path) counts the same nodes.
+func TestVerdictDistinctMatchesConfinementTracker(t *testing.T) {
+	for _, g := range Generators() {
+		specs, err := Generate(g.Name, GenConfig{}, 13, 40)
+		if err != nil {
+			t.Fatalf("Generate(%s): %v", g.Name, err)
+		}
+		for _, s := range specs {
+			ct := spec.NewConfinementTracker()
+			v, err := RunWith(context.Background(), s, RunOptions{Observers: []fsync.Observer{ct}})
+			if err != nil {
+				t.Fatalf("%s %s: %v", g.Name, s.ID(), err)
+			}
+			if v.Distinct != ct.Distinct() {
+				t.Fatalf("%s %s: verdict Distinct %d, confinement tracker %d", g.Name, s.ID(), v.Distinct, ct.Distinct())
+			}
+		}
 	}
 }

@@ -205,20 +205,22 @@ func (r ExplorationReport) String() string {
 // over time — the quantity the impossibility theorems bound (two robots
 // never leave {u, v, w}; one robot never leaves {u, v}).
 type ConfinementTracker struct {
-	visited map[int]bool
-	series  []int // distinct-visited count after each instant
+	visited []bool // node-indexed, grown on demand
+	count   int    // number of true entries in visited
+	series  []int  // distinct-visited count after each instant
 	primed  bool
 }
 
 // NewConfinementTracker creates an empty tracker.
 func NewConfinementTracker() *ConfinementTracker {
-	return &ConfinementTracker{visited: make(map[int]bool)}
+	return &ConfinementTracker{}
 }
 
-// Reset re-arms the tracker for a fresh run, reusing the visited map and
+// Reset re-arms the tracker for a fresh run, reusing the visited and
 // series storage.
 func (ct *ConfinementTracker) Reset() {
 	clear(ct.visited)
+	ct.count = 0
 	ct.series = ct.series[:0]
 	ct.primed = false
 }
@@ -234,22 +236,25 @@ func (ct *ConfinementTracker) ObserveRound(ev fsync.RoundEvent) {
 
 func (ct *ConfinementTracker) record(snap fsync.Snapshot) {
 	for _, node := range snap.Positions {
-		ct.visited[node] = true
+		if node >= len(ct.visited) {
+			ct.visited = append(ct.visited, make([]bool, node+1-len(ct.visited))...)
+		}
+		if !ct.visited[node] {
+			ct.visited[node] = true
+			ct.count++
+		}
 	}
-	ct.series = append(ct.series, len(ct.visited))
+	ct.series = append(ct.series, ct.count)
 }
 
 // Distinct returns the number of distinct nodes ever visited.
-func (ct *ConfinementTracker) Distinct() int { return len(ct.visited) }
+func (ct *ConfinementTracker) Distinct() int { return ct.count }
 
 // VisitedNodes returns the visited nodes in increasing order.
 func (ct *ConfinementTracker) VisitedNodes() []int {
-	out := make([]int, 0, len(ct.visited))
-	for n := 0; n < 1<<31; n++ {
-		if len(out) == len(ct.visited) {
-			break
-		}
-		if ct.visited[n] {
+	out := make([]int, 0, ct.count)
+	for n, seen := range ct.visited {
+		if seen {
 			out = append(out, n)
 		}
 	}
@@ -264,5 +269,5 @@ func (ct *ConfinementTracker) Series() []int {
 // ConfinedTo reports whether the walkers never visited more than limit
 // distinct nodes.
 func (ct *ConfinementTracker) ConfinedTo(limit int) bool {
-	return len(ct.visited) <= limit
+	return ct.count <= limit
 }
