@@ -33,11 +33,14 @@ func ComposeModes() []string {
 
 // Composed folds the edge schedules of several member graphs over the same
 // ring into one evolving graph. Like every oblivious dynamics it is a pure
-// function of (edge, time), so composed runs replay exactly.
+// function of (edge, time), so composed runs replay exactly. Its kernel
+// (EdgesAtInto) keeps scratch space, so a Composed is not safe for
+// concurrent use.
 type Composed struct {
 	r       ring.Ring
 	mode    string
 	members []dyngraph.EvolvingGraph
+	scratch ring.EdgeSet // one member's E_t while EdgesAtInto folds
 }
 
 // NewComposed combines the members' schedules under the given mode

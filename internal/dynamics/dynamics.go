@@ -27,10 +27,10 @@ type Bernoulli struct {
 	p    float64
 	seed uint64
 
-	// Lane fast-path tables (lanes.go), built lazily on first EdgeWordAt:
-	// the per-edge Stream3 prefixes and the integer acceptance threshold.
-	lanePrefix []uint64
-	laneThr    uint64
+	// Kernel tables (inplace.go): the per-edge Stream3 prefixes and the
+	// integer acceptance threshold of p.
+	prefix []uint64
+	thr    uint64
 }
 
 // NewBernoulli returns a Bernoulli(p) dynamics over an n-node ring. It
@@ -39,7 +39,12 @@ func NewBernoulli(n int, p float64, seed uint64) *Bernoulli {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("dynamics: Bernoulli probability %v outside [0,1]", p))
 	}
-	return &Bernoulli{r: ring.New(n), p: p, seed: seed}
+	r := ring.New(n)
+	prefix := make([]uint64, r.Edges())
+	for e := range prefix {
+		prefix[e] = prng.Stream3(seed, uint64(e))
+	}
+	return &Bernoulli{r: r, p: p, seed: seed, prefix: prefix, thr: prng.Threshold53(p)}
 }
 
 // Ring implements dyngraph.EvolvingGraph.
@@ -149,9 +154,10 @@ type BoundedRecurrence struct {
 	delta int
 	seed  uint64
 
-	// Lane fast-path table (lanes.go), built lazily on first EdgeWordAt:
-	// forced[r] holds the edges whose phase is r, so the wrapper's whole
-	// contribution at instant t is one OR of forced[t%delta].
+	// Kernel table (inplace.go): row p of forced, ⌈n/64⌉ words, holds
+	// the edges whose forced phase is p mod min(delta, 64), so it takes
+	// O(n) memory whatever delta is. For delta <= 64 the row of instant t
+	// is exactly its forced set; beyond, its candidates are rechecked.
 	forced []uint64
 }
 
@@ -160,7 +166,18 @@ func NewBoundedRecurrence(base dyngraph.EvolvingGraph, delta int, seed uint64) *
 	if delta < 1 {
 		panic(fmt.Sprintf("dynamics: recurrence bound %d below 1", delta))
 	}
-	return &BoundedRecurrence{base: base, delta: delta, seed: seed}
+	n := base.Ring().Edges()
+	words := (n + 63) / 64
+	g := &BoundedRecurrence{base: base, delta: delta, seed: seed, forced: make([]uint64, min(delta, 64)*words)}
+	for e := range n {
+		g.forced[g.phase(e)%64*words+e/64] |= 1 << uint(e%64)
+	}
+	return g
+}
+
+// phase returns the residue mod delta at which edge e is forced present.
+func (g *BoundedRecurrence) phase(e int) int {
+	return prng.UintnAt(g.seed, 0xFA5E, uint64(e), g.delta)
 }
 
 // Ring implements dyngraph.EvolvingGraph.
@@ -171,8 +188,7 @@ func (g *BoundedRecurrence) Present(e, t int) bool {
 	if !g.base.Ring().ValidEdge(e) || t < 0 {
 		return false
 	}
-	phase := prng.UintnAt(g.seed, 0xFA5E, uint64(e), g.delta)
-	if t%g.delta == phase {
+	if t%g.delta == g.phase(e) {
 		return true
 	}
 	return g.base.Present(e, t)

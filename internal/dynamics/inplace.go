@@ -1,18 +1,22 @@
 package dynamics
 
 import (
+	"math/bits"
+
 	"pef/internal/dyngraph"
 	"pef/internal/prng"
 	"pef/internal/ring"
 )
 
-// This file gives every oblivious family an in-place materialization fast
-// path (dyngraph.InPlaceGraph): presence words are built locally and
-// stored with one SetWord per 64 edges, instead of a per-edge interface
-// dispatch plus bitset Add. The bits are identical to the Present-based
-// generic path — the per-(edge, time) pseudo-randomness is the same
-// function — which families_test.go verifies edge by edge; the fast path
-// only removes dispatch overhead on the campaign hot loop.
+// This file holds every oblivious family's E_t kernel
+// (dyngraph.InPlaceGraph), the one way both engines read a presence set:
+// the scalar engine once per round, the lane engine once per lane and
+// round. Present stays the per-edge reference the tests compare the
+// kernels against, bit for bit, on rings of any width. Each kernel builds
+// its presence words locally and stores them with one SetWord per 64
+// edges, and does per instant only the work that depends on t: Bernoulli
+// pays one SplitMix64 finalizer per edge instead of Hash3's three, and
+// BoundedRecurrence looks its forced edges up instead of hashing them.
 
 // ensureEdges resizes dst to n edges when its capacity disagrees.
 func ensureEdges(dst *ring.EdgeSet, n int) {
@@ -32,7 +36,9 @@ func wordSpan(wi, n int) (base, span int) {
 	return base, span
 }
 
-// EdgesAtInto implements dyngraph.InPlaceGraph.
+// EdgesAtInto implements dyngraph.InPlaceGraph. Edge e is present when the
+// 53-bit variate of its (seed, e) stream at t falls under the threshold,
+// which is BoolAt's float comparison by prng.Threshold53.
 func (b *Bernoulli) EdgesAtInto(t int, dst *ring.EdgeSet) {
 	n := b.r.Edges()
 	ensureEdges(dst, n)
@@ -40,15 +46,16 @@ func (b *Bernoulli) EdgesAtInto(t int, dst *ring.EdgeSet) {
 		dst.Clear()
 		return
 	}
+	ut, thr := uint64(t), b.thr
 	for wi := 0; wi < dst.Words(); wi++ {
 		base, span := wordSpan(wi, n)
+		// Branch-free, constant shifts only: the bit of each edge (the
+		// borrow of draw-thr, both at most 2^53) enters at the top of w.
 		var w uint64
-		for i := 0; i < span; i++ {
-			if prng.BoolAt(b.seed, uint64(base+i), uint64(t), b.p) {
-				w |= 1 << uint(i)
-			}
+		for _, prefix := range b.prefix[base : base+span] {
+			w = w>>1 | (prng.At3(prefix, ut)>>11-thr)&(1<<63)
 		}
-		dst.SetWord(wi, w)
+		dst.SetWord(wi, w>>(64-span))
 	}
 }
 
@@ -60,14 +67,12 @@ func (g *TInterval) EdgesAtInto(t int, dst *ring.EdgeSet) {
 		dst.Clear()
 		return
 	}
-	missing := -1
-	window := uint64(t / g.t)
-	if window%2 == 0 {
+	dst.Fill()
+	if window := uint64(t / g.t); window%2 == 0 {
 		if pick := prng.UintnAt(g.seed, 0xD15C0, window/2, n+1); pick != n {
-			missing = pick
+			dst.Remove(pick)
 		}
 	}
-	fillAllBut(dst, n, missing)
 }
 
 // EdgesAtInto implements dyngraph.InPlaceGraph.
@@ -78,55 +83,23 @@ func (g *RovingMissing) EdgesAtInto(t int, dst *ring.EdgeSet) {
 		dst.Clear()
 		return
 	}
-	fillAllBut(dst, n, (t/g.period)%n)
-}
-
-// fillAllBut sets dst to every edge of [0, n) except missing (-1 keeps
-// them all).
-func fillAllBut(dst *ring.EdgeSet, n, missing int) {
-	for wi := 0; wi < dst.Words(); wi++ {
-		dst.SetWord(wi, ^uint64(0)) // SetWord masks the tail
-	}
-	if missing >= 0 {
-		dst.Remove(missing)
-	}
+	dst.Fill()
+	dst.Remove((t / g.period) % n)
 }
 
 // EdgesAtInto implements dyngraph.InPlaceGraph.
 func (p *Periodic) EdgesAtInto(t int, dst *ring.EdgeSet) {
 	n := p.r.Edges()
 	ensureEdges(dst, n)
-	dst.Clear()
-	if t < 0 {
-		return
-	}
-	for e := 0; e < n; e++ {
-		pat := p.patterns[e]
-		if pat[t%len(pat)] {
-			dst.Add(e)
-		}
-	}
-}
-
-// EdgesAtInto implements dyngraph.InPlaceGraph: the base set plus the
-// forced recurrent edges of this instant.
-func (g *BoundedRecurrence) EdgesAtInto(t int, dst *ring.EdgeSet) {
-	n := g.base.Ring().Edges()
-	ensureEdges(dst, n)
 	if t < 0 {
 		dst.Clear()
 		return
 	}
-	dyngraph.EdgesInto(g.base, t, dst)
 	for wi := 0; wi < dst.Words(); wi++ {
 		base, span := wordSpan(wi, n)
-		w := dst.Word(wi)
-		for i := 0; i < span; i++ {
-			if w&(1<<uint(i)) != 0 {
-				continue
-			}
-			e := base + i
-			if t%g.delta == prng.UintnAt(g.seed, 0xFA5E, uint64(e), g.delta) {
+		var w uint64
+		for i, pat := range p.patterns[base : base+span] {
+			if pat[t%len(pat)] {
 				w |= 1 << uint(i)
 			}
 		}
@@ -134,17 +107,66 @@ func (g *BoundedRecurrence) EdgesAtInto(t int, dst *ring.EdgeSet) {
 	}
 }
 
+// EdgesAtInto implements dyngraph.InPlaceGraph: the base set plus the
+// edges whose forced phase is t mod delta.
+func (g *BoundedRecurrence) EdgesAtInto(t int, dst *ring.EdgeSet) {
+	if t < 0 {
+		ensureEdges(dst, g.base.Ring().Edges())
+		dst.Clear()
+		return
+	}
+	dyngraph.EdgesInto(g.base, t, dst)
+	r := t % g.delta
+	row := g.forced[r%64*dst.Words():]
+	for wi := 0; wi < dst.Words(); wi++ {
+		w := row[wi]
+		for cand := w; g.delta > 64 && cand != 0; cand &= cand - 1 {
+			if g.phase(wi*64+bits.TrailingZeros64(cand)) != r {
+				w &^= cand & -cand
+			}
+		}
+		dst.SetWord(wi, dst.Word(wi)|w)
+	}
+}
+
 // EdgesAtInto implements dyngraph.InPlaceGraph: the base set minus the
 // permanent cut.
 func (c *Chain) EdgesAtInto(t int, dst *ring.EdgeSet) {
-	n := c.base.Ring().Edges()
-	ensureEdges(dst, n)
 	if t < 0 {
+		ensureEdges(dst, c.base.Ring().Edges())
 		dst.Clear()
 		return
 	}
 	dyngraph.EdgesInto(c.base, t, dst)
 	dst.Remove(c.missing)
+}
+
+// EdgesAtInto implements dyngraph.InPlaceGraph: the members' sets folded
+// under the composition mode. Union and intersect read every member after
+// the first through a scratch set the graph keeps, so a Composed is not
+// safe for concurrent use.
+func (c *Composed) EdgesAtInto(t int, dst *ring.EdgeSet) {
+	if t < 0 {
+		ensureEdges(dst, c.r.Edges())
+		dst.Clear()
+		return
+	}
+	if c.mode == ComposeInterleave {
+		dyngraph.EdgesInto(c.members[t%len(c.members)], t, dst)
+		return
+	}
+	union := c.mode == ComposeUnion
+	dyngraph.EdgesInto(c.members[0], t, dst)
+	for _, m := range c.members[1:] {
+		dyngraph.EdgesInto(m, t, &c.scratch)
+		for wi := 0; wi < dst.Words(); wi++ {
+			if union {
+				dst.SetWord(wi, dst.Word(wi)|c.scratch.Word(wi))
+			} else {
+				dst.SetWord(wi, dst.Word(wi)&c.scratch.Word(wi))
+			}
+		}
+	}
 }
 
 // verify interface compliance at compile time.
@@ -155,5 +177,6 @@ var (
 	_ dyngraph.InPlaceGraph = (*Periodic)(nil)
 	_ dyngraph.InPlaceGraph = (*BoundedRecurrence)(nil)
 	_ dyngraph.InPlaceGraph = (*Chain)(nil)
+	_ dyngraph.InPlaceGraph = (*Composed)(nil)
 	_ dyngraph.InPlaceGraph = (*MarkovStream)(nil)
 )

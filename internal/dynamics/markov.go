@@ -37,11 +37,11 @@ func GenerateMarkov(n int, up, down float64, seed uint64, horizon int) (*dyngrap
 // sliding window of presence sets. A campaign run over a million-round
 // horizon therefore holds O(window) edge sets instead of O(horizon).
 //
-// Present, EdgesAtInto and EdgeWordAt all read the same window. They may be
-// queried at any instant from the retained window onwards (the chain
-// advances as needed); reading an instant that has slid out of the window
-// panics. Simulators only ever read the current instant, so any window
-// >= 1 serves them. Negative instants have no edges.
+// Present and EdgesAtInto read the same window. They may be queried at
+// any instant from the retained window onwards (the chain advances as
+// needed); reading an instant that has slid out of the window panics.
+// Simulators only ever read the current instant, so any window >= 1
+// serves them. Negative instants have no edges.
 type MarkovStream struct {
 	r ring.Ring
 	// win is the sliding window, a ring of presence sets over the
@@ -152,17 +152,6 @@ func (m *MarkovStream) EdgesAtInto(t int, dst *ring.EdgeSet) {
 		*dst = ring.NewEdgeSet(m.r.Edges())
 	}
 	dst.Clear()
-}
-
-// EdgeWordAt implements dyngraph.WordGraph.
-func (m *MarkovStream) EdgeWordAt(t int) (uint64, bool) {
-	if m.r.Edges() > 64 {
-		return 0, false
-	}
-	if t < 0 {
-		return 0, true
-	}
-	return m.at(t).Word(0), true
 }
 
 // MarkovSpec wraps GenerateMarkov as a workload Spec with the given

@@ -43,10 +43,12 @@ func EdgesAt(g EvolvingGraph, t int) ring.EdgeSet {
 	return s
 }
 
-// InPlaceGraph is an optional extension of EvolvingGraph: implementations
-// write a presence set into a caller-provided EdgeSet, so per-round
-// materialization needs no allocation (recorded traces copy words instead
-// of re-testing every edge).
+// InPlaceGraph is an optional extension of EvolvingGraph: the graph's E_t
+// kernel. Implementations write the presence set Present describes into a
+// caller-provided EdgeSet, a word at a time, so per-round materialization
+// needs neither allocation nor a per-edge call (recorded traces copy
+// words instead of re-testing every edge). Both engines read E_t through
+// it when a graph has one.
 type InPlaceGraph interface {
 	EvolvingGraph
 	// EdgesAtInto overwrites dst with E_t. dst is resized if its capacity
@@ -55,13 +57,19 @@ type InPlaceGraph interface {
 }
 
 // EdgesInto materializes E_t of g into dst without allocating (when dst
-// already has the right capacity), using the graph's own in-place fast
-// path when it provides one.
+// already has the right capacity), using the graph's own kernel when it
+// provides one.
 func EdgesInto(g EvolvingGraph, t int, dst *ring.EdgeSet) {
 	if ip, ok := g.(InPlaceGraph); ok {
 		ip.EdgesAtInto(t, dst)
 		return
 	}
+	presentInto(g, t, dst)
+}
+
+// presentInto materializes E_t of g by testing every edge with Present:
+// the fallback for graphs without a kernel.
+func presentInto(g EvolvingGraph, t int, dst *ring.EdgeSet) {
 	r := g.Ring()
 	if dst.Size() != r.Edges() {
 		*dst = ring.NewEdgeSet(r.Edges())
@@ -90,6 +98,18 @@ func (s Static) Ring() ring.Ring { return s.r }
 // Present implements EvolvingGraph: every valid edge is always present.
 func (s Static) Present(e, t int) bool {
 	return s.r.ValidEdge(e) && t >= 0
+}
+
+// EdgesAtInto implements InPlaceGraph: every valid edge is present.
+func (s Static) EdgesAtInto(t int, dst *ring.EdgeSet) {
+	if n := s.r.Edges(); dst.Size() != n {
+		*dst = ring.NewEdgeSet(n)
+	}
+	if t < 0 {
+		dst.Clear()
+		return
+	}
+	dst.Fill()
 }
 
 // Interval is a half-open time interval [Start, End). The paper writes
@@ -216,6 +236,22 @@ func (g *EventualMissing) Present(e, t int) bool {
 	return g.base.Present(e, t)
 }
 
+// EdgesAtInto implements InPlaceGraph: the base set, minus the missing
+// edge once t reaches From.
+func (g *EventualMissing) EdgesAtInto(t int, dst *ring.EdgeSet) {
+	if t < 0 {
+		if n := g.base.Ring().Edges(); dst.Size() != n {
+			*dst = ring.NewEdgeSet(n)
+		}
+		dst.Clear()
+		return
+	}
+	EdgesInto(g.base, t, dst)
+	if t >= g.from {
+		dst.Remove(g.edge)
+	}
+}
+
 // Edge returns the index of the eventual missing edge.
 func (g *EventualMissing) Edge() int { return g.edge }
 
@@ -238,3 +274,9 @@ func (f Func) Present(e, t int) bool {
 	}
 	return f.F(e, t)
 }
+
+// verify interface compliance at compile time.
+var (
+	_ InPlaceGraph = Static{}
+	_ InPlaceGraph = (*EventualMissing)(nil)
+)

@@ -7,160 +7,41 @@ import (
 )
 
 // This file holds the dyngraph side of the lockstep engine: per-lane edge
-// schedules materialized as per-edge lane columns, plus in-place fast
-// paths for the package's own graph wrappers.
-
-// WordGraph is the lane engine's materialization fast path: a graph whose
-// E_t fits one presence word hands it over directly, skipping the EdgeSet
-// and its per-edge plumbing. The word must be bit-identical to what
-// EdgesInto reports at the same t — including each family's own
-// out-of-range conventions — with bit e set iff edge e is present and
-// bits at and past the edge count zero. ok=false means this instance
-// cannot take the fast path — typically a wrapper whose base graph has
-// none, or a ring wider than the word — and the caller must fall back to
-// EdgesInto. Implementations may precompute lazily on first call; they
-// need not be safe for concurrent use (each lane belongs to one run).
-type WordGraph interface {
-	EvolvingGraph
-	// EdgeWordAt returns E_t as a presence word on rings of at most 64
-	// edges.
-	EdgeWordAt(t int) (word uint64, ok bool)
-}
+// schedules materialized as per-edge lane columns.
 
 // LaneColumns materializes E_t of up to 64 evolving graphs — one per seed
 // lane — and writes it column-wise into cols: bit l of cols[e] reports
 // whether lane l's graph has edge e present at time t. Only lanes with
 // their bit set in active are materialized; retired lanes contribute zero
 // bits. sets provides per-lane scratch (len(sets) == len(graphs), each
-// sized by EdgesInto on first use), so steady-state materialization does
-// not allocate. The ring may have at most 64 edges (cols is indexed by
-// edge and sliced to the edge count by the caller).
+// sized on first use), so steady-state materialization does not allocate.
+// The ring may have at most 64 edges (cols is indexed by edge and sliced
+// to the edge count by the caller).
 //
-// Graphs implementing WordGraph produce their presence word directly; the
-// rest go through the exact same EdgesInto call the scalar engine makes,
-// in increasing t order per lane, so streaming (stateful) graphs observe
-// the same call sequence. Either way every lane's schedule is
-// bit-identical to its scalar run.
+// Each lane makes the exact EdgesInto call the scalar engine makes, in
+// increasing t order per lane, so streaming (stateful) graphs observe the
+// same call sequence and every lane's schedule is bit-identical to its
+// scalar run.
 //
-// The return value counts the active lanes that took the WordGraph fast
-// path this instant (the rest fell back to EdgesInto) — telemetry's
-// fast-path hit signal; callers that don't care simply drop it.
-func LaneColumns(graphs []EvolvingGraph, sets []ring.EdgeSet, active uint64, t int, cols []uint64) (wordLanes int) {
+// The return value counts the active lanes served by their graph's own
+// kernel (InPlaceGraph) this instant; the rest fell back to testing every
+// edge with Present. It is telemetry's fast-path hit signal; callers that
+// don't care simply drop it.
+func LaneColumns(graphs []EvolvingGraph, sets []ring.EdgeSet, active uint64, t int, cols []uint64) (kernelLanes int) {
 	var m [64]uint64
 	for w := active; w != 0; w &= w - 1 {
 		l := bits.TrailingZeros64(w)
-		if wg, ok := graphs[l].(WordGraph); ok {
-			if word, ok := wg.EdgeWordAt(t); ok {
-				m[l] = word
-				wordLanes++
-				continue
-			}
+		if ip, ok := graphs[l].(InPlaceGraph); ok {
+			ip.EdgesAtInto(t, &sets[l])
+			kernelLanes++
+		} else {
+			presentInto(graphs[l], t, &sets[l])
 		}
-		EdgesInto(graphs[l], t, &sets[l])
 		m[l] = sets[l].Word(0)
 	}
 	ring.Transpose64(&m)
 	for e := range cols {
 		cols[e] = m[e]
 	}
-	return wordLanes
+	return kernelLanes
 }
-
-// edgeMask returns the full presence word of an n-edge ring (n <= 64).
-func edgeMask(n int) uint64 {
-	return ^uint64(0) >> uint(64-n)
-}
-
-// EdgesAtInto implements InPlaceGraph: every valid edge is present.
-func (s Static) EdgesAtInto(t int, dst *ring.EdgeSet) {
-	n := s.r.Edges()
-	if dst.Size() != n {
-		*dst = ring.NewEdgeSet(n)
-	}
-	if t < 0 {
-		dst.Clear()
-		return
-	}
-	for wi := 0; wi < dst.Words(); wi++ {
-		dst.SetWord(wi, ^uint64(0)) // SetWord masks the tail
-	}
-}
-
-// EdgesAtInto implements InPlaceGraph: the base set, minus the missing
-// edge once t reaches From.
-func (g *EventualMissing) EdgesAtInto(t int, dst *ring.EdgeSet) {
-	n := g.base.Ring().Edges()
-	if dst.Size() != n {
-		*dst = ring.NewEdgeSet(n)
-	}
-	if t < 0 {
-		dst.Clear()
-		return
-	}
-	EdgesInto(g.base, t, dst)
-	if t >= g.from {
-		dst.Remove(g.edge)
-	}
-}
-
-// EdgeWordAt implements WordGraph: the full mask.
-func (s Static) EdgeWordAt(t int) (uint64, bool) {
-	n := s.r.Edges()
-	if n > 64 {
-		return 0, false
-	}
-	if t < 0 {
-		return 0, true
-	}
-	return edgeMask(n), true
-}
-
-// EdgeWordAt implements WordGraph: the base word, minus the missing edge
-// once t reaches From.
-func (g *EventualMissing) EdgeWordAt(t int) (uint64, bool) {
-	wb, ok := g.base.(WordGraph)
-	if !ok {
-		return 0, false
-	}
-	if t < 0 {
-		if g.base.Ring().Edges() > 64 {
-			return 0, false
-		}
-		return 0, true
-	}
-	w, ok := wb.EdgeWordAt(t)
-	if !ok {
-		return 0, false
-	}
-	if t >= g.from {
-		w &^= 1 << uint(g.edge)
-	}
-	return w, true
-}
-
-// EdgeWordAt implements WordGraph: the stored presence word, with the same
-// clamping as Present.
-func (rec *Recorded) EdgeWordAt(t int) (uint64, bool) {
-	if rec.r.Edges() > 64 {
-		return 0, false
-	}
-	if rec.Horizon() == 0 {
-		return 0, true
-	}
-	if t < 0 {
-		t = 0
-	}
-	if t >= rec.Horizon() {
-		t = rec.Horizon() - 1
-	}
-	return rec.at(t).Word(0), true
-}
-
-// verify interface compliance at compile time.
-var (
-	_ InPlaceGraph = Static{}
-	_ InPlaceGraph = (*EventualMissing)(nil)
-	_ WordGraph    = Static{}
-	_ WordGraph    = (*EventualMissing)(nil)
-	_ WordGraph    = (*Recorded)(nil)
-)

@@ -30,11 +30,12 @@ func TestStaticAndEventualMissingInPlace(t *testing.T) {
 	}
 }
 
-// TestLaneColumns checks column materialization against per-lane EdgesAt:
-// bit l of cols[e] must equal lane l's presence of edge e, and retired
-// lanes must contribute zero bits.
+// TestLaneColumns checks column materialization against per-lane Present:
+// bit l of cols[e] must equal lane l's presence of edge e, retired lanes
+// must contribute zero bits, and only lanes whose graph has a kernel count
+// as kernel lanes.
 func TestLaneColumns(t *testing.T) {
-	const n, lanes = 7, 5
+	const n, lanes = 7, 6
 	graphs := make([]EvolvingGraph, lanes)
 	for l := range graphs {
 		if l%2 == 0 {
@@ -43,12 +44,16 @@ func TestLaneColumns(t *testing.T) {
 			graphs[l] = NewEventualMissing(NewStatic(n), l%n, 3)
 		}
 	}
+	// Lane 5 has only Present: the fallback path.
+	graphs[5] = Func{R: ring.New(n), F: func(e, t int) bool { return (e+t)%3 != 0 }}
 	sets := make([]ring.EdgeSet, lanes)
 	cols := make([]uint64, n)
 	active := uint64(1<<lanes) - 1
 	active &^= 1 << 2 // lane 2 retired
 	for instant := 0; instant < 8; instant++ {
-		LaneColumns(graphs, sets, active, instant, cols)
+		if got := LaneColumns(graphs, sets, active, instant, cols); got != 4 {
+			t.Fatalf("t=%d: %d kernel lanes, want 4 (lane 5 falls back)", instant, got)
+		}
 		for e := 0; e < n; e++ {
 			for l := 0; l < lanes; l++ {
 				want := false
@@ -66,8 +71,9 @@ func TestLaneColumns(t *testing.T) {
 	}
 }
 
-// TestEdgeWordMatchesEdgesInto checks this package's word fast paths
-// against their EdgesInto sets, including the Recorded clamping rules.
+// TestEdgeWordMatchesEdgesInto checks that the presence word LaneColumns
+// hands the lockstep engine for a lane equals the first word of the set
+// EdgesInto gives the scalar engine, for every graph in this package.
 func TestEdgeWordMatchesEdgesInto(t *testing.T) {
 	const n = 9
 	rec := NewRecorded(n)
@@ -82,7 +88,7 @@ func TestEdgeWordMatchesEdgesInto(t *testing.T) {
 	}
 	graphs := []struct {
 		name string
-		g    WordGraph
+		g    InPlaceGraph
 	}{
 		{"static", NewStatic(n)},
 		{"eventual-missing", NewEventualMissing(NewStatic(n), 4, 10)},
@@ -91,15 +97,21 @@ func TestEdgeWordMatchesEdgesInto(t *testing.T) {
 	}
 	for _, tc := range graphs {
 		t.Run(tc.name, func(t *testing.T) {
+			lanes := []EvolvingGraph{tc.g}
+			sets := make([]ring.EdgeSet, 1)
+			cols := make([]uint64, n)
 			var dst ring.EdgeSet
 			for instant := -1; instant < 30; instant++ {
-				EdgesInto(tc.g, instant, &dst)
-				w, ok := tc.g.EdgeWordAt(instant)
-				if !ok {
-					t.Fatalf("t=%d: word path unexpectedly unavailable", instant)
+				if k := LaneColumns(lanes, sets, 1, instant, cols); k != 1 {
+					t.Fatalf("t=%d: %d kernel lanes, want 1", instant, k)
 				}
+				var w uint64
+				for e, c := range cols {
+					w |= (c & 1) << uint(e)
+				}
+				EdgesInto(tc.g, instant, &dst)
 				if want := dst.Word(0); w != want {
-					t.Fatalf("t=%d: word %#x, set word %#x", instant, w, want)
+					t.Fatalf("t=%d: lane word %#x, set word %#x", instant, w, want)
 				}
 			}
 		})

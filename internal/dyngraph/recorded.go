@@ -209,22 +209,17 @@ func (rec *Recorded) Snapshot(t int) ring.EdgeSet {
 }
 
 // EdgesAtInto implements InPlaceGraph: the presence set is copied word by
-// word into dst, with the same clamping as Present.
+// word into dst. Like Present, instants at or beyond the horizon reuse the
+// final snapshot, and negative instants and an empty trace have no edges.
 func (rec *Recorded) EdgesAtInto(t int, dst *ring.EdgeSet) {
-	if rec.Horizon() == 0 {
+	if t < 0 || rec.Horizon() == 0 {
 		if dst.Size() != rec.r.Edges() {
 			*dst = ring.NewEdgeSet(rec.r.Edges())
 		}
 		dst.Clear()
 		return
 	}
-	if t < 0 {
-		t = 0
-	}
-	if t >= rec.Horizon() {
-		t = rec.Horizon() - 1
-	}
-	dst.CopyFrom(rec.at(t))
+	dst.CopyFrom(rec.at(min(t, rec.Horizon()-1)))
 }
 
 // LastPresenceOnline returns the last instant at which edge e was present,

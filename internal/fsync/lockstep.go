@@ -73,7 +73,7 @@ type LockstepSimulator struct {
 	metrics       *Metrics
 	statRounds    int // word steps executed
 	statLaneSteps int // active lanes summed over steps
-	statWordFast  int // lane-instants served by the WordGraph fast path
+	statWordFast  int // lane-instants served by a family kernel (InPlaceGraph)
 
 	// Steady-state scratch, sized once per Reset.
 	sets []ring.EdgeSet // per lane materialization buffer

@@ -25,9 +25,9 @@ type Metrics struct {
 	LockstepAcquires *telemetry.Counter
 	LockstepReleases *telemetry.Counter
 
-	// WordFastLanes counts lane-instants materialized through the
-	// dyngraph.WordGraph presence-word fast path; WordFallbackLanes counts
-	// those that fell back to EdgesInto.
+	// WordFastLanes counts lane-instants materialized by their graph's own
+	// E_t kernel (dyngraph.InPlaceGraph); WordFallbackLanes counts those
+	// that fell back to testing every edge with Present.
 	WordFastLanes     *telemetry.Counter
 	WordFallbackLanes *telemetry.Counter
 }

@@ -20,12 +20,15 @@ func naiveTranspose64(in [64]uint64) [64]uint64 {
 	return out
 }
 
+// TestTranspose64MatchesNaive covers full-width rows and every narrower
+// row width, whose empty blocks Transpose64 folds instead of swapping.
 func TestTranspose64MatchesNaive(t *testing.T) {
 	src := prng.NewSource(0x7A13)
 	for trial := 0; trial < 200; trial++ {
+		width := uint(64 - trial%65) // 64 down to 0, then again
 		var m [64]uint64
 		for i := range m {
-			m[i] = src.Uint64()
+			m[i] = src.Uint64() & (1<<width - 1) // all bits at width 64
 		}
 		want := naiveTranspose64(m)
 		got := m

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -181,5 +183,34 @@ func TestAggregateAddSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs > 0.1 {
 		t.Fatalf("steady-state Aggregate.Add allocates: %v allocs/op", allocs)
+	}
+}
+
+// TestRunBlockBoundedDeltaMemory guards the bounded family's memory: its
+// forced-phase table takes O(n) memory whatever delta is, on the lane
+// engine as on the scalar one. A table indexed by phase would allocate
+// 8·delta bytes (128 MB here) per graph.
+func TestRunBlockBoundedDeltaMemory(t *testing.T) {
+	specs := make([]Spec, 4)
+	for i := range specs {
+		specs[i] = Spec{Version: Version, Ring: 8, Robots: 3, Algorithm: "pef3+", Placement: PlaceEven,
+			Family: "bounded", Params: Params{P: 0.5, Delta: 1 << 24}, Horizon: 200, Seed: uint64(i + 1)}
+	}
+	tel := NewTelemetry()
+	RunBlock(context.Background(), specs, RunOptions{Telemetry: tel}) // warm the pools
+	if got := tel.Snapshot().Counters["engine.lockstepSpecs"]; got != int64(len(specs)) {
+		t.Fatalf("engine.lockstepSpecs = %d, want %d: the guard must run the lane engine", got, len(specs))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, v := range RunBlock(context.Background(), specs, RunOptions{}) {
+		if v.Err != "" {
+			t.Fatalf("spec %s: %s", v.ID, v.Err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 1 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Fatalf("RunBlock over delta=%d allocated %d bytes, want < %d", 1<<24, got, limit)
 	}
 }

@@ -21,7 +21,7 @@ import (
 //	pool.*                    scheduling (harness.PoolMetrics)
 //	sim.rounds|acquires|releases          scalar engine
 //	sim.lockstep.rounds|laneRounds|acquires|releases  lane engine
-//	sim.wordFastLanes|wordFallbackLanes   E_t materialization paths
+//	sim.wordFastLanes|wordFallbackLanes   lane E_t by family kernel vs Present
 //	oracle.scalarRuns         scalar oracle executions
 //	engine.lockstepSpecs|scalarSpecs      per-spec path routing
 //	engine.lockstepGroups     lane groups launched
