@@ -8,34 +8,41 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pef"
-	"pef/internal/adversary"
-	"pef/internal/fsync"
-	"pef/internal/robot"
-	"pef/internal/spec"
-	"pef/internal/trace"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "pefadversary:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("pefadversary", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		robots = flag.Int("robots", 1, "number of victim robots: 1 (Theorem 5.1) or 2 (Theorem 4.1)")
-		n      = flag.Int("n", 8, "ring size")
-		algo   = flag.String("alg", "", "algorithm to defeat (empty: all registered)")
-		rounds = flag.Int("rounds", 512, "rounds to simulate")
-		viz    = flag.Int("viz", 24, "diagram rows to print (0 disables)")
+		robots = fs.Int("robots", 1, "number of victim robots: 1 (Theorem 5.1) or 2 (Theorem 4.1)")
+		n      = fs.Int("n", 8, "ring size")
+		algo   = fs.String("alg", "", "algorithm to defeat (empty: all registered)")
+		rounds = fs.Int("rounds", 512, "rounds to simulate")
+		viz    = fs.Int("viz", 24, "diagram rows to print (0 disables)")
 	)
-	flag.Parse()
-	pef.RegisterBuiltins()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
+	confine := pef.ConfineOneRobotWithDiagram
+	switch *robots {
+	case 1:
+	case 2:
+		confine = pef.ConfineTwoRobotsWithDiagram
+	default:
+		return fmt.Errorf("robots must be 1 or 2, got %d", *robots)
+	}
 	names := pef.Algorithms()
 	if *algo != "" {
 		names = []string{*algo}
@@ -45,67 +52,23 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := defeat(alg, *robots, *n, *rounds, *viz); err != nil {
+		rep, diagram, err := confine(alg, *n, *rounds, *viz)
+		if err != nil {
 			return err
 		}
+		status := "CONFINED"
+		if !rep.Confined {
+			status = "ESCAPED (bug!)"
+		}
+		fmt.Fprintf(stdout, "%-24s k=%d n=%-4d visited %d/%d nodes %v  -> %s\n",
+			alg.Name(), *robots, *n, rep.DistinctVisited, *n, rep.VisitedNodes, status)
+		if diagram != "" {
+			fmt.Fprintf(stdout, "\n%s\n", diagram)
+		}
+		if !rep.Confined {
+			return fmt.Errorf("adversary failed against %s", alg.Name())
+		}
 		*viz = 0 // diagram only for the first victim to keep output readable
-	}
-	return nil
-}
-
-func defeat(alg pef.Algorithm, robots, n, rounds, viz int) error {
-	var dyn fsync.Dynamics
-	var placements []fsync.Placement
-	var limit int
-	switch robots {
-	case 1:
-		dyn = adversary.NewOneRobotConfinement(n, 0, 0)
-		placements = []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}}
-		limit = 2
-	case 2:
-		dyn = adversary.NewTwoRobotConfinement(n, 0, 0, 1)
-		placements = []fsync.Placement{
-			{Node: 0, Chirality: robot.RightIsCW},
-			{Node: 1, Chirality: robot.RightIsCCW},
-		}
-		limit = 3
-	default:
-		return fmt.Errorf("robots must be 1 or 2, got %d", robots)
-	}
-
-	ct := spec.NewConfinementTracker()
-	rec := &fsync.SnapshotRecorder{}
-	sim, err := fsync.New(fsync.Config{
-		Algorithm:   alg,
-		Dynamics:    dyn,
-		Placements:  placements,
-		Observers:   []fsync.Observer{ct, rec},
-		RecordGraph: viz > 0,
-	})
-	if err != nil {
-		return err
-	}
-	sim.Run(rounds)
-
-	status := "CONFINED"
-	if !ct.ConfinedTo(limit) {
-		status = "ESCAPED (bug!)"
-	}
-	fmt.Printf("%-24s k=%d n=%-4d visited %d/%d nodes %v  -> %s\n",
-		alg.Name(), robots, n, ct.Distinct(), n, ct.VisitedNodes(), status)
-
-	if viz > 0 {
-		snaps := make([]fsync.Snapshot, rec.Len())
-		for t := range snaps {
-			snaps[t] = rec.At(t)
-		}
-		fmt.Println()
-		fmt.Print(trace.Header(n))
-		fmt.Print(trace.SpaceTimeString(sim.RecordedGraph(), snaps, 0, viz))
-		fmt.Println()
-	}
-	if !ct.ConfinedTo(limit) {
-		return fmt.Errorf("adversary failed against %s", alg.Name())
 	}
 	return nil
 }

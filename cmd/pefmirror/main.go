@@ -38,7 +38,6 @@ func run() error {
 		viz      = flag.Int("viz", 12, "space-time rows of the mirror execution to print")
 	)
 	flag.Parse()
-	pef.RegisterBuiltins()
 
 	alg, err := pef.NewAlgorithm(*algo)
 	if err != nil {

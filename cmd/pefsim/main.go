@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pef"
@@ -24,39 +25,45 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "pefsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("pefsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		n      = flag.Int("n", 8, "ring size (number of nodes)")
-		k      = flag.Int("k", 3, "number of robots")
-		algo   = flag.String("alg", "pef3+", "algorithm name (see -list)")
-		dyn    = flag.String("dyn", "static", "dynamics: static|bernoulli|eventual-missing|t-interval|roving|chain|block-pointed")
-		p      = flag.Float64("p", 0.6, "edge presence probability (bernoulli)")
-		edge   = flag.Int("edge", 0, "edge index (eventual-missing, chain)")
-		from   = flag.Int("from", 32, "removal time (eventual-missing)")
-		tint   = flag.Int("t", 4, "interval length (t-interval)")
-		period = flag.Int("period", 3, "rotation period (roving)")
-		budget = flag.Int("budget", 3, "absence budget (block-pointed)")
-		rounds = flag.Int("rounds", 2000, "rounds to simulate")
-		seed   = flag.Uint64("seed", 42, "random seed")
-		viz    = flag.Int("viz", 0, "render a space-time diagram of the first N rounds")
-		list   = flag.Bool("list", false, "list registered algorithms and exit")
-		save   = flag.String("save", "", "save the realized evolving graph to this JSON file")
-		load   = flag.String("load", "", "replay a previously saved evolving graph instead of -dyn")
+		n      = fs.Int("n", 8, "ring size (number of nodes)")
+		k      = fs.Int("k", 3, "number of robots")
+		algo   = fs.String("alg", "pef3+", "algorithm name (see -list)")
+		dyn    = fs.String("dyn", "static", "dynamics: static|bernoulli|eventual-missing|t-interval|roving|chain|block-pointed")
+		p      = fs.Float64("p", 0.6, "edge presence probability (bernoulli)")
+		edge   = fs.Int("edge", 0, "edge index (eventual-missing, chain)")
+		from   = fs.Int("from", 32, "removal time (eventual-missing)")
+		tint   = fs.Int("t", 4, "interval length (t-interval)")
+		period = fs.Int("period", 3, "rotation period (roving)")
+		budget = fs.Int("budget", 3, "absence budget (block-pointed)")
+		rounds = fs.Int("rounds", 2000, "rounds to simulate")
+		seed   = fs.Uint64("seed", 42, "random seed")
+		viz    = fs.Int("viz", 0, "render a space-time diagram of the first N rounds")
+		list   = fs.Bool("list", false, "list registered algorithms and exit")
+		save   = fs.String("save", "", "save the realized evolving graph to this JSON file")
+		load   = fs.String("load", "", "replay a previously saved evolving graph instead of -dyn")
 	)
-	flag.Parse()
-	pef.RegisterBuiltins()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, name := range pef.Algorithms() {
-			fmt.Println(name)
+			fmt.Fprintln(stdout, name)
 		}
 		return nil
+	}
+	if *rounds < 1 {
+		return fmt.Errorf("Horizon must be >= 1, got %d (a non-positive horizon executes no rounds)", *rounds)
 	}
 
 	alg, err := pef.NewAlgorithm(*algo)
@@ -69,12 +76,14 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if rec.Ring().Size() != *n {
-			*n = rec.Ring().Size()
-		}
+		*n = rec.Ring().Size()
 		*dyn = "replay:" + *load
 		dynamics = fsync.Oblivious{G: rec}
-	} else {
+	}
+	if *k < 1 || *k >= *n {
+		return fmt.Errorf("need 0 < Robots < Nodes, got k=%d n=%d", *k, *n)
+	}
+	if dynamics == nil {
 		dynamics, err = buildDynamics(*dyn, *n, *p, *edge, *from, *tint, *period, *budget, *seed)
 		if err != nil {
 			return err
@@ -100,19 +109,19 @@ func run() error {
 		if err := saveGraph(*save, sim.RecordedGraph()); err != nil {
 			return err
 		}
-		fmt.Printf("saved realized evolving graph to %s\n", *save)
+		fmt.Fprintf(stdout, "saved realized evolving graph to %s\n", *save)
 	}
 
-	fmt.Printf("algorithm   %s\n", alg.Name())
-	fmt.Printf("ring        n=%d, k=%d, dynamics=%s, seed=%d\n", *n, *k, *dyn, *seed)
-	fmt.Printf("horizon     %d rounds\n", rep.Horizon)
-	fmt.Printf("covered     %d/%d nodes (cover time %d)\n", rep.Covered, rep.Nodes, rep.CoverTime)
-	fmt.Printf("max gap     %d rounds (node %d)\n", rep.MaxGap, rep.WorstNode)
-	fmt.Printf("visits/node %v\n", rep.Visits)
+	fmt.Fprintf(stdout, "algorithm   %s\n", alg.Name())
+	fmt.Fprintf(stdout, "ring        n=%d, k=%d, dynamics=%s, seed=%d\n", *n, *k, *dyn, *seed)
+	fmt.Fprintf(stdout, "horizon     %d rounds\n", rep.Horizon)
+	fmt.Fprintf(stdout, "covered     %d/%d nodes (cover time %d)\n", rep.Covered, rep.Nodes, rep.CoverTime)
+	fmt.Fprintf(stdout, "max gap     %d rounds (node %d)\n", rep.MaxGap, rep.WorstNode)
+	fmt.Fprintf(stdout, "visits/node %v\n", rep.Visits)
 	if rep.PerpetuallyExplored(rep.Horizon / 2) {
-		fmt.Println("verdict     PERPETUAL EXPLORATION (finite-horizon criterion)")
+		fmt.Fprintln(stdout, "verdict     PERPETUAL EXPLORATION (finite-horizon criterion)")
 	} else {
-		fmt.Println("verdict     exploration NOT sustained on this horizon")
+		fmt.Fprintln(stdout, "verdict     exploration NOT sustained on this horizon")
 	}
 
 	if *viz > 0 {
@@ -120,9 +129,9 @@ func run() error {
 		for t := range snaps {
 			snaps[t] = rec.At(t)
 		}
-		fmt.Println()
-		fmt.Print(trace.Header(*n))
-		fmt.Print(trace.SpaceTimeString(sim.RecordedGraph(), snaps, 0, *viz))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, trace.Header(*n))
+		fmt.Fprint(stdout, trace.SpaceTimeString(sim.RecordedGraph(), snaps, 0, *viz))
 	}
 	return nil
 }

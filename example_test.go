@@ -31,8 +31,8 @@ func ExampleExplore() {
 // The impossibility side: the Theorem 5.1 adversary confines any single
 // deterministic robot — here the paper's own PEF_3+ run with one robot —
 // to two nodes of an 8-node ring.
-func ExampleConfineOneRobot() {
-	report, err := pef.ConfineOneRobot(context.Background(), pef.PEF3Plus(), 8, 512)
+func ExampleConfineOneRobotWithDiagram() {
+	report, _, err := pef.ConfineOneRobotWithDiagram(pef.PEF3Plus(), 8, 512, 0)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -45,8 +45,8 @@ func ExampleConfineOneRobot() {
 
 // Two robots fare no better on rings of size at least four: the four-phase
 // schedule of Theorem 4.1 (Figure 2) confines them to three nodes.
-func ExampleConfineTwoRobots() {
-	report, err := pef.ConfineTwoRobots(context.Background(), pef.PEF2(), 8, 512)
+func ExampleConfineTwoRobotsWithDiagram() {
+	report, _, err := pef.ConfineTwoRobotsWithDiagram(pef.PEF2(), 8, 512, 0)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

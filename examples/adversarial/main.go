@@ -9,7 +9,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 
@@ -17,7 +16,6 @@ import (
 )
 
 func main() {
-	pef.RegisterBuiltins()
 	const n = 8
 
 	bounce, err := pef.NewAlgorithm("bounce-on-missing")
@@ -49,11 +47,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		one, err := pef.ConfineOneRobot(context.Background(), alg, n, 400)
+		one, _, err := pef.ConfineOneRobotWithDiagram(alg, n, 400, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		two, err := pef.ConfineTwoRobots(context.Background(), alg, n, 400)
+		two, _, err := pef.ConfineTwoRobotsWithDiagram(alg, n, 400, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -63,6 +63,16 @@ func TestConfineWithDiagramVariants(t *testing.T) {
 	if d3 != "" {
 		t.Fatal("rows=0 should render nothing")
 	}
+	// Rings below the theorems' bounds are errors, not adversary panics.
+	if _, _, err := ConfineOneRobotWithDiagram(PEF3Plus(), 2, 50, 4); err == nil || !strings.Contains(err.Error(), "n>=3") {
+		t.Errorf("one robot on n=2: err = %v", err)
+	}
+	if _, _, err := ConfineTwoRobotsWithDiagram(PEF3Plus(), 3, 50, 4); err == nil || !strings.Contains(err.Error(), "n>=4") {
+		t.Errorf("two robots on n=3: err = %v", err)
+	}
+	if _, _, err := ConfineOneRobotWithDiagram(nil, 8, 50, 0); err == nil {
+		t.Error("nil algorithm accepted")
+	}
 }
 
 func TestPeriodicFacadeValidation(t *testing.T) {

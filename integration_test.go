@@ -79,7 +79,7 @@ func TestExplorationHoldsUnderRandomRecurrentDynamics(t *testing.T) {
 func TestConfinementHoldsForRandomizedVictims(t *testing.T) {
 	prop := func(seed uint64, n8 uint8) bool {
 		n := int(n8%14) + 3 // 3..16
-		rep, err := ConfineOneRobot(context.Background(), baseline.LCGWalker{Seed: seed}, n, 48*n)
+		rep, _, err := ConfineOneRobotWithDiagram(baseline.LCGWalker{Seed: seed}, n, 48*n, 0)
 		if err != nil {
 			return false
 		}
@@ -94,7 +94,7 @@ func TestConfinementHoldsForRandomizedVictims(t *testing.T) {
 func TestTwoRobotConfinementForRandomizedVictims(t *testing.T) {
 	prop := func(seed uint64, n8 uint8) bool {
 		n := int(n8%13) + 4 // 4..16
-		rep, err := ConfineTwoRobots(context.Background(), baseline.LCGWalker{Seed: seed}, n, 48*n)
+		rep, _, err := ConfineTwoRobotsWithDiagram(baseline.LCGWalker{Seed: seed}, n, 48*n, 0)
 		if err != nil {
 			return false
 		}

@@ -240,11 +240,3 @@ func Suite() []robot.Algorithm {
 		Oscillator{},
 	}
 }
-
-// RegisterBuiltins installs the suite into the robot registry.
-func RegisterBuiltins() {
-	for _, alg := range Suite() {
-		alg := alg
-		robot.Register(alg.Name(), func() robot.Algorithm { return alg })
-	}
-}

@@ -74,14 +74,3 @@ func (c *pef1Core) Compute(view robot.View) {
 func (c *pef1Core) State() robot.StateCode { return robot.DirState(c.dir) }
 
 var _ robot.Algorithm = PEF1{}
-
-// RegisterBuiltins installs the paper's algorithms (and the ablations) into
-// the robot registry. It is idempotent-unsafe by design (duplicate
-// registration panics); call it once from main or TestMain.
-func RegisterBuiltins() {
-	robot.Register(PEF3PlusName, func() robot.Algorithm { return PEF3Plus{} })
-	robot.Register(PEF2Name, func() robot.Algorithm { return PEF2{} })
-	robot.Register(PEF1Name, func() robot.Algorithm { return PEF1{} })
-	robot.Register(NoRule3Name, func() robot.Algorithm { return NoRule3{} })
-	robot.Register(NoRule2Name, func() robot.Algorithm { return NoRule2{} })
-}

@@ -6,26 +6,6 @@ import (
 	"pef/internal/robot"
 )
 
-func TestRegisterBuiltins(t *testing.T) {
-	RegisterBuiltins()
-	for _, name := range []string{PEF3PlusName, PEF2Name, PEF1Name, NoRule2Name, NoRule3Name} {
-		if !robot.Registered(name) {
-			t.Errorf("%s not registered", name)
-		}
-		alg, err := robot.New(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if alg.Name() != name {
-			t.Errorf("constructor for %s returned %s", name, alg.Name())
-		}
-		core := alg.NewCore()
-		if core.Dir() != robot.Left {
-			t.Errorf("%s: initial dir not left", name)
-		}
-	}
-}
-
 func TestStateEncodingsAreLocal(t *testing.T) {
 	// State strings must never leak global directions: the robots are
 	// disoriented, and the mirror construction compares states across

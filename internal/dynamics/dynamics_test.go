@@ -268,3 +268,24 @@ func TestBernoulliPurityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestBoundedBernoulliSpecRecurrence(t *testing.T) {
+	sp := BoundedBernoulliSpec(0, 4) // base never present: only the forced recurrence fires
+	g := sp.Build(5, 11)
+	for e := 0; e < 5; e++ {
+		present := 0
+		for tt := 0; tt < 64; tt++ {
+			if g.Present(e, tt) {
+				present++
+			}
+		}
+		// The recurrence bound forces each edge present every 4 instants.
+		if present != 16 {
+			t.Fatalf("edge %d present %d/64 instants, want exactly 16", e, present)
+		}
+	}
+	if _, ok := g.(*BoundedRecurrence); !ok {
+		t.Fatalf("BoundedBernoulliSpec built %T", g)
+	}
+	var _ dyngraph.EvolvingGraph = g
+}

@@ -35,6 +35,18 @@ func BernoulliSpec(p float64) Spec {
 	}
 }
 
+// BoundedBernoulliSpec returns the Bernoulli(p) workload forced recurrent
+// with bound delta — the sparse-but-fair stochastic family E-X2 sweeps.
+func BoundedBernoulliSpec(p float64, delta int) Spec {
+	return Spec{
+		Name: "bounded-" + ftoa(p) + "-d" + itoa(delta),
+		Build: func(n int, seed uint64) dyngraph.EvolvingGraph {
+			base := dyngraph.EvolvingGraph(NewBernoulli(n, p, seed))
+			return NewBoundedRecurrence(base, delta, seed^0xB0B0)
+		},
+	}
+}
+
 // EventualMissingSpec returns the workload whose edge `edge mod n` is
 // present (under Bernoulli(keepP) noise on the other edges, forced recurrent
 // with bound delta) until time from, then absent forever. This is the

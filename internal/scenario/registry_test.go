@@ -90,6 +90,33 @@ func TestRegistryRegistrationErrors(t *testing.T) {
 	}
 }
 
+// TestFamilyValidation checks the per-family parameter ranges the
+// registry declares: each case is one out-of-range or missing parameter
+// on an otherwise valid spec, and the error must name it.
+func TestFamilyValidation(t *testing.T) {
+	cases := []struct {
+		family string
+		p      Params
+		want   string
+	}{
+		{"bernoulli", Params{P: 1.5}, "p=1.5 outside [0, 1]"},
+		{"bounded", Params{P: 0.5, Delta: 0}, "needs parameter delta"},
+		{"t-interval", Params{T: 0}, "needs parameter t"},
+		{"roving", Params{Period: 0}, "needs parameter period"},
+		{"chain", Params{Cut: -1, P: 0.5, Delta: 2}, "cut=-1 outside"},
+		{"eventual-missing", Params{Edge: 0, From: -2, P: 0.5, Delta: 2}, "from=-2 outside"},
+		{"markov", Params{Up: 0, Down: 0.5}, "needs parameter up"},
+		{"no-such-family", Params{}, "unknown family"},
+	}
+	r := NewRegistry()
+	for _, c := range cases {
+		s := Spec{Version: Version, Ring: 8, Robots: 3, Algorithm: "pef3+", Placement: PlaceRandom, Family: c.family, Params: c.p, Horizon: 100}
+		if err := r.ValidateSpec(s); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s %+v: err = %v, want mention of %q", c.family, c.p, err, c.want)
+		}
+	}
+}
+
 // TestRegistryExpectationFailsLoudlyOnUnknownFamily pins the bugfix: an
 // unregistered family used to fall through silently to report-only; it
 // must now surface as an error everywhere an expectation is derived.

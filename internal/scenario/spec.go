@@ -62,10 +62,11 @@ const (
 	FamilyConfineTwo = "confine-two"
 )
 
-// Params is the flat parameter bag of a spec's dynamics family, mirroring
-// dynamics.FamilyParams plus the adaptive adversaries' Budget. Unused
-// fields stay zero and are omitted from JSON, so encoded specs carry
-// exactly the parameters their family reads.
+// Params is the flat parameter bag of a spec's dynamics family: every
+// oblivious family's parameters plus the adaptive adversaries' Budget.
+// Each family declares the fields it reads, with their ranges, as
+// FamilyDescriptor.Params. Unused fields stay zero and are omitted from
+// JSON, so encoded specs carry exactly the parameters their family reads.
 type Params struct {
 	P      float64 `json:"p,omitempty"`
 	Up     float64 `json:"up,omitempty"`

@@ -39,7 +39,10 @@
 //
 // Imperative configurations ride the same path through options
 // (WithDynamics, WithAlgorithm, WithPlacements, WithObservers, WithTrace);
-// the classic Explore/Confine calls remain as thin wrappers. Campaigns
+// Explore wraps it for a Dynamics value and returns the full
+// ExplorationReport, and ConfineOneRobotWithDiagram and
+// ConfineTwoRobotsWithDiagram run the theorem adversaries of the
+// confine-one and confine-two families with a space-time diagram. Campaigns
 // stream verdicts with bounded memory via StreamCampaign, checkpoint and
 // resume via CampaignConfig.Resume, and shrink any violation to a minimal
 // reproducer with Minimize.
@@ -48,9 +51,9 @@ package pef
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"pef/internal/adversary"
-	"pef/internal/baseline"
 	"pef/internal/core"
 	"pef/internal/dynamics"
 	"pef/internal/dyngraph"
@@ -142,9 +145,8 @@ func explorePlacements(cfg ExploreConfig) ([]Placement, int, error) {
 // signature of perpetual exploration. On cancellation it returns the
 // partial report over the rounds that executed together with ctx's error.
 //
-// Deprecated: Explore is a thin wrapper kept for the classic imperative
-// call sites; new code should use Run with a Scenario (plus WithDynamics
-// for dynamics values that no declarative family describes).
+// Explore runs through Run with WithDynamics, WithAlgorithm and
+// WithPlacements; use Run directly for a verdict instead of a report.
 func Explore(ctx context.Context, cfg ExploreConfig) (ExplorationReport, error) {
 	placements, n, err := explorePlacements(cfg)
 	if err != nil {
@@ -170,76 +172,6 @@ func Explore(ctx context.Context, cfg ExploreConfig) (ExplorationReport, error) 
 		return vt.Report(), fmt.Errorf("pef: %w", err)
 	}
 	return vt.Report(), nil
-}
-
-// ConfinementReport is the outcome of an impossibility-adversary run.
-type ConfinementReport struct {
-	// DistinctVisited is how many distinct nodes the robots ever occupied.
-	DistinctVisited int
-	// VisitedNodes lists them.
-	VisitedNodes []int
-	// Limit is the confinement bound predicted by the paper (2 for one
-	// robot, 3 for two robots).
-	Limit int
-	// Confined reports DistinctVisited <= Limit.
-	Confined bool
-}
-
-// confine runs one of the paper's confinement adversaries against alg via
-// the unified Run path: the scenario family selects the theorem adversary
-// and the proof's initial configuration, the injected Algorithm value is
-// the victim, and an extra tracker collects the visited-node list the
-// ConfinementReport exposes.
-func confine(ctx context.Context, family string, alg Algorithm, n, k, horizon, limit int) (ConfinementReport, error) {
-	if alg == nil {
-		return ConfinementReport{}, fmt.Errorf("pef: nil algorithm")
-	}
-	ct := spec.NewConfinementTracker()
-	_, err := Run(ctx, Scenario{
-		Version:   scenario.Version,
-		Ring:      n,
-		Robots:    k,
-		Algorithm: alg.Name(),
-		Placement: scenario.PlaceAdjacent, // label only: the family pins the proof placement
-		Family:    family,
-		Horizon:   horizon,
-		Seed:      0,
-		Expect:    scenario.ExpectConfine,
-	},
-		WithAlgorithm(alg),
-		WithObservers(ct),
-	)
-	rep := ConfinementReport{
-		DistinctVisited: ct.Distinct(),
-		VisitedNodes:    ct.VisitedNodes(),
-		Limit:           limit,
-		Confined:        ct.ConfinedTo(limit),
-	}
-	if err != nil {
-		return rep, fmt.Errorf("pef: %w", err)
-	}
-	return rep, nil
-}
-
-// ConfineOneRobot runs the Theorem 5.1 adversary against alg on an n-node
-// ring (n >= 3) for the given horizon under ctx: the robot visits at most
-// two nodes, whatever alg does. On cancellation it returns the partial
-// report together with ctx's error.
-//
-// Deprecated: ConfineOneRobot is a thin wrapper kept for the classic call
-// sites; new code should use Run with a Family "confine-one" Scenario.
-func ConfineOneRobot(ctx context.Context, alg Algorithm, n, horizon int) (ConfinementReport, error) {
-	return confine(ctx, scenario.FamilyConfineOne, alg, n, 1, horizon, 2)
-}
-
-// ConfineTwoRobots runs the Theorem 4.1 adversary against alg on an n-node
-// ring (n >= 4) under ctx: the two robots visit at most three nodes. On
-// cancellation it returns the partial report together with ctx's error.
-//
-// Deprecated: ConfineTwoRobots is a thin wrapper kept for the classic call
-// sites; new code should use Run with a Family "confine-two" Scenario.
-func ConfineTwoRobots(ctx context.Context, alg Algorithm, n, horizon int) (ConfinementReport, error) {
-	return confine(ctx, scenario.FamilyConfineTwo, alg, n, 2, horizon, 3)
 }
 
 // Static returns the dynamics in which every edge is always present.
@@ -286,19 +218,19 @@ func BlockPointed(n, budget int) Dynamics {
 	return adversary.NewBlockPointed(n, budget)
 }
 
-// RegisterBuiltins installs the paper's algorithms and the baseline suite
-// into the name registry used by the command-line tools. Call once.
-func RegisterBuiltins() {
-	core.RegisterBuiltins()
-	baseline.RegisterBuiltins()
+// Algorithms returns the algorithm names registered in the default
+// registry, sorted.
+func Algorithms() []string {
+	names := scenario.DefaultRegistry().AlgorithmNames()
+	sort.Strings(names)
+	return names
 }
 
-// Algorithms returns the registered algorithm names, and NewAlgorithm
-// instantiates one by name (after RegisterBuiltins).
-func Algorithms() []string { return robot.Names() }
-
-// NewAlgorithm instantiates a registered algorithm by name.
-func NewAlgorithm(name string) (Algorithm, error) { return robot.New(name) }
+// NewAlgorithm instantiates an algorithm registered in the default
+// registry by name.
+func NewAlgorithm(name string) (Algorithm, error) {
+	return scenario.DefaultRegistry().Algorithm(name)
+}
 
 // Scenario is a declarative scenario specification: ring size, team,
 // algorithm, placement policy, dynamics family with parameters, horizon

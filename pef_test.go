@@ -2,14 +2,11 @@ package pef
 
 import (
 	"context"
+	"reflect"
+	"sort"
 	"strings"
-	"sync"
 	"testing"
 )
-
-var registerOnce sync.Once
-
-func register() { registerOnce.Do(RegisterBuiltins) }
 
 func TestExploreStaticRing(t *testing.T) {
 	rep, err := Explore(context.Background(), ExploreConfig{
@@ -81,7 +78,7 @@ func TestExploreValidation(t *testing.T) {
 }
 
 func TestConfineOneRobotFacade(t *testing.T) {
-	rep, err := ConfineOneRobot(context.Background(), PEF3Plus(), 8, 400)
+	rep, _, err := ConfineOneRobotWithDiagram(PEF3Plus(), 8, 400, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +91,7 @@ func TestConfineOneRobotFacade(t *testing.T) {
 }
 
 func TestConfineTwoRobotsFacade(t *testing.T) {
-	rep, err := ConfineTwoRobots(context.Background(), PEF3Plus(), 8, 400)
+	rep, _, err := ConfineTwoRobotsWithDiagram(PEF3Plus(), 8, 400, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +156,15 @@ func TestTIntervalDynamics(t *testing.T) {
 	}
 }
 
+// TestRegistryFacade pins the facade to the one name registry: algorithm
+// names resolve with no registration call, and Algorithms lists exactly
+// the default registry's names, sorted.
 func TestRegistryFacade(t *testing.T) {
-	register()
 	names := Algorithms()
-	if len(names) == 0 {
-		t.Fatal("no registered algorithms")
+	want := DefaultRegistry().AlgorithmNames()
+	sort.Strings(want)
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("Algorithms() = %v, want the sorted registry names %v", names, want)
 	}
 	joined := strings.Join(names, ",")
 	for _, want := range []string{"pef1", "pef2", "pef3+", "bounce-on-missing"} {

@@ -93,8 +93,8 @@ func WithRegistry(r *Registry) Option {
 // Run is the unified, context-aware entry point of this package: it
 // executes one Scenario — declarative or assembled via options — under
 // ctx and returns the property oracle's structured verdict for it.
-// Explore, ConfineOneRobot and ConfineTwoRobots are thin wrappers over
-// Run; campaigns stream it at scale via StreamCampaign.
+// Explore is a thin wrapper over Run that returns the full
+// ExplorationReport; campaigns stream Run at scale via StreamCampaign.
 //
 // Configuration problems (non-positive horizon, unknown names,
 // inconsistent overrides) return a non-nil error. When ctx is cancelled

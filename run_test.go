@@ -114,22 +114,19 @@ func TestRunCancellationReturnsPartialVerdict(t *testing.T) {
 		t.Fatalf("cancelled verdict: %+v", v)
 	}
 
-	// The deprecated wrappers surface the same partial-report behavior.
+	// The Explore wrapper surfaces the same partial-report behavior.
 	if _, err := Explore(ctx, ExploreConfig{
 		Robots: 3, Algorithm: PEF3Plus(), Dynamics: Static(8), Horizon: 100000, Seed: 1,
 	}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Explore did not propagate cancellation: %v", err)
 	}
-	if _, err := ConfineOneRobot(ctx, PEF3Plus(), 8, 100000); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ConfineOneRobot did not propagate cancellation: %v", err)
-	}
 }
 
-// TestConfineWrappersMatchUnifiedPath pins the wrapper refactor: the
-// deprecated confinement calls must reproduce the oracle's own adversary
-// runs exactly.
+// TestConfineWrappersMatchUnifiedPath pins the descriptor refactor: the
+// diagram confinement call must reproduce the oracle's own adversary run
+// exactly.
 func TestConfineWrappersMatchUnifiedPath(t *testing.T) {
-	rep, err := ConfineOneRobot(context.Background(), PEF3Plus(), 8, 400)
+	rep, _, err := ConfineOneRobotWithDiagram(PEF3Plus(), 8, 400, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

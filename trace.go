@@ -3,9 +3,9 @@ package pef
 import (
 	"fmt"
 
-	"pef/internal/adversary"
 	"pef/internal/dynamics"
 	"pef/internal/fsync"
+	"pef/internal/scenario"
 	"pef/internal/spec"
 	"pef/internal/trace"
 )
@@ -45,32 +45,57 @@ func ExploreWithDiagram(cfg ExploreConfig, rows int) (ExplorationReport, string,
 	return vt.Report(), renderDiagram(sim, rec, n, rows), nil
 }
 
-// ConfineOneRobotWithDiagram is ConfineOneRobot plus the space-time diagram
-// of the Theorem 5.1 schedule (Figure 3).
+// ConfinementReport is the outcome of an impossibility-adversary run.
+type ConfinementReport struct {
+	// DistinctVisited is how many distinct nodes the robots ever occupied.
+	DistinctVisited int
+	// VisitedNodes lists them.
+	VisitedNodes []int
+	// Limit is the confinement bound predicted by the paper (2 for one
+	// robot, 3 for two robots).
+	Limit int
+	// Confined reports DistinctVisited <= Limit.
+	Confined bool
+}
+
+// ConfineOneRobotWithDiagram runs the Theorem 5.1 adversary against alg on
+// an n-node ring (n >= 3) for the given horizon: the robot visits at most
+// two nodes, whatever alg does. It also renders the space-time diagram of
+// the first rows instants of the schedule (Figure 3; rows <= 0 renders
+// none).
 func ConfineOneRobotWithDiagram(alg Algorithm, n, horizon, rows int) (ConfinementReport, string, error) {
-	return confineWithDiagram(adversary.NewOneRobotConfinement(n, 0, 0),
-		[]Placement{{Node: 0, Chirality: RightIsCW}}, alg, n, horizon, rows, 2)
+	return confineWithDiagram(scenario.FamilyConfineOne, 1, alg, n, horizon, rows)
 }
 
-// ConfineTwoRobotsWithDiagram is ConfineTwoRobots plus the space-time
-// diagram of the Theorem 4.1 schedule (Figure 2).
+// ConfineTwoRobotsWithDiagram runs the Theorem 4.1 adversary against alg
+// on an n-node ring (n >= 4): the two robots visit at most three nodes. It
+// also renders the space-time diagram of the first rows instants of the
+// schedule (Figure 2; rows <= 0 renders none).
 func ConfineTwoRobotsWithDiagram(alg Algorithm, n, horizon, rows int) (ConfinementReport, string, error) {
-	return confineWithDiagram(adversary.NewTwoRobotConfinement(n, 0, 0, 1),
-		[]Placement{
-			{Node: 0, Chirality: RightIsCW},
-			{Node: 1, Chirality: RightIsCCW},
-		}, alg, n, horizon, rows, 3)
+	return confineWithDiagram(scenario.FamilyConfineTwo, 2, alg, n, horizon, rows)
 }
 
-func confineWithDiagram(dyn Dynamics, placements []Placement, alg Algorithm, n, horizon, rows, limit int) (ConfinementReport, string, error) {
+// confineWithDiagram runs alg as k robots against a confinement family:
+// the registry descriptor supplies the adversary, the proof's initial
+// configuration and the bound, once the family has accepted the ring.
+func confineWithDiagram(family string, k int, alg Algorithm, n, horizon, rows int) (ConfinementReport, string, error) {
+	d, _ := scenario.DefaultRegistry().Family(family)
+	s := Scenario{Ring: n, Robots: k, Family: family}
+	if err := d.Validate(s); err != nil {
+		return ConfinementReport{}, "", fmt.Errorf("pef: %w", err)
+	}
+	dyn, err := d.Build(s)
+	if err != nil {
+		return ConfinementReport{}, "", fmt.Errorf("pef: %w", err)
+	}
 	ct := spec.NewConfinementTracker()
 	rec := &fsync.SnapshotRecorder{}
 	sim, err := fsync.New(fsync.Config{
 		Algorithm:   alg,
 		Dynamics:    dyn,
-		Placements:  placements,
+		Placements:  d.Placements(s),
 		Observers:   []fsync.Observer{ct, rec},
-		RecordGraph: true,
+		RecordGraph: rows > 0,
 	})
 	if err != nil {
 		return ConfinementReport{}, "", fmt.Errorf("pef: %w", err)
@@ -79,8 +104,8 @@ func confineWithDiagram(dyn Dynamics, placements []Placement, alg Algorithm, n, 
 	rep := ConfinementReport{
 		DistinctVisited: ct.Distinct(),
 		VisitedNodes:    ct.VisitedNodes(),
-		Limit:           limit,
-		Confined:        ct.ConfinedTo(limit),
+		Limit:           d.ConfineLimit,
+		Confined:        ct.ConfinedTo(d.ConfineLimit),
 	}
 	return rep, renderDiagram(sim, rec, n, rows), nil
 }
