@@ -126,7 +126,8 @@ func TestRecordReplayPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		final := sim.Run(horizon)
+		sim.Run(horizon)
+		final := sim.Snapshot()
 		// Serialize and reload the graph.
 		data, err := json.Marshal(sim.RecordedGraph())
 		if err != nil {
@@ -147,7 +148,8 @@ func TestRecordReplayPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		final2 := sim2.Run(horizon)
+		sim2.Run(horizon)
+		final2 := sim2.Snapshot()
 		for i := range final.Positions {
 			if final.Positions[i] != final2.Positions[i] || final.States[i] != final2.States[i] {
 				t.Fatalf("replay diverged at robot %d: %v/%v vs %v/%v",

@@ -32,15 +32,8 @@ func NewBlockPointed(n, budget int) *BlockPointed {
 // Ring implements fsync.Dynamics.
 func (a *BlockPointed) Ring() ring.Ring { return a.r }
 
-// EdgesAt implements fsync.Dynamics.
-func (a *BlockPointed) EdgesAt(t int, snap fsync.Snapshot) ring.EdgeSet {
-	edges := ring.NewEdgeSet(a.r.Edges())
-	a.EdgesAtInto(t, snap, &edges)
-	return edges
-}
-
-// EdgesAtInto implements fsync.InPlaceDynamics.
-func (a *BlockPointed) EdgesAtInto(_ int, snap fsync.Snapshot, dst *ring.EdgeSet) {
+// EdgesAtInto implements fsync.Dynamics.
+func (a *BlockPointed) EdgesAtInto(_ int, snap *fsync.Snapshot, dst *ring.EdgeSet) {
 	dst.Fill()
 	for i, pos := range snap.Positions {
 		e := a.r.EdgeTowards(pos, snap.GlobalDirs[i])
@@ -85,15 +78,8 @@ func NewBlockBothSides(n, budget int) *BlockBothSides {
 // Ring implements fsync.Dynamics.
 func (a *BlockBothSides) Ring() ring.Ring { return a.r }
 
-// EdgesAt implements fsync.Dynamics.
-func (a *BlockBothSides) EdgesAt(t int, snap fsync.Snapshot) ring.EdgeSet {
-	edges := ring.NewEdgeSet(a.r.Edges())
-	a.EdgesAtInto(t, snap, &edges)
-	return edges
-}
-
-// EdgesAtInto implements fsync.InPlaceDynamics.
-func (a *BlockBothSides) EdgesAtInto(_ int, snap fsync.Snapshot, dst *ring.EdgeSet) {
+// EdgesAtInto implements fsync.Dynamics.
+func (a *BlockBothSides) EdgesAtInto(_ int, snap *fsync.Snapshot, dst *ring.EdgeSet) {
 	dst.Fill()
 	for _, pos := range snap.Positions {
 		for _, d := range [2]ring.Direction{ring.CW, ring.CCW} {

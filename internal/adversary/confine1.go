@@ -81,15 +81,8 @@ func NewOneRobotConfinement(n, u, robotIdx int) *OneRobotConfinement {
 // Ring implements fsync.Dynamics.
 func (a *OneRobotConfinement) Ring() ring.Ring { return a.r }
 
-// EdgesAt implements fsync.Dynamics.
-func (a *OneRobotConfinement) EdgesAt(t int, snap fsync.Snapshot) ring.EdgeSet {
-	edges := ring.NewEdgeSet(a.r.Edges())
-	a.EdgesAtInto(t, snap, &edges)
-	return edges
-}
-
-// EdgesAtInto implements fsync.InPlaceDynamics.
-func (a *OneRobotConfinement) EdgesAtInto(t int, snap fsync.Snapshot, dst *ring.EdgeSet) {
+// EdgesAtInto implements fsync.Dynamics.
+func (a *OneRobotConfinement) EdgesAtInto(t int, snap *fsync.Snapshot, dst *ring.EdgeSet) {
 	pos := snap.Positions[a.robot]
 	if pos != a.lastNode {
 		a.phaseStart = t

@@ -94,15 +94,8 @@ func (a *TwoRobotConfinement) removeBlocked(dst *ring.EdgeSet) {
 	}
 }
 
-// EdgesAt implements fsync.Dynamics.
-func (a *TwoRobotConfinement) EdgesAt(t int, snap fsync.Snapshot) ring.EdgeSet {
-	edges := ring.NewEdgeSet(a.r.Edges())
-	a.EdgesAtInto(t, snap, &edges)
-	return edges
-}
-
-// EdgesAtInto implements fsync.InPlaceDynamics.
-func (a *TwoRobotConfinement) EdgesAtInto(t int, snap fsync.Snapshot, dst *ring.EdgeSet) {
+// EdgesAtInto implements fsync.Dynamics.
+func (a *TwoRobotConfinement) EdgesAtInto(t int, snap *fsync.Snapshot, dst *ring.EdgeSet) {
 	watched, target := a.watchedTarget()
 	if snap.Positions[watched] == target {
 		a.phase = (a.phase + 1) % 4
@@ -117,7 +110,7 @@ func (a *TwoRobotConfinement) EdgesAtInto(t int, snap fsync.Snapshot, dst *ring.
 // guard panics if robot idx ever leaves {u, v, w}: by construction that
 // is impossible, so an escape means a bug in the schedule, which must not
 // be reported as an algorithm win.
-func (a *TwoRobotConfinement) guard(snap fsync.Snapshot, idx, t int) {
+func (a *TwoRobotConfinement) guard(snap *fsync.Snapshot, idx, t int) {
 	p := snap.Positions[idx]
 	if p != a.u && p != a.v && p != a.w {
 		panic(fmt.Sprintf("adversary: robot %d escaped to node %d at t=%d (phase %d)", idx, p, t, a.phase))

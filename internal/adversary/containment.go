@@ -57,15 +57,8 @@ func (a *ArcContainment) Boundaries() (left, right int) {
 	return left, right
 }
 
-// EdgesAt implements fsync.Dynamics.
-func (a *ArcContainment) EdgesAt(t int, snap fsync.Snapshot) ring.EdgeSet {
-	edges := ring.NewEdgeSet(a.r.Edges())
-	a.EdgesAtInto(t, snap, &edges)
-	return edges
-}
-
-// EdgesAtInto implements fsync.InPlaceDynamics.
-func (a *ArcContainment) EdgesAtInto(_ int, _ fsync.Snapshot, dst *ring.EdgeSet) {
+// EdgesAtInto implements fsync.Dynamics.
+func (a *ArcContainment) EdgesAtInto(_ int, _ *fsync.Snapshot, dst *ring.EdgeSet) {
 	dst.Fill()
 	left, right := a.Boundaries()
 	for i, e := range [2]int{left, right} {

@@ -15,7 +15,7 @@ import (
 // snapshot stream from the same initial state.
 type inPlaceCase struct {
 	name       string
-	fresh      func() fsync.InPlaceDynamics
+	fresh      func() fsync.Dynamics
 	alg        robot.Algorithm
 	placements []fsync.Placement
 }
@@ -26,15 +26,15 @@ func inPlaceCases() []inPlaceCase {
 		{Node: 1, Chirality: robot.RightIsCW},
 	}
 	return []inPlaceCase{
-		{"block-pointed", func() fsync.InPlaceDynamics { return NewBlockPointed(9, 2) },
+		{"block-pointed", func() fsync.Dynamics { return NewBlockPointed(9, 2) },
 			core.PEF3Plus{}, fsync.EvenPlacements(9, 3)},
-		{"block-both-sides", func() fsync.InPlaceDynamics { return NewBlockBothSides(9, 3) },
+		{"block-both-sides", func() fsync.Dynamics { return NewBlockBothSides(9, 3) },
 			core.PEF3Plus{}, fsync.EvenPlacements(9, 3)},
-		{"confine-one", func() fsync.InPlaceDynamics { return NewOneRobotConfinement(6, 0, 0) },
+		{"confine-one", func() fsync.Dynamics { return NewOneRobotConfinement(6, 0, 0) },
 			baseline.BounceOnMissing{}, []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}}},
-		{"confine-two", func() fsync.InPlaceDynamics { return NewTwoRobotConfinement(6, 0, 0, 1) },
+		{"confine-two", func() fsync.Dynamics { return NewTwoRobotConfinement(6, 0, 0, 1) },
 			baseline.BounceOnMissing{}, twoRobots},
-		{"arc-containment", func() fsync.InPlaceDynamics { return NewArcContainment(70, 3, 5, 2) },
+		{"arc-containment", func() fsync.Dynamics { return NewArcContainment(70, 3, 5, 2) },
 			core.PEF3Plus{}, fsync.AdjacentPlacements(70, 3, 4)},
 	}
 }
@@ -61,11 +61,20 @@ func snapshotStream(t *testing.T, c inPlaceCase, rounds int) []fsync.Snapshot {
 	return snaps
 }
 
+// edgesAt is the allocating form of E_t the adversaries used to export:
+// a fresh, empty destination filled by EdgesAtInto.
+func edgesAt(d fsync.Dynamics, t int, snap *fsync.Snapshot) ring.EdgeSet {
+	edges := ring.NewEdgeSet(d.Ring().Edges())
+	d.EdgesAtInto(t, snap, &edges)
+	return edges
+}
+
 // TestEdgesAtIntoMatchesEdgesAt pins the one-body rule: for every adaptive
-// adversary, the allocating EdgesAt and the in-place EdgesAtInto produce
-// the same presence set round after round on the same snapshot stream.
-// The destination arrives dirty: every bit set on even rounds, the
-// previous round's set on odd ones.
+// adversary, the allocating form (a fresh destination) and the in-place
+// EdgesAtInto on a reused destination produce the same presence set round
+// after round on the same snapshot stream. The reused destination arrives
+// dirty: every bit set on even rounds, the previous round's set on odd
+// ones.
 func TestEdgesAtIntoMatchesEdgesAt(t *testing.T) {
 	for _, c := range inPlaceCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -74,14 +83,14 @@ func TestEdgesAtIntoMatchesEdgesAt(t *testing.T) {
 			n := viaAt.Ring().Edges()
 			dst := ring.NewEdgeSet(n)
 			distinct := map[string]bool{}
-			for r, snap := range snaps {
-				want := viaAt.EdgesAt(r, snap)
+			for r := range snaps {
+				want := edgesAt(viaAt, r, &snaps[r])
 				if r%2 == 0 {
 					dst.Fill()
 				}
-				viaInto.EdgesAtInto(r, snap, &dst)
+				viaInto.EdgesAtInto(r, &snaps[r], &dst)
 				if !dst.Equal(want) || dst.Count() != want.Count() {
-					t.Fatalf("round %d: EdgesAtInto = %v, EdgesAt = %v", r, dst, want)
+					t.Fatalf("round %d: EdgesAtInto = %v, fresh destination = %v", r, dst, want)
 				}
 				distinct[want.String()] = true
 			}
@@ -106,7 +115,7 @@ func TestEdgesAtIntoAllocFree(t *testing.T) {
 			dst := ring.NewEdgeSet(adv.Ring().Edges())
 			r := 0
 			allocs := testing.AllocsPerRun(len(snaps)-1, func() {
-				adv.EdgesAtInto(r, snaps[r], &dst)
+				adv.EdgesAtInto(r, &snaps[r], &dst)
 				r++
 			})
 			if allocs != 0 {

@@ -293,7 +293,7 @@ type mirrorTrack struct {
 	snaps []fsync.Snapshot
 }
 
-func (m *mirrorTrack) ObserveRound(ev fsync.RoundEvent) {
+func (m *mirrorTrack) ObserveRound(ev *fsync.RoundEvent) {
 	if len(m.snaps) == 0 {
 		m.snaps = append(m.snaps, ev.Before.Clone())
 	}

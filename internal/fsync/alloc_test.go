@@ -48,14 +48,15 @@ func TestStepWithCheckersIsAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	// Import cycle note: spec imports fsync, so the tracker cannot be used
-	// here; an ObserverFunc reading the event covers the observer path.
+	// Import cycle note: spec imports fsync, so the trackers cannot be used
+	// here; an ObserverFunc reading the event covers the observer path, and
+	// spec's TestCheckerStackStepAllocFree guards the real checker stack.
 	reads := 0
 	sim, err := New(Config{
 		Algorithm:  core.PEF3Plus{},
 		Dynamics:   Oblivious{G: dyngraph.NewStatic(16)},
 		Placements: EvenPlacements(16, 3),
-		Observers: []Observer{ObserverFunc(func(ev RoundEvent) {
+		Observers: []Observer{ObserverFunc(func(ev *RoundEvent) {
 			for _, p := range ev.After.Positions {
 				reads += p
 			}

@@ -10,17 +10,19 @@
 // records everything needed by the checkers: positions, global directions,
 // robot states, tower events, and the realized evolving graph.
 //
-// The round engine is allocation-free in steady state: Before/After
-// snapshots are double-buffered per simulator, presence sets are written
-// in place (InPlaceDynamics: dyngraph.EdgesInto for oblivious graphs and
-// the adaptive adversaries of package adversary alike), occupancy uses a
+// The round engine is allocation-free and copy-free in steady state:
+// Before/After snapshots are double-buffered per simulator and handed to
+// Dynamics and observers by pointer, presence sets are written in place
+// (Dynamics.EdgesAtInto: dyngraph.EdgesInto for oblivious graphs and the
+// adaptive adversaries of package adversary alike), occupancy uses a
 // count slice instead of a map, and simulators themselves are pooled via
 // Acquire/Release so million-scenario campaigns reuse backing slices
 // across jobs. A round reads every core once: Before is refilled by
 // copying the previous round's After, and each robot's global direction
 // is cached, set at Reset and updated only after Compute. The price of
-// the reuse is a retention contract: a RoundEvent's slices (and its Edges
-// set) are valid only until the next Step on the same simulator —
+// the reuse is a retention contract: the *RoundEvent that Step returns
+// and delivers, both *Snapshot buffers it points at, and its Edges set
+// are owned by the simulator and valid only until the next Step on it —
 // observers that keep data call Clone.
 package fsync
 
@@ -79,7 +81,7 @@ func (s Snapshot) Clone() Snapshot {
 // copyFrom overwrites dst in place with src, reusing backing arrays. It is
 // the engine's double-buffer refill; the public retention-safe path stays
 // Clone.
-func (s *Snapshot) copyFrom(src Snapshot) {
+func (s *Snapshot) copyFrom(src *Snapshot) {
 	s.T = src.T
 	s.Positions = append(s.Positions[:0], src.Positions...)
 	s.GlobalDirs = append(s.GlobalDirs[:0], src.GlobalDirs...)
@@ -158,19 +160,10 @@ type Tower struct {
 type Dynamics interface {
 	// Ring returns the underlying ring.
 	Ring() ring.Ring
-	// EdgesAt returns E_t given the configuration at the start of round t.
-	// The returned set's capacity must equal the ring's edge count.
-	EdgesAt(t int, snap Snapshot) ring.EdgeSet
-}
-
-// InPlaceDynamics is an optional extension of Dynamics: implementations
-// write E_t into a caller-provided set, so the steady-state round engine
-// allocates no presence set. The engine falls back to EdgesAt otherwise.
-type InPlaceDynamics interface {
-	Dynamics
 	// EdgesAtInto overwrites dst with E_t given the configuration at the
-	// start of round t. dst always arrives sized to the ring's edge count.
-	EdgesAtInto(t int, snap Snapshot, dst *ring.EdgeSet)
+	// start of round t. dst always arrives sized to the ring's edge count;
+	// snap is the simulator's Before buffer and must not be retained.
+	EdgesAtInto(t int, snap *Snapshot, dst *ring.EdgeSet)
 }
 
 // Oblivious adapts a position-independent evolving graph to Dynamics.
@@ -181,13 +174,8 @@ type Oblivious struct {
 // Ring implements Dynamics.
 func (o Oblivious) Ring() ring.Ring { return o.G.Ring() }
 
-// EdgesAt implements Dynamics.
-func (o Oblivious) EdgesAt(t int, _ Snapshot) ring.EdgeSet {
-	return dyngraph.EdgesAt(o.G, t)
-}
-
-// EdgesAtInto implements InPlaceDynamics.
-func (o Oblivious) EdgesAtInto(t int, _ Snapshot, dst *ring.EdgeSet) {
+// EdgesAtInto implements Dynamics.
+func (o Oblivious) EdgesAtInto(t int, _ *Snapshot, dst *ring.EdgeSet) {
 	dyngraph.EdgesInto(o.G, t, dst)
 }
 
@@ -241,20 +229,22 @@ type Config struct {
 type Observer interface {
 	// ObserveRound is called after round t completed, with the presence
 	// set used, the configuration before the round (time t) and after it
-	// (time t+1). The event's slices are reused by the next Step: clone
-	// whatever must outlive the round.
-	ObserveRound(ev RoundEvent)
+	// (time t+1). The event and everything it points at belong to the
+	// simulator and are overwritten by the next Step: clone whatever must
+	// outlive the round.
+	ObserveRound(ev *RoundEvent)
 }
 
 // ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(ev RoundEvent)
+type ObserverFunc func(ev *RoundEvent)
 
 // ObserveRound implements Observer.
-func (f ObserverFunc) ObserveRound(ev RoundEvent) { f(ev) }
+func (f ObserverFunc) ObserveRound(ev *RoundEvent) { f(ev) }
 
-// RoundEvent describes one completed round. Its slices (including both
-// snapshots and the presence set) are backed by per-simulator buffers and
-// are valid until the next Step; retaining observers must Clone.
+// RoundEvent describes one completed round. Step returns (and observers
+// receive) the simulator's own event: it, both snapshots it points at and
+// the presence set are per-simulator buffers valid until the next Step;
+// retaining observers must Clone.
 type RoundEvent struct {
 	// T is the round index: the transition from time T to time T+1.
 	T int
@@ -262,9 +252,9 @@ type RoundEvent struct {
 	Edges ring.EdgeSet
 	// Before is the configuration at time T (after its Look, i.e. the
 	// pre-round snapshot the adversary saw).
-	Before Snapshot
+	Before *Snapshot
 	// After is the configuration at time T+1.
-	After Snapshot
+	After *Snapshot
 	// Moved[i] reports whether robot i crossed an edge this round.
 	Moved []bool
 	// Flipped[i] reports whether robot i changed its pointed global
@@ -285,7 +275,6 @@ type simRobot struct {
 type Simulator struct {
 	r         ring.Ring
 	dyn       Dynamics
-	dynInto   InPlaceDynamics // non-nil when dyn supports in-place edges
 	robots    []simRobot
 	t         int
 	observers []Observer
@@ -295,7 +284,8 @@ type Simulator struct {
 	// Steady-state scratch: reused by every Step, sized once per Reset.
 	before  Snapshot
 	after   Snapshot
-	edges   ring.EdgeSet // presence-set buffer for InPlaceDynamics
+	ev      RoundEvent   // the event Step returns, pointing at before/after
+	edges   ring.EdgeSet // presence-set buffer Dynamics writes E_t into
 	views   []robot.View
 	moved   []bool
 	flipped []bool
@@ -334,7 +324,6 @@ func (s *Simulator) Reset(cfg Config) error {
 	}
 	s.r = r
 	s.dyn = cfg.Dynamics
-	s.dynInto, _ = cfg.Dynamics.(InPlaceDynamics)
 	s.metrics = cfg.Metrics
 	s.t = 0
 	s.robots = resize(s.robots, k)
@@ -422,7 +411,6 @@ func (s *Simulator) Release() {
 	}
 	s.flushMetrics()
 	s.dyn = nil
-	s.dynInto = nil
 	s.recorded = nil
 	clear(s.observers) // drop observer references, not just the length
 	s.observers = s.observers[:0]
@@ -496,18 +484,14 @@ func globalDir(c robot.Chirality, d robot.LocalDir) ring.Direction {
 // was set, and nil otherwise.
 func (s *Simulator) RecordedGraph() *dyngraph.Recorded { return s.recorded }
 
-// Step runs one synchronous round and returns its event. The event's
-// slices are valid until the next Step on this simulator.
-func (s *Simulator) Step() RoundEvent {
+// Step runs one synchronous round and returns its event: the simulator's
+// own buffer, overwritten (with both snapshots it points at) by the next
+// Step.
+func (s *Simulator) Step() *RoundEvent {
 	// Only Step changes the configuration, and it leaves it in s.after.
-	s.before.copyFrom(s.after)
+	s.before.copyFrom(&s.after)
+	s.dyn.EdgesAtInto(s.t, &s.before, &s.edges)
 	edges := s.edges
-	if s.dynInto != nil {
-		s.dynInto.EdgesAtInto(s.t, s.before, &s.edges)
-		edges = s.edges
-	} else {
-		edges = s.dyn.EdgesAt(s.t, s.before)
-	}
 	if edges.Size() != s.r.Edges() {
 		panic(fmt.Sprintf("fsync: dynamics produced edge set of size %d for ring with %d edges", edges.Size(), s.r.Edges()))
 	}
@@ -558,27 +542,26 @@ func (s *Simulator) Step() RoundEvent {
 
 	s.t++
 	s.fillSnapshot(&s.after)
-	ev := RoundEvent{
+	s.ev = RoundEvent{
 		T:       s.before.T,
 		Edges:   edges,
-		Before:  s.before,
-		After:   s.after,
+		Before:  &s.before,
+		After:   &s.after,
 		Moved:   s.moved,
 		Flipped: s.flipped,
 	}
 	for _, ob := range s.observers {
-		ob.ObserveRound(ev)
+		ob.ObserveRound(&s.ev)
 	}
-	return ev
+	return &s.ev
 }
 
-// Run executes rounds until the given horizon (exclusive). It returns the
-// final snapshot.
-func (s *Simulator) Run(horizon int) Snapshot {
+// Run executes rounds until the given horizon (exclusive). Callers that
+// want the final configuration call Snapshot afterwards.
+func (s *Simulator) Run(horizon int) {
 	for s.t < horizon {
 		s.Step()
 	}
-	return s.Snapshot()
 }
 
 // AddObserver attaches an observer mid-run (it starts receiving events from

@@ -241,7 +241,7 @@ func TestObserverSeesEveryRound(t *testing.T) {
 		Algorithm:  keepDir(),
 		Dynamics:   Oblivious{G: dyngraph.NewStatic(4)},
 		Placements: EvenPlacements(4, 2),
-		Observers: []Observer{ObserverFunc(func(ev RoundEvent) {
+		Observers: []Observer{ObserverFunc(func(ev *RoundEvent) {
 			rounds = append(rounds, ev.T)
 		})},
 	})
@@ -263,8 +263,8 @@ func TestDeterminism(t *testing.T) {
 			Dynamics:   Oblivious{G: dyngraph.NewStatic(7)},
 			Placements: RandomPlacements(7, 3, prng.NewSource(42)),
 		})
-		final := sim.Run(50)
-		return final.Positions
+		sim.Run(50)
+		return sim.Snapshot().Positions
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -318,7 +318,8 @@ func TestResetReusesSimulatorAcrossShapes(t *testing.T) {
 		Dynamics:   Oblivious{G: dyngraph.NewStatic(5)},
 		Placements: []Placement{{Node: 0, Chirality: robot.RightIsCW}},
 	})
-	first := sim.Run(10)
+	sim.Run(10)
+	first := sim.Snapshot()
 	// Reconfigure in place: different ring size, team size, and dynamics.
 	if err := sim.Reset(Config{
 		Algorithm:  flipOnTower(),
@@ -330,7 +331,8 @@ func TestResetReusesSimulatorAcrossShapes(t *testing.T) {
 	if sim.Now() != 0 || sim.Robots() != 3 || sim.Ring().Size() != 7 {
 		t.Fatalf("Reset left time=%d robots=%d n=%d", sim.Now(), sim.Robots(), sim.Ring().Size())
 	}
-	second := sim.Run(10)
+	sim.Run(10)
+	second := sim.Snapshot()
 	if len(second.Positions) != 3 {
 		t.Fatalf("second run positions = %v", second.Positions)
 	}

@@ -20,7 +20,7 @@ func TestRoundEventOrderingAcrossPooledAndResetSimulators(t *testing.T) {
 		Algorithm:  keepDir(),
 		Dynamics:   Oblivious{G: dyngraph.NewStatic(5)},
 		Placements: []Placement{{Node: 0, Chirality: robot.RightIsCW}},
-		Observers: []Observer{ObserverFunc(func(ev RoundEvent) {
+		Observers: []Observer{ObserverFunc(func(ev *RoundEvent) {
 			order = append(order, ev.T)
 		})},
 	}

@@ -13,7 +13,7 @@ type SnapshotRecorder struct {
 }
 
 // ObserveRound implements Observer.
-func (sr *SnapshotRecorder) ObserveRound(ev RoundEvent) {
+func (sr *SnapshotRecorder) ObserveRound(ev *RoundEvent) {
 	if len(sr.snaps) == 0 {
 		sr.snaps = append(sr.snaps, ev.Before.Clone())
 	}
@@ -53,4 +53,4 @@ type COTScan struct {
 }
 
 // ObserveRound implements Observer.
-func (c COTScan) ObserveRound(ev RoundEvent) { c.Scan.Observe(ev.T, ev.Edges) }
+func (c COTScan) ObserveRound(ev *RoundEvent) { c.Scan.Observe(ev.T, ev.Edges) }

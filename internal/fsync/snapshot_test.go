@@ -99,12 +99,12 @@ func TestSnapshotClonePreservesNilVsEmpty(t *testing.T) {
 func TestSnapshotRecorderAccessors(t *testing.T) {
 	sr := &SnapshotRecorder{}
 	st := func(aux uint64) robot.StateCode { return robot.StateCode{Kind: robot.StateLCG, Aux: aux} }
-	mk := func(tt, pos int, aux uint64) Snapshot {
-		return Snapshot{T: tt, Positions: []int{pos}, States: []robot.StateCode{st(aux)},
+	mk := func(tt, pos int, aux uint64) *Snapshot {
+		return &Snapshot{T: tt, Positions: []int{pos}, States: []robot.StateCode{st(aux)},
 			GlobalDirs: []ring.Direction{ring.CW}, MovedPrev: []bool{false}}
 	}
-	sr.ObserveRound(RoundEvent{T: 0, Before: mk(0, 4, 0), After: mk(1, 3, 1)})
-	sr.ObserveRound(RoundEvent{T: 1, Before: mk(1, 3, 1), After: mk(2, 2, 2)})
+	sr.ObserveRound(&RoundEvent{T: 0, Before: mk(0, 4, 0), After: mk(1, 3, 1)})
+	sr.ObserveRound(&RoundEvent{T: 1, Before: mk(1, 3, 1), After: mk(2, 2, 2)})
 	if sr.Len() != 3 {
 		t.Fatalf("Len = %d", sr.Len())
 	}

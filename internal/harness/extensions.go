@@ -49,7 +49,7 @@ func runX1Rings(cfg Config, id string, ns []int) (Result, error) {
 			horizon = 80 * n
 		}
 		for _, sp := range workloads {
-			rep, _, err := explorationRun(core.PEF3Plus{}, n, 3, obliviousBuild(sp, n), cfg.Seed+uint64(n), horizon)
+			rep, err := explorationRun(core.PEF3Plus{}, n, 3, obliviousBuild(sp, n), cfg.Seed+uint64(n), horizon)
 			if err != nil {
 				return res, err
 			}
@@ -84,7 +84,7 @@ func runX2(cfg Config) (Result, error) {
 			base := dynamics.NewBernoulli(n, 0.05, seed)
 			return fsync.Oblivious{G: dynamics.NewBoundedRecurrence(base, d, seed^0xBEEF)}
 		}
-		rep, _, err := explorationRun(core.PEF3Plus{}, n, 3, build, cfg.Seed+uint64(d), horizon)
+		rep, err := explorationRun(core.PEF3Plus{}, n, 3, build, cfg.Seed+uint64(d), horizon)
 		if err != nil {
 			return res, err
 		}
@@ -126,7 +126,7 @@ func runX3(cfg Config) (Result, error) {
 	explored := map[string]bool{}
 	for _, alg := range algs {
 		for _, sp := range workloads {
-			rep, _, err := explorationRun(alg, n, k, obliviousBuild(sp, n), cfg.Seed+3, horizon)
+			rep, err := explorationRun(alg, n, k, obliviousBuild(sp, n), cfg.Seed+3, horizon)
 			if err != nil {
 				return res, err
 			}
@@ -267,7 +267,7 @@ func runX5Rings(cfg Config, id string, ns []int) (Result, error) {
 				base := dynamics.NewBoundedRecurrence(dynamics.NewBernoulli(n, 0.7, seed), 4, seed^0x11)
 				return fsync.Oblivious{G: dynamics.NewChain(base, cut)}
 			}
-			rep, _, err := explorationRun(core.PEF3Plus{}, n, 3, build, cfg.Seed+uint64(n+cut), horizon)
+			rep, err := explorationRun(core.PEF3Plus{}, n, 3, build, cfg.Seed+uint64(n+cut), horizon)
 			if err != nil {
 				return res, err
 			}
@@ -373,7 +373,7 @@ func runX7(cfg Config) (Result, error) {
 			horizon = 80 * n
 		}
 		for _, sp := range workloads {
-			rep, _, err := explorationRun(core.PEF3Plus{}, n, k, obliviousBuild(sp, n), cfg.Seed+uint64(k), horizon)
+			rep, err := explorationRun(core.PEF3Plus{}, n, k, obliviousBuild(sp, n), cfg.Seed+uint64(k), horizon)
 			if err != nil {
 				return res, err
 			}

@@ -14,26 +14,25 @@ import (
 )
 
 // explorationRun executes alg with k robots on an n-node ring under the
-// workload and returns the exploration report plus the tower invariant
-// checker (meaningful for PEF_3+ runs only). Simulators come from the
+// workload and returns the exploration report. Extra observers (E-T1.R1's
+// tower invariants) ride along on the same run. Simulators come from the
 // fsync pool: across an (experiment × seed) sweep the same backing slices
 // serve every run.
-func explorationRun(alg robot.Algorithm, n, k int, build func(seed uint64) fsync.Dynamics, seed uint64, horizon int) (spec.ExplorationReport, *spec.TowerInvariants, error) {
+func explorationRun(alg robot.Algorithm, n, k int, build func(seed uint64) fsync.Dynamics, seed uint64, horizon int, extra ...fsync.Observer) (spec.ExplorationReport, error) {
 	vt := spec.NewVisitTracker(n)
-	ti := spec.NewTowerInvariants()
 	src := prng.NewSource(seed)
 	sim, err := fsync.Acquire(fsync.Config{
 		Algorithm:  alg,
 		Dynamics:   build(seed),
 		Placements: fsync.RandomPlacements(n, k, src),
-		Observers:  []fsync.Observer{vt, ti},
+		Observers:  append([]fsync.Observer{vt}, extra...),
 	})
 	if err != nil {
-		return spec.ExplorationReport{}, nil, err
+		return spec.ExplorationReport{}, err
 	}
 	sim.Run(horizon)
 	sim.Release()
-	return vt.Report(), ti, nil
+	return vt.Report(), nil
 }
 
 // obliviousBuild adapts a dynamics.Spec to the harness runner.
@@ -113,7 +112,8 @@ func runT1R1Rings(cfg Config, id string, ns []int) (Result, error) {
 				continue
 			}
 			for _, wl := range positiveWorkloads(n) {
-				rep, ti, err := explorationRun(core.PEF3Plus{}, n, k, wl.build, cfg.Seed+uint64(n*100+k), horizon)
+				ti := spec.NewTowerInvariants()
+				rep, err := explorationRun(core.PEF3Plus{}, n, k, wl.build, cfg.Seed+uint64(n*100+k), horizon, ti)
 				if err != nil {
 					return res, err
 				}
@@ -213,7 +213,7 @@ func runT1R5(cfg Config) (Result, error) {
 				// graph permanently, leaving the class of the paper.
 				continue
 			}
-			rep, _, err := explorationRun(core.PEF1{}, n, k, wrap(sp), cfg.Seed+7, horizon)
+			rep, err := explorationRun(core.PEF1{}, n, k, wrap(sp), cfg.Seed+7, horizon)
 			if err != nil {
 				return res, err
 			}

@@ -185,4 +185,4 @@ func TestRunBlockTelemetryStaysLockstep(t *testing.T) {
 // force the scalar engine.
 type countRounds struct{ rounds *int }
 
-func (c countRounds) ObserveRound(fsync.RoundEvent) { *c.rounds++ }
+func (c countRounds) ObserveRound(*fsync.RoundEvent) { *c.rounds++ }

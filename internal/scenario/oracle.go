@@ -280,9 +280,7 @@ func RunWith(ctx context.Context, s Spec, o RunOptions) (v Verdict, err error) {
 		if target > s.Horizon {
 			target = s.Horizon
 		}
-		for sim.Now() < target {
-			sim.Step() // not sim.Run: its returned Snapshot would allocate per chunk
-		}
+		sim.Run(target)
 	}
 	executed := sim.Now()
 	sim.Release()

@@ -71,9 +71,9 @@ func TestLaneVisitsMatchesScalarTrackers(t *testing.T) {
 				for i := range pos[l] {
 					pos[l][i] = (pos[l][i] + src.Intn(3) - 1 + n) % n
 				}
-				ev := fsync.RoundEvent{
-					Before: fsync.Snapshot{T: instant - 1, Positions: prev},
-					After:  fsync.Snapshot{T: instant, Positions: append([]int(nil), pos[l]...)},
+				ev := &fsync.RoundEvent{
+					Before: &fsync.Snapshot{T: instant - 1, Positions: prev},
+					After:  &fsync.Snapshot{T: instant, Positions: append([]int(nil), pos[l]...)},
 				}
 				vts[l].ObserveRound(ev)
 				cts[l].ObserveRound(ev)

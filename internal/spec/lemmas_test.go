@@ -23,7 +23,7 @@ type towerCounter struct {
 	before, from int
 }
 
-func (tc *towerCounter) ObserveRound(ev fsync.RoundEvent) {
+func (tc *towerCounter) ObserveRound(ev *fsync.RoundEvent) {
 	if len(ev.Before.Towers()) == 0 {
 		return
 	}
@@ -168,7 +168,7 @@ func TestPEF2TowersBreak(t *testing.T) {
 	// the same node on a static triangle.
 	towerAt := -1
 	brokenAt := -1
-	ob := fsync.ObserverFunc(func(ev fsync.RoundEvent) {
+	ob := fsync.ObserverFunc(func(ev *fsync.RoundEvent) {
 		if len(ev.After.Towers()) > 0 && towerAt < 0 {
 			towerAt = ev.T + 1
 		}

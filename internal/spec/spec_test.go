@@ -11,9 +11,9 @@ import (
 
 // event fabricates a RoundEvent transitioning between two position vectors
 // at round t, with the given post-Compute global directions.
-func event(t int, n int, before, after []int, dirsAfter []ring.Direction) fsync.RoundEvent {
-	mk := func(tt int, pos []int, dirs []ring.Direction) fsync.Snapshot {
-		s := fsync.Snapshot{
+func event(t int, n int, before, after []int, dirsAfter []ring.Direction) *fsync.RoundEvent {
+	mk := func(tt int, pos []int, dirs []ring.Direction) *fsync.Snapshot {
+		s := &fsync.Snapshot{
 			T:          tt,
 			Positions:  append([]int(nil), pos...),
 			GlobalDirs: make([]ring.Direction, len(pos)),
@@ -28,7 +28,7 @@ func event(t int, n int, before, after []int, dirsAfter []ring.Direction) fsync.
 		}
 		return s
 	}
-	return fsync.RoundEvent{
+	return &fsync.RoundEvent{
 		T:      t,
 		Edges:  ring.FullEdgeSet(n),
 		Before: mk(t, before, nil),
@@ -151,7 +151,7 @@ func TestSentinelWatchStabilizes(t *testing.T) {
 	sw := NewSentinelWatch(r, 2, 3)
 	bad := []ring.Direction{ring.CW, ring.CW}
 	good := []ring.Direction{ring.CW, ring.CCW}
-	mk := func(t int, pos []int, dirs []ring.Direction) fsync.RoundEvent {
+	mk := func(t int, pos []int, dirs []ring.Direction) *fsync.RoundEvent {
 		ev := event(t, 5, pos, pos, dirs)
 		// Pre-round snapshot needs the same dirs for the check.
 		ev.Before.GlobalDirs = append([]ring.Direction(nil), dirs...)

@@ -32,28 +32,53 @@ func NewTowerInvariants() *TowerInvariants {
 	return &TowerInvariants{MaxViolations: 32}
 }
 
-// ObserveRound implements fsync.Observer.
-func (ti *TowerInvariants) ObserveRound(ev fsync.RoundEvent) {
-	towers := ev.Before.Towers()
-	if len(towers) > 0 {
-		ti.towerRound++
-	}
-	for _, tw := range towers {
-		if len(tw.Robots) > ti.maxSize {
-			ti.maxSize = len(tw.Robots)
+// ObserveRound implements fsync.Observer. Towers are found in ascending
+// node order straight from the Before positions, with no allocation: each
+// pass picks the smallest occupied node above the previous one, with its
+// multiplicity and its two lowest robot indices (k is tiny, so the O(k²)
+// rescan beats any per-round set).
+func (ti *TowerInvariants) ObserveRound(ev *fsync.RoundEvent) {
+	pos := ev.Before.Positions
+	seen := false
+	for prev := -1; ; {
+		node, size, a, b := -1, 0, 0, 0
+		for i, p := range pos {
+			switch {
+			case p <= prev || (node >= 0 && p > node):
+			case p != node:
+				node, size, a = p, 1, i
+			default:
+				if size == 1 {
+					b = i
+				}
+				size++
+			}
 		}
-		if len(tw.Robots) >= 3 {
-			ti.violate("t=%d: tower of %d robots on node %d (Lemma 3.4)", ev.T, len(tw.Robots), tw.Node)
+		if node < 0 {
+			return
+		}
+		prev = node
+		if size < 2 {
+			continue
+		}
+		if !seen {
+			ti.towerRound++
+			seen = true
+		}
+		if size > ti.maxSize {
+			ti.maxSize = size
+		}
+		if size >= 3 {
+			ti.violate("t=%d: tower of %d robots on node %d (Lemma 3.4)", ev.T, size, node)
 			continue
 		}
 		// Lemma 3.3: after the Compute phase of this round the two robots
 		// must consider opposite global directions. Directions after
 		// Compute are the After snapshot's (Move does not change dir).
-		a, b := tw.Robots[0], tw.Robots[1]
 		da, db := ev.After.GlobalDirs[a], ev.After.GlobalDirs[b]
 		if da == db {
 			ti.violate("t=%d: tower robots %d,%d on node %d both consider %s after Compute (Lemma 3.3)",
-				ev.T, a, b, tw.Node, da)
+				ev.T, a, b, node, da)
 		}
 	}
 }
@@ -105,12 +130,12 @@ func NewSentinelWatch(r ring.Ring, edge, missingFrom int) *SentinelWatch {
 }
 
 // ObserveRound implements fsync.Observer.
-func (sw *SentinelWatch) ObserveRound(ev fsync.RoundEvent) {
+func (sw *SentinelWatch) ObserveRound(ev *fsync.RoundEvent) {
 	sw.check(ev.Before)
 	sw.check(ev.After)
 }
 
-func (sw *SentinelWatch) check(snap fsync.Snapshot) {
+func (sw *SentinelWatch) check(snap *fsync.Snapshot) {
 	if snap.T+1 > sw.horizon {
 		sw.horizon = snap.T + 1
 	}
@@ -128,7 +153,7 @@ func (sw *SentinelWatch) check(snap fsync.Snapshot) {
 
 // sentinelOn reports whether some robot stands on node and points in the
 // global direction d (towards the watched edge).
-func (sw *SentinelWatch) sentinelOn(snap fsync.Snapshot, node int, d ring.Direction) bool {
+func (sw *SentinelWatch) sentinelOn(snap *fsync.Snapshot, node int, d ring.Direction) bool {
 	for i, p := range snap.Positions {
 		if p == node && snap.GlobalDirs[i] == d {
 			return true

@@ -69,7 +69,7 @@ func resizeInts(s []int, n int) []int {
 }
 
 // ObserveRound implements fsync.Observer.
-func (vt *VisitTracker) ObserveRound(ev fsync.RoundEvent) {
+func (vt *VisitTracker) ObserveRound(ev *fsync.RoundEvent) {
 	if !vt.primed {
 		vt.recordConfig(ev.Before)
 		vt.primed = true
@@ -77,7 +77,7 @@ func (vt *VisitTracker) ObserveRound(ev fsync.RoundEvent) {
 	vt.recordConfig(ev.After)
 }
 
-func (vt *VisitTracker) recordConfig(snap fsync.Snapshot) {
+func (vt *VisitTracker) recordConfig(snap *fsync.Snapshot) {
 	vt.horizon = snap.T + 1
 	for pi, node := range snap.Positions {
 		// Count each node once per instant even when a tower stands on it
@@ -226,7 +226,7 @@ func (ct *ConfinementTracker) Reset() {
 }
 
 // ObserveRound implements fsync.Observer.
-func (ct *ConfinementTracker) ObserveRound(ev fsync.RoundEvent) {
+func (ct *ConfinementTracker) ObserveRound(ev *fsync.RoundEvent) {
 	if !ct.primed {
 		ct.record(ev.Before)
 		ct.primed = true
@@ -234,7 +234,7 @@ func (ct *ConfinementTracker) ObserveRound(ev fsync.RoundEvent) {
 	ct.record(ev.After)
 }
 
-func (ct *ConfinementTracker) record(snap fsync.Snapshot) {
+func (ct *ConfinementTracker) record(snap *fsync.Snapshot) {
 	for _, node := range snap.Positions {
 		if node >= len(ct.visited) {
 			ct.visited = append(ct.visited, make([]bool, node+1-len(ct.visited))...)

@@ -101,7 +101,7 @@ type Round struct {
 // FromEvent converts a round event to its serializable form. This is the
 // trace boundary where compact robot.StateCode values are rendered into
 // their classic string encodings.
-func FromEvent(ev fsync.RoundEvent) Round {
+func FromEvent(ev *fsync.RoundEvent) Round {
 	dirs := make([]string, len(ev.After.GlobalDirs))
 	for i, d := range ev.After.GlobalDirs {
 		dirs[i] = d.String()
@@ -134,7 +134,7 @@ func NewJSONLogger(w io.Writer) *JSONLogger {
 }
 
 // ObserveRound implements fsync.Observer.
-func (l *JSONLogger) ObserveRound(ev fsync.RoundEvent) {
+func (l *JSONLogger) ObserveRound(ev *fsync.RoundEvent) {
 	if l.err != nil {
 		return
 	}

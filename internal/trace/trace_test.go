@@ -139,10 +139,10 @@ func TestReadRoundsRejectsGarbage(t *testing.T) {
 }
 
 func TestFromEventCopies(t *testing.T) {
-	ev := fsync.RoundEvent{
+	ev := &fsync.RoundEvent{
 		T:     3,
 		Edges: ring.EdgeSetOf(4, 1, 2),
-		After: fsync.Snapshot{
+		After: &fsync.Snapshot{
 			Positions:  []int{2},
 			GlobalDirs: []ring.Direction{ring.CW},
 			States:     []robot.StateCode{robot.DirState(robot.Left)},

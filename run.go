@@ -11,14 +11,16 @@ import (
 )
 
 // Observer receives one event per completed simulation round; attach one
-// to a Run via WithObservers. The event's slices are reused by the engine:
-// observers that retain data must Clone (see RoundEvent).
+// to a Run via WithObservers. The *RoundEvent, both *Snapshots it points
+// at and its presence set are owned by the simulator and overwritten by
+// the next round: observers that retain data must Clone (see RoundEvent).
 type Observer = fsync.Observer
 
 // ObserverFunc adapts a function to the Observer interface.
 type ObserverFunc = fsync.ObserverFunc
 
-// RoundEvent describes one completed round, as delivered to observers.
+// RoundEvent describes one completed round, as delivered (by pointer) to
+// observers. It is valid only until the next round.
 type RoundEvent = fsync.RoundEvent
 
 // Option customizes a Run beyond what the declarative Scenario pins down.

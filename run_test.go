@@ -68,7 +68,7 @@ func TestRunOptionOverrides(t *testing.T) {
 			Placement{Node: 2, Chirality: RightIsCW},
 			Placement{Node: 4, Chirality: RightIsCW},
 		),
-		WithObservers(ObserverFunc(func(ev RoundEvent) { rounds.Add(1) })),
+		WithObservers(ObserverFunc(func(ev *RoundEvent) { rounds.Add(1) })),
 	)
 	if err != nil {
 		t.Fatal(err)
