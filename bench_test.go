@@ -17,7 +17,7 @@ import (
 // experiment's own pass verdict is asserted.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	exp, ok := harness.Find(id)
+	exp, ok := harness.Find(id, true)
 	if !ok {
 		b.Fatalf("unknown experiment %s", id)
 	}
@@ -60,11 +60,22 @@ func BenchmarkX9_TaxonomyClassification(b *testing.B) { benchExperiment(b, "E-X9
 func BenchmarkX10_SentinelFormation(b *testing.B)     { benchExperiment(b, "E-X10") }
 func BenchmarkX11_ThreeRobotThreshold(b *testing.B)   { benchExperiment(b, "E-X11") }
 
-// BenchmarkFullReport regenerates the entire EXPERIMENTS.md data set.
+// BenchmarkFullReport regenerates the entire EXPERIMENTS.md data set: the
+// single-seed report, streamed in index order by one worker.
 func BenchmarkFullReport(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.RunAll(harness.Config{Seed: 1, Quick: true}, io.Discard); err != nil {
-			b.Fatal(err)
+		var werr error
+		_, err := harness.RunBatch(context.Background(), harness.BatchConfig{
+			Workers: 1,
+			Quick:   true,
+			OnResult: func(j harness.JobResult) {
+				if werr == nil {
+					werr = harness.WriteResult(io.Discard, j.Result)
+				}
+			},
+		})
+		if err != nil || werr != nil {
+			b.Fatal(err, werr)
 		}
 	}
 }

@@ -23,7 +23,7 @@
 // newly found violations called out. Like the campaign margin section,
 // boundary mode is diagnostic and never joins the regression gate.
 //
-//	pefbenchdiff BENCH_0002.json BENCH_0003.json
+//	pefbenchdiff BENCH_0004.json BENCH_0005.json
 //	pefbenchdiff -fail-on-regress 0.0 OLD.json NEW.json
 //	pefbenchdiff -fail-on-regress 0.0 campaign_scalar.json campaign_lockstep.json
 //	pefbenchdiff boundary_old.json boundary_new.json

@@ -20,17 +20,15 @@
 //	-json       emit the sweep as JSON (for BENCH_*.json trajectories)
 //	-timings    add per-job wall times to -json output (non-deterministic;
 //	            feeds pefbenchdiff's wall-time comparison)
-//	-only ID    restrict to a single experiment (combines with -seeds)
+//	-only ID    restrict to a single experiment, or to one shard by the
+//	            row ID the reports print (E-T1.R2#n=4/a=keep-direction);
+//	            combines with -seeds
 //	-shard      split heavy ring-size sweeps into per-(ring, victim) jobs
 //	            so no single experiment serializes on one worker. On by
 //	            default since the report consumers migrated to the finer
 //	            row IDs (E-T1.R1#n=4, E-T1.R2#n=4/a=keep-direction, …);
 //	            pass -shard=false for the coarse one-row-per-experiment
 //	            tables.
-//	-lockstep   exercise the bit-parallel lockstep engine in experiments
-//	            that use it (E-X12). On by default; -lockstep=false is the
-//	            scalar escape hatch for bisecting a suspected engine
-//	            divergence, mirroring pefscenarios -lockstep=false.
 //	-quick      reduced horizons and sweeps
 //	-progress N print a progress line to stderr every N retired jobs
 //	            (stderr only: stdout stays byte-identical)
@@ -87,8 +85,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		timings  = fs.Bool("timings", false, "include per-job wall times in -json output (non-deterministic; for pefbenchdiff)")
 		quick    = fs.Bool("quick", false, "reduced horizons and sweeps")
 		shard    = fs.Bool("shard", true, "split heavy ring-size sweeps into per-ring-size jobs (-shard=false for coarse rows)")
-		lockstep = fs.Bool("lockstep", true, "exercise the bit-parallel lockstep engine where experiments use it (-lockstep=false for the scalar escape hatch)")
-		only     = fs.String("only", "", "run a single experiment by ID (e.g. E-F2)")
+		only     = fs.String("only", "", "run a single experiment or shard by ID (e.g. E-F2, E-T1.R1#n=4)")
 		progress = fs.Int("progress", 0, "print a progress line to stderr every N retired jobs")
 		telAddr  = fs.String("telemetry-addr", "", "serve the live pool telemetry and pprof on this address (\":0\" picks a free port)")
 		traceFn  = fs.String("trace-events", "", "write sweep lifecycle events to this path as JSONL")
@@ -105,7 +102,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	exps := harness.All()
 	if *only != "" {
-		exp, ok := harness.Find(*only)
+		exp, ok := harness.Find(*only, *quick)
 		if !ok {
 			return fmt.Errorf("unknown experiment %q", *only)
 		}
@@ -114,12 +111,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	sweep := harness.Seeds(*seed, *seeds)
 
 	cfg := harness.BatchConfig{
-		Experiments:     exps,
-		Seeds:           sweep,
-		Workers:         *workers,
-		Quick:           *quick,
-		Shard:           *shard,
-		DisableLockstep: !*lockstep,
+		Experiments: exps,
+		Seeds:       sweep,
+		Workers:     *workers,
+		Quick:       *quick,
+		Shard:       *shard,
 	}
 
 	// Observability wiring. Nothing here writes to stdout, so the report

@@ -87,6 +87,42 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-seeds", "0"}, &bytes.Buffer{}, io.Discard); err == nil {
 		t.Error("-seeds 0 must error")
 	}
+	if err := run(context.Background(), []string{"-lockstep=false"}, &bytes.Buffer{}, io.Discard); err == nil {
+		t.Error("the removed -lockstep flag must error")
+	}
+}
+
+// TestOnlyShardID checks that -only accepts the row IDs sharded reports
+// print (and their "### Failure:" headings name), and renders exactly
+// that shard's section.
+func TestOnlyShardID(t *testing.T) {
+	const id = "E-T1.R2#n=4/a=keep-direction"
+	var got bytes.Buffer
+	if err := run(context.Background(), []string{"-quick", "-only", id}, &got, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var shard harness.Experiment
+	for _, e := range harness.Sharded(harness.All(), true) {
+		if e.ID == id {
+			shard = e
+		}
+	}
+	res, err := shard.Run(harness.Config{Seed: 1, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Table.Rows() != 1 {
+		t.Fatalf("%s has %d rows, want 1", id, res.Table.Rows())
+	}
+	var want bytes.Buffer
+	want.WriteString("# Experiment report (seed=1, quick=true)\n")
+	if err := harness.WriteResult(&want, res); err != nil {
+		t.Fatal(err)
+	}
+	want.WriteString("\n---\n1/1 experiments reproduce the paper's predictions.\n")
+	if got.String() != want.String() {
+		t.Fatalf("-only %s:\n--- got ---\n%s--- want ---\n%s", id, got.String(), want.String())
+	}
 }
 
 // TestFailureDrivesExitCode checks the CI contract: any failing or

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pef/internal/classes"
@@ -20,33 +21,36 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "pefjourney:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("pefjourney", flag.ContinueOnError)
 	var (
-		n       = flag.Int("n", 8, "ring size")
-		dyn     = flag.String("dyn", "bernoulli", "dynamics: static|bernoulli|eventual-missing|t-interval|roving|chain|periodic")
-		p       = flag.Float64("p", 0.5, "edge presence probability (bernoulli)")
-		edge    = flag.Int("edge", 0, "edge index (eventual-missing, chain)")
-		from    = flag.Int("from", 32, "removal time (eventual-missing)")
-		tint    = flag.Int("t", 4, "interval length (t-interval)")
-		period  = flag.Int("period", 3, "rotation period (roving) / base period (periodic)")
-		seed    = flag.Uint64("seed", 42, "random seed")
-		horizon = flag.Int("horizon", 400, "analysis horizon")
-		start   = flag.Int("start", 0, "journey departure instant")
+		n       = fs.Int("n", 8, "ring size")
+		dyn     = fs.String("dyn", "bernoulli", "dynamics: static|bernoulli|eventual-missing|t-interval|roving|chain|periodic")
+		p       = fs.Float64("p", 0.5, "edge presence probability (bernoulli)")
+		edge    = fs.Int("edge", 0, "edge index (eventual-missing, chain)")
+		from    = fs.Int("from", 32, "removal time (eventual-missing)")
+		tint    = fs.Int("t", 4, "interval length (t-interval)")
+		period  = fs.Int("period", 3, "rotation period (roving) / base period (periodic)")
+		seed    = fs.Uint64("seed", 42, "random seed")
+		horizon = fs.Int("horizon", 400, "analysis horizon")
+		start   = fs.Int("start", 0, "journey departure instant")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	g, err := buildGraph(*dyn, *n, *p, *edge, *from, *tint, *period, *seed)
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("dynamics %s on %d nodes, horizon %d, departures at t=%d\n\n", *dyn, *n, *horizon, *start)
+	fmt.Fprintf(stdout, "dynamics %s on %d nodes, horizon %d, departures at t=%d\n\n", *dyn, *n, *horizon, *start)
 
 	// Foremost arrival matrix.
 	table := metrics.NewTable(append([]string{"src\\dst"}, nodeHeaders(*n)...)...)
@@ -72,23 +76,23 @@ func run() error {
 		}
 		table.AddRow(row...)
 	}
-	fmt.Println("foremost arrival lags (instants after departure):")
-	if err := table.Render(os.Stdout); err != nil {
+	fmt.Fprintln(stdout, "foremost arrival lags (instants after departure):")
+	if err := table.Render(stdout); err != nil {
 		return err
 	}
-	fmt.Printf("\ntemporal diameter (from t=%d): %d\n", *start, diameter)
+	fmt.Fprintf(stdout, "\ntemporal diameter (from t=%d): %d\n", *start, diameter)
 	if unreachable > 0 {
-		fmt.Printf("UNREACHABLE pairs within horizon: %d — not connected-over-time here\n", unreachable)
+		fmt.Fprintf(stdout, "UNREACHABLE pairs within horizon: %d — not connected-over-time here\n", unreachable)
 	}
 
 	if delta, ok := dyngraph.RecurrenceBound(g, *horizon); ok {
-		fmt.Printf("edge recurrence bound Δ: %d\n", delta)
+		fmt.Fprintf(stdout, "edge recurrence bound Δ: %d\n", delta)
 	} else {
-		fmt.Println("edge recurrence bound Δ: none (an edge looks eventually missing)")
+		fmt.Fprintln(stdout, "edge recurrence bound Δ: none (an edge looks eventually missing)")
 	}
 
 	m := classes.Classify(g, *horizon, 8, 4**period)
-	fmt.Printf("\ntaxonomy: always-connected=%t  T-interval=%d  period=%d  Δ=%d  recurrent=%t  connected-over-time=%t\n",
+	fmt.Fprintf(stdout, "\ntaxonomy: always-connected=%t  T-interval=%d  period=%d  Δ=%d  recurrent=%t  connected-over-time=%t\n",
 		m.AlwaysConnected, m.TInterval, m.Period, m.RecurrenceBound, m.Recurrent, m.ConnectedOverTime)
 	if !m.RespectsHierarchy() {
 		return fmt.Errorf("classification violates the taxonomy hierarchy: %+v", m)

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pef"
@@ -22,22 +23,25 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "pefmirror:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("pefmirror", flag.ContinueOnError)
 	var (
-		algo     = flag.String("alg", "keep-direction", "victim algorithm")
-		n        = flag.Int("n", 8, "original ring size (>= 3)")
-		horizon  = flag.Int("horizon", 200, "rounds to hunt for a stall")
-		patience = flag.Int("patience", 50, "rounds without phase progress that count as a stall")
-		extra    = flag.Int("extra", 48, "instants to verify beyond the stall")
-		viz      = flag.Int("viz", 12, "space-time rows of the mirror execution to print")
+		algo     = fs.String("alg", "keep-direction", "victim algorithm")
+		n        = fs.Int("n", 8, "original ring size (>= 3)")
+		horizon  = fs.Int("horizon", 200, "rounds to hunt for a stall")
+		patience = fs.Int("patience", 50, "rounds without phase progress that count as a stall")
+		extra    = fs.Int("extra", 48, "instants to verify beyond the stall")
+		viz      = fs.Int("viz", 12, "space-time rows of the mirror execution to print")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	alg, err := pef.NewAlgorithm(*algo)
 	if err != nil {
@@ -62,7 +66,7 @@ func run() error {
 	if !stalled {
 		return fmt.Errorf("%s never stalled within %d rounds (it cycles; the direct Theorem 5.1 run already confines it — try keep-direction, pendulum-3, doubling-zigzag or pef3+)", alg.Name(), *horizon)
 	}
-	fmt.Printf("stall found: robot on node %d since t=%d, blocked side %s\n",
+	fmt.Fprintf(stdout, "stall found: robot on node %d since t=%d, blocked side %s\n",
 		info.Node, info.Since, info.MissingSide)
 
 	// Phase 2: build and verify the gadget.
@@ -78,7 +82,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("mirror G': %d nodes, r1 starts at %d (%v), r2 at %d (%v), cut edge removed from t=%d\n",
+	fmt.Fprintf(stdout, "mirror G': %d nodes, r1 starts at %d (%v), r2 at %d (%v), cut edge removed from t=%d\n",
 		adversary.MirrorSize,
 		world.Placements[0].Node, world.Placements[0].Chirality,
 		world.Placements[1].Node, world.Placements[1].Chirality,
@@ -88,14 +92,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nClaim 1 (symmetric actions)      %t\n", rep.Claim1)
-	fmt.Printf("Claim 2 (odd distance, no tower) %t\n", rep.Claim2)
-	fmt.Printf("Claim 3 (prefix retraced)        %t\n", rep.Claim3)
-	fmt.Printf("Claim 4 (adjacent, same state)   %t\n", rep.Claim4)
-	fmt.Printf("frozen forever after stall       %t\n", rep.StalledForever)
-	fmt.Printf("distinct G' nodes visited        %d/%d\n", rep.DistinctVisited, adversary.MirrorSize)
+	fmt.Fprintf(stdout, "\nClaim 1 (symmetric actions)      %t\n", rep.Claim1)
+	fmt.Fprintf(stdout, "Claim 2 (odd distance, no tower) %t\n", rep.Claim2)
+	fmt.Fprintf(stdout, "Claim 3 (prefix retraced)        %t\n", rep.Claim3)
+	fmt.Fprintf(stdout, "Claim 4 (adjacent, same state)   %t\n", rep.Claim4)
+	fmt.Fprintf(stdout, "frozen forever after stall       %t\n", rep.StalledForever)
+	fmt.Fprintf(stdout, "distinct G' nodes visited        %d/%d\n", rep.DistinctVisited, adversary.MirrorSize)
 	for _, f := range rep.Failures {
-		fmt.Println("violation:", f)
+		fmt.Fprintln(stdout, "violation:", f)
 	}
 
 	if *viz > 0 {
@@ -116,9 +120,9 @@ func run() error {
 		for i := range snaps {
 			snaps[i] = mrec.At(i)
 		}
-		fmt.Println()
-		fmt.Print(trace.Header(adversary.MirrorSize))
-		fmt.Print(trace.SpaceTimeString(msim.RecordedGraph(), snaps, 0, world.StallTime+*viz))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, trace.Header(adversary.MirrorSize))
+		fmt.Fprint(stdout, trace.SpaceTimeString(msim.RecordedGraph(), snaps, 0, world.StallTime+*viz))
 	}
 	if !rep.OK() {
 		return fmt.Errorf("claims failed")

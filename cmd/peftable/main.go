@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pef/internal/harness"
@@ -15,19 +16,22 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "peftable:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("peftable", flag.ContinueOnError)
 	var (
-		seed    = flag.Uint64("seed", 1, "experiment seed")
-		quick   = flag.Bool("quick", false, "reduced horizons")
-		details = flag.Bool("details", false, "print per-run detail tables")
+		seed    = fs.Uint64("seed", 1, "experiment seed")
+		quick   = fs.Bool("quick", false, "reduced horizons")
+		details = fs.Bool("details", false, "print per-run detail tables")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	rows := []struct {
 		id      string
@@ -47,7 +51,7 @@ func run() error {
 	cfg := harness.Config{Seed: *seed, Quick: *quick}
 	var failures int
 	for _, row := range rows {
-		exp, ok := harness.Find(row.id)
+		exp, ok := harness.Find(row.id, *quick)
 		if !ok {
 			return fmt.Errorf("missing experiment %s", row.id)
 		}
@@ -62,20 +66,20 @@ func run() error {
 		}
 		table.AddRow(row.robots, row.size, row.claim, row.theorem, mark)
 		if *details {
-			if err := harness.WriteResult(os.Stdout, res); err != nil {
+			if err := harness.WriteResult(stdout, res); err != nil {
 				return err
 			}
 		}
 	}
 
-	fmt.Println("Table 1 — Overview of the results (empirical reproduction)")
-	fmt.Println()
-	if err := table.Render(os.Stdout); err != nil {
+	fmt.Fprintln(stdout, "Table 1 — Overview of the results (empirical reproduction)")
+	fmt.Fprintln(stdout)
+	if err := table.Render(stdout); err != nil {
 		return err
 	}
 	if failures > 0 {
 		return fmt.Errorf("%d row(s) failed to reproduce", failures)
 	}
-	fmt.Println("\nAll five rows reproduce the paper's characterization.")
+	fmt.Fprintln(stdout, "\nAll five rows reproduce the paper's characterization.")
 	return nil
 }

@@ -19,10 +19,6 @@ type BatchConfig struct {
 	Workers int
 	// Quick is forwarded to every job's Config.
 	Quick bool
-	// DisableLockstep is forwarded to every job's Config: experiments that
-	// exercise the bit-parallel lockstep engine fall back to the scalar
-	// path (pefexperiments -lockstep=false).
-	DisableLockstep bool
 	// Shard expands experiments that declare Shards (the heavy ring-size
 	// sweeps) into per-ring-size sub-experiments before building the job
 	// matrix, so no single experiment serializes a sweep on one worker.
@@ -78,13 +74,9 @@ func Passes(jobs []JobResult) int {
 // jobs render with the same identity.
 func newJobResult(e Experiment, seed uint64) JobResult {
 	return JobResult{
-		ID:   e.ID,
-		Seed: seed,
-		Result: Result{
-			ID:       e.ID,
-			Title:    e.Title,
-			Artifact: e.Artifact,
-		},
+		ID:     e.ID,
+		Seed:   seed,
+		Result: e.result(),
 	}
 }
 
@@ -129,11 +121,7 @@ func RunBatch(ctx context.Context, cfg BatchConfig) ([]JobResult, error) {
 		Workers: cfg.Workers,
 		Metrics: cfg.Metrics,
 		Run: func(i int) JobResult {
-			return runJob(exps[i/len(seeds)], Config{
-				Seed:            seeds[i%len(seeds)],
-				Quick:           cfg.Quick,
-				DisableLockstep: cfg.DisableLockstep,
-			})
+			return runJob(exps[i/len(seeds)], Config{Seed: seeds[i%len(seeds)], Quick: cfg.Quick})
 		},
 		Placeholder: func(i int) JobResult {
 			return newJobResult(exps[i/len(seeds)], seeds[i%len(seeds)])

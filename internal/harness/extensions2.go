@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"pef/internal/classes"
 	"pef/internal/core"
 	"pef/internal/dynamics"
@@ -13,15 +11,9 @@ import (
 	"pef/internal/spec"
 )
 
-func runX9(cfg Config) (Result, error) {
-	res := Result{ID: "E-X9", Title: "Dynamics taxonomy classification",
-		Artifact: "taxonomy of [6] (Section 2.1 context)", Pass: true}
+func runX9(cfg Config, res *Result) error {
 	res.Table = metrics.NewTable("generator", "always-conn", "T-interval", "period", "Δ", "recurrent", "conn-over-time", "hierarchy")
-
-	horizon := 360
-	if cfg.Quick {
-		horizon = 160
-	}
+	horizon := pick(cfg, 360, 160)
 	type gen struct {
 		name string
 		g    dyngraph.EvolvingGraph
@@ -44,12 +36,10 @@ func runX9(cfg Config) (Result, error) {
 	for _, g := range gens {
 		m := classes.Classify(g.g, horizon, 6, 24)
 		if !m.RespectsHierarchy() {
-			res.Pass = false
-			res.Notes = append(res.Notes, fmt.Sprintf("FAIL %s violates the class hierarchy: %+v", g.name, m))
+			res.fail("FAIL %s violates the class hierarchy: %+v", g.name, m)
 		}
 		if m.ConnectedOverTime != g.wantCOT {
-			res.Pass = false
-			res.Notes = append(res.Notes, fmt.Sprintf("FAIL %s: connected-over-time=%t, generator promises %t", g.name, m.ConnectedOverTime, g.wantCOT))
+			res.fail("FAIL %s: connected-over-time=%t, generator promises %t", g.name, m.ConnectedOverTime, g.wantCOT)
 		}
 		res.Table.AddRow(g.name, m.AlwaysConnected, m.TInterval, m.Period, m.RecurrenceBound,
 			m.Recurrent, m.ConnectedOverTime, verdict(m.RespectsHierarchy()))
@@ -57,7 +47,7 @@ func runX9(cfg Config) (Result, error) {
 	res.Notes = append(res.Notes,
 		"Places the paper's connected-over-time class at the bottom of the Casteigts et al. hierarchy;",
 		"the split ring (two edges never appear) is the canonical non-member every checker must reject.")
-	return res, nil
+	return nil
 }
 
 // mustPeriodic builds the taxonomy demo timetable; patterns are valid by
@@ -77,38 +67,17 @@ func mustPeriodic(n int) dyngraph.EvolvingGraph {
 	return g
 }
 
-// x10Rings is the ring-size sweep of E-X10, shared by the full experiment
-// and its per-ring-size shards.
-func x10Rings(quick bool) []int {
-	if quick {
-		return []int{4, 8}
-	}
-	return []int{4, 8, 16, 32}
-}
-
-func runX10(cfg Config) (Result, error) {
-	return runX10Rings(cfg, "E-X10", x10Rings(cfg.Quick))
-}
-
-func shardX10(quick bool) []Experiment {
-	return shardByRing("E-X10", "Sentinel formation time (Lemma 3.7)",
-		"Lemma 3.7", x10Rings(quick), runX10Rings)
-}
-
-func runX10Rings(cfg Config, id string, ns []int) (Result, error) {
-	res := Result{ID: id, Title: "Sentinel formation time (Lemma 3.7)",
-		Artifact: "Lemma 3.7", Pass: true}
-	res.Table = metrics.NewTable("n", "k", "edge missing from", "sentinels stable from", "lag", "verdict")
-
-	for _, n := range ns {
+var x10 = sweep{
+	rings:      []int{4, 8, 16, 32},
+	quickRings: []int{4, 8},
+	header:     []string{"n", "k", "edge missing from", "sentinels stable from", "lag", "verdict"},
+	body: func(cfg Config, res *Result, c sweepCase) error {
+		n := c.n
 		for _, k := range []int{3, 4} {
 			if k >= n {
 				continue
 			}
-			horizon := 400 * 4
-			if cfg.Quick {
-				horizon = 200 * 4
-			}
+			horizon := pick(cfg, 400*4, 200*4)
 			const from = 24
 			edge := n / 2
 			base := dynamics.NewBoundedRecurrence(dynamics.NewBernoulli(n, 0.7, cfg.Seed+uint64(n)), 4, cfg.Seed^3)
@@ -121,7 +90,7 @@ func runX10Rings(cfg Config, id string, ns []int) (Result, error) {
 				Observers:  []fsync.Observer{watch},
 			})
 			if err != nil {
-				return res, err
+				return err
 			}
 			sim.Run(horizon)
 			rep := watch.Report()
@@ -130,8 +99,7 @@ func runX10Rings(cfg Config, id string, ns []int) (Result, error) {
 			// requirement is that a stable suffix exists.
 			ok := rep.Stabilized
 			if !ok {
-				res.Pass = false
-				res.Notes = append(res.Notes, fmt.Sprintf("FAIL n=%d k=%d: %s", n, k, rep))
+				res.fail("FAIL n=%d k=%d: %s", n, k, rep)
 			}
 			lag := -1
 			if rep.Stabilized {
@@ -142,9 +110,10 @@ func runX10Rings(cfg Config, id string, ns []int) (Result, error) {
 			}
 			res.Table.AddRow(n, k, from, rep.StableFrom, lag, verdict(ok))
 		}
-	}
-	res.Notes = append(res.Notes,
+		return nil
+	},
+	notes: []string{
 		"Lemma 3.7: once an edge is missing forever, one robot ends up posted forever at each extremity, pointing at it.",
-		"'lag' is the stabilization delay after the edge disappears; it grows with n (robots must walk to the extremities).")
-	return res, nil
+		"'lag' is the stabilization delay after the edge disappears; it grows with n (robots must walk to the extremities).",
+	},
 }

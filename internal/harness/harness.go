@@ -1,12 +1,11 @@
 // Package harness defines and runs the experiment index of DESIGN.md: one
 // experiment per table and figure of the paper (E-T1.R1 … E-T1.R5, E-F1,
-// E-F2, E-F3) plus the extension experiments (E-X1 … E-X8). Each experiment
+// E-F2, E-F3) plus the extension experiments (E-X1 … E-X12). Each experiment
 // produces a pass/fail verdict against the paper's prediction and a report
 // table; cmd/pefexperiments renders the full index into EXPERIMENTS.md.
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -23,11 +22,14 @@ type Config struct {
 	// Quick reduces horizons and sweep sizes (used by unit tests and
 	// benchmarks); the full experiment suite leaves it false.
 	Quick bool
-	// DisableLockstep keeps experiments that exercise the bit-parallel
-	// lockstep engine on the scalar path instead — the same escape hatch
-	// scenario campaigns expose, for bisecting a suspected engine
-	// divergence. Experiments that never touch the engine ignore it.
-	DisableLockstep bool
+}
+
+// pick returns full, or quick under Config.Quick.
+func pick[T any](cfg Config, full, quick T) T {
+	if cfg.Quick {
+		return quick
+	}
+	return full
 }
 
 // Result is one experiment's outcome.
@@ -67,6 +69,12 @@ func (r *Result) ObserveExploration(rep spec.ExplorationReport) {
 	r.Observe("maxGap", rep.MaxGap)
 }
 
+// fail marks the result failed and records why.
+func (r *Result) fail(format string, args ...any) {
+	r.Pass = false
+	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
+}
+
 // Experiment is a runnable experiment.
 type Experiment struct {
 	ID       string
@@ -74,18 +82,123 @@ type Experiment struct {
 	Artifact string
 	Run      func(cfg Config) (Result, error)
 	// Shards optionally decomposes the experiment into independently
-	// runnable sub-experiments (one per ring size for the heavy sweeps),
-	// so a single experiment no longer serializes on one batch worker.
-	// The quick flag must match the Config the shards will run under,
-	// because it selects the swept ring sizes.
+	// runnable sub-experiments (one per ring size, or per ring size and
+	// victim, for the heavy sweeps), so a single experiment no longer
+	// serializes on one batch worker. The quick flag must match the
+	// Config the shards will run under, because it selects the cases.
 	Shards func(quick bool) []Experiment
+}
+
+// result is e's identity on a not yet passing result: every Result, of a
+// full run, a shard or a job that never ran, starts from it.
+func (e Experiment) result() Result {
+	return Result{
+		ID:       e.ID,
+		Title:    e.Title,
+		Artifact: e.Artifact,
+	}
+}
+
+// single declares an experiment whose body fills a passing result that
+// already carries the experiment's identity.
+func single(id, title, artifact string, body func(cfg Config, res *Result) error) Experiment {
+	e := Experiment{ID: id, Title: title, Artifact: artifact}
+	start := e.result()
+	start.Pass = true
+	e.Run = func(cfg Config) (Result, error) {
+		res := start
+		err := body(cfg, &res)
+		return res, err
+	}
+	return e
+}
+
+// sweep is an experiment whose rows split into independent cases: a ring
+// size, or a (ring size, victim) pair. The full run and each shard call
+// the same per-case body, so the shard tables concatenate to the full one.
+type sweep struct {
+	// rings and quickRings are the swept ring sizes.
+	rings, quickRings []int
+	// victims crosses every ring size with the victim suite.
+	victims bool
+	header  []string
+	body    func(cfg Config, res *Result, c sweepCase) error
+	// notes close the result, after the cases.
+	notes []string
+}
+
+// sweepCase is one case of a sweep; alg is nil unless the sweep crosses
+// victims.
+type sweepCase struct {
+	n   int
+	alg robot.Algorithm
+}
+
+func (s sweep) cases(quick bool) []sweepCase {
+	ns := s.rings
+	if quick {
+		ns = s.quickRings
+	}
+	var out []sweepCase
+	for _, n := range ns {
+		if !s.victims {
+			out = append(out, sweepCase{n: n})
+			continue
+		}
+		for _, alg := range victimSuite() {
+			out = append(out, sweepCase{n, alg})
+		}
+	}
+	return out
+}
+
+// run runs the given cases, or every case of the run's quick setting when
+// cases is nil.
+func (s sweep) run(cases []sweepCase) func(cfg Config, res *Result) error {
+	return func(cfg Config, res *Result) error {
+		res.Table = metrics.NewTable(s.header...)
+		cs := cases
+		if cs == nil {
+			cs = s.cases(cfg.Quick)
+		}
+		for _, c := range cs {
+			if err := s.body(cfg, res, c); err != nil {
+				return err
+			}
+		}
+		res.Notes = append(res.Notes, s.notes...)
+		return nil
+	}
+}
+
+// swept declares a sweep experiment and its shards: one per case, with
+// IDs "<id>#n=<size>" or "<id>#n=<size>/a=<victim>".
+func swept(id, title, artifact string, s sweep) Experiment {
+	e := single(id, title, artifact, s.run(nil))
+	e.Shards = func(quick bool) []Experiment {
+		var out []Experiment
+		for _, c := range s.cases(quick) {
+			sid, label := fmt.Sprintf("%s#n=%d", id, c.n), fmt.Sprintf("n=%d", c.n)
+			if c.alg != nil {
+				sid += "/a=" + c.alg.Name()
+				label += ", " + c.alg.Name()
+			}
+			sh := single(sid, title, artifact, s.run([]sweepCase{c}))
+			// A shard's result keeps the experiment's title, like its
+			// report rows; the labelled title names the job before it runs.
+			sh.Title = fmt.Sprintf("%s [%s]", title, label)
+			out = append(out, sh)
+		}
+		return out
+	}
+	return e
 }
 
 // Sharded expands every experiment that declares Shards into its
 // sub-experiments, leaving the others untouched. Expansion preserves index
 // order, and each shard's rows reproduce exactly the rows the full
-// experiment computes for that ring size (same seeds, same workloads), so
-// a sharded sweep covers the same ground with finer-grained parallelism.
+// experiment computes for that case (same seeds, same workloads), so a
+// sharded sweep covers the same ground with finer-grained parallelism.
 func Sharded(exps []Experiment, quick bool) []Experiment {
 	var out []Experiment
 	for _, e := range exps {
@@ -98,124 +211,43 @@ func Sharded(exps []Experiment, quick bool) []Experiment {
 	return out
 }
 
-// shardByRing builds one sub-experiment per ring size with IDs
-// "<id>#n=<size>", each running the parameterized body on a single size.
-func shardByRing(id, title, artifact string, ns []int, run func(cfg Config, id string, ns []int) (Result, error)) []Experiment {
-	out := make([]Experiment, 0, len(ns))
-	for _, n := range ns {
-		n := n
-		sid := fmt.Sprintf("%s#n=%d", id, n)
-		out = append(out, Experiment{
-			ID:       sid,
-			Title:    fmt.Sprintf("%s [n=%d]", title, n),
-			Artifact: artifact,
-			Run: func(cfg Config) (Result, error) {
-				return run(cfg, sid, []int{n})
-			},
-		})
-	}
-	return out
-}
-
-// shardByRingAlg builds one sub-experiment per (ring size, victim
-// algorithm) pair with IDs "<id>#n=<size>/a=<alg>" — the decomposition of
-// the impossibility experiments' victim-suite loops, so no (ring, victim)
-// case serializes a sweep on one batch worker. Concatenating the shard
-// tables in index order reproduces the full experiment exactly.
-func shardByRingAlg(id, title, artifact string, ns []int, algs []robot.Algorithm, run func(cfg Config, id string, ns []int, algs []robot.Algorithm) (Result, error)) []Experiment {
-	out := make([]Experiment, 0, len(ns)*len(algs))
-	for _, n := range ns {
-		for _, alg := range algs {
-			n, alg := n, alg
-			sid := fmt.Sprintf("%s#n=%d/a=%s", id, n, alg.Name())
-			out = append(out, Experiment{
-				ID:       sid,
-				Title:    fmt.Sprintf("%s [n=%d, %s]", title, n, alg.Name()),
-				Artifact: artifact,
-				Run: func(cfg Config) (Result, error) {
-					return run(cfg, sid, []int{n}, []robot.Algorithm{alg})
-				},
-			})
-		}
-	}
-	return out
-}
-
-// All returns the full experiment index in report order.
+// All returns the full experiment index in report order. It is the one
+// place an experiment's ID, title and artifact are written.
 func All() []Experiment {
 	return []Experiment{
-		{ID: "E-T1.R1", Title: "PEF_3+ explores with k>=3 robots on n>k rings", Artifact: "Table 1 row 1 (Theorem 3.1)", Run: runT1R1, Shards: shardT1R1},
-		{ID: "E-T1.R2", Title: "Two robots are confined on rings of size >= 4", Artifact: "Table 1 row 2 (Theorem 4.1)", Run: runT1R2, Shards: shardT1R2},
-		{ID: "E-T1.R3", Title: "PEF_2 explores the 3-node ring with 2 robots", Artifact: "Table 1 row 3 (Theorem 4.2)", Run: runT1R3},
-		{ID: "E-T1.R4", Title: "One robot is confined on rings of size >= 3", Artifact: "Table 1 row 4 (Theorem 5.1)", Run: runT1R4, Shards: shardT1R4},
-		{ID: "E-T1.R5", Title: "PEF_1 explores the 2-node ring with 1 robot", Artifact: "Table 1 row 5 (Theorem 5.2)", Run: runT1R5},
-		{ID: "E-F1", Title: "Mirror gadget G' and Claims 1-4 of Lemma 4.1", Artifact: "Figure 1", Run: runF1},
-		{ID: "E-F2", Title: "Four-phase confinement schedule for two robots", Artifact: "Figure 2 (Theorem 4.1 construction)", Run: runF2},
-		{ID: "E-F3", Title: "Two-phase confinement schedule for one robot", Artifact: "Figure 3 (Theorem 5.1 construction)", Run: runF3},
-		{ID: "E-X1", Title: "Cover time scaling of PEF_3+ with ring size", Artifact: "extension", Run: runX1, Shards: shardX1},
-		{ID: "E-X2", Title: "Revisit gap versus edge recurrence bound", Artifact: "extension", Run: runX2},
-		{ID: "E-X3", Title: "Rule ablations of PEF_3+", Artifact: "extension (Section 3.1 rationale)", Run: runX3},
-		{ID: "E-X4", Title: "SSYNC impossibility versus FSYNC control", Artifact: "related work [10] (Section 1)", Run: runX4},
-		{ID: "E-X5", Title: "PEF_3+ on connected-over-time chains", Artifact: "Section 1 remark", Run: runX5, Shards: shardX5},
-		{ID: "E-X6", Title: "Self-stabilization probe from corrupted configurations", Artifact: "extension ([4] context)", Run: runX6},
-		{ID: "E-X7", Title: "Team size sweep", Artifact: "extension", Run: runX7},
-		{ID: "E-X8", Title: "Convergence framework prefix growth", Artifact: "framework [5]", Run: runX8},
-		{ID: "E-X9", Title: "Dynamics taxonomy classification", Artifact: "taxonomy of [6] (Section 2.1 context)", Run: runX9},
-		{ID: "E-X10", Title: "Sentinel formation time (Lemma 3.7)", Artifact: "Lemma 3.7", Run: runX10, Shards: shardX10},
-		{ID: "E-X11", Title: "The three-robot threshold: containment vs legality", Artifact: "Table 1 synthesis", Run: runX11},
-		{ID: "E-X12", Title: "Lockstep engine equivalence: bit-parallel vs scalar trajectories", Artifact: "extension (engine invariant)", Run: runX12},
+		swept("E-T1.R1", "PEF_3+ explores with k>=3 robots on n>k rings", "Table 1 row 1 (Theorem 3.1)", t1r1),
+		swept("E-T1.R2", "Two robots are confined on rings of size >= 4", "Table 1 row 2 (Theorem 4.1)", t1r2),
+		single("E-T1.R3", "PEF_2 explores the 3-node ring with 2 robots", "Table 1 row 3 (Theorem 4.2)", runT1R3),
+		swept("E-T1.R4", "One robot is confined on rings of size >= 3", "Table 1 row 4 (Theorem 5.1)", t1r4),
+		single("E-T1.R5", "PEF_1 explores the 2-node ring with 1 robot", "Table 1 row 5 (Theorem 5.2)", runT1R5),
+		single("E-F1", "Mirror gadget G' and Claims 1-4 of Lemma 4.1", "Figure 1", runF1),
+		single("E-F2", "Four-phase confinement schedule for two robots", "Figure 2 (Theorem 4.1 construction)", runF2),
+		single("E-F3", "Two-phase confinement schedule for one robot", "Figure 3 (Theorem 5.1 construction)", runF3),
+		swept("E-X1", "Cover time scaling of PEF_3+ with ring size", "extension", x1),
+		single("E-X2", "Revisit gap versus edge recurrence bound", "extension", runX2),
+		single("E-X3", "Rule ablations of PEF_3+", "extension (Section 3.1 rationale)", runX3),
+		single("E-X4", "SSYNC impossibility versus FSYNC control", "related work [10] (Section 1)", runX4),
+		swept("E-X5", "PEF_3+ on connected-over-time chains", "Section 1 remark", x5),
+		single("E-X6", "Self-stabilization probe from corrupted configurations", "extension ([4] context)", runX6),
+		single("E-X7", "Team size sweep", "extension", runX7),
+		single("E-X8", "Convergence framework prefix growth", "framework [5]", runX8),
+		single("E-X9", "Dynamics taxonomy classification", "taxonomy of [6] (Section 2.1 context)", runX9),
+		swept("E-X10", "Sentinel formation time (Lemma 3.7)", "Lemma 3.7", x10),
+		single("E-X11", "The three-robot threshold: containment vs legality", "Table 1 synthesis", runX11),
+		single("E-X12", "Lockstep engine equivalence: bit-parallel vs scalar trajectories", "extension (engine invariant)", runX12),
 	}
 }
 
-// Find returns the experiment with the given ID.
-func Find(id string) (Experiment, bool) {
-	for _, e := range All() {
+// Find returns the experiment with the given ID: an index entry, or one of
+// the shards (under the quick setting) whose IDs sharded reports print.
+func Find(id string, quick bool) (Experiment, bool) {
+	all := All()
+	for _, e := range append(all, Sharded(all, quick)...) {
 		if e.ID == id {
 			return e, true
 		}
 	}
 	return Experiment{}, false
-}
-
-// RunAll executes every experiment under cfg.Seed and streams a report to
-// w. It returns the results preceding the first execution error, and that
-// error (nil when every experiment executed). RunAll is a single-seed view
-// over the batch engine: it runs RunBatch with one worker and emits in
-// canonical order, so its output is unchanged from the sequential era.
-func RunAll(cfg Config, w io.Writer) ([]Result, error) {
-	var results []Result
-	var firstErr error
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	_, err := RunBatch(ctx, BatchConfig{
-		Seeds:           []uint64{cfg.Seed},
-		Workers:         1,
-		Quick:           cfg.Quick,
-		DisableLockstep: cfg.DisableLockstep,
-		OnResult: func(j JobResult) {
-			if firstErr != nil {
-				return
-			}
-			if j.Err != nil {
-				// Stop the batch at the first error, like the
-				// sequential loop this replaced.
-				firstErr = j.Err
-				cancel()
-				return
-			}
-			results = append(results, j.Result)
-			if w != nil {
-				if werr := WriteResult(w, j.Result); werr != nil {
-					firstErr = werr
-					cancel()
-				}
-			}
-		},
-	})
-	if firstErr != nil {
-		return results, firstErr
-	}
-	return results, err
 }
 
 // WriteResult renders one result in the report format.

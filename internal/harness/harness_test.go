@@ -1,7 +1,7 @@
 package harness
 
 import (
-	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -18,32 +18,65 @@ func TestAllExperimentsPassQuick(t *testing.T) {
 			if !res.Pass {
 				t.Fatalf("%s failed: notes=%v\n%s", e.ID, res.Notes, res.Table.String())
 			}
-			if res.ID != e.ID {
-				t.Fatalf("result ID %q does not match experiment %q", res.ID, e.ID)
-			}
+			checkIdentity(t, res, e.ID, e)
 		})
 	}
 }
 
-func TestFindExperiment(t *testing.T) {
-	if _, ok := Find("E-T1.R1"); !ok {
-		t.Fatal("E-T1.R1 not found")
-	}
-	if _, ok := Find("bogus"); ok {
-		t.Fatal("bogus experiment found")
+// checkIdentity asserts that res carries the ID it ran under and the title
+// and artifact declared for its experiment in All().
+func checkIdentity(t *testing.T, res Result, id string, decl Experiment) {
+	t.Helper()
+	if res.ID != id || res.Title != decl.Title || res.Artifact != decl.Artifact {
+		t.Fatalf("result identity (%q, %q, %q), want (%q, %q, %q)",
+			res.ID, res.Title, res.Artifact, id, decl.Title, decl.Artifact)
 	}
 }
 
-func TestRunAllStreamsReport(t *testing.T) {
-	var buf bytes.Buffer
-	results, err := RunAll(Config{Seed: 2, Quick: true}, &buf)
+func TestFindExperiment(t *testing.T) {
+	if _, ok := Find("E-T1.R1", false); !ok {
+		t.Fatal("E-T1.R1 not found")
+	}
+	if _, ok := Find("bogus", false); ok {
+		t.Fatal("bogus experiment found")
+	}
+	// Shard IDs resolve under the quick setting that produced them.
+	if e, ok := Find("E-T1.R2#n=4/a=keep-direction", true); !ok || e.ID != "E-T1.R2#n=4/a=keep-direction" {
+		t.Fatalf("quick shard not found: %q, %t", e.ID, ok)
+	}
+	if _, ok := Find("E-X1#n=64", true); ok {
+		t.Fatal("full-suite shard E-X1#n=64 found under quick")
+	}
+	if _, ok := Find("E-X1#n=64", false); !ok {
+		t.Fatal("full-suite shard E-X1#n=64 not found")
+	}
+}
+
+// renderSingleSeed streams the quick index under one seed through the
+// batch engine, the path of pefexperiments' single-seed report.
+func renderSingleSeed(t *testing.T, seed uint64) (string, []JobResult) {
+	t.Helper()
+	var b strings.Builder
+	jobs, err := RunBatch(context.Background(), BatchConfig{
+		Seeds: []uint64{seed},
+		Quick: true,
+		OnResult: func(j JobResult) {
+			if err := WriteResult(&b, j.Result); err != nil {
+				t.Error(err)
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(All()) {
-		t.Fatalf("got %d results, want %d", len(results), len(All()))
+	return b.String(), jobs
+}
+
+func TestBatchStreamsReport(t *testing.T) {
+	out, jobs := renderSingleSeed(t, 2)
+	if len(jobs) != len(All()) {
+		t.Fatalf("got %d results, want %d", len(jobs), len(All()))
 	}
-	out := buf.String()
 	for _, e := range All() {
 		if !strings.Contains(out, e.ID) {
 			t.Errorf("report missing %s", e.ID)
@@ -55,14 +88,8 @@ func TestRunAllStreamsReport(t *testing.T) {
 }
 
 func TestExperimentsDeterministicAcrossRuns(t *testing.T) {
-	render := func() string {
-		var buf bytes.Buffer
-		if _, err := RunAll(Config{Seed: 7, Quick: true}, &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	if render() != render() {
+	first, _ := renderSingleSeed(t, 7)
+	if second, _ := renderSingleSeed(t, 7); first != second {
 		t.Fatal("experiment suite is not deterministic for a fixed seed")
 	}
 }

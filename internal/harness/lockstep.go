@@ -48,18 +48,10 @@ func x12Shapes() []x12Shape {
 // round, the exact position trajectories of the scalar simulator runs it
 // replaces. Each shape runs a block of independently seeded lanes with
 // staggered horizons (exercising lane retirement) against per-lane scalar
-// references built from the same seeds. Under Config.DisableLockstep the
-// experiment runs the scalar legs only and records that the equivalence
-// was not exercised — the bisection escape hatch, not a verdict.
-func runX12(cfg Config) (Result, error) {
-	res := Result{ID: "E-X12", Title: "Lockstep engine equivalence: bit-parallel vs scalar trajectories",
-		Artifact: "extension (engine invariant)", Pass: true}
+// references built from the same seeds.
+func runX12(cfg Config, res *Result) error {
 	res.Table = metrics.NewTable("shape", "alg", "n", "k", "lanes", "horizon", "lane-rounds", "mismatches", "verdict")
-
-	lanes, horizon := 32, 320
-	if cfg.Quick {
-		lanes, horizon = 8, 120
-	}
+	lanes, horizon := pick(cfg, 32, 8), pick(cfg, 320, 120)
 	for si, sh := range x12Shapes() {
 		src := prng.NewSource(cfg.Seed ^ uint64(si+1)*0x9E3779B97F4A7C15)
 		seeds := make([]uint64, lanes)
@@ -77,18 +69,10 @@ func runX12(cfg Config) (Result, error) {
 				Placements: fsync.RandomPlacements(sh.n, sh.k, prng.NewSource(seeds[l])),
 			})
 			if err != nil {
-				return res, err
+				return err
 			}
 			scalars[l] = sim
 		}
-		if cfg.DisableLockstep {
-			for l, sim := range scalars {
-				sim.Run(laneHorizon(l))
-			}
-			res.Table.AddRow(sh.name, sh.alg.Name(), sh.n, sh.k, lanes, horizon, "-", "-", "skip")
-			continue
-		}
-
 		lcfg := fsync.LockstepConfig{Algorithm: sh.alg}
 		for l := 0; l < lanes; l++ {
 			// The lockstep leg gets its own graph instance with the same
@@ -101,7 +85,7 @@ func runX12(cfg Config) (Result, error) {
 		}
 		ls, err := fsync.NewLockstep(lcfg)
 		if err != nil {
-			return res, err
+			return err
 		}
 		compared, mismatches := 0, 0
 		for !ls.Done() {
@@ -133,13 +117,8 @@ func runX12(cfg Config) (Result, error) {
 		res.Observe("laneRounds", compared)
 		res.Table.AddRow(sh.name, sh.alg.Name(), sh.n, sh.k, lanes, horizon, compared, mismatches, verdict(ok))
 	}
-	if cfg.DisableLockstep {
-		res.Notes = append(res.Notes,
-			"Lockstep disabled (-lockstep=false): scalar legs only, the equivalence was not exercised.")
-		return res, nil
-	}
 	res.Notes = append(res.Notes,
 		"Every lane of a bit-parallel block reproduces its scalar reference trajectory node-for-node, round-for-round;",
 		"'lane-rounds' counts the per-lane rounds compared (staggered horizons make lanes retire at different times).")
-	return res, nil
+	return nil
 }

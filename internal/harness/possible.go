@@ -13,26 +13,32 @@ import (
 	"pef/internal/spec"
 )
 
-// explorationRun executes alg with k robots on an n-node ring under the
-// workload and returns the exploration report. Extra observers (E-T1.R1's
-// tower invariants) ride along on the same run. Simulators come from the
-// fsync pool: across an (experiment × seed) sweep the same backing slices
-// serve every run.
-func explorationRun(alg robot.Algorithm, n, k int, build func(seed uint64) fsync.Dynamics, seed uint64, horizon int, extra ...fsync.Observer) (spec.ExplorationReport, error) {
-	vt := spec.NewVisitTracker(n)
-	src := prng.NewSource(seed)
-	sim, err := fsync.Acquire(fsync.Config{
-		Algorithm:  alg,
-		Dynamics:   build(seed),
-		Placements: fsync.RandomPlacements(n, k, src),
-		Observers:  append([]fsync.Observer{vt}, extra...),
-	})
+// explorationRun runs c for horizon rounds and returns the exploration
+// report of a visit tracker riding along with c's and the extra observers
+// (E-T1.R1's tower invariants). Simulators come from the fsync pool:
+// across an (experiment × seed) sweep the same backing slices serve every
+// run.
+func explorationRun(c fsync.Config, horizon int, extra ...fsync.Observer) (spec.ExplorationReport, error) {
+	vt := spec.NewVisitTracker(c.Dynamics.Ring().Size())
+	c.Observers = append(append([]fsync.Observer{vt}, c.Observers...), extra...)
+	sim, err := fsync.Acquire(c)
 	if err != nil {
 		return spec.ExplorationReport{}, err
 	}
 	sim.Run(horizon)
 	sim.Release()
 	return vt.Report(), nil
+}
+
+// randomTeam places k robots running alg at random on the ring of
+// build(seed), both seeded by seed.
+func randomTeam(alg robot.Algorithm, k int, build func(seed uint64) fsync.Dynamics, seed uint64) fsync.Config {
+	dyn := build(seed)
+	return fsync.Config{
+		Algorithm:  alg,
+		Dynamics:   dyn,
+		Placements: fsync.RandomPlacements(dyn.Ring().Size(), k, prng.NewSource(seed)),
+	}
 }
 
 // obliviousBuild adapts a dynamics.Spec to the harness runner.
@@ -75,118 +81,72 @@ func positiveWorkloads(n int) []namedDynamics {
 	return out
 }
 
-// t1r1Rings is the ring-size sweep of E-T1.R1, shared by the full
-// experiment and its per-ring-size shards.
-func t1r1Rings(quick bool) []int {
-	if quick {
-		return []int{4, 8}
-	}
-	return []int{4, 6, 8, 12}
-}
-
-func runT1R1(cfg Config) (Result, error) {
-	return runT1R1Rings(cfg, "E-T1.R1", t1r1Rings(cfg.Quick))
-}
-
-func shardT1R1(quick bool) []Experiment {
-	return shardByRing("E-T1.R1", "PEF_3+ explores with k>=3 robots on n>k rings",
-		"Table 1 row 1 (Theorem 3.1)", t1r1Rings(quick), runT1R1Rings)
-}
-
-func runT1R1Rings(cfg Config, id string, ns []int) (Result, error) {
-	res := Result{ID: id, Title: "PEF_3+ explores with k>=3 robots on n>k rings",
-		Artifact: "Table 1 row 1 (Theorem 3.1)", Pass: true}
-	res.Table = metrics.NewTable("k", "n", "workload", "cover", "maxGap", "towers", "verdict")
-
-	ks := []int{3, 4, 5}
-	if cfg.Quick {
-		ks = []int{3}
-	}
-	for _, n := range ns {
-		horizon := 200 * n
-		if cfg.Quick {
-			horizon = 60 * n
-		}
-		for _, k := range ks {
+var t1r1 = sweep{
+	rings:      []int{4, 6, 8, 12},
+	quickRings: []int{4, 8},
+	header:     []string{"k", "n", "workload", "cover", "maxGap", "towers", "verdict"},
+	body: func(cfg Config, res *Result, c sweepCase) error {
+		n := c.n
+		horizon := pick(cfg, 200*n, 60*n)
+		for _, k := range pick(cfg, []int{3, 4, 5}, []int{3}) {
 			if n <= k {
 				continue
 			}
 			for _, wl := range positiveWorkloads(n) {
 				ti := spec.NewTowerInvariants()
-				rep, err := explorationRun(core.PEF3Plus{}, n, k, wl.build, cfg.Seed+uint64(n*100+k), horizon, ti)
+				rep, err := explorationRun(randomTeam(core.PEF3Plus{}, k, wl.build, cfg.Seed+uint64(n*100+k)), horizon, ti)
 				if err != nil {
-					return res, err
+					return err
 				}
 				res.ObserveExploration(rep)
 				ok := possibleVerdict(rep, horizon) && ti.OK()
 				if !ok {
-					res.Pass = false
-					res.Notes = append(res.Notes, fmt.Sprintf("FAIL k=%d n=%d %s: %s, tower violations %v",
-						k, n, wl.name, rep, ti.Violations()))
+					res.fail("FAIL k=%d n=%d %s: %s, tower violations %v", k, n, wl.name, rep, ti.Violations())
 				}
 				res.Table.AddRow(k, n, wl.name, rep.CoverTime, rep.MaxGap, ti.TowerRounds(), verdict(ok))
 			}
 		}
-	}
-	res.Notes = append(res.Notes,
+		return nil
+	},
+	notes: []string{
 		"Paper prediction: possible — every workload row must pass.",
-		"Tower invariants of Lemmas 3.3/3.4 checked on every round of every run.")
-	return res, nil
+		"Tower invariants of Lemmas 3.3/3.4 checked on every round of every run.",
+	},
 }
 
-func runT1R3(cfg Config) (Result, error) {
-	res := Result{ID: "E-T1.R3", Title: "PEF_2 explores the 3-node ring with 2 robots",
-		Artifact: "Table 1 row 3 (Theorem 4.2)", Pass: true}
+func runT1R3(cfg Config, res *Result) error {
 	res.Table = metrics.NewTable("workload", "chiralities", "cover", "maxGap", "verdict")
-
-	const n, k = 3, 2
-	horizon := 2000
-	if cfg.Quick {
-		horizon = 400
-	}
+	const n = 3
+	horizon := pick(cfg, 2000, 400)
 	for _, wl := range positiveWorkloads(n) {
 		for ci, chirs := range [][2]robot.Chirality{
 			{robot.RightIsCW, robot.RightIsCW},
 			{robot.RightIsCW, robot.RightIsCCW},
 		} {
-			vt := spec.NewVisitTracker(n)
-			sim, err := fsync.New(fsync.Config{
-				Algorithm: core.PEF2{},
-				Dynamics:  wl.build(cfg.Seed + uint64(ci)),
-				Placements: []fsync.Placement{
-					{Node: 0, Chirality: chirs[0]},
-					{Node: 1, Chirality: chirs[1]},
-				},
-				Observers: []fsync.Observer{vt},
-			})
+			rep, err := explorationRun(fsync.Config{
+				Algorithm:  core.PEF2{},
+				Dynamics:   wl.build(cfg.Seed + uint64(ci)),
+				Placements: []fsync.Placement{{Node: 0, Chirality: chirs[0]}, {Node: 1, Chirality: chirs[1]}},
+			}, horizon)
 			if err != nil {
-				return res, err
+				return err
 			}
-			sim.Run(horizon)
-			rep := vt.Report()
 			res.ObserveExploration(rep)
 			ok := possibleVerdict(rep, horizon)
 			if !ok {
-				res.Pass = false
-				res.Notes = append(res.Notes, fmt.Sprintf("FAIL %s chir=%v: %s", wl.name, chirs, rep))
+				res.fail("FAIL %s chir=%v: %s", wl.name, chirs, rep)
 			}
 			res.Table.AddRow(wl.name, fmt.Sprintf("%v/%v", chirs[0], chirs[1]), rep.CoverTime, rep.MaxGap, verdict(ok))
 		}
 	}
 	res.Notes = append(res.Notes, "Paper prediction: possible on exactly n = 3.")
-	return res, nil
+	return nil
 }
 
-func runT1R5(cfg Config) (Result, error) {
-	res := Result{ID: "E-T1.R5", Title: "PEF_1 explores the 2-node ring with 1 robot",
-		Artifact: "Table 1 row 5 (Theorem 5.2)", Pass: true}
+func runT1R5(cfg Config, res *Result) error {
 	res.Table = metrics.NewTable("variant", "workload", "cover", "maxGap", "verdict")
-
 	const n, k = 2, 1
-	horizon := 1000
-	if cfg.Quick {
-		horizon = 200
-	}
+	horizon := pick(cfg, 1000, 200)
 	// Two-node rings come in two flavours (Section 5.2): the multigraph
 	// with two parallel edges (our native n=2 ring) and the simple 2-node
 	// chain (one of the two edges permanently absent).
@@ -205,29 +165,27 @@ func runT1R5(cfg Config) (Result, error) {
 		}},
 	}
 	for _, v := range variants {
-		vname, wrap := v.name, v.wrap
 		for _, sp := range dynamics.StandardSuite() {
-			if vname == "chain" && sp.Name == "eventual-missing" {
+			if v.name == "chain" && sp.Name == "eventual-missing" {
 				// The chain variant already removes one of the two edges
 				// forever; removing the other too would disconnect the
 				// graph permanently, leaving the class of the paper.
 				continue
 			}
-			rep, err := explorationRun(core.PEF1{}, n, k, wrap(sp), cfg.Seed+7, horizon)
+			rep, err := explorationRun(randomTeam(core.PEF1{}, k, v.wrap(sp), cfg.Seed+7), horizon)
 			if err != nil {
-				return res, err
+				return err
 			}
 			res.ObserveExploration(rep)
 			ok := possibleVerdict(rep, horizon)
 			if !ok {
-				res.Pass = false
-				res.Notes = append(res.Notes, fmt.Sprintf("FAIL %s %s: %s", vname, sp.Name, rep))
+				res.fail("FAIL %s %s: %s", v.name, sp.Name, rep)
 			}
-			res.Table.AddRow(vname, sp.Name, rep.CoverTime, rep.MaxGap, verdict(ok))
+			res.Table.AddRow(v.name, sp.Name, rep.CoverTime, rep.MaxGap, verdict(ok))
 		}
 	}
 	res.Notes = append(res.Notes, "Paper prediction: possible on exactly n = 2 (both ring flavours).")
-	return res, nil
+	return nil
 }
 
 func verdict(ok bool) string {

@@ -31,6 +31,7 @@ func TestShardsCoverFullExperiment(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
+		checkIdentity(t, full, e.ID, e)
 		var tables []string
 		pass := true
 		for _, sh := range e.Shards(cfg.Quick) {
@@ -41,9 +42,7 @@ func TestShardsCoverFullExperiment(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", sh.ID, err)
 			}
-			if res.ID != sh.ID {
-				t.Fatalf("%s: result carries ID %q", sh.ID, res.ID)
-			}
+			checkIdentity(t, res, sh.ID, e)
 			tables = append(tables, tableRows(res))
 			pass = pass && res.Pass
 		}
@@ -134,28 +133,39 @@ func TestBatchShardFlag(t *testing.T) {
 // TestVictimSuiteShardIDs pins the shape of the victim-suite
 // decomposition: the impossibility sweeps split into one job per
 // (ring size, victim algorithm) pair, each carrying both coordinates in
-// its ID.
+// its ID and title. A ring-only sweep's shards carry the ring alone.
 func TestVictimSuiteShardIDs(t *testing.T) {
-	for _, id := range []string{"E-T1.R2", "E-T1.R4"} {
-		e, ok := Find(id)
+	for _, c := range []struct {
+		id, first, label string
+		shards           int
+	}{
+		{"E-T1.R2", "E-T1.R2#n=4/a=keep-direction", " [n=4, keep-direction]", 2 * len(victimSuite())},
+		{"E-T1.R4", "E-T1.R4#n=3/a=keep-direction", " [n=3, keep-direction]", 2 * len(victimSuite())},
+		{"E-T1.R1", "E-T1.R1#n=4", " [n=4]", 2},
+	} {
+		e, ok := Find(c.id, true)
 		if !ok {
-			t.Fatalf("experiment %s missing", id)
+			t.Fatalf("experiment %s missing", c.id)
 		}
 		shards := e.Shards(true)
-		rings := 2
-		if len(shards) != rings*len(victimSuite()) {
-			t.Fatalf("%s: %d shards, want %d", id, len(shards), rings*len(victimSuite()))
+		if len(shards) != c.shards {
+			t.Fatalf("%s: %d shards, want %d", c.id, len(shards), c.shards)
 		}
-		if want := id + "#n=4/a=keep-direction"; id == "E-T1.R2" && shards[0].ID != want {
-			t.Fatalf("%s: first shard ID %q, want %q", id, shards[0].ID, want)
+		if shards[0].ID != c.first || shards[0].Title != e.Title+c.label || shards[0].Artifact != e.Artifact {
+			t.Fatalf("%s: first shard (%q, %q, %q), want (%q, %q, %q)", c.id,
+				shards[0].ID, shards[0].Title, shards[0].Artifact, c.first, e.Title+c.label, e.Artifact)
 		}
-		// Each shard carries exactly one table row: one (ring, victim) case.
+		if c.shards == 2 {
+			continue
+		}
+		// Each victim shard carries exactly one table row: one (ring,
+		// victim) case.
 		res, err := shards[0].Run(Config{Seed: 2, Quick: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Table.Rows() != 1 {
-			t.Fatalf("%s: shard produced %d rows, want 1", id, res.Table.Rows())
+			t.Fatalf("%s: shard produced %d rows, want 1", c.id, res.Table.Rows())
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"pef/internal/adversary"
 	"pef/internal/core"
 	"pef/internal/dyngraph"
@@ -18,20 +16,11 @@ import (
 // robots; for k >= 3 the naive arc-containment generalization must either
 // break legality (boundary edges eventually missing → not
 // connected-over-time) or let PEF_3+ escape and explore everything.
-func runX11(cfg Config) (Result, error) {
-	res := Result{ID: "E-X11", Title: "The three-robot threshold: containment vs legality",
-		Artifact: "Table 1 synthesis", Pass: true}
+func runX11(cfg Config, res *Result) error {
 	res.Table = metrics.NewTable("k", "adversary", "visited", "confined", "graph legal (COT)", "outcome")
-
 	const n = 8
-	horizon := 640
-	if cfg.Quick {
-		horizon = 240
-	}
+	horizon := pick(cfg, 640, 240)
 
-	checkLegal := func(g *dyngraph.Recorded) bool {
-		return dyngraph.VerifyConnectedOverTime(g, horizon, []int{0, horizon / 3}).OK
-	}
 	cotStarts := []int{0, horizon / 3}
 
 	// k = 1: Theorem 5.1 adversary. The legality checks run online — a
@@ -45,13 +34,13 @@ func runX11(cfg Config) (Result, error) {
 		sim, err := fsync.New(fsync.Config{
 			Algorithm:    core.PEF3Plus{},
 			Dynamics:     adv,
-			Placements:   []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}},
+			Placements:   team(robot.RightIsCW),
 			Observers:    []fsync.Observer{ct, fsync.COTScan{Scan: scan}},
 			RecordGraph:  true,
 			RecordWindow: 1,
 		})
 		if err != nil {
-			return res, err
+			return err
 		}
 		sim.Run(horizon)
 		// A stalled victim freezes the schedule legally (one eventually
@@ -75,27 +64,16 @@ func runX11(cfg Config) (Result, error) {
 	// there forever.
 	{
 		adv := adversary.NewTwoRobotConfinement(n, 0, 0, 1)
-		ct := spec.NewConfinementTracker()
-		rec := &fsync.SnapshotRecorder{}
-		sim, err := fsync.New(fsync.Config{
-			Algorithm: core.PEF3Plus{},
-			Dynamics:  adv,
-			Placements: []fsync.Placement{
-				{Node: 0, Chirality: robot.RightIsCW},
-				{Node: 1, Chirality: robot.RightIsCCW},
-			},
-			Observers:   []fsync.Observer{ct, rec},
-			RecordGraph: true,
-		})
+		placements := team(robot.RightIsCW, robot.RightIsCCW)
+		ct, sim, rec, err := confinementRun(core.PEF3Plus{}, adv, placements, horizon, true)
 		if err != nil {
-			return res, err
+			return err
 		}
-		sim.Run(horizon)
 		confined := ct.ConfinedTo(3)
 		if info, stalled := adv.Stall(sim.Now(), horizon/4); stalled {
 			world, err := adversary.BuildMirror(adversary.MirrorInput{
 				Alg:         core.PEF3Plus{},
-				Chir:        chirOf(info.Robot),
+				Chir:        placements[info.Robot].Chirality,
 				G:           sim.RecordedGraph(),
 				Traj:        rec.Trajectory(info.Robot)[:info.Since+1],
 				States:      rec.States(info.Robot)[:info.Since+1],
@@ -103,11 +81,11 @@ func runX11(cfg Config) (Result, error) {
 				MissingSide: info.MissingSide,
 			})
 			if err != nil {
-				return res, err
+				return err
 			}
 			mrep, err := world.Verify(horizon / 4)
 			if err != nil {
-				return res, err
+				return err
 			}
 			legal := mrep.OK() && mrep.StalledForever
 			if !confined || !legal {
@@ -116,7 +94,7 @@ func runX11(cfg Config) (Result, error) {
 			res.Table.AddRow(2, "Theorem 4.1 phases → mirror G'", mrep.DistinctVisited, confined, legal,
 				"stall transferred to legal 8-node gadget")
 		} else {
-			legal := checkLegal(sim.RecordedGraph())
+			legal := dyngraph.VerifyConnectedOverTime(sim.RecordedGraph(), horizon, cotStarts).OK
 			if !confined || !legal {
 				res.Pass = false
 			}
@@ -144,7 +122,7 @@ func runX11(cfg Config) (Result, error) {
 			Observers:  []fsync.Observer{ct, fsync.COTScan{Scan: scan}},
 		})
 		if err != nil {
-			return res, err
+			return err
 		}
 		sim.Run(horizon)
 		legal := scan.Report().OK
@@ -152,8 +130,7 @@ func runX11(cfg Config) (Result, error) {
 		outcome := "escaped: exploration wins"
 		if confined && legal {
 			outcome = "CONTRADICTS Theorem 3.1"
-			res.Pass = false
-			res.Notes = append(res.Notes, fmt.Sprintf("FAIL: k=3 legally confined by %s", policy.name))
+			res.fail("FAIL: k=3 legally confined by %s", policy.name)
 		} else if confined {
 			outcome = "confined but ILLEGAL graph"
 		}
@@ -163,14 +140,5 @@ func runX11(cfg Config) (Result, error) {
 	res.Notes = append(res.Notes,
 		"With one or two robots the paper's adversaries confine inside the class of connected-over-time rings.",
 		"With three robots every containment attempt must choose: keep walls forever (illegal graph) or reopen them (PEF_3+ escapes).")
-	return res, nil
-}
-
-// chirOf returns the chirality the E-X11 two-robot run assigns to each
-// robot index.
-func chirOf(idx int) robot.Chirality {
-	if idx == 0 {
-		return robot.RightIsCW
-	}
-	return robot.RightIsCCW
+	return nil
 }
