@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pef/internal/adversary"
+	"pef/internal/baseline"
 	"pef/internal/core"
 	"pef/internal/dynamics"
 	"pef/internal/fsync"
@@ -194,3 +195,96 @@ func verdict(ok bool) string {
 	}
 	return "FAIL"
 }
+
+// victimSuite is the empirical stand-in for the universal quantifier of the
+// impossibility theorems: all baselines plus the paper's algorithms run
+// outside their valid range.
+func victimSuite() []robot.Algorithm {
+	algs := baseline.Suite()
+	algs = append(algs, core.PEF3Plus{}, core.PEF2{}, core.PEF1{}, core.NoRule2{}, core.NoRule3{})
+	return algs
+}
+
+// team places robot i on node i with chirality chirs[i]: the starting
+// teams of the confinement constructions.
+func team(chirs ...robot.Chirality) []fsync.Placement {
+	ps := make([]fsync.Placement, len(chirs))
+	for i, c := range chirs {
+		ps[i] = fsync.Placement{Node: i, Chirality: c}
+	}
+	return ps
+}
+
+// confiner is a confinement adversary of Theorem 4.1 or 5.1, which can
+// tell when its victims stalled.
+type confiner interface {
+	fsync.Dynamics
+	Stall(now, patience int) (adversary.StallInfo, bool)
+}
+
+// confinementRun runs alg from placements against a confinement adversary
+// for horizon rounds and returns the confinement tracker and the
+// simulator. With record set, the simulator also keeps the realized graph
+// and the recorder every snapshot, for the mirror, the convergence checks
+// and the diagrams.
+func confinementRun(alg robot.Algorithm, adv fsync.Dynamics, placements []fsync.Placement, horizon int, record bool) (*spec.ConfinementTracker, *fsync.Simulator, *fsync.SnapshotRecorder, error) {
+	ct := spec.NewConfinementTracker()
+	rec := &fsync.SnapshotRecorder{}
+	obs := []fsync.Observer{ct}
+	if record {
+		obs = append(obs, rec)
+	}
+	sim, err := fsync.New(fsync.Config{
+		Algorithm:   alg,
+		Dynamics:    adv,
+		Placements:  placements,
+		Observers:   obs,
+		RecordGraph: record,
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	sim.Run(horizon)
+	return ct, sim, rec, nil
+}
+
+// confinementSweep is the shared body of the Table 1 impossibility rows:
+// every victim runs from placements against the theorem's adversary on
+// every ring, and must visit at most limit nodes.
+func confinementSweep(adv func(n int) confiner, placements []fsync.Placement, limit int, rings, quickRings []int, notes ...string) sweep {
+	return sweep{
+		rings:      rings,
+		quickRings: quickRings,
+		victims:    true,
+		header:     []string{"algorithm", "n", "visited", "outcome", "verdict"},
+		notes:      notes,
+		body: func(cfg Config, res *Result, c sweepCase) error {
+			horizon := pick(cfg, 64*c.n, 24*c.n)
+			a := adv(c.n)
+			ct, sim, _, err := confinementRun(c.alg, a, placements, horizon, false)
+			if err != nil {
+				return err
+			}
+			outcome := "cycling"
+			if _, stalled := a.Stall(sim.Now(), horizon/2); stalled {
+				outcome = "stalled"
+			}
+			ok := ct.ConfinedTo(limit)
+			if !ok {
+				res.fail("FAIL %s n=%d visited %v", c.alg.Name(), c.n, ct.VisitedNodes())
+			}
+			res.Table.AddRow(c.alg.Name(), c.n, ct.Distinct(), outcome, verdict(ok))
+			return nil
+		},
+	}
+}
+
+var t1r2 = confinementSweep(func(n int) confiner { return adversary.NewTwoRobotConfinement(n, 0, 0, 1) },
+	team(robot.RightIsCW, robot.RightIsCCW), 3, []int{4, 5, 8, 16}, []int{4, 8},
+	"Paper prediction: impossible — every pair of deterministic robots visits at most 3 nodes.",
+	"Stalled outcomes feed the Lemma 4.1 mirror gadget; see E-F1.")
+
+var t1r4 = confinementSweep(func(n int) confiner { return adversary.NewOneRobotConfinement(n, 0, 0) },
+	team(robot.RightIsCW), 2, []int{3, 4, 8, 16}, []int{3, 8},
+	"Paper prediction: impossible — every deterministic algorithm visits at most 2 nodes.",
+	"'cycling' realizes the recurrent-edges limit graph Gω; 'stalled' realizes a legal eventual-missing-edge graph.")
