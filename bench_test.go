@@ -70,6 +70,9 @@ func BenchmarkFullReport(b *testing.B) {
 			Quick:   true,
 			OnResult: func(j harness.JobResult) {
 				if werr == nil {
+					werr = j.Err
+				}
+				if werr == nil {
 					werr = harness.WriteResult(io.Discard, j.Result)
 				}
 			},

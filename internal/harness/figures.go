@@ -80,8 +80,8 @@ type schedule struct {
 	adv                  fsync.Dynamics
 	placements           []fsync.Placement
 	limit, horizon, rows int
-	// finiteAbsence also checks that every absence interval is finite,
-	// the property the proof of Theorem 5.1 needs for Gω.
+	// finiteAbsence (E-F3 only) also checks that every absence interval
+	// is finite, the property the proof of Theorem 5.1 needs for Gω.
 	finiteAbsence bool
 	note          string
 }

@@ -53,7 +53,8 @@ func TestFindExperiment(t *testing.T) {
 }
 
 // renderSingleSeed streams the quick index under one seed through the
-// batch engine, the path of pefexperiments' single-seed report.
+// batch engine, the path of pefexperiments' single-seed report. A job that
+// errors or panics fails the test.
 func renderSingleSeed(t *testing.T, seed uint64) (string, []JobResult) {
 	t.Helper()
 	var b strings.Builder
@@ -61,6 +62,9 @@ func renderSingleSeed(t *testing.T, seed uint64) (string, []JobResult) {
 		Seeds: []uint64{seed},
 		Quick: true,
 		OnResult: func(j JobResult) {
+			if j.Err != nil {
+				t.Errorf("%s seed=%d: %v", j.ID, j.Seed, j.Err)
+			}
 			if err := WriteResult(&b, j.Result); err != nil {
 				t.Error(err)
 			}

@@ -15,13 +15,12 @@ import (
 )
 
 // explorationRun runs c for horizon rounds and returns the exploration
-// report of a visit tracker riding along with c's and the extra observers
-// (E-T1.R1's tower invariants). Simulators come from the fsync pool:
-// across an (experiment × seed) sweep the same backing slices serve every
-// run.
-func explorationRun(c fsync.Config, horizon int, extra ...fsync.Observer) (spec.ExplorationReport, error) {
+// report of a visit tracker riding along with c's observers (E-T1.R1's
+// tower invariants). Simulators come from the fsync pool: across an
+// (experiment × seed) sweep the same backing slices serve every run.
+func explorationRun(c fsync.Config, horizon int) (spec.ExplorationReport, error) {
 	vt := spec.NewVisitTracker(c.Dynamics.Ring().Size())
-	c.Observers = append(append([]fsync.Observer{vt}, c.Observers...), extra...)
+	c.Observers = append([]fsync.Observer{vt}, c.Observers...)
 	sim, err := fsync.Acquire(c)
 	if err != nil {
 		return spec.ExplorationReport{}, err
@@ -95,7 +94,9 @@ var t1r1 = sweep{
 			}
 			for _, wl := range positiveWorkloads(n) {
 				ti := spec.NewTowerInvariants()
-				rep, err := explorationRun(randomTeam(core.PEF3Plus{}, k, wl.build, cfg.Seed+uint64(n*100+k)), horizon, ti)
+				c := randomTeam(core.PEF3Plus{}, k, wl.build, cfg.Seed+uint64(n*100+k))
+				c.Observers = []fsync.Observer{ti}
+				rep, err := explorationRun(c, horizon)
 				if err != nil {
 					return err
 				}
