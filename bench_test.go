@@ -60,8 +60,8 @@ func BenchmarkX9_TaxonomyClassification(b *testing.B) { benchExperiment(b, "E-X9
 func BenchmarkX10_SentinelFormation(b *testing.B)     { benchExperiment(b, "E-X10") }
 func BenchmarkX11_ThreeRobotThreshold(b *testing.B)   { benchExperiment(b, "E-X11") }
 
-// BenchmarkFullReport regenerates the entire EXPERIMENTS.md data set: the
-// single-seed report, streamed in index order by one worker.
+// BenchmarkFullReport regenerates the single-seed report of
+// `pef experiments`, streamed in index order by one worker.
 func BenchmarkFullReport(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var werr error

@@ -1,4 +1,4 @@
-// Serveclient: a client of the pefserve campaign service, showing the
+// Serveclient: a client of the pef serve campaign service, showing the
 // shared retry discipline (internal/retry — the same bounded
 // exponential backoff with deterministic jitter the lease workers use)
 // and the content-addressed verdict cache doing its job: the same spec
@@ -9,7 +9,7 @@
 //	go run ./examples/serveclient
 //
 //	# against a running daemon
-//	pefserve -listen 127.0.0.1:7080 &
+//	pef serve -listen 127.0.0.1:7080 &
 //	go run ./examples/serveclient http://127.0.0.1:7080
 package main
 
@@ -38,7 +38,7 @@ func main() {
 	if len(os.Args) > 1 {
 		base = strings.TrimRight(os.Args[1], "/")
 	} else {
-		// No server given: host one in-process, exactly as pefserve would.
+		// No server given: host one in-process, exactly as pef serve would.
 		tel := scenario.NewTelemetry()
 		srv := serve.New(serve.Config{
 			Cache:     cache.New(cache.Config{Telemetry: tel.Registry()}),
@@ -101,7 +101,7 @@ func main() {
 		fmt.Printf("%-5s %s → outcome=%s ok=%t\n", status, v.ID, v.Outcome, v.OK)
 	}
 
-	// A small campaign, streamed as the exact pefscenarios report bytes.
+	// A small campaign, streamed as the exact pef scenarios report bytes.
 	fmt.Println("\n=== /campaign: boundary, 50 scenarios ===")
 	resp, err := http.Post(base+"/campaign", "application/json",
 		strings.NewReader(`{"generator":"boundary","gen":{"maxRing":8},"count":50,"seeds":[1]}`))

@@ -34,7 +34,7 @@ func TestDurableFormatBytesPinned(t *testing.T) {
 	}
 }
 
-// pinnedCampaign is `pefscenarios -family boundary -count 40 -maxring 8`.
+// pinnedCampaign is `pef scenarios -family boundary -count 40 -maxring 8`.
 func pinnedCampaign() scenario.CampaignConfig {
 	return scenario.CampaignConfig{Generator: "boundary", Count: 40, Seeds: []uint64{1}, Gen: scenario.GenConfig{MaxRing: 8}}
 }
@@ -62,7 +62,7 @@ func pinnedCampaignCheckpoint(t *testing.T) []byte {
 	return data
 }
 
-// pinnedSearchCheckpoint is the checkpoint `pefsearch -seed 3
+// pinnedSearchCheckpoint is the checkpoint `pef search -seed 3
 // -generations 4 -generation-size 32 -halt-after 2` writes.
 func pinnedSearchCheckpoint(t *testing.T) []byte {
 	var data []byte

@@ -49,7 +49,7 @@ type JobResult struct {
 	Err error
 	// Elapsed is the wall time the job's Run took (zero when it never
 	// ran). It never feeds the deterministic reports; the -timings bench
-	// trajectories and pefbenchdiff consume it.
+	// trajectories and pef benchdiff consume it.
 	Elapsed time.Duration
 }
 

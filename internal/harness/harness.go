@@ -2,7 +2,8 @@
 // experiment per table and figure of the paper (E-T1.R1 … E-T1.R5, E-F1,
 // E-F2, E-F3) plus the extension experiments (E-X1 … E-X12). Each experiment
 // produces a pass/fail verdict against the paper's prediction and a report
-// table; cmd/pefexperiments renders the full index into EXPERIMENTS.md.
+// table; `pef experiments` renders the full index as a markdown report or
+// the JSON trajectory BENCH_0005.json records.
 package harness
 
 import (

@@ -53,7 +53,7 @@ func TestFindExperiment(t *testing.T) {
 }
 
 // renderSingleSeed streams the quick index under one seed through the
-// batch engine, the path of pefexperiments' single-seed report. A job that
+// batch engine, the path of pef experiments' single-seed report. A job that
 // errors or panics fails the test.
 func renderSingleSeed(t *testing.T, seed uint64) (string, []JobResult) {
 	t.Helper()

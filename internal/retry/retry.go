@@ -1,5 +1,5 @@
 // Package retry is the shared bounded-exponential-backoff discipline:
-// the retry loop the lease worker client and the pefserve example client
+// the retry loop the lease worker client and the pef serve example client
 // both run their HTTP requests through. Jitter is deterministic — drawn
 // from the pure counter-mode prng at (Seed, stream, attempt) — so a
 // retry schedule replays bit for bit under a fixed seed (the chaos tests

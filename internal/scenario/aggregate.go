@@ -286,7 +286,7 @@ func (a *Aggregate) WriteReport(w io.Writer) error {
 }
 
 // SetWallMillis records the campaign's measured wall time for the JSON
-// document (pefscenarios -timings). Timings are observational: they never
+// document (pef scenarios -timings). Timings are observational: they never
 // enter reports or checkpoints, so byte-identity guarantees are unaffected
 // unless the producer opts in.
 func (a *Aggregate) SetWallMillis(ms int64) { a.millis = ms }
@@ -306,7 +306,7 @@ type jsonCampaign struct {
 	Scalars    []metrics.ScalarRow `json:"scalars"`
 	Violations []Verdict           `json:"violations,omitempty"`
 	// Millis is the campaign's measured wall time; zero (omitted) unless
-	// the producer recorded one (pefscenarios -timings). It is the one
+	// the producer recorded one (pef scenarios -timings). It is the one
 	// field that varies run to run: strip it before byte-comparing
 	// documents, or leave it unset.
 	Millis int64 `json:"millis,omitempty"`

@@ -25,7 +25,7 @@ func BenchmarkOracleRun(b *testing.B) {
 }
 
 // BenchmarkCampaign measures a small sharded campaign through the worker
-// pool, the full path of cmd/pefscenarios.
+// pool, the full path of `pef scenarios`.
 func BenchmarkCampaign(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -86,7 +86,7 @@ type CampaignConfig struct {
 	Trace *telemetry.Tracer
 }
 
-// VerdictCache is the campaign-side face of a verdict store (pefserve's
+// VerdictCache is the campaign-side face of a verdict store (pef serve's
 // content-addressed cache implements it). Lookup returns the verdict of
 // a previously executed identical spec; Store offers a freshly computed
 // one. Both are called concurrently from pool workers and must be safe

@@ -7,7 +7,7 @@ import (
 
 // TestSpecIDCoversEveryField is the cache-key audit: the canonical ID
 // must change when any verdict-affecting Spec field changes, because
-// pefserve's verdict cache addresses content by it. Every field of Spec
+// pef serve's verdict cache addresses content by it. Every field of Spec
 // and Params is perturbed individually; each perturbation must produce
 // an ID distinct from the base and from every other perturbation.
 //

@@ -9,7 +9,7 @@ import (
 	"pef/internal/metrics"
 )
 
-// ReportKind tags the boundary-report JSON document so pefbenchdiff can
+// ReportKind tags the boundary-report JSON document so pef benchdiff can
 // tell it apart from bench jobs and campaign documents.
 const ReportKind = "searchBoundary"
 
@@ -67,7 +67,7 @@ func (sr *searcher) result() *Result {
 
 // BoundaryReport is the versioned boundary-report document: the tightest
 // observed margin per family × metric plus the run's steering summary.
-// It is what pefbenchdiff's search mode diffs run over run.
+// It is what pef benchdiff's search mode diffs run over run.
 type BoundaryReport struct {
 	Kind        string        `json:"kind"`
 	Version     int           `json:"version"`

@@ -18,7 +18,7 @@
 //
 // Violations are auto-shrunk through the scenario minimizer and reported
 // as minimal reproducers; the run ends with a boundary report (tightest
-// observed margin per family × metric) that pefbenchdiff diffs across
+// observed margin per family × metric) that pef benchdiff diffs across
 // runs. Every random draw comes from prng.Hash3 keyed by (seed,
 // generation, slot) — no wall clocks, no global state — and planning,
 // folding and reporting are single-threaded, so a fixed-seed search is

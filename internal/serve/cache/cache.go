@@ -1,4 +1,4 @@
-// Package cache is pefserve's content-addressed verdict store: a
+// Package cache is pef serve's content-addressed verdict store: a
 // byte-accounted LRU from canonical spec identity to the full
 // scenario.Verdict, with singleflight coalescing so N concurrent
 // requests for one spec cost one simulation, and an optional checksummed

@@ -36,7 +36,7 @@ type CampaignRequest struct {
 // handleCampaign streams a campaign: optional per-verdict JSON lines
 // (flushed each) followed by the final aggregate — whose bytes, in
 // report or JSON mode without verdict lines, are exactly the
-// single-process pefscenarios output for the same config. Configuration
+// single-process pef scenarios output for the same config. Configuration
 // errors surface as a 400 before any byte streams; after streaming
 // starts, failures arrive as a loud "pefserve: ERROR" trailer line.
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {

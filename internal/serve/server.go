@@ -1,7 +1,7 @@
-// Package serve is the campaign-as-a-service daemon behind cmd/pefserve:
+// Package serve is the campaign-as-a-service daemon behind `pef serve`:
 // a long-running HTTP server that runs scenario specs and whole
 // campaigns on demand, streaming verdicts as JSON lines and reports as
-// the exact bytes of the single-process pefscenarios run. In front of
+// the exact bytes of the single-process pef scenarios run. In front of
 // the engines sits the content-addressed verdict cache
 // (internal/serve/cache) — duplicate specs across requests cost one
 // simulation — plus per-client token-bucket rate limiting, bounded
@@ -16,7 +16,7 @@
 //	GET  /metrics   telemetry snapshot (engine, pool, cache, serve)
 //
 // Byte-identity invariant: the report a served campaign streams is
-// byte-identical to the pefscenarios single-process run of the same
+// byte-identical to the pef scenarios single-process run of the same
 // config — cache on or off, any concurrency — because the server only
 // rides scenario.StreamCampaign + Aggregate, whose bytes are invariant
 // under worker count, lane width, engine path and (by the VerdictCache

@@ -153,7 +153,7 @@ func directCampaign(t *testing.T, ccfg scenario.CampaignConfig, asJSON bool) str
 
 // TestCampaignByteIdentity is the tentpole invariant: the report a
 // served campaign streams is byte-identical to the single-process
-// pefscenarios run of the same config — on a cold cache, a warm cache,
+// pef scenarios run of the same config — on a cold cache, a warm cache,
 // and with the cache off.
 func TestCampaignByteIdentity(t *testing.T) {
 	req := CampaignRequest{

@@ -15,7 +15,8 @@
 //     adaptive dynamics,
 //   - one-call exploration and confinement runs with verdict reports,
 //   - the experiment harness regenerating every table and figure of the
-//     paper (see EXPERIMENTS.md),
+//     paper (run it with `pef experiments`; BENCH_0005.json records a
+//     32-seed sweep),
 //   - the scenario subsystem: declarative scenario specs, seeded random
 //     generators over the full parameter space, and a property oracle
 //     checking the paper's predicates over sharded campaigns of generated
@@ -262,7 +263,7 @@ type (
 func DecodeScenario(data []byte) (Scenario, error) { return scenario.DecodeSpec(data) }
 
 // ScenarioGenerators lists the registered scenario generator families
-// ("uniform", "boundary", "markov", "adversarial").
+// ("uniform", "boundary", "markov", "adversarial", "registered").
 func ScenarioGenerators() []string {
 	gens := scenario.Generators()
 	names := make([]string, len(gens))

@@ -13,7 +13,7 @@ import (
 // declarative Scenario carries — algorithm, dynamics family, oracle
 // property (the Expect field) — to their implementations. Every layer
 // resolves through a Registry: Scenario validation, the generators, the
-// oracle, the minimizer and the pefscenarios CLI listings, so registered
+// oracle, the minimizer and the pef scenarios CLI listings, so registered
 // extensions enter campaigns exactly like the built-ins.
 //
 // The process default (DefaultRegistry, extended by the package-level
@@ -91,7 +91,7 @@ func RegisterAlgorithm(name string, d AlgorithmDescriptor) error {
 
 // RegisterFamily installs a dynamics-family descriptor in the default
 // registry; Scenario.Family values select it, the "registered" generator
-// samples it when Explorable, and pefscenarios -list enumerates it. It
+// samples it when Explorable, and pef scenarios -list enumerates it. It
 // fails on an empty or reserved name, a descriptor with neither Graph nor
 // Build, or a name collision.
 func RegisterFamily(name string, d FamilyDescriptor) error {

@@ -46,7 +46,7 @@ func WithObservers(obs ...Observer) Option {
 }
 
 // WithTrace streams the execution to w as one JSON round record per line
-// (the format read by trace.ReadRounds and the pefjourney/pefmirror
+// (the format read by trace.ReadRounds and the pef journey/pef mirror
 // tools), turning any Run into a replayable trace without retaining
 // history in memory.
 func WithTrace(w io.Writer) Option {

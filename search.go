@@ -29,7 +29,7 @@ type SearchProgress = search.Progress
 type SearchCheckpoint = search.Checkpoint
 
 // SearchBoundaryReport is the versioned boundary-report document
-// pefbenchdiff diffs run over run.
+// pef benchdiff diffs run over run.
 type SearchBoundaryReport = search.BoundaryReport
 
 // ErrSearchHalted is the sentinel a SearchConfig.OnGeneration hook
