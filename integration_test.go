@@ -34,7 +34,7 @@ func TestTowerLemmasHoldUnderRandomDynamics(t *testing.T) {
 		base := dynamics.NewBernoulli(n, p, seed)
 		g := dynamics.NewBoundedRecurrence(base, 6, seed^0xABCD)
 		sim, err := fsync.New(fsync.Config{
-			Algorithm:  core.PEF3Plus{},
+			Algorithm:  core.PEF3Plus,
 			Dynamics:   fsync.Oblivious{G: g},
 			Placements: fsync.RandomPlacements(n, k, src),
 			Observers:  []fsync.Observer{ti},

@@ -16,7 +16,7 @@ import (
 // all baselines plus the paper's algorithms used outside their valid range.
 func victimSuite() []robot.Algorithm {
 	suite := baseline.Suite()
-	suite = append(suite, core.PEF3Plus{}, core.PEF2{}, core.PEF1{}, core.NoRule2{}, core.NoRule3{})
+	suite = append(suite, core.PEF3Plus, core.PEF2, core.PEF1, core.NoRule2, core.NoRule3)
 	return suite
 }
 
@@ -57,7 +57,7 @@ func TestOneRobotAdversaryKeepsSnapshotsConnected(t *testing.T) {
 	// Every snapshot the adversary produces removes exactly one edge.
 	adv := NewOneRobotConfinement(6, 0, 0)
 	sim, err := fsync.New(fsync.Config{
-		Algorithm:   baseline.BounceOnMissing{},
+		Algorithm:   baseline.BounceOnMissing,
 		Dynamics:    adv,
 		Placements:  []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}},
 		RecordGraph: true,
@@ -79,7 +79,7 @@ func TestOneRobotAdversaryRealizesConnectedOverTime(t *testing.T) {
 	// must be recurrent: absence intervals finite, every pair reachable.
 	adv := NewOneRobotConfinement(5, 0, 0)
 	sim, err := fsync.New(fsync.Config{
-		Algorithm:   baseline.BounceOnMissing{},
+		Algorithm:   baseline.BounceOnMissing,
 		Dynamics:    adv,
 		Placements:  []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}},
 		RecordGraph: true,
@@ -101,7 +101,7 @@ func TestOneRobotStallDetection(t *testing.T) {
 	// v the CCW edge is blocked while the robot still points CCW: stall.
 	adv := NewOneRobotConfinement(5, 0, 0)
 	sim, err := fsync.New(fsync.Config{
-		Algorithm:  baseline.KeepDirection{},
+		Algorithm:  baseline.KeepDirection,
 		Dynamics:   adv,
 		Placements: []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}},
 	})
@@ -154,7 +154,7 @@ func TestTwoRobotPhasesCycleAgainstLiveVictim(t *testing.T) {
 	// complete many full phase cycles.
 	adv := NewTwoRobotConfinement(6, 0, 0, 1)
 	sim, err := fsync.New(fsync.Config{
-		Algorithm: baseline.BounceOnMissing{},
+		Algorithm: baseline.BounceOnMissing,
 		Dynamics:  adv,
 		Placements: []fsync.Placement{
 			{Node: 0, Chirality: robot.RightIsCW},
@@ -183,7 +183,7 @@ func TestTwoRobotStallInfoSides(t *testing.T) {
 	// phase 0 blocks — immediate stall on v with the missing edge CCW.
 	adv := NewTwoRobotConfinement(5, 0, 0, 1)
 	sim, err := fsync.New(fsync.Config{
-		Algorithm: baseline.KeepDirection{},
+		Algorithm: baseline.KeepDirection,
 		Dynamics:  adv,
 		Placements: []fsync.Placement{
 			{Node: 0, Chirality: robot.RightIsCW},
@@ -206,7 +206,7 @@ func TestTwoRobotStallInfoSides(t *testing.T) {
 func TestBlockPointedBudgetIsRespected(t *testing.T) {
 	adv := NewBlockPointed(6, 3)
 	sim, err := fsync.New(fsync.Config{
-		Algorithm:   core.PEF3Plus{},
+		Algorithm:   core.PEF3Plus,
 		Dynamics:    adv,
 		Placements:  fsync.EvenPlacements(6, 3),
 		RecordGraph: true,
@@ -227,7 +227,7 @@ func TestBlockBothSidesStillAllowsExploration(t *testing.T) {
 	adv := NewBlockBothSides(6, 2)
 	vt := spec.NewVisitTracker(6)
 	sim, err := fsync.New(fsync.Config{
-		Algorithm:  core.PEF3Plus{},
+		Algorithm:  core.PEF3Plus,
 		Dynamics:   adv,
 		Placements: fsync.EvenPlacements(6, 3),
 		Observers:  []fsync.Observer{vt},

@@ -37,7 +37,7 @@ func TestArcContainmentForeverConfinesButIllegal(t *testing.T) {
 	adv := NewArcContainment(n, 0, 4, 0)
 	ct := spec.NewConfinementTracker()
 	sim, err := fsync.New(fsync.Config{
-		Algorithm:   core.PEF3Plus{},
+		Algorithm:   core.PEF3Plus,
 		Dynamics:    adv,
 		Placements:  fsync.AdjacentPlacements(n, 3, 0),
 		Observers:   []fsync.Observer{ct},
@@ -67,7 +67,7 @@ func TestArcContainmentWithBudgetIsEscaped(t *testing.T) {
 	ct := spec.NewConfinementTracker()
 	vt := spec.NewVisitTracker(n)
 	sim, err := fsync.New(fsync.Config{
-		Algorithm:   core.PEF3Plus{},
+		Algorithm:   core.PEF3Plus,
 		Dynamics:    adv,
 		Placements:  fsync.AdjacentPlacements(n, 3, 0),
 		Observers:   []fsync.Observer{ct, vt},

@@ -27,15 +27,15 @@ func inPlaceCases() []inPlaceCase {
 	}
 	return []inPlaceCase{
 		{"block-pointed", func() fsync.Dynamics { return NewBlockPointed(9, 2) },
-			core.PEF3Plus{}, fsync.EvenPlacements(9, 3)},
+			core.PEF3Plus, fsync.EvenPlacements(9, 3)},
 		{"block-both-sides", func() fsync.Dynamics { return NewBlockBothSides(9, 3) },
-			core.PEF3Plus{}, fsync.EvenPlacements(9, 3)},
+			core.PEF3Plus, fsync.EvenPlacements(9, 3)},
 		{"confine-one", func() fsync.Dynamics { return NewOneRobotConfinement(6, 0, 0) },
-			baseline.BounceOnMissing{}, []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}}},
+			baseline.BounceOnMissing, []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}}},
 		{"confine-two", func() fsync.Dynamics { return NewTwoRobotConfinement(6, 0, 0, 1) },
-			baseline.BounceOnMissing{}, twoRobots},
+			baseline.BounceOnMissing, twoRobots},
 		{"arc-containment", func() fsync.Dynamics { return NewArcContainment(70, 3, 5, 2) },
-			core.PEF3Plus{}, fsync.AdjacentPlacements(70, 3, 4)},
+			core.PEF3Plus, fsync.AdjacentPlacements(70, 3, 4)},
 	}
 }
 

@@ -47,7 +47,7 @@ func stalledPrefix(t *testing.T, alg robot.Algorithm, chir robot.Chirality, n, h
 
 func TestMirrorClaimsOnStalledKeepDirection(t *testing.T) {
 	for _, chir := range []robot.Chirality{robot.RightIsCW, robot.RightIsCCW} {
-		in, ok := stalledPrefix(t, baseline.KeepDirection{}, chir, 6, 60, 20)
+		in, ok := stalledPrefix(t, baseline.KeepDirection, chir, 6, 60, 20)
 		if !ok {
 			t.Fatalf("keep-direction (chir %v) did not stall", chir)
 		}
@@ -75,9 +75,9 @@ func TestMirrorClaimsAcrossStallingVictims(t *testing.T) {
 	// Algorithms that stall under the one-robot adversary feed the mirror;
 	// claims 1-4 must hold for each.
 	algs := []robot.Algorithm{
-		baseline.KeepDirection{},
-		core.NoRule3{},
-		core.PEF3Plus{}, // with one robot it never meets anyone: pure rule 1
+		baseline.KeepDirection,
+		core.NoRule3,
+		core.PEF3Plus, // with one robot it never meets anyone: pure rule 1
 	}
 	for _, alg := range algs {
 		in, ok := stalledPrefix(t, alg, robot.RightIsCW, 8, 100, 30)
@@ -100,7 +100,7 @@ func TestMirrorClaimsAcrossStallingVictims(t *testing.T) {
 }
 
 func TestMirrorPlacementGeometry(t *testing.T) {
-	in, ok := stalledPrefix(t, baseline.KeepDirection{}, robot.RightIsCW, 6, 60, 20)
+	in, ok := stalledPrefix(t, baseline.KeepDirection, robot.RightIsCW, 6, 60, 20)
 	if !ok {
 		t.Fatal("no stall")
 	}
@@ -122,7 +122,7 @@ func TestMirrorPlacementGeometry(t *testing.T) {
 }
 
 func TestMirrorRejectsBadInput(t *testing.T) {
-	in, ok := stalledPrefix(t, baseline.KeepDirection{}, robot.RightIsCW, 6, 60, 20)
+	in, ok := stalledPrefix(t, baseline.KeepDirection, robot.RightIsCW, 6, 60, 20)
 	if !ok {
 		t.Fatal("no stall")
 	}

@@ -19,7 +19,7 @@ func TestMirrorFromTwoRobotStall(t *testing.T) {
 	rec := &fsync.SnapshotRecorder{}
 	chirs := []robot.Chirality{robot.RightIsCW, robot.RightIsCCW}
 	sim, err := fsync.New(fsync.Config{
-		Algorithm: core.PEF3Plus{},
+		Algorithm: core.PEF3Plus,
 		Dynamics:  adv,
 		Placements: []fsync.Placement{
 			{Node: 0, Chirality: chirs[0]},
@@ -38,7 +38,7 @@ func TestMirrorFromTwoRobotStall(t *testing.T) {
 		t.Fatal("PEF_3+ with two robots should stall against the phase machine")
 	}
 	world, err := BuildMirror(MirrorInput{
-		Alg:         core.PEF3Plus{},
+		Alg:         core.PEF3Plus,
 		Chir:        chirs[info.Robot],
 		G:           sim.RecordedGraph(),
 		Traj:        rec.Trajectory(info.Robot)[:info.Since+1],

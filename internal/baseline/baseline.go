@@ -7,7 +7,9 @@
 //
 // The members cover the natural design space: direction-keepers, missing-
 // edge bouncers, bounded and doubling zigzags, tower-reactive rules, and a
-// deterministic pseudo-random walker.
+// deterministic pseudo-random walker. The memoryless members are
+// robot.Tables, so they run on both engines; the counting members keep
+// their own scalar cores.
 package baseline
 
 import (
@@ -23,20 +25,9 @@ const KeepDirectionName = "keep-direction"
 // KeepDirection never changes direction (Rule 1 of PEF_3+ alone). On a
 // static ring one such robot explores perpetually; one blocked edge defeats
 // it.
-type KeepDirection struct{}
-
-// Name implements robot.Algorithm.
-func (KeepDirection) Name() string { return KeepDirectionName }
-
-// NewCore implements robot.Algorithm.
-func (KeepDirection) NewCore() robot.Core {
-	return robot.Func{
-		AlgName: KeepDirectionName,
-		Rule: func(dir robot.LocalDir, _ robot.View) robot.LocalDir {
-			return dir
-		},
-	}.NewCore()
-}
+var KeepDirection = robot.NewTable(KeepDirectionName, func(bool, robot.View) (bool, bool) {
+	return false, false
+})
 
 // BounceOnMissingName names the blocked-edge bouncer.
 const BounceOnMissingName = "bounce-on-missing"
@@ -45,46 +36,18 @@ const BounceOnMissingName = "bounce-on-missing"
 // It perpetually explores a ring with one eventual missing edge (it sweeps
 // the resulting chain), which makes it the strongest single-robot candidate
 // — and exactly the algorithm the Theorem 5.1 adversary is built to beat.
-type BounceOnMissing struct{}
-
-// Name implements robot.Algorithm.
-func (BounceOnMissing) Name() string { return BounceOnMissingName }
-
-// NewCore implements robot.Algorithm.
-func (BounceOnMissing) NewCore() robot.Core {
-	return robot.Func{
-		AlgName: BounceOnMissingName,
-		Rule: func(dir robot.LocalDir, view robot.View) robot.LocalDir {
-			if !view.EdgeDir && view.EdgeOpp {
-				return dir.Opposite()
-			}
-			return dir
-		},
-	}.NewCore()
-}
+var BounceOnMissing = robot.NewTable(BounceOnMissingName, func(_ bool, v robot.View) (bool, bool) {
+	return !v.EdgeDir && v.EdgeOpp, false
+})
 
 // TowerBounceName names the meet-reactive bouncer.
 const TowerBounceName = "tower-bounce"
 
 // TowerBounce turns back when co-located with another robot or blocked,
 // a natural "social" exploration rule.
-type TowerBounce struct{}
-
-// Name implements robot.Algorithm.
-func (TowerBounce) Name() string { return TowerBounceName }
-
-// NewCore implements robot.Algorithm.
-func (TowerBounce) NewCore() robot.Core {
-	return robot.Func{
-		AlgName: TowerBounceName,
-		Rule: func(dir robot.LocalDir, view robot.View) robot.LocalDir {
-			if view.OtherRobots || (!view.EdgeDir && view.EdgeOpp) {
-				return dir.Opposite()
-			}
-			return dir
-		},
-	}.NewCore()
-}
+var TowerBounce = robot.NewTable(TowerBounceName, func(_ bool, v robot.View) (bool, bool) {
+	return v.OtherRobots || (!v.EdgeDir && v.EdgeOpp), false
+})
 
 // Pendulum sweeps m successful steps in one direction, then turns and
 // sweeps m steps the other way, forever. A robot knows it will move this
@@ -210,20 +173,9 @@ func (c *lcgCore) State() robot.StateCode {
 
 // Oscillator flips direction every round, a pathological but legal member
 // of the suite.
-type Oscillator struct{}
-
-// Name implements robot.Algorithm.
-func (Oscillator) Name() string { return "oscillator" }
-
-// NewCore implements robot.Algorithm.
-func (Oscillator) NewCore() robot.Core {
-	return robot.Func{
-		AlgName: "oscillator",
-		Rule: func(dir robot.LocalDir, _ robot.View) robot.LocalDir {
-			return dir.Opposite()
-		},
-	}.NewCore()
-}
+var Oscillator = robot.NewTable("oscillator", func(bool, robot.View) (bool, bool) {
+	return true, false
+})
 
 // Suite returns the baseline algorithms in a stable order. Combined by the
 // harness with the paper's own algorithms (run outside their valid (k, n)
@@ -231,12 +183,12 @@ func (Oscillator) NewCore() robot.Core {
 // experiments.
 func Suite() []robot.Algorithm {
 	return []robot.Algorithm{
-		KeepDirection{},
-		BounceOnMissing{},
-		TowerBounce{},
+		KeepDirection,
+		BounceOnMissing,
+		TowerBounce,
 		Pendulum{M: 3},
 		DoublingZigzag{},
 		LCGWalker{Seed: 7},
-		Oscillator{},
+		Oscillator,
 	}
 }

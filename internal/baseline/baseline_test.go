@@ -30,7 +30,7 @@ func TestSuiteDistinctNamesAndFreshCores(t *testing.T) {
 }
 
 func TestKeepDirectionNeverFlips(t *testing.T) {
-	c := KeepDirection{}.NewCore()
+	c := KeepDirection.NewCore()
 	views := []robot.View{
 		{}, {EdgeDir: true}, {EdgeOpp: true}, {OtherRobots: true},
 		{EdgeDir: true, EdgeOpp: true, OtherRobots: true},
@@ -44,7 +44,7 @@ func TestKeepDirectionNeverFlips(t *testing.T) {
 }
 
 func TestBounceOnMissing(t *testing.T) {
-	c := BounceOnMissing{}.NewCore()
+	c := BounceOnMissing.NewCore()
 	c.Compute(robot.View{EdgeDir: true})
 	if c.Dir() != robot.Left {
 		t.Fatal("flipped while pointed edge present")
@@ -60,7 +60,7 @@ func TestBounceOnMissing(t *testing.T) {
 }
 
 func TestTowerBounce(t *testing.T) {
-	c := TowerBounce{}.NewCore()
+	c := TowerBounce.NewCore()
 	c.Compute(robot.View{EdgeDir: true, OtherRobots: true})
 	if c.Dir() != robot.Right {
 		t.Fatal("did not flip in tower")
@@ -150,7 +150,7 @@ func TestLCGWalkerDeterministicPerSeed(t *testing.T) {
 }
 
 func TestOscillatorFlipsEveryRound(t *testing.T) {
-	c := Oscillator{}.NewCore()
+	c := Oscillator.NewCore()
 	last := c.Dir()
 	for i := 0; i < 8; i++ {
 		c.Compute(robot.View{})

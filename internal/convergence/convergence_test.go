@@ -103,7 +103,7 @@ func TestSequenceFromSchedule(t *testing.T) {
 func TestVerifyExecutionConvergenceOnRealSchedule(t *testing.T) {
 	// Realize a Theorem 5.1 schedule against a live victim and check the
 	// [5] theorem on it.
-	alg := baseline.BounceOnMissing{}
+	alg := baseline.BounceOnMissing
 	adv := adversary.NewOneRobotConfinement(5, 0, 0)
 	placements := []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}}
 	sim, err := fsync.New(fsync.Config{
@@ -159,7 +159,7 @@ func TestVerifyDetectsDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := VerifyExecutionConvergence(baseline.KeepDirection{},
+	rep, err := VerifyExecutionConvergence(baseline.KeepDirection,
 		[]fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}}, seq, gB, 8)
 	if err != nil {
 		t.Fatal(err)

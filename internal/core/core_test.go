@@ -62,7 +62,7 @@ func TestPEF3PlusComputeTable(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			core := PEF3Plus{}.NewCore()
+			core := PEF3Plus.NewCore()
 			if core.Dir() != robot.Left {
 				t.Fatal("initial dir must be left")
 			}
@@ -93,7 +93,7 @@ func TestPEF2ComputeTable(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			core := PEF2{}.NewCore()
+			core := PEF2.NewCore()
 			core.Compute(c.view)
 			if core.Dir() != c.wantDir {
 				t.Fatalf("dir = %v, want %v", core.Dir(), c.wantDir)
@@ -115,7 +115,7 @@ func TestPEF1ComputeTable(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			core := PEF1{}.NewCore()
+			core := PEF1.NewCore()
 			core.Compute(c.view)
 			if core.Dir() != c.wantDir {
 				t.Fatalf("dir = %v, want %v", core.Dir(), c.wantDir)
@@ -126,14 +126,14 @@ func TestPEF1ComputeTable(t *testing.T) {
 
 func TestAblationsDiffer(t *testing.T) {
 	// NoRule3 never flips even in a moved-into-tower situation.
-	c3 := NoRule3{}.NewCore()
+	c3 := NoRule3.NewCore()
 	c3.Compute(robot.View{EdgeDir: true})
 	c3.Compute(robot.View{EdgeDir: true, EdgeOpp: true, OtherRobots: true})
 	if c3.Dir() != robot.Left {
 		t.Fatal("NoRule3 flipped")
 	}
 	// NoRule2 flips in a tower even without having moved.
-	c2 := NoRule2{}.NewCore()
+	c2 := NoRule2.NewCore()
 	c2.Compute(robot.View{EdgeDir: false, EdgeOpp: true, OtherRobots: true})
 	if c2.Dir() != robot.Right {
 		t.Fatal("NoRule2 did not flip")
@@ -141,10 +141,10 @@ func TestAblationsDiffer(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	if (PEF3Plus{}).Name() != "pef3+" || (PEF2{}).Name() != "pef2" || (PEF1{}).Name() != "pef1" {
+	if PEF3Plus.Name() != "pef3+" || PEF2.Name() != "pef2" || PEF1.Name() != "pef1" {
 		t.Fatal("unexpected algorithm names")
 	}
-	if (NoRule2{}).NewCore() == nil || (NoRule3{}).NewCore() == nil {
+	if NoRule2.NewCore() == nil || NoRule3.NewCore() == nil {
 		t.Fatal("ablations must build cores")
 	}
 }

@@ -12,34 +12,10 @@ const PEF2Name = "pef2"
 // variable. The rule: an isolated robot with exactly one adjacent edge
 // present points to that edge; in every other situation (no edge, both
 // edges, or a co-located robot) it keeps its direction.
-type PEF2 struct{}
-
-// Name implements robot.Algorithm.
-func (PEF2) Name() string { return PEF2Name }
-
-// NewCore implements robot.Algorithm.
-func (PEF2) NewCore() robot.Core { return &pef2Core{dir: robot.Left} }
-
-type pef2Core struct {
-	dir robot.LocalDir
-}
-
-func (c *pef2Core) Dir() robot.LocalDir { return c.dir }
-
-func (c *pef2Core) Compute(view robot.View) {
-	if view.OtherRobots {
-		return
-	}
-	// Exactly one adjacent edge present: point to it. The robot already
-	// points to it when EdgeDir is the present one.
-	if view.EdgeOpp && !view.EdgeDir {
-		c.dir = c.dir.Opposite()
-	}
-}
-
-func (c *pef2Core) State() robot.StateCode { return robot.DirState(c.dir) }
-
-var _ robot.Algorithm = PEF2{}
+var PEF2 = robot.NewTable(PEF2Name, func(_ bool, v robot.View) (bool, bool) {
+	// The robot already points to the edge when EdgeDir is the present one.
+	return !v.OtherRobots && v.EdgeOpp && !v.EdgeDir, false
+})
 
 // PEF1Name is the registry name of the single-robot, two-node algorithm.
 const PEF1Name = "pef1"
@@ -51,26 +27,6 @@ const PEF1Name = "pef1"
 // On a 2-node ring every traversal swaps nodes, so moving whenever possible
 // is perpetual exploration; connected-over-time guarantees motion happens
 // infinitely often.
-type PEF1 struct{}
-
-// Name implements robot.Algorithm.
-func (PEF1) Name() string { return PEF1Name }
-
-// NewCore implements robot.Algorithm.
-func (PEF1) NewCore() robot.Core { return &pef1Core{dir: robot.Left} }
-
-type pef1Core struct {
-	dir robot.LocalDir
-}
-
-func (c *pef1Core) Dir() robot.LocalDir { return c.dir }
-
-func (c *pef1Core) Compute(view robot.View) {
-	if !view.EdgeDir && view.EdgeOpp {
-		c.dir = c.dir.Opposite()
-	}
-}
-
-func (c *pef1Core) State() robot.StateCode { return robot.DirState(c.dir) }
-
-var _ robot.Algorithm = PEF1{}
+var PEF1 = robot.NewTable(PEF1Name, func(_ bool, v robot.View) (bool, bool) {
+	return !v.EdgeDir && v.EdgeOpp, false
+})

@@ -9,6 +9,8 @@
 //
 // The package also provides the two single-rule ablations of PEF_3+ used by
 // experiment E-X3 to demonstrate why Rules 2 and 3 are both necessary.
+// Each algorithm is a robot.Table built from its rule as written in the
+// paper, so the scalar and the lockstep engine run the same table.
 package core
 
 import (
@@ -27,47 +29,17 @@ const PEF3PlusName = "pef3+"
 //	Rule 3: a robot that moved in the previous step and is now in a tower
 //	        turns back (the explorer bounces off the sentinel).
 //
-// The persistent variables are dir and HasMovedPreviousStep.
-type PEF3Plus struct{}
-
-// Name implements robot.Algorithm.
-func (PEF3Plus) Name() string { return PEF3PlusName }
-
-// NewCore implements robot.Algorithm.
-func (PEF3Plus) NewCore() robot.Core { return &pef3Core{dir: robot.Left} }
-
-type pef3Core struct {
-	dir   robot.LocalDir
-	moved bool // HasMovedPreviousStep
-}
-
-func (c *pef3Core) Dir() robot.LocalDir { return c.dir }
-
-// Compute is the literal transcription of Algorithm 1:
-//
-//	1: if HasMovedPreviousStep ∧ ExistsOtherRobotsOnCurrentNode() then
-//	2:     dir ← opposite(dir)
-//	3: end if
-//	4: HasMovedPreviousStep ← ExistsEdge(dir)
-//
-// Line 4 reads ExistsEdge with the *possibly updated* dir: it predicts
-// whether the Move phase of this very round will cross an edge, which is
-// exactly "has moved" when the next Look runs.
-func (c *pef3Core) Compute(view robot.View) {
-	look := c.dir // the direction the Look-phase predicates were gathered with
-	if c.moved && view.OtherRobots {
-		c.dir = c.dir.Opposite()
+// The persistent variables are dir and HasMovedPreviousStep, the table's
+// memory bit. Line 4 of Algorithm 1 (HasMovedPreviousStep ←
+// ExistsEdge(dir)) reads the edge towards the *possibly updated* dir: it
+// predicts whether the Move phase of this very round crosses an edge,
+// which is exactly "has moved" when the next Look runs.
+var PEF3Plus = robot.NewTable(PEF3PlusName, func(moved bool, v robot.View) (bool, bool) {
+	if moved && v.OtherRobots { // Rule 3
+		return true, v.EdgeOpp
 	}
-	c.moved = view.ExistsEdge(look, c.dir)
-}
-
-func (c *pef3Core) State() robot.StateCode {
-	return robot.DirMovedState(c.dir, c.moved)
-}
-
-// verify interface compliance at compile time.
-var _ robot.Algorithm = PEF3Plus{}
-var _ robot.Core = (*pef3Core)(nil)
+	return false, v.EdgeDir // Rules 1 and 2
+})
 
 // NoRule3Name is the registry name of the ablation that removes Rule 3.
 const NoRule3Name = "pef3+/no-rule3"
@@ -76,20 +48,9 @@ const NoRule3Name = "pef3+/no-rule3"
 // not (pure Rule 1). Lemma 3.1's argument shows why this fails: with an
 // eventual missing edge every robot eventually parks at an extremity and
 // the far side of the ring is never visited again (experiment E-X3).
-type NoRule3 struct{}
-
-// Name implements robot.Algorithm.
-func (NoRule3) Name() string { return NoRule3Name }
-
-// NewCore implements robot.Algorithm.
-func (NoRule3) NewCore() robot.Core {
-	return robot.Func{
-		AlgName: NoRule3Name,
-		Rule: func(dir robot.LocalDir, _ robot.View) robot.LocalDir {
-			return dir
-		},
-	}.NewCore()
-}
+var NoRule3 = robot.NewTable(NoRule3Name, func(bool, robot.View) (bool, bool) {
+	return false, false
+})
 
 // NoRule2Name is the registry name of the ablation that removes Rule 2.
 const NoRule2Name = "pef3+/no-rule2"
@@ -99,20 +60,6 @@ const NoRule2Name = "pef3+/no-rule2"
 // abandon their post at the eventual missing edge on every meeting, so the
 // sentinel/explorer role separation of Lemma 3.7 is destroyed (E-X3 shows
 // the consequences empirically).
-type NoRule2 struct{}
-
-// Name implements robot.Algorithm.
-func (NoRule2) Name() string { return NoRule2Name }
-
-// NewCore implements robot.Algorithm.
-func (NoRule2) NewCore() robot.Core {
-	return robot.Func{
-		AlgName: NoRule2Name,
-		Rule: func(dir robot.LocalDir, view robot.View) robot.LocalDir {
-			if view.OtherRobots {
-				return dir.Opposite()
-			}
-			return dir
-		},
-	}.NewCore()
-}
+var NoRule2 = robot.NewTable(NoRule2Name, func(_ bool, v robot.View) (bool, bool) {
+	return v.OtherRobots, false
+})

@@ -10,7 +10,7 @@ func TestStateEncodingsAreLocal(t *testing.T) {
 	// State strings must never leak global directions: the robots are
 	// disoriented, and the mirror construction compares states across
 	// opposite-chirality robots.
-	algs := []robot.Algorithm{PEF3Plus{}, PEF2{}, PEF1{}, NoRule2{}, NoRule3{}}
+	algs := []robot.Algorithm{PEF3Plus, PEF2, PEF1, NoRule2, NoRule3}
 	for _, alg := range algs {
 		c := alg.NewCore()
 		c.Compute(robot.View{EdgeDir: true})
@@ -38,7 +38,7 @@ func TestPEF3PlusSequenceAgainstHandTrace(t *testing.T) {
 	// round 2: tower but did not move   -> Rule 2: keep left; opp edge only -> moved=false
 	// round 3: alone, edge ahead        -> moved=true
 	// round 4: tower and moved          -> Rule 3: flip to right; right edge present -> moved=true
-	c := PEF3Plus{}.NewCore()
+	c := PEF3Plus.NewCore()
 	steps := []struct {
 		view  robot.View
 		state string

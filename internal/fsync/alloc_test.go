@@ -26,7 +26,7 @@ func TestStepIsAllocationFree(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			sim, err := New(Config{
-				Algorithm:  core.PEF3Plus{},
+				Algorithm:  core.PEF3Plus,
 				Dynamics:   Oblivious{G: c.g},
 				Placements: EvenPlacements(16, 3),
 			})
@@ -53,7 +53,7 @@ func TestStepWithCheckersIsAllocationFree(t *testing.T) {
 	// spec's TestCheckerStackStepAllocFree guards the real checker stack.
 	reads := 0
 	sim, err := New(Config{
-		Algorithm:  core.PEF3Plus{},
+		Algorithm:  core.PEF3Plus,
 		Dynamics:   Oblivious{G: dyngraph.NewStatic(16)},
 		Placements: EvenPlacements(16, 3),
 		Observers: []Observer{ObserverFunc(func(ev *RoundEvent) {
@@ -79,7 +79,7 @@ func TestAcquireReusesSimulators(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	cfg := Config{
-		Algorithm:  core.PEF3Plus{},
+		Algorithm:  core.PEF3Plus,
 		Dynamics:   Oblivious{G: dyngraph.NewStatic(8)},
 		Placements: EvenPlacements(8, 3),
 	}

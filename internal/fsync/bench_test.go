@@ -16,7 +16,7 @@ import (
 func benchSim(b *testing.B, n, k int) *Simulator {
 	b.Helper()
 	sim, err := New(Config{
-		Algorithm:  robot.Func{AlgName: "bench-keep", Rule: func(d robot.LocalDir, _ robot.View) robot.LocalDir { return d }},
+		Algorithm:  robot.NewTable("bench-keep", func(bool, robot.View) (bool, bool) { return false, false }),
 		Dynamics:   Oblivious{G: dyngraph.NewStatic(n)},
 		Placements: EvenPlacements(n, k),
 	})

@@ -1,6 +1,7 @@
 package fsync
 
 import (
+	"strings"
 	"testing"
 
 	"pef/internal/dyngraph"
@@ -11,24 +12,22 @@ import (
 
 // keepDir is a minimal test algorithm: never changes direction.
 func keepDir() robot.Algorithm {
-	return robot.Func{
-		AlgName: "test-keep",
-		Rule:    func(d robot.LocalDir, _ robot.View) robot.LocalDir { return d },
-	}
+	return robot.NewTable("test-keep", func(bool, robot.View) (bool, bool) { return false, false })
 }
 
 // flipOnTower flips direction when co-located with another robot.
 func flipOnTower() robot.Algorithm {
-	return robot.Func{
-		AlgName: "test-flip-on-tower",
-		Rule: func(d robot.LocalDir, v robot.View) robot.LocalDir {
-			if v.OtherRobots {
-				return d.Opposite()
-			}
-			return d
-		},
-	}
+	return robot.NewTable("test-flip-on-tower", func(_ bool, v robot.View) (bool, bool) {
+		return v.OtherRobots, false
+	})
 }
+
+// badCore is a Core whose Compute leaves dir neither Left nor Right.
+type badCore struct{ dir robot.LocalDir }
+
+func (c *badCore) Dir() robot.LocalDir    { return c.dir }
+func (c *badCore) Compute(robot.View)     { c.dir = 0 }
+func (c *badCore) State() robot.StateCode { return robot.DirState(c.dir) }
 
 func mustSim(t *testing.T, cfg Config) *Simulator {
 	t.Helper()
@@ -310,6 +309,23 @@ func TestCustomInitialCore(t *testing.T) {
 	if got := ev.After.Positions[0]; got != 1 {
 		t.Fatalf("custom core ignored: robot at %d, want 1", got)
 	}
+}
+
+func TestStepPanicsOnInvalidDirection(t *testing.T) {
+	// The engine, not the core, guards the dir variable: a core that
+	// computes a direction other than Left or Right stops the round.
+	sim := mustSim(t, Config{
+		Algorithm:  keepDir(),
+		Dynamics:   Oblivious{G: dyngraph.NewStatic(4)},
+		Placements: []Placement{{Node: 0, Chirality: robot.RightIsCW, Core: &badCore{dir: robot.Left}}},
+	})
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "robot 0 computed invalid direction") {
+			t.Fatalf("Step recovered %v, want the invalid-direction panic", r)
+		}
+	}()
+	sim.Step()
 }
 
 func TestResetReusesSimulatorAcrossShapes(t *testing.T) {

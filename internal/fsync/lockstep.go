@@ -17,7 +17,7 @@ import (
 // Look–Compute–Move cycle becomes a fixed boolean circuit over such
 // words: every lane advances exactly as it would under the scalar
 // Simulator (same per-lane edge schedules, same placements, same
-// algorithm rules), so lane l of a lockstep run is bit-identical to the
+// algorithm table), so lane l of a lockstep run is bit-identical to the
 // corresponding scalar run. The differential tests in lockstep_test.go
 // pin that equivalence round by round.
 //
@@ -32,7 +32,8 @@ type LaneRun struct {
 	// Placements give the lane's initial configuration; every lane must
 	// place the same number of robots. The usual Config rules apply:
 	// towerless, valid nodes and chiralities, k < n. Per-robot Core
-	// overrides are not supported (lane cores come from the algorithm).
+	// overrides are not supported (every lane starts in the table's
+	// initial state).
 	Placements []Placement
 	// Horizon is the number of rounds to execute for this lane (>= 1).
 	// Lanes retire individually once their horizon is reached.
@@ -42,8 +43,8 @@ type LaneRun struct {
 // LockstepConfig assembles a lockstep simulation.
 type LockstepConfig struct {
 	// Algorithm is the uniform algorithm every robot of every lane runs.
-	// It must provide a bit-parallel core.
-	Algorithm robot.LaneAlgorithm
+	// Only rule tables have a lane form.
+	Algorithm robot.Table
 	// Lanes holds 1 to 64 seed lanes.
 	Lanes []LaneRun
 	// Metrics, when non-nil, receives engine counters (word steps,
@@ -63,8 +64,10 @@ type LockstepSimulator struct {
 	t      int
 	active uint64 // lanes with t < horizon
 
+	alg      robot.Table
 	horizons []int
-	cores    []robot.LaneCore         // per robot, shared across lanes
+	dirRight []uint64                 // per robot: bit l = lane l's dir is Right
+	moved    []uint64                 // per robot: bit l = lane l's memory bit
 	chirCW   []uint64                 // per robot: bit l = lane l is right-is-CW
 	graphs   []dyngraph.EvolvingGraph // per lane
 
@@ -99,8 +102,8 @@ func NewLockstep(cfg LockstepConfig) (*LockstepSimulator, error) {
 // reusing its backing slices where shapes allow.
 func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 	ls.flushMetrics() // a direct re-Reset still credits the finished run
-	if cfg.Algorithm == nil {
-		return fmt.Errorf("fsync: nil lockstep algorithm")
+	if cfg.Algorithm.Name() == "" {
+		return fmt.Errorf("fsync: zero lockstep algorithm table")
 	}
 	lanes := len(cfg.Lanes)
 	if lanes == 0 || lanes > 64 {
@@ -119,6 +122,7 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 		return fmt.Errorf("fsync: %d robots on %d nodes violates k < n", k, n)
 	}
 	ls.r, ls.n, ls.k, ls.lanes = r, n, k, lanes
+	ls.alg = cfg.Algorithm
 	ls.metrics = cfg.Metrics
 	ls.statRounds, ls.statLaneSteps, ls.statWordFast = 0, 0, 0
 	ls.t = 0
@@ -126,7 +130,8 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 	ls.horizons = resize(ls.horizons, lanes)
 	ls.graphs = resize(ls.graphs, lanes)
 	ls.chirCW = resize(ls.chirCW, k)
-	ls.cores = resize(ls.cores, k)
+	ls.dirRight = resize(ls.dirRight, k)
+	ls.moved = resize(ls.moved, k)
 	ls.sets = resize(ls.sets, lanes)
 	ls.cols = resize(ls.cols, n)
 	ls.pos = resize(ls.pos, k*n)
@@ -138,8 +143,7 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 		ls.pos[i] = 0
 	}
 	for i := 0; i < k; i++ {
-		ls.chirCW[i] = 0
-		ls.cores[i] = cfg.Algorithm.NewLaneCore()
+		ls.chirCW[i], ls.dirRight[i], ls.moved[i] = 0, 0, 0
 	}
 	for l, lane := range cfg.Lanes {
 		if lane.Graph.Ring() != r {
@@ -219,9 +223,6 @@ func (ls *LockstepSimulator) Release() {
 	ls.flushMetrics()
 	for l := range ls.graphs {
 		ls.graphs[l] = nil
-	}
-	for r := range ls.cores {
-		ls.cores[r] = nil
 	}
 	lockstepPool.Put(ls)
 }
@@ -329,7 +330,7 @@ func (ls *LockstepSimulator) Step() uint64 {
 	}
 
 	// Look + Compute per robot: gather the three predicates as lane words
-	// and run the algorithm circuit. Pointing CW means the robot's edge
+	// and run the table's circuit. Pointing CW means the robot's edge
 	// "towards dir" is its own node index and the opposite edge is the
 	// counter-clockwise one (node-1), matching ring.EdgeTowards.
 	for i := 0; i < k; i++ {
@@ -343,13 +344,14 @@ func (ls *LockstepSimulator) Step() uint64 {
 			eccw |= p & ls.cols[prev]
 			prev = v
 		}
-		core := ls.cores[i]
-		pcw := ^(ls.chirCW[i] ^ core.DirRight()) // XNOR: global dir is CW
-		core.Compute(robot.LaneView{
+		pcw := ^(ls.chirCW[i] ^ ls.dirRight[i]) // XNOR: global dir is CW
+		var flip uint64
+		flip, ls.moved[i] = ls.alg.Lanes(ls.moved[i], robot.LaneView{
 			EdgeDir:     (pcw & ecw) | (^pcw & eccw),
 			EdgeOpp:     (pcw & eccw) | (^pcw & ecw),
 			OtherRobots: tower,
 		})
+		ls.dirRight[i] ^= flip
 	}
 
 	// Move per robot, with the post-Compute direction on the same E_t.
@@ -357,7 +359,7 @@ func (ls *LockstepSimulator) Step() uint64 {
 	// are zero, so retired positions never change.
 	for i := 0; i < k; i++ {
 		row := ls.pos[i*n : (i+1)*n]
-		pcw := ^(ls.chirCW[i] ^ ls.cores[i].DirRight())
+		pcw := ^(ls.chirCW[i] ^ ls.dirRight[i])
 		prev := n - 1
 		for v := 0; v < n; v++ {
 			p := row[v]

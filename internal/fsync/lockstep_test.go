@@ -3,6 +3,7 @@ package fsync
 import (
 	"testing"
 
+	"pef/internal/baseline"
 	"pef/internal/core"
 	"pef/internal/dynamics"
 	"pef/internal/dyngraph"
@@ -31,12 +32,15 @@ func buildLaneGraph(n int, kind int, seed uint64) dyngraph.EvolvingGraph {
 // Simulator configured identically — the engine-level byte-identity
 // invariant.
 func TestLockstepMatchesScalarTrajectories(t *testing.T) {
-	algs := []robot.LaneAlgorithm{core.PEF3Plus{}, core.PEF2{}, core.PEF1{}, core.NoRule2{}, core.NoRule3{}}
+	algs := []robot.Table{
+		core.PEF3Plus, core.PEF2, core.PEF1, core.NoRule2, core.NoRule3,
+		baseline.KeepDirection, baseline.BounceOnMissing, baseline.TowerBounce, baseline.Oscillator,
+	}
 	src := prng.NewSource(0xBEEF)
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 36; trial++ {
 		n := 2 + src.Intn(15)
 		k := 1 + src.Intn(min(5, n-1))
-		alg := algs[src.Intn(len(algs))]
+		alg := algs[trial%len(algs)] // every table runs four trials
 		lanes := 1 + src.Intn(64)
 		horizon := 20 + src.Intn(60)
 
@@ -106,7 +110,7 @@ func TestLockstepOccupancyMatchesPositions(t *testing.T) {
 			Horizon:    25,
 		})
 	}
-	ls, err := NewLockstep(LockstepConfig{Algorithm: core.PEF3Plus{}, Lanes: lanesCfg})
+	ls, err := NewLockstep(LockstepConfig{Algorithm: core.PEF3Plus, Lanes: lanesCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +170,7 @@ func TestLockstepStepAllocFree(t *testing.T) {
 					Horizon:    1 << 20,
 				})
 			}
-			ls, err := AcquireLockstep(LockstepConfig{Algorithm: core.PEF3Plus{}, Lanes: lanesCfg})
+			ls, err := AcquireLockstep(LockstepConfig{Algorithm: core.PEF3Plus, Lanes: lanesCfg})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -121,7 +121,7 @@ func TestLockstepMetricsFlushPerRun(t *testing.T) {
 		WordFallbackLanes:  reg.Counter("sim.wordFallbackLanes"),
 	}
 	ls, err := AcquireLockstep(LockstepConfig{
-		Algorithm: core.PEF3Plus{},
+		Algorithm: core.PEF3Plus,
 		Lanes: []LaneRun{
 			{Graph: dyngraph.NewStatic(6), Placements: EvenPlacements(6, 3), Horizon: 6},
 			{Graph: dyngraph.NewStatic(6), Placements: EvenPlacements(6, 3), Horizon: 6},

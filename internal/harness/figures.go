@@ -92,7 +92,7 @@ type schedule struct {
 // space-time diagram.
 func checkSchedule(res *Result, s schedule) error {
 	res.Table = metrics.NewTable("check", "value", "verdict")
-	alg := baseline.BounceOnMissing{}
+	alg := baseline.BounceOnMissing
 	ct, sim, rec, err := confinementRun(alg, s.adv, s.placements, s.horizon, true)
 	if err != nil {
 		return err

@@ -16,7 +16,7 @@ import (
 // algorithm, a ring, a team size, and a per-seed graph family.
 type x12Shape struct {
 	name  string
-	alg   robot.LaneAlgorithm
+	alg   robot.Table
 	n, k  int
 	graph func(seed uint64) dyngraph.EvolvingGraph
 }
@@ -27,17 +27,17 @@ type x12Shape struct {
 // regimes of PEF_2 and PEF_1.
 func x12Shapes() []x12Shape {
 	return []x12Shape{
-		{"pef3+/bernoulli", core.PEF3Plus{}, 8, 3, func(seed uint64) dyngraph.EvolvingGraph {
+		{"pef3+/bernoulli", core.PEF3Plus, 8, 3, func(seed uint64) dyngraph.EvolvingGraph {
 			return dynamics.NewBernoulli(8, 0.7, seed)
 		}},
-		{"pef3+/ev-missing", core.PEF3Plus{}, 9, 4, func(seed uint64) dyngraph.EvolvingGraph {
+		{"pef3+/ev-missing", core.PEF3Plus, 9, 4, func(seed uint64) dyngraph.EvolvingGraph {
 			return dyngraph.NewEventualMissing(
 				dynamics.NewBoundedRecurrence(dynamics.NewBernoulli(9, 0.5, seed), 4, seed^0x51DE), 4, 24)
 		}},
-		{"pef2/3-ring", core.PEF2{}, 3, 2, func(seed uint64) dyngraph.EvolvingGraph {
+		{"pef2/3-ring", core.PEF2, 3, 2, func(seed uint64) dyngraph.EvolvingGraph {
 			return dynamics.NewBernoulli(3, 0.6, seed)
 		}},
-		{"pef1/2-ring", core.PEF1{}, 2, 1, func(seed uint64) dyngraph.EvolvingGraph {
+		{"pef1/2-ring", core.PEF1, 2, 1, func(seed uint64) dyngraph.EvolvingGraph {
 			return dynamics.NewBernoulli(2, 0.5, seed)
 		}},
 	}

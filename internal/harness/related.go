@@ -26,7 +26,7 @@ func runX4(cfg Config, res *Result) error {
 	// is connected-over-time (each edge present at all instants in which
 	// its neighbourhood robot is inactive).
 	sim1, err := ssync.New(ssync.Config{
-		Algorithm:   core.PEF3Plus{},
+		Algorithm:   core.PEF3Plus,
 		Dynamics:    ssync.NewFreezeAdversary(n),
 		Activation:  ssync.RoundRobin{K: k},
 		Nodes:       nodes,
@@ -45,9 +45,9 @@ func runX4(cfg Config, res *Result) error {
 	// the edge the activated robot wants to traverse (found by fixed-point
 	// search over its deterministic Compute), falling back to its whole
 	// neighbourhood only for present-edge chasers.
-	pointed := ssync.NewPointedEdgeAdversary(n, core.PEF3Plus{}, chirs)
+	pointed := ssync.NewPointedEdgeAdversary(n, core.PEF3Plus, chirs)
 	sim3, err := ssync.New(ssync.Config{
-		Algorithm:   core.PEF3Plus{},
+		Algorithm:   core.PEF3Plus,
 		Dynamics:    pointed,
 		Activation:  ssync.RoundRobin{K: k},
 		Nodes:       nodes,
@@ -68,7 +68,7 @@ func runX4(cfg Config, res *Result) error {
 	// static robots and disconnects the eventual underlying graph. The
 	// budgeted variant (edges must reappear) lets PEF_3+ explore.
 	rep, err := explorationRun(fsync.Config{
-		Algorithm:  core.PEF3Plus{},
+		Algorithm:  core.PEF3Plus,
 		Dynamics:   adversary.NewBlockBothSides(n, 3),
 		Placements: fsync.EvenPlacements(n, k),
 	}, horizon)
@@ -87,7 +87,7 @@ func runX4(cfg Config, res *Result) error {
 func runX8(cfg Config, res *Result) error {
 	res.Table = metrics.NewTable("source", "graphs", "prefixes", "growing", "executions agree")
 	horizon := pick(cfg, 240, 100)
-	alg := baseline.BounceOnMissing{}
+	alg := baseline.BounceOnMissing
 	for _, s := range []struct {
 		source     string
 		adv        fsync.Dynamics

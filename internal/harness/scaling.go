@@ -22,7 +22,7 @@ var x1 = sweep{
 			dynamics.BernoulliSpec(0.5),
 			dynamics.EventualMissingSpec(0, 32, 0.7, 4),
 		} {
-			rep, err := explorationRun(randomTeam(core.PEF3Plus{}, 3, obliviousBuild(sp, n), cfg.Seed+uint64(n)), horizon)
+			rep, err := explorationRun(randomTeam(core.PEF3Plus, 3, obliviousBuild(sp, n), cfg.Seed+uint64(n)), horizon)
 			if err != nil {
 				return err
 			}
@@ -49,7 +49,7 @@ func runX2(cfg Config, res *Result) error {
 			base := dynamics.NewBernoulli(n, 0.05, seed)
 			return fsync.Oblivious{G: dynamics.NewBoundedRecurrence(base, d, seed^0xBEEF)}
 		}
-		rep, err := explorationRun(randomTeam(core.PEF3Plus{}, 3, build, cfg.Seed+uint64(d)), horizon)
+		rep, err := explorationRun(randomTeam(core.PEF3Plus, 3, build, cfg.Seed+uint64(d)), horizon)
 		if err != nil {
 			return err
 		}
@@ -80,7 +80,7 @@ func runX7(cfg Config, res *Result) error {
 	for _, k := range pick(cfg, []int{3, 4, 5, 6, 8}, []int{3, 5}) {
 		horizon := pick(cfg, 300*n, 80*n)
 		for _, sp := range workloads {
-			rep, err := explorationRun(randomTeam(core.PEF3Plus{}, k, obliviousBuild(sp, n), cfg.Seed+uint64(k)), horizon)
+			rep, err := explorationRun(randomTeam(core.PEF3Plus, k, obliviousBuild(sp, n), cfg.Seed+uint64(k)), horizon)
 			if err != nil {
 				return err
 			}
@@ -113,7 +113,7 @@ var x10 = sweep{
 			g := dyngraph.NewEventualMissing(base, edge, from)
 			watch := spec.NewSentinelWatch(g.Ring(), edge, from)
 			sim, err := fsync.New(fsync.Config{
-				Algorithm:  core.PEF3Plus{},
+				Algorithm:  core.PEF3Plus,
 				Dynamics:   fsync.Oblivious{G: g},
 				Placements: fsync.RandomPlacements(n, k, prng.NewSource(cfg.Seed+uint64(n*10+k))),
 				Observers:  []fsync.Observer{watch},

@@ -94,7 +94,7 @@ var t1r1 = sweep{
 			}
 			for _, wl := range positiveWorkloads(n) {
 				ti := spec.NewTowerInvariants()
-				c := randomTeam(core.PEF3Plus{}, k, wl.build, cfg.Seed+uint64(n*100+k))
+				c := randomTeam(core.PEF3Plus, k, wl.build, cfg.Seed+uint64(n*100+k))
 				c.Observers = []fsync.Observer{ti}
 				rep, err := explorationRun(c, horizon)
 				if err != nil {
@@ -126,7 +126,7 @@ func runT1R3(cfg Config, res *Result) error {
 			{robot.RightIsCW, robot.RightIsCCW},
 		} {
 			rep, err := explorationRun(fsync.Config{
-				Algorithm:  core.PEF2{},
+				Algorithm:  core.PEF2,
 				Dynamics:   wl.build(cfg.Seed + uint64(ci)),
 				Placements: []fsync.Placement{{Node: 0, Chirality: chirs[0]}, {Node: 1, Chirality: chirs[1]}},
 			}, horizon)
@@ -174,7 +174,7 @@ func runT1R5(cfg Config, res *Result) error {
 				// graph permanently, leaving the class of the paper.
 				continue
 			}
-			rep, err := explorationRun(randomTeam(core.PEF1{}, k, v.wrap(sp), cfg.Seed+7), horizon)
+			rep, err := explorationRun(randomTeam(core.PEF1, k, v.wrap(sp), cfg.Seed+7), horizon)
 			if err != nil {
 				return err
 			}
@@ -202,7 +202,7 @@ func verdict(ok bool) string {
 // outside their valid range.
 func victimSuite() []robot.Algorithm {
 	algs := baseline.Suite()
-	algs = append(algs, core.PEF3Plus{}, core.PEF2{}, core.PEF1{}, core.NoRule2{}, core.NoRule3{})
+	algs = append(algs, core.PEF3Plus, core.PEF2, core.PEF1, core.NoRule2, core.NoRule3)
 	return algs
 }
 

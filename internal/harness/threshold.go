@@ -32,7 +32,7 @@ func runX11(cfg Config, res *Result) error {
 		ct := spec.NewConfinementTracker()
 		scan := dyngraph.NewJourneyScan(ring.New(n), cotStarts)
 		sim, err := fsync.New(fsync.Config{
-			Algorithm:    core.PEF3Plus{},
+			Algorithm:    core.PEF3Plus,
 			Dynamics:     adv,
 			Placements:   team(robot.RightIsCW),
 			Observers:    []fsync.Observer{ct, fsync.COTScan{Scan: scan}},
@@ -65,14 +65,14 @@ func runX11(cfg Config, res *Result) error {
 	{
 		adv := adversary.NewTwoRobotConfinement(n, 0, 0, 1)
 		placements := team(robot.RightIsCW, robot.RightIsCCW)
-		ct, sim, rec, err := confinementRun(core.PEF3Plus{}, adv, placements, horizon, true)
+		ct, sim, rec, err := confinementRun(core.PEF3Plus, adv, placements, horizon, true)
 		if err != nil {
 			return err
 		}
 		confined := ct.ConfinedTo(3)
 		if info, stalled := adv.Stall(sim.Now(), horizon/4); stalled {
 			world, err := adversary.BuildMirror(adversary.MirrorInput{
-				Alg:         core.PEF3Plus{},
+				Alg:         core.PEF3Plus,
 				Chir:        placements[info.Robot].Chirality,
 				G:           sim.RecordedGraph(),
 				Traj:        rec.Trajectory(info.Robot)[:info.Since+1],
@@ -116,7 +116,7 @@ func runX11(cfg Config, res *Result) error {
 		// schedule, so no graph is recorded at all.
 		scan := dyngraph.NewJourneyScan(ring.New(n), cotStarts)
 		sim, err := fsync.New(fsync.Config{
-			Algorithm:  core.PEF3Plus{},
+			Algorithm:  core.PEF3Plus,
 			Dynamics:   adv,
 			Placements: fsync.AdjacentPlacements(n, 3, 0),
 			Observers:  []fsync.Observer{ct, fsync.COTScan{Scan: scan}},

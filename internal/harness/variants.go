@@ -12,7 +12,7 @@ func runX3(cfg Config, res *Result) error {
 	res.Table = metrics.NewTable("algorithm", "workload", "covered", "maxGap", "explores")
 	const n, k = 8, 3
 	horizon := pick(cfg, 1600, 600)
-	algs := []robot.Algorithm{core.PEF3Plus{}, core.NoRule3{}, core.NoRule2{}}
+	algs := []robot.Algorithm{core.PEF3Plus, core.NoRule3, core.NoRule2}
 	// The eventual-missing-edge workload is the separator: Rule 1 alone
 	// (no-rule3) parks every robot at one extremity forever.
 	workloads := []dynamics.Spec{
@@ -55,7 +55,7 @@ var x5 = sweep{
 				base := dynamics.NewBoundedRecurrence(dynamics.NewBernoulli(n, 0.7, seed), 4, seed^0x11)
 				return fsync.Oblivious{G: dynamics.NewChain(base, cut)}
 			}
-			rep, err := explorationRun(randomTeam(core.PEF3Plus{}, 3, build, cfg.Seed+uint64(n+cut)), horizon)
+			rep, err := explorationRun(randomTeam(core.PEF3Plus, 3, build, cfg.Seed+uint64(n+cut)), horizon)
 			if err != nil {
 				return err
 			}
@@ -78,9 +78,11 @@ func runX6(cfg Config, res *Result) error {
 	corrupt := func(dirFlips, movedSet int) []fsync.Placement {
 		ps := make([]fsync.Placement, k)
 		for i := 0; i < k; i++ {
-			c := (core.PEF3Plus{}).NewCore()
+			c := core.PEF3Plus.NewCore()
 			// Drive the core into a non-initial state through synthetic
-			// views: a moved-flag set, possibly a flipped dir.
+			// views. movedSet sets the moved flag. dirFlips then runs a
+			// tower round: it flips dir and clears moved on a robot whose
+			// flag was set, and only sets the flag on one whose was not.
 			if movedSet&(1<<i) != 0 {
 				c.Compute(robot.View{EdgeDir: true})
 			}
@@ -111,7 +113,7 @@ func runX6(cfg Config, res *Result) error {
 	for _, c := range cases {
 		for _, sp := range workloads {
 			rep, err := explorationRun(fsync.Config{
-				Algorithm:   core.PEF3Plus{},
+				Algorithm:   core.PEF3Plus,
 				Dynamics:    obliviousBuild(sp, n)(cfg.Seed + 5),
 				Placements:  c.placements,
 				AllowTowers: true,

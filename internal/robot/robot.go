@@ -201,35 +201,3 @@ type Algorithm interface {
 	// (dir = Left, all other variables at their initial values).
 	NewCore() Core
 }
-
-// Func adapts a stateless compute rule to the Algorithm interface, for
-// algorithms whose only persistent variable is dir itself.
-type Func struct {
-	// AlgName is the reported name.
-	AlgName string
-	// Rule maps (current dir, view) to the next dir.
-	Rule func(dir LocalDir, view View) LocalDir
-}
-
-// Name implements Algorithm.
-func (f Func) Name() string { return f.AlgName }
-
-// NewCore implements Algorithm.
-func (f Func) NewCore() Core { return &funcCore{dir: Left, rule: f.Rule} }
-
-type funcCore struct {
-	dir  LocalDir
-	rule func(dir LocalDir, view View) LocalDir
-}
-
-func (c *funcCore) Dir() LocalDir { return c.dir }
-
-func (c *funcCore) Compute(view View) {
-	next := c.rule(c.dir, view)
-	if !next.Valid() {
-		panic(fmt.Sprintf("robot: rule returned invalid direction %d", next))
-	}
-	c.dir = next
-}
-
-func (c *funcCore) State() StateCode { return DirState(c.dir) }

@@ -80,44 +80,3 @@ func TestViewExistsEdge(t *testing.T) {
 		t.Fatal("pointed=Right query should read EdgeDir")
 	}
 }
-
-func TestFuncAlgorithm(t *testing.T) {
-	alg := Func{
-		AlgName: "flipper",
-		Rule: func(d LocalDir, _ View) LocalDir {
-			return d.Opposite()
-		},
-	}
-	if alg.Name() != "flipper" {
-		t.Fatal("Name broken")
-	}
-	core := alg.NewCore()
-	if core.Dir() != Left {
-		t.Fatal("initial dir must be Left")
-	}
-	core.Compute(View{})
-	if core.Dir() != Right {
-		t.Fatal("rule not applied")
-	}
-	if core.State().String() != "dir=right" {
-		t.Fatalf("State = %q", core.State())
-	}
-	// Independent cores do not share state.
-	other := alg.NewCore()
-	if other.Dir() != Left {
-		t.Fatal("cores share state")
-	}
-}
-
-func TestFuncCorePanicsOnInvalidRule(t *testing.T) {
-	core := Func{
-		AlgName: "broken",
-		Rule:    func(LocalDir, View) LocalDir { return 0 },
-	}.NewCore()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid direction accepted")
-		}
-	}()
-	core.Compute(View{})
-}

@@ -37,11 +37,11 @@ func registerBuiltins(r *Registry) {
 	// The paper's algorithms and their ablations, then the baseline suite
 	// (the empirical stand-in for the impossibility theorems' universal
 	// quantifier), in the historical victim-pool order.
-	mustAlg(core.PEF3PlusName, "Algorithm 1: k >= 3 robots explore any connected-over-time ring n > k", core.PEF3Plus{})
-	mustAlg(core.PEF2Name, "Section 4.2: two robots on the 3-node ring", core.PEF2{})
-	mustAlg(core.PEF1Name, "Section 5.2: one robot on the 2-node ring", core.PEF1{})
-	mustAlg(core.NoRule2Name, "PEF_3+ ablation without Rule 2 (tower breaking)", core.NoRule2{})
-	mustAlg(core.NoRule3Name, "PEF_3+ ablation without Rule 3 (sentinel turnaround)", core.NoRule3{})
+	mustAlg(core.PEF3PlusName, "Algorithm 1: k >= 3 robots explore any connected-over-time ring n > k", core.PEF3Plus)
+	mustAlg(core.PEF2Name, "Section 4.2: two robots on the 3-node ring", core.PEF2)
+	mustAlg(core.PEF1Name, "Section 5.2: one robot on the 2-node ring", core.PEF1)
+	mustAlg(core.NoRule2Name, "PEF_3+ ablation without Rule 2 (tower breaking)", core.NoRule2)
+	mustAlg(core.NoRule3Name, "PEF_3+ ablation without Rule 3 (sentinel turnaround)", core.NoRule3)
 	for _, alg := range baseline.Suite() {
 		mustAlg(alg.Name(), "baseline candidate from the impossibility victim suite", alg)
 	}

@@ -16,8 +16,8 @@ import (
 // This file routes blocks of specs through the bit-parallel lockstep
 // engine: up to 64 seeds of one scenario shape advance per machine word.
 // Eligibility is conservative — anything the lane engine cannot represent
-// (big rings, adaptive adversaries, imperative overrides, algorithms
-// without a lane core) falls back to the scalar oracle — and every lane's
+// (big rings, adaptive adversaries, imperative overrides, algorithms that
+// are not a robot.Table) falls back to the scalar oracle — and every lane's
 // verdict is byte-identical to the scalar RunWith verdict for the same
 // spec, an invariant the differential tests in lockstep_test.go pin
 // across all registered families and generators.
@@ -38,23 +38,23 @@ var laneEvalPool = sync.Pool{New: func() any {
 }}
 
 // lockstepEligible reports whether the spec may run on the lane engine
-// under the given options, returning the resolved lane algorithm and
+// under the given options, returning the resolved rule table and
 // evolving graph when it may — or, when it may not, a short reason tag
 // for the engine.skip.* telemetry counters. Overrides (imperative
 // algorithm/dynamics, explicit placements, observers — but NOT attached
 // Telemetry, which is observational) and adaptive adversaries are
 // scalar-only; so are rings wider than the 64-bit presence word and
-// algorithms without a bit-parallel core. A dynamics build error also
-// reports ineligible: the scalar path rebuilds and reports the identical
-// error verdict.
-func lockstepEligible(s Spec, o RunOptions, res preparedRun) (robot.LaneAlgorithm, dyngraph.EvolvingGraph, bool, string) {
+// algorithms that are not a robot.Table (the counting baselines). A
+// dynamics build error also reports ineligible: the scalar path rebuilds
+// and reports the identical error verdict.
+func lockstepEligible(s Spec, o RunOptions, res preparedRun) (*robot.Table, dyngraph.EvolvingGraph, bool, string) {
 	if o.hasOverrides() {
 		return nil, nil, false, "overrides"
 	}
 	if s.Ring > laneWordSize {
 		return nil, nil, false, "ring-width"
 	}
-	la, ok := res.alg.(robot.LaneAlgorithm)
+	table, ok := res.alg.(robot.Table)
 	if !ok {
 		return nil, nil, false, "algorithm"
 	}
@@ -66,7 +66,7 @@ func lockstepEligible(s Spec, o RunOptions, res preparedRun) (robot.LaneAlgorith
 	if !ok || obl.G == nil {
 		return nil, nil, false, "dynamics"
 	}
-	return la, obl.G, true, ""
+	return &table, obl.G, true, ""
 }
 
 // blockKey is the shape a lane group must share: one lockstep run drives
@@ -83,7 +83,7 @@ type blockKey struct {
 // plan state and write disjoint verdict slots.
 type blockUnit struct {
 	members []int
-	alg     robot.LaneAlgorithm
+	alg     *robot.Table
 }
 
 // RunBlock executes a block of specs, routing shape-aligned eligible runs
@@ -108,7 +108,7 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 	// Plan: group eligible specs by shape; everything else runs scalar.
 	tel := o.Telemetry
 	groups := map[blockKey][]int{}
-	algs := map[blockKey]robot.LaneAlgorithm{}
+	algs := map[blockKey]*robot.Table{}
 	graphs := make([]dyngraph.EvolvingGraph, len(specs))
 	var scalar []int
 	for i, s := range specs {
@@ -184,10 +184,10 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 				out[unit.members[0]] = runScalar(ctx, specs[unit.members[0]], o)
 			case tel != nil:
 				start := time.Now()
-				runLockstepGroup(ctx, specs, graphs, unit.members, unit.alg, o, ev, out)
+				runLockstepGroup(ctx, specs, graphs, unit.members, *unit.alg, o, ev, out)
 				tel.lockstepMillis.Add(time.Since(start).Milliseconds())
 			default:
-				runLockstepGroup(ctx, specs, graphs, unit.members, unit.alg, o, ev, out)
+				runLockstepGroup(ctx, specs, graphs, unit.members, *unit.alg, o, ev, out)
 			}
 		}
 	}
@@ -224,7 +224,7 @@ func runScalar(ctx context.Context, s Spec, o RunOptions) Verdict {
 // falls back to scalar runs for the whole group, which rebuild their
 // dynamics from the specs and reproduce the verdicts (or the error)
 // independently.
-func runLockstepGroup(ctx context.Context, specs []Spec, graphs []dyngraph.EvolvingGraph, members []int, alg robot.LaneAlgorithm, o RunOptions, ev *laneEval, out []Verdict) {
+func runLockstepGroup(ctx context.Context, specs []Spec, graphs []dyngraph.EvolvingGraph, members []int, alg robot.Table, o RunOptions, ev *laneEval, out []Verdict) {
 	fallback := true
 	defer func() {
 		if r := recover(); r != nil {

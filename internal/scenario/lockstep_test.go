@@ -181,6 +181,47 @@ func TestRunBlockTelemetryStaysLockstep(t *testing.T) {
 	}
 }
 
+// TestBaselineTablesRunLockstep checks that the memoryless baselines,
+// being rule tables, now take the lane engine on oblivious dynamics, with
+// verdict JSON byte-identical to the scalar oracle's.
+func TestBaselineTablesRunLockstep(t *testing.T) {
+	var specs []Spec
+	for _, alg := range []string{"keep-direction", "bounce-on-missing", "tower-bounce", "oscillator"} {
+		for _, fam := range []struct {
+			name   string
+			params Params
+		}{{"static", Params{}}, {"bernoulli", Params{P: 0.6}}, {"markov", Params{Up: 0.5, Down: 0.3}}} {
+			for _, n := range []int{5, 12, 64} {
+				for k := 2; k <= 3; k++ {
+					for seed := uint64(1); seed <= 2; seed++ {
+						specs = append(specs, Spec{Ring: n, Robots: k, Algorithm: alg, Placement: PlaceRandom,
+							Family: fam.name, Params: fam.params, Horizon: 150, Seed: seed})
+					}
+				}
+			}
+		}
+	}
+	ctx := context.Background()
+	tel := NewTelemetry()
+	verdicts := RunBlock(ctx, specs, RunOptions{Telemetry: tel})
+	for i, v := range verdicts {
+		if v.Err != "" {
+			t.Fatalf("spec %d (%s): %s", i, specs[i].ID(), v.Err)
+		}
+	}
+	got := verdictJSON(t, verdicts)
+	if want := verdictJSON(t, runSpecs(ctx, specs, RunOptions{}, true)); got != want {
+		t.Fatal("lockstep verdict JSON differs from the scalar oracle's")
+	}
+	snap := tel.Snapshot()
+	if lock := snap.Counters["engine.lockstepSpecs"]; lock != int64(len(specs)) {
+		t.Fatalf("engine.lockstepSpecs = %d, want all %d specs (counters: %v)", lock, len(specs), snap.Counters)
+	}
+	if skip, ok := snap.Counters["engine.skip.algorithm"]; ok {
+		t.Fatalf("engine.skip.algorithm = %d, want no such counter", skip)
+	}
+}
+
 // countRounds counts observed rounds; its presence in RunOptions must
 // force the scalar engine.
 type countRounds struct{ rounds *int }

@@ -19,7 +19,7 @@ type testAlg struct{ name string }
 
 func (a testAlg) Name() string { return a.name }
 func (a testAlg) NewCore() robot.Core {
-	return robot.Func{AlgName: a.name, Rule: func(dir robot.LocalDir, _ robot.View) robot.LocalDir { return dir }}.NewCore()
+	return robot.NewTable(a.name, func(bool, robot.View) (bool, bool) { return false, false }).NewCore()
 }
 
 func graphFamily() FamilyDescriptor {

@@ -33,7 +33,7 @@ func TestCheckerStackStepAllocFree(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			ti := NewTowerInvariants()
 			sim, err := fsync.New(fsync.Config{
-				Algorithm:  core.PEF3Plus{},
+				Algorithm:  core.PEF3Plus,
 				Dynamics:   c.dyn,
 				Placements: fsync.EvenPlacements(n, 3),
 				Observers:  []fsync.Observer{NewVisitTracker(n), ti, NewConfinementTracker()},

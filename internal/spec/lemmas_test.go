@@ -42,7 +42,7 @@ func TestLemma31TowerFormsAfterEventualMissing(t *testing.T) {
 	g := dyngraph.NewEventualMissing(dyngraph.NewStatic(n), 0, from)
 	tc := &towerCounter{threshold: from}
 	sim, err := fsync.New(fsync.Config{
-		Algorithm:  core.PEF3Plus{},
+		Algorithm:  core.PEF3Plus,
 		Dynamics:   fsync.Oblivious{G: g},
 		Placements: fsync.EvenPlacements(n, 3),
 		Observers:  []fsync.Observer{tc},
@@ -67,7 +67,7 @@ func TestLemma32TowerFreeExecutionExplores(t *testing.T) {
 	vt := NewVisitTracker(n)
 	tc := &towerCounter{threshold: 1 << 30}
 	sim, err := fsync.New(fsync.Config{
-		Algorithm:  core.PEF3Plus{},
+		Algorithm:  core.PEF3Plus,
 		Dynamics:   fsync.Oblivious{G: dyngraph.NewStatic(n)},
 		Placements: fsync.EvenPlacements(n, 3),
 		Observers:  []fsync.Observer{vt, tc},
@@ -94,7 +94,7 @@ func TestLemma35TowersOnRecurrentRingStillExplore(t *testing.T) {
 	ti := NewTowerInvariants()
 	tc := &towerCounter{threshold: 0}
 	sim, err := fsync.New(fsync.Config{
-		Algorithm: core.PEF3Plus{},
+		Algorithm: core.PEF3Plus,
 		Dynamics:  fsync.Oblivious{G: dyngraph.NewStatic(n)},
 		Placements: []fsync.Placement{
 			{Node: 0, Chirality: robot.RightIsCW},
@@ -129,7 +129,7 @@ func TestLemma37SentinelsOnExtremities(t *testing.T) {
 	watch := NewSentinelWatch(r, edge, from)
 	rec := &fsync.SnapshotRecorder{}
 	sim, err := fsync.New(fsync.Config{
-		Algorithm:  core.PEF3Plus{},
+		Algorithm:  core.PEF3Plus,
 		Dynamics:   fsync.Oblivious{G: g},
 		Placements: fsync.EvenPlacements(n, 3),
 		Observers:  []fsync.Observer{watch, rec},
@@ -177,7 +177,7 @@ func TestPEF2TowersBreak(t *testing.T) {
 		}
 	})
 	sim, err := fsync.New(fsync.Config{
-		Algorithm: core.PEF2{},
+		Algorithm: core.PEF2,
 		Dynamics:  fsync.Oblivious{G: dyngraph.NewStatic(n)},
 		Placements: []fsync.Placement{
 			{Node: 0, Chirality: robot.RightIsCW},  // dir left -> global CCW

@@ -10,9 +10,9 @@ import (
 
 func TestPointedEdgeAdversaryBlocksEverything(t *testing.T) {
 	algs := []robot.Algorithm{
-		core.PEF3Plus{}, core.PEF2{}, core.PEF1{},
-		baseline.KeepDirection{}, baseline.BounceOnMissing{},
-		baseline.TowerBounce{}, baseline.Oscillator{},
+		core.PEF3Plus, core.PEF2, core.PEF1,
+		baseline.KeepDirection, baseline.BounceOnMissing,
+		baseline.TowerBounce, baseline.Oscillator,
 		baseline.DoublingZigzag{}, baseline.LCGWalker{Seed: 3},
 	}
 	for _, alg := range algs {
@@ -42,9 +42,9 @@ func TestPointedEdgeAdversaryUsesSingleRemovalsWhenPossible(t *testing.T) {
 	// keep-direction never re-points: removing just its pointed edge is
 	// always a fixed point, so every snapshot stays connected.
 	chirs := []robot.Chirality{robot.RightIsCW}
-	adv := NewPointedEdgeAdversary(5, baseline.KeepDirection{}, chirs)
+	adv := NewPointedEdgeAdversary(5, baseline.KeepDirection, chirs)
 	sim, err := New(Config{
-		Algorithm:   baseline.KeepDirection{},
+		Algorithm:   baseline.KeepDirection,
 		Dynamics:    adv,
 		Activation:  RoundRobin{K: 1},
 		Nodes:       []int{0},
@@ -69,9 +69,9 @@ func TestPointedEdgeAdversaryFallsBackForChasers(t *testing.T) {
 	// bounce-on-missing chases whichever edge is present: single-edge
 	// removal cannot pin it, so the fallback must fire.
 	chirs := []robot.Chirality{robot.RightIsCW}
-	adv := NewPointedEdgeAdversary(5, baseline.BounceOnMissing{}, chirs)
+	adv := NewPointedEdgeAdversary(5, baseline.BounceOnMissing, chirs)
 	sim, err := New(Config{
-		Algorithm:   baseline.BounceOnMissing{},
+		Algorithm:   baseline.BounceOnMissing,
 		Dynamics:    adv,
 		Activation:  RoundRobin{K: 1},
 		Nodes:       []int{0},
@@ -90,7 +90,7 @@ func TestPointedEdgeAdversaryFallsBackForChasers(t *testing.T) {
 }
 
 func TestPointedEdgeAdversaryRejectsMultiActivation(t *testing.T) {
-	adv := NewPointedEdgeAdversary(5, baseline.KeepDirection{}, []robot.Chirality{robot.RightIsCW, robot.RightIsCW})
+	adv := NewPointedEdgeAdversary(5, baseline.KeepDirection, []robot.Chirality{robot.RightIsCW, robot.RightIsCW})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("multi-activation accepted")
@@ -100,7 +100,7 @@ func TestPointedEdgeAdversaryRejectsMultiActivation(t *testing.T) {
 }
 
 func TestPointedEdgeAdversaryIdleInstant(t *testing.T) {
-	adv := NewPointedEdgeAdversary(4, baseline.KeepDirection{}, []robot.Chirality{robot.RightIsCW})
+	adv := NewPointedEdgeAdversary(4, baseline.KeepDirection, []robot.Chirality{robot.RightIsCW})
 	edges := adv.EdgesAt(0, []int{0}, nil)
 	if !edges.IsFull() {
 		t.Fatal("no activation should leave the graph intact")

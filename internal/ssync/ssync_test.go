@@ -37,12 +37,12 @@ func TestAllActive(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	full := ObliviousFull{R: ring.New(4)}
 	cases := []Config{
-		{Dynamics: full, Activation: RoundRobin{K: 1}, Nodes: []int{0}, Chiralities: []robot.Chirality{robot.RightIsCW}},                                // nil alg
-		{Algorithm: core.PEF3Plus{}, Activation: RoundRobin{K: 1}, Nodes: []int{0}, Chiralities: []robot.Chirality{robot.RightIsCW}},                    // nil dynamics
-		{Algorithm: core.PEF3Plus{}, Dynamics: full, Activation: RoundRobin{K: 1}},                                                                      // no robots
-		{Algorithm: core.PEF3Plus{}, Dynamics: full, Activation: RoundRobin{K: 1}, Nodes: []int{0, 1}, Chiralities: []robot.Chirality{robot.RightIsCW}}, // length mismatch
-		{Algorithm: core.PEF3Plus{}, Dynamics: full, Activation: RoundRobin{K: 1}, Nodes: []int{9}, Chiralities: []robot.Chirality{robot.RightIsCW}},    // bad node
-		{Algorithm: core.PEF3Plus{}, Dynamics: full, Activation: RoundRobin{K: 1}, Nodes: []int{0}, Chiralities: []robot.Chirality{0}},                  // bad chirality
+		{Dynamics: full, Activation: RoundRobin{K: 1}, Nodes: []int{0}, Chiralities: []robot.Chirality{robot.RightIsCW}},                              // nil alg
+		{Algorithm: core.PEF3Plus, Activation: RoundRobin{K: 1}, Nodes: []int{0}, Chiralities: []robot.Chirality{robot.RightIsCW}},                    // nil dynamics
+		{Algorithm: core.PEF3Plus, Dynamics: full, Activation: RoundRobin{K: 1}},                                                                      // no robots
+		{Algorithm: core.PEF3Plus, Dynamics: full, Activation: RoundRobin{K: 1}, Nodes: []int{0, 1}, Chiralities: []robot.Chirality{robot.RightIsCW}}, // length mismatch
+		{Algorithm: core.PEF3Plus, Dynamics: full, Activation: RoundRobin{K: 1}, Nodes: []int{9}, Chiralities: []robot.Chirality{robot.RightIsCW}},    // bad node
+		{Algorithm: core.PEF3Plus, Dynamics: full, Activation: RoundRobin{K: 1}, Nodes: []int{0}, Chiralities: []robot.Chirality{0}},                  // bad chirality
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -55,7 +55,7 @@ func TestAllActiveOnFullGraphMatchesFSYNC(t *testing.T) {
 	// With every robot active and all edges present, SSYNC == FSYNC: a
 	// keep-direction robot (PEF_3+ alone never meets anyone) circles.
 	sim, err := New(Config{
-		Algorithm:   core.PEF3Plus{},
+		Algorithm:   core.PEF3Plus,
 		Dynamics:    ObliviousFull{R: ring.New(5)},
 		Activation:  AllActive{K: 1},
 		Nodes:       []int{0},
@@ -79,7 +79,7 @@ func TestAllActiveOnFullGraphMatchesFSYNC(t *testing.T) {
 func TestInactiveRobotsDoNothing(t *testing.T) {
 	// Round-robin over 2 robots: at each instant only one may move.
 	sim, err := New(Config{
-		Algorithm:   core.PEF3Plus{},
+		Algorithm:   core.PEF3Plus,
 		Dynamics:    ObliviousFull{R: ring.New(6)},
 		Activation:  RoundRobin{K: 2},
 		Nodes:       []int{0, 3},
@@ -100,7 +100,7 @@ func TestInactiveRobotsDoNothing(t *testing.T) {
 }
 
 func TestFreezeAdversaryBlocksEveryVictim(t *testing.T) {
-	algs := []robot.Algorithm{core.PEF3Plus{}, core.PEF2{}, core.PEF1{}}
+	algs := []robot.Algorithm{core.PEF3Plus, core.PEF2, core.PEF1}
 	for _, alg := range algs {
 		sim, err := New(Config{
 			Algorithm:   alg,

@@ -17,7 +17,7 @@ func runRecorded(t *testing.T) (*dyngraph.Recorded, []fsync.Snapshot) {
 	t.Helper()
 	rec := &fsync.SnapshotRecorder{}
 	sim, err := fsync.New(fsync.Config{
-		Algorithm: baseline.KeepDirection{},
+		Algorithm: baseline.KeepDirection,
 		Dynamics:  fsync.Oblivious{G: dyngraph.NewEventualMissing(dyngraph.NewStatic(5), 2, 2)},
 		Placements: []fsync.Placement{
 			{Node: 0, Chirality: robot.RightIsCW},
@@ -100,7 +100,7 @@ func TestJSONLoggerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	logger := NewJSONLogger(&buf)
 	sim, err := fsync.New(fsync.Config{
-		Algorithm:  baseline.BounceOnMissing{},
+		Algorithm:  baseline.BounceOnMissing,
 		Dynamics:   fsync.Oblivious{G: dyngraph.NewStatic(4)},
 		Placements: []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}},
 		Observers:  []fsync.Observer{logger},

@@ -89,13 +89,13 @@ type ExplorationReport = spec.ExplorationReport
 
 // PEF3Plus returns Algorithm 1 of the paper: perpetual exploration with
 // k >= 3 robots on any connected-over-time ring of size n > k.
-func PEF3Plus() Algorithm { return core.PEF3Plus{} }
+func PEF3Plus() Algorithm { return core.PEF3Plus }
 
 // PEF2 returns the Section 4.2 algorithm: 2 robots on the 3-node ring.
-func PEF2() Algorithm { return core.PEF2{} }
+func PEF2() Algorithm { return core.PEF2 }
 
 // PEF1 returns the Section 5.2 algorithm: 1 robot on the 2-node ring.
-func PEF1() Algorithm { return core.PEF1{} }
+func PEF1() Algorithm { return core.PEF1 }
 
 // ExploreConfig parameterizes a one-call exploration run.
 type ExploreConfig struct {

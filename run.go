@@ -125,8 +125,9 @@ func Run(ctx context.Context, s Scenario, options ...Option) (ScenarioVerdict, e
 // seed-batched entry point of the bit-parallel lockstep engine. The
 // scenario runs once per seed (its Seed field is replaced by each
 // element), and eligible runs — registered oblivious dynamics on a ring
-// of at most 64 nodes, an algorithm with a bit-parallel core, no
-// imperative overrides — advance up to 64 seeds per machine word in one
+// of at most 64 nodes, a rule-table algorithm (the paper's three, both
+// ablations and the memoryless baselines), no imperative overrides —
+// advance up to 64 seeds per machine word in one
 // engine instance. Ineligible runs fall back to the scalar engine.
 // Either way verdict i is byte-identical to Run with Seed = seeds[i].
 //
