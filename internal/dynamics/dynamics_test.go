@@ -229,11 +229,14 @@ func TestRovingMissing(t *testing.T) {
 
 func TestStandardSuiteConnectedOverTime(t *testing.T) {
 	// Every workload of the standard suite must be connected-over-time on
-	// the horizons the harness uses.
+	// the horizons the harness uses. The journey check reads instants out
+	// of order, so each member is recorded first (the streaming markov
+	// member only serves forward reads).
+	const horizon = 400
 	for _, sp := range StandardSuite() {
 		for _, n := range []int{3, 6} {
-			g := sp.Build(n, 123)
-			rep := dyngraph.VerifyConnectedOverTime(g, 400, []int{0, 100, 200})
+			g := dyngraph.Record(sp.Build(n, 123), horizon)
+			rep := dyngraph.VerifyConnectedOverTime(g, horizon, []int{0, 100, 200})
 			if !rep.OK {
 				t.Errorf("workload %s on n=%d is not connected-over-time: %+v", sp.Name, n, rep.Failures)
 			}

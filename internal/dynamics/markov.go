@@ -169,3 +169,21 @@ func MarkovSpec(up, down float64, horizon int) Spec {
 		},
 	}
 }
+
+// MarkovStreamSpec is the streaming form of MarkovSpec: the same name and
+// the same edges, produced as a simulator reads them forward with a
+// one-instant window, so a build materializes nothing. Random-access
+// readers wrap the built graph in dyngraph.Record. Build panics on invalid
+// parameters, like MarkovSpec.
+func MarkovStreamSpec(up, down float64) Spec {
+	return Spec{
+		Name: "markov-" + ftoa(up) + "-" + ftoa(down),
+		Build: func(n int, seed uint64) dyngraph.EvolvingGraph {
+			g, err := NewMarkovStream(n, up, down, seed, 1)
+			if err != nil {
+				panic(err)
+			}
+			return g
+		},
+	}
+}

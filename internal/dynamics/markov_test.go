@@ -215,3 +215,24 @@ func TestMarkovStreamRejectsBadProbabilities(t *testing.T) {
 		t.Fatal("down=1.5 accepted")
 	}
 }
+
+// TestMarkovStreamSpecMatchesMarkovSpec pins the suite's streaming entry
+// to the materialized spec it replaces: same name, same edges on every
+// instant a forward reader sees.
+func TestMarkovStreamSpecMatchesMarkovSpec(t *testing.T) {
+	const n, horizon = 7, 600
+	full, stream := MarkovSpec(0.4, 0.25, horizon), MarkovStreamSpec(0.4, 0.25)
+	if full.Name != stream.Name {
+		t.Fatalf("names differ: %q vs %q", full.Name, stream.Name)
+	}
+	for _, seed := range []uint64{1, 123, 0xFEED} {
+		a, b := full.Build(n, seed), stream.Build(n, seed)
+		for tt := 0; tt < horizon; tt++ {
+			for e := 0; e < n; e++ {
+				if a.Present(e, tt) != b.Present(e, tt) {
+					t.Fatalf("seed %d: edge %d at t=%d differs", seed, e, tt)
+				}
+			}
+		}
+	}
+}

@@ -267,6 +267,18 @@ func (ls *LockstepSimulator) Done() bool { return ls.active == 0 }
 // is reused by the next Step/Reset.
 func (ls *LockstepSimulator) Occupancy() []uint64 { return ls.occ }
 
+// Rows returns the one-hot position rows of the current instant: bit l
+// of Rows()[i*n+v] is set iff lane l's robot i stands on node v. The
+// slice is read-only and rewritten in place by the next Step/Reset, so
+// read it before Step for the pre-round configuration.
+func (ls *LockstepSimulator) Rows() []uint64 { return ls.pos }
+
+// PointsCW returns the lane word of robot i pointing clockwise: its global
+// direction after the last Step's Compute phase (Move keeps it), or its
+// initial direction before the first Step. Bits of unconfigured lanes are
+// meaningless.
+func (ls *LockstepSimulator) PointsCW(i int) uint64 { return ^(ls.chirCW[i] ^ ls.dirRight[i]) }
+
 // Position returns lane l's robot i node at the current instant — the
 // slow introspection path used by tests and debugging, not the engine.
 func (ls *LockstepSimulator) Position(i, l int) int {

@@ -94,11 +94,10 @@ func runX12(cfg Config, res *Result) error {
 				if stepped&(1<<uint(l)) == 0 {
 					continue
 				}
-				scalars[l].Step()
+				after := scalars[l].Step().After
 				compared++
-				snap := scalars[l].Snapshot()
 				for i := 0; i < sh.k; i++ {
-					if got, want := ls.Position(i, l), snap.Positions[i]; got != want {
+					if got, want := ls.Position(i, l), after.Positions[i]; got != want {
 						mismatches++
 						if mismatches <= 3 {
 							res.Notes = append(res.Notes, fmt.Sprintf(

@@ -15,9 +15,9 @@ import (
 )
 
 // explorationRun runs c for horizon rounds and returns the exploration
-// report of a visit tracker riding along with c's observers (E-T1.R1's
-// tower invariants). Simulators come from the fsync pool: across an
-// (experiment × seed) sweep the same backing slices serve every run.
+// report of a visit tracker riding along with c's observers. Simulators
+// come from the fsync pool: across an (experiment × seed) sweep the same
+// backing slices serve every run.
 func explorationRun(c fsync.Config, horizon int) (spec.ExplorationReport, error) {
 	vt := spec.NewVisitTracker(c.Dynamics.Ring().Size())
 	c.Observers = append([]fsync.Observer{vt}, c.Observers...)
@@ -28,6 +28,123 @@ func explorationRun(c fsync.Config, horizon int) (spec.ExplorationReport, error)
 	sim.Run(horizon)
 	sim.Release()
 	return vt.Report(), nil
+}
+
+// exploration is the outcome of one run of a possibility row: its
+// exploration report and, when the tower invariants of Lemmas 3.3/3.4
+// were checked, its tower rounds and violations.
+type exploration struct {
+	rep        spec.ExplorationReport
+	towers     int
+	violations []string
+}
+
+// ok is the row verdict: the possibility criterion and no tower violation.
+func (x exploration) ok(horizon int) bool {
+	return possibleVerdict(x.rep, horizon) && len(x.violations) == 0
+}
+
+// lanesPay routes a block of oblivious runs on an n-node ring to the
+// lockstep engine. A lockstep round costs O(k·n) word operations whatever
+// the lane count, a scalar round O(k) per run, so lanes win once they
+// number about n/2. Measured on a 2-vCPU host: E-T1.R1's 8 lanes run 2.1×
+// faster than scalar on n = 8 and 1.25× on n = 12, while E-X1's 3 lanes
+// run 1.2× slower on n = 8 and 4.7× on n = 64, and E-X7's 2 lanes on
+// n = 16 2× slower.
+func lanesPay(lanes, n int) bool { return 2*lanes >= n }
+
+// explorations runs team(0), …, team(runs-1) for horizon rounds each,
+// checking the tower invariants when towers is set. team(i) must build a
+// fresh config for run i on every call; all runs share one algorithm,
+// ring and team size. The runs on oblivious dynamics form one lockstep
+// block when lanesPay; the others, and every lane that fails the
+// possibility verdict or a tower lemma, run on the scalar path, so every
+// outcome, failure notes included, is the scalar run's.
+func explorations(runs, horizon int, towers bool, team func(i int) fsync.Config) ([]exploration, error) {
+	cs := make([]fsync.Config, runs)
+	var lanes []int
+	for i := range cs {
+		cs[i] = team(i)
+		if _, ok := cs[i].Dynamics.(fsync.Oblivious); ok {
+			lanes = append(lanes, i)
+		}
+	}
+	out := make([]exploration, runs)
+	ran, passed := laneExplorations(cs, lanes, horizon, towers, out)
+	for j, i := range lanes {
+		if passed&(1<<uint(j)) != 0 {
+			cs[i].Dynamics = nil // settled on lanes
+		} else if ran {
+			cs[i] = team(i) // the block consumed the run's dynamics
+		}
+	}
+	for i, c := range cs {
+		if c.Dynamics == nil {
+			continue
+		}
+		var ti *spec.TowerInvariants
+		if towers {
+			ti = spec.NewTowerInvariants()
+			c.Observers = append(c.Observers, ti)
+		}
+		rep, err := explorationRun(c, horizon)
+		if err != nil {
+			return nil, err
+		}
+		out[i].rep = rep
+		if ti != nil {
+			out[i].towers, out[i].violations = ti.TowerRounds(), ti.Violations()
+		}
+	}
+	return out, nil
+}
+
+// laneExplorations runs cs[lanes[0]], cs[lanes[1]], … as the lanes of one
+// lockstep block when the block pays, and fills out for every lane that
+// passes the possibility verdict without a tower flag. It reports whether
+// the block ran and the mask of passing lanes (bit j for lanes[j]).
+func laneExplorations(cs []fsync.Config, lanes []int, horizon int, towers bool, out []exploration) (ran bool, passed uint64) {
+	if len(lanes) == 0 {
+		return false, 0
+	}
+	alg, ok := cs[lanes[0]].Algorithm.(robot.Table)
+	n := cs[lanes[0]].Dynamics.Ring().Size()
+	if !ok || !lanesPay(len(lanes), n) {
+		return false, 0
+	}
+	runs := make([]fsync.LaneRun, len(lanes))
+	for j, i := range lanes {
+		runs[j] = fsync.LaneRun{Graph: cs[i].Dynamics.(fsync.Oblivious).G, Placements: cs[i].Placements, Horizon: horizon}
+	}
+	ls, err := fsync.AcquireLockstep(fsync.LockstepConfig{Algorithm: alg, Lanes: runs})
+	if err != nil {
+		return false, 0 // the scalar runs report the error
+	}
+	lv, lt := spec.NewLaneVisits(), spec.NewLaneTowers()
+	lv.Reset(n)
+	lt.Reset(n, ls.Robots())
+	lv.Record(0, ls.Occupancy(), ls.Active())
+	for !ls.Done() {
+		if towers {
+			lt.Look(ls.Rows(), ls.Active())
+		}
+		stepped := ls.Step()
+		if towers {
+			lt.Compute(ls.PointsCW)
+		}
+		lv.Record(ls.Now(), ls.Occupancy(), stepped)
+	}
+	ls.Release()
+	flagged := lt.Lemma34() | lt.Lemma33()
+	for j, i := range lanes {
+		rep := lv.Report(j, horizon+1)
+		if flagged&(1<<uint(j)) != 0 || !possibleVerdict(rep, horizon) {
+			continue
+		}
+		out[i] = exploration{rep: rep, towers: lt.TowerRounds(j)}
+		passed |= 1 << uint(j)
+	}
+	return true, passed
 }
 
 // randomTeam places k robots running alg at random on the ring of
@@ -92,20 +209,20 @@ var t1r1 = sweep{
 			if n <= k {
 				continue
 			}
-			for _, wl := range positiveWorkloads(n) {
-				ti := spec.NewTowerInvariants()
-				c := randomTeam(core.PEF3Plus, k, wl.build, cfg.Seed+uint64(n*100+k))
-				c.Observers = []fsync.Observer{ti}
-				rep, err := explorationRun(c, horizon)
-				if err != nil {
-					return err
-				}
-				res.ObserveExploration(rep)
-				ok := possibleVerdict(rep, horizon) && ti.OK()
+			wls := positiveWorkloads(n)
+			xs, err := explorations(len(wls), horizon, true, func(i int) fsync.Config {
+				return randomTeam(core.PEF3Plus, k, wls[i].build, cfg.Seed+uint64(n*100+k))
+			})
+			if err != nil {
+				return err
+			}
+			for i, x := range xs {
+				res.ObserveExploration(x.rep)
+				ok := x.ok(horizon)
 				if !ok {
-					res.fail("FAIL k=%d n=%d %s: %s, tower violations %v", k, n, wl.name, rep, ti.Violations())
+					res.fail("FAIL k=%d n=%d %s: %s, tower violations %v", k, n, wls[i].name, x.rep, x.violations)
 				}
-				res.Table.AddRow(k, n, wl.name, rep.CoverTime, rep.MaxGap, ti.TowerRounds(), verdict(ok))
+				res.Table.AddRow(k, n, wls[i].name, x.rep.CoverTime, x.rep.MaxGap, x.towers, verdict(ok))
 			}
 		}
 		return nil
@@ -120,26 +237,31 @@ func runT1R3(cfg Config, res *Result) error {
 	res.Table = metrics.NewTable("workload", "chiralities", "cover", "maxGap", "verdict")
 	const n = 3
 	horizon := pick(cfg, 2000, 400)
-	for _, wl := range positiveWorkloads(n) {
-		for ci, chirs := range [][2]robot.Chirality{
-			{robot.RightIsCW, robot.RightIsCW},
-			{robot.RightIsCW, robot.RightIsCCW},
-		} {
-			rep, err := explorationRun(fsync.Config{
-				Algorithm:  core.PEF2,
-				Dynamics:   wl.build(cfg.Seed + uint64(ci)),
-				Placements: []fsync.Placement{{Node: 0, Chirality: chirs[0]}, {Node: 1, Chirality: chirs[1]}},
-			}, horizon)
-			if err != nil {
-				return err
-			}
-			res.ObserveExploration(rep)
-			ok := possibleVerdict(rep, horizon)
-			if !ok {
-				res.fail("FAIL %s chir=%v: %s", wl.name, chirs, rep)
-			}
-			res.Table.AddRow(wl.name, fmt.Sprintf("%v/%v", chirs[0], chirs[1]), rep.CoverTime, rep.MaxGap, verdict(ok))
+	wls := positiveWorkloads(n)
+	chirs := [][2]robot.Chirality{
+		{robot.RightIsCW, robot.RightIsCW},
+		{robot.RightIsCW, robot.RightIsCCW},
+	}
+	// Run i is workload i/2 under chirality pair i%2.
+	xs, err := explorations(len(wls)*len(chirs), horizon, false, func(i int) fsync.Config {
+		ch := chirs[i%2]
+		return fsync.Config{
+			Algorithm:  core.PEF2,
+			Dynamics:   wls[i/2].build(cfg.Seed + uint64(i%2)),
+			Placements: []fsync.Placement{{Node: 0, Chirality: ch[0]}, {Node: 1, Chirality: ch[1]}},
 		}
+	})
+	if err != nil {
+		return err
+	}
+	for i, x := range xs {
+		name, ch := wls[i/2].name, chirs[i%2]
+		res.ObserveExploration(x.rep)
+		ok := x.ok(horizon)
+		if !ok {
+			res.fail("FAIL %s chir=%v: %s", name, ch, x.rep)
+		}
+		res.Table.AddRow(name, fmt.Sprintf("%v/%v", ch[0], ch[1]), x.rep.CoverTime, x.rep.MaxGap, verdict(ok))
 	}
 	res.Notes = append(res.Notes, "Paper prediction: possible on exactly n = 3.")
 	return nil
@@ -152,39 +274,43 @@ func runT1R5(cfg Config, res *Result) error {
 	// Two-node rings come in two flavours (Section 5.2): the multigraph
 	// with two parallel edges (our native n=2 ring) and the simple 2-node
 	// chain (one of the two edges permanently absent).
-	type variant struct {
-		name string
-		wrap func(sp dynamics.Spec) func(seed uint64) fsync.Dynamics
+	type run struct {
+		variant string
+		sp      dynamics.Spec
 	}
-	variants := []variant{
-		{"multigraph", func(sp dynamics.Spec) func(seed uint64) fsync.Dynamics {
-			return obliviousBuild(sp, n)
-		}},
-		{"chain", func(sp dynamics.Spec) func(seed uint64) fsync.Dynamics {
-			return func(seed uint64) fsync.Dynamics {
-				return fsync.Oblivious{G: dynamics.NewChain(sp.Build(n, seed), 1)}
-			}
-		}},
-	}
-	for _, v := range variants {
+	var runs []run
+	for _, v := range []string{"multigraph", "chain"} {
 		for _, sp := range dynamics.StandardSuite() {
-			if v.name == "chain" && sp.Name == "eventual-missing" {
+			if v == "chain" && sp.Name == "eventual-missing" {
 				// The chain variant already removes one of the two edges
 				// forever; removing the other too would disconnect the
 				// graph permanently, leaving the class of the paper.
 				continue
 			}
-			rep, err := explorationRun(randomTeam(core.PEF1, k, v.wrap(sp), cfg.Seed+7), horizon)
-			if err != nil {
-				return err
-			}
-			res.ObserveExploration(rep)
-			ok := possibleVerdict(rep, horizon)
-			if !ok {
-				res.fail("FAIL %s %s: %s", v.name, sp.Name, rep)
-			}
-			res.Table.AddRow(v.name, sp.Name, rep.CoverTime, rep.MaxGap, verdict(ok))
+			runs = append(runs, run{v, sp})
 		}
+	}
+	xs, err := explorations(len(runs), horizon, false, func(i int) fsync.Config {
+		r := runs[i]
+		build := obliviousBuild(r.sp, n)
+		if r.variant == "chain" {
+			build = func(seed uint64) fsync.Dynamics {
+				return fsync.Oblivious{G: dynamics.NewChain(r.sp.Build(n, seed), 1)}
+			}
+		}
+		return randomTeam(core.PEF1, k, build, cfg.Seed+7)
+	})
+	if err != nil {
+		return err
+	}
+	for i, x := range xs {
+		r := runs[i]
+		res.ObserveExploration(x.rep)
+		ok := x.ok(horizon)
+		if !ok {
+			res.fail("FAIL %s %s: %s", r.variant, r.sp.Name, x.rep)
+		}
+		res.Table.AddRow(r.variant, r.sp.Name, x.rep.CoverTime, x.rep.MaxGap, verdict(ok))
 	}
 	res.Notes = append(res.Notes, "Paper prediction: possible on exactly n = 2 (both ring flavours).")
 	return nil

@@ -176,3 +176,112 @@ func (lv *LaneVisits) Distinct(l int) int {
 	}
 	return d
 }
+
+// LaneTowers is the lockstep-engine form of TowerInvariants: per lane it
+// counts the rounds during which a tower existed and flags the lanes that
+// broke Lemma 3.4 (a tower of 3 or more robots) or Lemma 3.3 (both robots
+// of a 2-tower point the same global direction after Compute). Each round
+// takes two calls around the engine's Step: Look reads the pre-round
+// one-hot position rows, Compute the robots' post-Compute "points CW"
+// words. Towers are counted word-parallel with the one/two/three-robot
+// accumulators of a bit-sliced counter; the pre-round rows are kept only
+// on rounds with a 2-tower, the only case Compute has to read them.
+//
+// Violation strings are not rendered: a flagged lane is replayed on the
+// scalar TowerInvariants, which the differential tests in lanes_test.go
+// pin against this checker (same tower rounds, flagged exactly when the
+// scalar checker records a violation).
+type LaneTowers struct {
+	n, k    int
+	pre     []uint64  // pre-round rows of a round with a 2-tower, pre[i*n+v]
+	two     []uint64  // per node: lanes with exactly two robots on it this round
+	pcw     []uint64  // per robot: post-Compute points-CW word
+	pending bool      // the round in flight has a 2-tower
+	rounds  [64]int32 // per lane: rounds during which a tower existed
+	lemma34 uint64    // lanes that broke Lemma 3.4
+	lemma33 uint64    // lanes that broke Lemma 3.3
+}
+
+// NewLaneTowers creates a checker; Reset arms it for a run shape.
+func NewLaneTowers() *LaneTowers { return &LaneTowers{} }
+
+// Reset re-arms the checker for a fresh lockstep run of k robots on an
+// n-node ring, reusing its backing storage.
+func (lt *LaneTowers) Reset(n, k int) {
+	lt.n, lt.k = n, k
+	lt.pre = resizeWords(lt.pre, k*n)
+	lt.two = resizeWords(lt.two, n)
+	lt.pcw = resizeWords(lt.pcw, k)
+	lt.pending = false
+	lt.rounds = [64]int32{}
+	lt.lemma34, lt.lemma33 = 0, 0
+}
+
+// Look folds the pre-round configuration of the lanes in mask (the lanes
+// about to execute the round): rows holds robot i's one-hot row at
+// rows[i*n:(i+1)*n], as LockstepSimulator.Rows returns it before Step.
+func (lt *LaneTowers) Look(rows []uint64, mask uint64) {
+	n, k := lt.n, lt.k
+	var towers, triples, twos uint64
+	for v := 0; v < n; v++ {
+		var one, dbl, tri uint64
+		for i := 0; i < k; i++ {
+			p := rows[i*n+v]
+			tri |= dbl & p
+			dbl |= one & p
+			one |= p
+		}
+		dbl &= mask
+		towers |= dbl
+		triples |= tri
+		lt.two[v] = dbl &^ tri
+		twos |= lt.two[v]
+	}
+	for b := towers; b != 0; b &= b - 1 {
+		lt.rounds[bits.TrailingZeros64(b)]++
+	}
+	lt.lemma34 |= triples & mask
+	lt.pending = twos != 0
+	if lt.pending {
+		copy(lt.pre, rows[:k*n])
+	}
+}
+
+// Compute completes the round Look saw: pointsCW(i) has bit l set iff
+// lane l's robot i points clockwise after the round's Compute phase
+// (LockstepSimulator.PointsCW after Step). A 2-tower whose robots do not
+// split into one CW and one CCW robot breaks Lemma 3.3.
+func (lt *LaneTowers) Compute(pointsCW func(i int) uint64) {
+	if !lt.pending {
+		return
+	}
+	n := lt.n
+	for i := range lt.pcw {
+		lt.pcw[i] = pointsCW(i)
+	}
+	for v := 0; v < n; v++ {
+		w := lt.two[v]
+		if w == 0 {
+			continue
+		}
+		var cw, ccw uint64
+		for i, d := range lt.pcw {
+			p := lt.pre[i*n+v]
+			cw |= p & d
+			ccw |= p &^ d
+		}
+		lt.lemma33 |= w &^ (cw & ccw)
+	}
+}
+
+// TowerRounds returns the number of rounds during which lane l had a
+// tower, TowerInvariants.TowerRounds for that lane.
+func (lt *LaneTowers) TowerRounds(l int) int { return int(lt.rounds[l]) }
+
+// Lemma34 returns the mask of lanes that formed a tower of 3 or more
+// robots.
+func (lt *LaneTowers) Lemma34() uint64 { return lt.lemma34 }
+
+// Lemma33 returns the mask of lanes where both robots of a 2-tower pointed
+// the same global direction after Compute.
+func (lt *LaneTowers) Lemma33() uint64 { return lt.lemma33 }

@@ -1,10 +1,18 @@
 package spec
 
 import (
+	"math/bits"
+	"slices"
+	"strings"
 	"testing"
 
+	"pef/internal/baseline"
+	"pef/internal/core"
+	"pef/internal/dynamics"
+	"pef/internal/dyngraph"
 	"pef/internal/fsync"
 	"pef/internal/prng"
+	"pef/internal/robot"
 )
 
 // TestLaneVisitsMatchesScalarTrackers drives LaneVisits and the scalar
@@ -125,5 +133,148 @@ func TestLaneVisitsRecordAllocFree(t *testing.T) {
 		instant++
 	}); allocs != 0 {
 		t.Fatalf("LaneVisits.Record allocates %.1f times per instant, want 0", allocs)
+	}
+}
+
+// laneTowerGraph returns a per-lane oblivious schedule from a mix of
+// families, sparse and dense, so towers form and dissolve often.
+func laneTowerGraph(n, kind int, seed uint64) dyngraph.EvolvingGraph {
+	switch kind % 4 {
+	case 0:
+		return dynamics.NewBernoulli(n, 0.7, seed)
+	case 1:
+		return dyngraph.NewEventualMissing(
+			dynamics.NewBoundedRecurrence(dynamics.NewBernoulli(n, 0.4, seed), 4, seed^0x51DE),
+			int(seed%uint64(n)), 6)
+	case 2:
+		return dynamics.NewTInterval(n, 3, seed)
+	default:
+		return dynamics.NewBernoulli(n, 0.3, seed)
+	}
+}
+
+// TestLaneTowersMatchesTowerInvariants runs lane blocks of every rule
+// table on random oblivious dynamics beside one scalar simulator per lane
+// carrying TowerInvariants, and requires per lane the same tower rounds
+// and a flag exactly when the scalar checker records a violation. The
+// tables outside their valid range (keep-direction, tower-bounce, the two
+// rule ablations) really break the lemmas, so both flag words are
+// exercised; the test fails if either never fires.
+func TestLaneTowersMatchesTowerInvariants(t *testing.T) {
+	algs := []robot.Table{
+		core.PEF3Plus, core.PEF2, core.PEF1, core.NoRule2, core.NoRule3,
+		baseline.KeepDirection, baseline.BounceOnMissing, baseline.TowerBounce, baseline.Oscillator,
+	}
+	src := prng.NewSource(0x70E5)
+	lt := NewLaneTowers()
+	var seen34, seen33 int
+	for trial := 0; trial < 54; trial++ {
+		alg := algs[trial%len(algs)] // every table runs six trials
+		n := 4 + src.Intn(9)
+		k := 3 + src.Intn(min(4, n-3))
+		lanes := 1 + src.Intn(64)
+		horizon := 20 + src.Intn(60)
+
+		cfg := fsync.LockstepConfig{Algorithm: alg}
+		sims := make([]*fsync.Simulator, lanes)
+		tis := make([]*TowerInvariants, lanes)
+		for l := 0; l < lanes; l++ {
+			seed := src.Uint64()
+			cfg.Lanes = append(cfg.Lanes, fsync.LaneRun{
+				Graph:      laneTowerGraph(n, l, seed),
+				Placements: fsync.RandomPlacements(n, k, prng.NewSource(seed)),
+				Horizon:    horizon + l%5,
+			})
+			tis[l] = &TowerInvariants{MaxViolations: 1 << 20}
+			sim, err := fsync.New(fsync.Config{
+				Algorithm:  alg,
+				Dynamics:   fsync.Oblivious{G: laneTowerGraph(n, l, seed)},
+				Placements: fsync.RandomPlacements(n, k, prng.NewSource(seed)),
+				Observers:  []fsync.Observer{tis[l]},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sims[l] = sim
+		}
+		ls, err := fsync.NewLockstep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lt.Reset(n, k)
+		for !ls.Done() {
+			lt.Look(ls.Rows(), ls.Active())
+			stepped := ls.Step()
+			lt.Compute(ls.PointsCW)
+			for l, sim := range sims {
+				if stepped&(1<<uint(l)) != 0 {
+					sim.Step()
+				}
+			}
+		}
+		flagged := lt.Lemma34() | lt.Lemma33()
+		for l, ti := range tis {
+			bit := uint64(1) << uint(l)
+			if got, want := lt.TowerRounds(l), ti.TowerRounds(); got != want {
+				t.Fatalf("trial %d (%s n=%d k=%d) lane %d: tower rounds %d, scalar %d", trial, alg.Name(), n, k, l, got, want)
+			}
+			if got, want := flagged&bit != 0, !ti.OK(); got != want {
+				t.Fatalf("trial %d (%s n=%d k=%d) lane %d: flagged %v, scalar violations %v", trial, alg.Name(), n, k, l, got, ti.Violations())
+			}
+			// With the cap lifted, each lemma's word must match the
+			// scalar violations of that lemma alone.
+			for _, c := range []struct {
+				word  uint64
+				lemma string
+			}{{lt.Lemma34(), "(Lemma 3.4)"}, {lt.Lemma33(), "(Lemma 3.3)"}} {
+				want := slices.ContainsFunc(ti.Violations(), func(s string) bool { return strings.HasSuffix(s, c.lemma) })
+				if got := c.word&bit != 0; got != want {
+					t.Fatalf("trial %d (%s n=%d k=%d) lane %d: %s flag %v, scalar violations %v", trial, alg.Name(), n, k, l, c.lemma, got, ti.Violations())
+				}
+			}
+		}
+		seen34 += bits.OnesCount64(lt.Lemma34())
+		seen33 += bits.OnesCount64(lt.Lemma33())
+	}
+	if seen34 == 0 || seen33 == 0 {
+		t.Fatalf("lemma flags never fired (3.4: %d lanes, 3.3: %d lanes): the trials do not exercise the checker", seen34, seen33)
+	}
+}
+
+// TestLaneTowersAllocFree pins the per-round cost of the lane tower
+// checker: once armed, a Look/Compute round allocates nothing, towers
+// included (keep-direction on a sparse ring forms them all the time).
+func TestLaneTowersAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n, k = 8, 4
+	src := prng.NewSource(5)
+	cfg := fsync.LockstepConfig{Algorithm: baseline.KeepDirection}
+	for l := 0; l < 64; l++ {
+		seed := src.Uint64()
+		cfg.Lanes = append(cfg.Lanes, fsync.LaneRun{
+			Graph:      dynamics.NewBernoulli(n, 0.3, seed),
+			Placements: fsync.RandomPlacements(n, k, prng.NewSource(seed)),
+			Horizon:    1 << 20,
+		})
+	}
+	ls, err := fsync.NewLockstep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt := NewLaneTowers()
+	lt.Reset(n, k)
+	round := func() {
+		lt.Look(ls.Rows(), ls.Active())
+		ls.Step()
+		lt.Compute(ls.PointsCW)
+	}
+	round() // warm the engine's buffers
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Fatalf("LaneTowers round allocates %.1f times, want 0", allocs)
+	}
+	if lt.TowerRounds(0) == 0 {
+		t.Fatal("no tower formed: the measured rounds skip the tower path")
 	}
 }
