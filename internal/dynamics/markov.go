@@ -154,28 +154,12 @@ func (m *MarkovStream) EdgesAtInto(t int, dst *ring.EdgeSet) {
 	dst.Clear()
 }
 
-// MarkovSpec wraps GenerateMarkov as a workload Spec with the given
-// horizon; Build panics on invalid parameters (they are programmer-chosen
-// constants in the suites).
-func MarkovSpec(up, down float64, horizon int) Spec {
-	return Spec{
-		Name: "markov-" + ftoa(up) + "-" + ftoa(down),
-		Build: func(n int, seed uint64) dyngraph.EvolvingGraph {
-			g, err := GenerateMarkov(n, up, down, seed, horizon)
-			if err != nil {
-				panic(err)
-			}
-			return g
-		},
-	}
-}
-
-// MarkovStreamSpec is the streaming form of MarkovSpec: the same name and
-// the same edges, produced as a simulator reads them forward with a
-// one-instant window, so a build materializes nothing. Random-access
-// readers wrap the built graph in dyngraph.Record. Build panics on invalid
-// parameters, like MarkovSpec.
-func MarkovStreamSpec(up, down float64) Spec {
+// MarkovSpec wraps the Markov chain as a workload Spec. A build streams
+// the chain with a one-instant window, so it materializes nothing and
+// serves forward reads only; random-access readers wrap the built graph in
+// dyngraph.Record. Build panics on invalid parameters (they are
+// programmer-chosen constants in the suites).
+func MarkovSpec(up, down float64) Spec {
 	return Spec{
 		Name: "markov-" + ftoa(up) + "-" + ftoa(down),
 		Build: func(n int, seed uint64) dyngraph.EvolvingGraph {

@@ -108,7 +108,7 @@ func StandardSuite() []Spec {
 		BernoulliSpec(0.3),
 		TIntervalSpec(4),
 		RovingSpec(3),
-		MarkovStreamSpec(0.4, 0.25),
+		MarkovSpec(0.4, 0.25),
 		EventualMissingSpec(0, 32, 0.7, 4),
 	}
 }

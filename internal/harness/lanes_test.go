@@ -64,21 +64,6 @@ func TestLaneRowsMatchCommittedTrajectory(t *testing.T) {
 	}
 }
 
-// TestPossibilityRowsRouteToLanes pins the routing the lane helper applies
-// to the Table 1 shapes: E-T1.R1's 8-lane blocks (n <= 12), E-T1.R3's 16
-// lanes on n = 3 and E-T1.R5's 15 lanes on n = 2 run on lanes; E-X1's 3
-// runs per ring (n >= 8) and E-X7's 2 runs per team on n = 16 would not.
-func TestPossibilityRowsRouteToLanes(t *testing.T) {
-	for _, c := range []struct {
-		lanes, n int
-		want     bool
-	}{{8, 4, true}, {8, 12, true}, {16, 3, true}, {15, 2, true}, {3, 8, false}, {3, 64, false}, {2, 16, false}} {
-		if got := lanesPay(c.lanes, c.n); got != c.want {
-			t.Errorf("lanesPay(%d lanes, n=%d) = %v, want %v", c.lanes, c.n, got, c.want)
-		}
-	}
-}
-
 // TestLaneExplorationsMatchScalar runs the oblivious E-T1.R1 workloads as
 // one lane block and each on its own scalar simulator, and requires every
 // passing lane to carry the scalar run's report and tower rounds.
@@ -96,9 +81,9 @@ func TestLaneExplorationsMatchScalar(t *testing.T) {
 			cs[i], lanes[i] = team(i), i
 		}
 		out := make([]exploration, len(wls))
-		ran, passed := laneExplorations(cs, lanes, horizon, true, out)
-		if !ran || passed == 0 {
-			t.Fatalf("n=%d: lane block ran %v, passing lanes %b", n, ran, passed)
+		passed := laneExplorations(cs, lanes, horizon, true, out)
+		if passed == 0 {
+			t.Fatalf("n=%d: no lane passed", n)
 		}
 		for i, x := range out {
 			if passed&(1<<uint(i)) == 0 {

@@ -44,22 +44,17 @@ func (x exploration) ok(horizon int) bool {
 	return possibleVerdict(x.rep, horizon) && len(x.violations) == 0
 }
 
-// lanesPay routes a block of oblivious runs on an n-node ring to the
-// lockstep engine. A lockstep round costs O(k·n) word operations whatever
-// the lane count, a scalar round O(k) per run, so lanes win once they
-// number about n/2. Measured on a 2-vCPU host: E-T1.R1's 8 lanes run 2.1×
-// faster than scalar on n = 8 and 1.25× on n = 12, while E-X1's 3 lanes
-// run 1.2× slower on n = 8 and 4.7× on n = 64, and E-X7's 2 lanes on
-// n = 16 2× slower.
-func lanesPay(lanes, n int) bool { return 2*lanes >= n }
-
 // explorations runs team(0), …, team(runs-1) for horizon rounds each,
 // checking the tower invariants when towers is set. team(i) must build a
 // fresh config for run i on every call; all runs share one algorithm,
 // ring and team size. The runs on oblivious dynamics form one lockstep
-// block when lanesPay; the others, and every lane that fails the
-// possibility verdict or a tower lemma, run on the scalar path, so every
-// outcome, failure notes included, is the scalar run's.
+// block; the others, and every lane that fails the possibility verdict or
+// a tower lemma, run on the scalar path, so every outcome, failure notes
+// included, is the scalar run's. Lanes pay for blocks of about n/2 runs or
+// more (a lockstep round costs O(k·n) word operations whatever the lane
+// count, a scalar round O(k) per run), which is why only the Table 1 rows
+// with 8–16 runs per ring call this and E-X1, E-X2 and E-X7 run each team
+// through explorationRun.
 func explorations(runs, horizon int, towers bool, team func(i int) fsync.Config) ([]exploration, error) {
 	cs := make([]fsync.Config, runs)
 	var lanes []int
@@ -70,12 +65,12 @@ func explorations(runs, horizon int, towers bool, team func(i int) fsync.Config)
 		}
 	}
 	out := make([]exploration, runs)
-	ran, passed := laneExplorations(cs, lanes, horizon, towers, out)
+	passed := laneExplorations(cs, lanes, horizon, towers, out)
 	for j, i := range lanes {
 		if passed&(1<<uint(j)) != 0 {
 			cs[i].Dynamics = nil // settled on lanes
-		} else if ran {
-			cs[i] = team(i) // the block consumed the run's dynamics
+		} else {
+			cs[i] = team(i) // the block may have consumed the run's dynamics
 		}
 	}
 	for i, c := range cs {
@@ -100,25 +95,25 @@ func explorations(runs, horizon int, towers bool, team func(i int) fsync.Config)
 }
 
 // laneExplorations runs cs[lanes[0]], cs[lanes[1]], … as the lanes of one
-// lockstep block when the block pays, and fills out for every lane that
-// passes the possibility verdict without a tower flag. It reports whether
-// the block ran and the mask of passing lanes (bit j for lanes[j]).
-func laneExplorations(cs []fsync.Config, lanes []int, horizon int, towers bool, out []exploration) (ran bool, passed uint64) {
+// lockstep block when their algorithm is a rule table, and fills out for
+// every lane that passes the possibility verdict without a tower flag. It
+// returns the mask of passing lanes (bit j for lanes[j]).
+func laneExplorations(cs []fsync.Config, lanes []int, horizon int, towers bool, out []exploration) (passed uint64) {
 	if len(lanes) == 0 {
-		return false, 0
+		return 0
 	}
 	alg, ok := cs[lanes[0]].Algorithm.(robot.Table)
-	n := cs[lanes[0]].Dynamics.Ring().Size()
-	if !ok || !lanesPay(len(lanes), n) {
-		return false, 0
+	if !ok {
+		return 0
 	}
+	n := cs[lanes[0]].Dynamics.Ring().Size()
 	runs := make([]fsync.LaneRun, len(lanes))
 	for j, i := range lanes {
 		runs[j] = fsync.LaneRun{Graph: cs[i].Dynamics.(fsync.Oblivious).G, Placements: cs[i].Placements, Horizon: horizon}
 	}
 	ls, err := fsync.AcquireLockstep(fsync.LockstepConfig{Algorithm: alg, Lanes: runs})
 	if err != nil {
-		return false, 0 // the scalar runs report the error
+		return 0 // the scalar runs report the error
 	}
 	lv, lt := spec.NewLaneVisits(), spec.NewLaneTowers()
 	lv.Reset(n)
@@ -144,7 +139,7 @@ func laneExplorations(cs []fsync.Config, lanes []int, horizon int, towers bool, 
 		out[i] = exploration{rep: rep, towers: lt.TowerRounds(j)}
 		passed |= 1 << uint(j)
 	}
-	return true, passed
+	return passed
 }
 
 // randomTeam places k robots running alg at random on the ring of

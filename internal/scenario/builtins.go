@@ -175,7 +175,11 @@ func registerBuiltins(r *Registry) {
 		},
 		Graph: func(s Spec) (dyngraph.EvolvingGraph, error) {
 			// Composable form: the same chain, rematerialized per member.
-			return dynamics.MarkovSpec(s.Params.Up, s.Params.Down, s.Horizon).Build(s.Ring, s.Seed), nil
+			g, err := dynamics.GenerateMarkov(s.Ring, s.Params.Up, s.Params.Down, s.Seed, s.Horizon)
+			if err != nil {
+				return nil, err
+			}
+			return g, nil
 		},
 		Sample: func(src *prng.Source, _, _ int) Params {
 			up := probIn(src, 0.2, 0.8)
