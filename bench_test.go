@@ -59,6 +59,7 @@ func BenchmarkX8_ConvergencePrefixes(b *testing.B)    { benchExperiment(b, "E-X8
 func BenchmarkX9_TaxonomyClassification(b *testing.B) { benchExperiment(b, "E-X9") }
 func BenchmarkX10_SentinelFormation(b *testing.B)     { benchExperiment(b, "E-X10") }
 func BenchmarkX11_ThreeRobotThreshold(b *testing.B)   { benchExperiment(b, "E-X11") }
+func BenchmarkX12_LockstepEquivalence(b *testing.B)   { benchExperiment(b, "E-X12") }
 
 // BenchmarkFullReport regenerates the single-seed report of
 // `pef experiments`, streamed in index order by one worker.

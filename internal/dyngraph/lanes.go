@@ -39,7 +39,7 @@ func LaneColumns(graphs []EvolvingGraph, sets []ring.EdgeSet, active uint64, t i
 		}
 		m[l] = sets[l].Word(0)
 	}
-	ring.Transpose64(&m)
+	ring.Transpose64(&m, bits.Len64(active))
 	for e := range cols {
 		cols[e] = m[e]
 	}

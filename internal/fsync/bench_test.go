@@ -10,14 +10,15 @@ import (
 	"pef/internal/robot"
 )
 
-// benchSim builds the canonical Step benchmark workload: PEF_3+-shaped
-// three-robot team on a 16-node static ring (the hot path of every sweep
-// and campaign, without dynamics-generation noise).
-func benchSim(b *testing.B, n, k int) *Simulator {
+// benchSim builds the canonical Step benchmark workload: k keep-direction
+// robots spread evenly over dyn's ring (the hot path of every sweep and
+// campaign, without dynamics-generation noise).
+func benchSim(b *testing.B, dyn Dynamics, k int) *Simulator {
 	b.Helper()
+	n := dyn.Ring().Size()
 	sim, err := New(Config{
 		Algorithm:  robot.NewTable("bench-keep", func(bool, robot.View) (bool, bool) { return false, false }),
-		Dynamics:   Oblivious{G: dyngraph.NewStatic(n)},
+		Dynamics:   dyn,
 		Placements: EvenPlacements(n, k),
 	})
 	if err != nil {
@@ -64,20 +65,29 @@ var kernelFamilies = []struct {
 	{"compose-interleave", composed(dynamics.ComposeInterleave, dynamics.RovingSpec(2).Build)},
 }
 
-// BenchmarkStep measures one synchronous round in steady state ("round";
-// its allocs/op is the quantity the zero-allocation round engine drives
-// to zero), and the E_t materialization a round starts with, per family:
-// one scalar EdgesInto ("edges") and one 64-lane LaneColumns instant
-// ("lanes").
+// BenchmarkStep measures one synchronous round in steady state on a
+// static ring ("round") and under the adaptive pointed-edge adversary
+// ("round/adaptive"); their allocs/op is the quantity the zero-allocation
+// round engine drives to zero. It also times the E_t materialization a
+// round starts with, per family: one scalar EdgesInto ("edges") and one
+// 64-lane LaneColumns instant ("lanes").
 func BenchmarkStep(b *testing.B) {
-	b.Run("round", func(b *testing.B) {
-		sim := benchSim(b, 16, 3)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sim.Step()
-		}
-	})
+	for _, c := range []struct {
+		name string
+		dyn  Dynamics
+	}{
+		{"round", Oblivious{G: dyngraph.NewStatic(16)}},
+		{"round/adaptive", pointedEdge{r: ring.New(16), seed: 7}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sim := benchSim(b, c.dyn, 3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim.Step()
+			}
+		})
+	}
 	for _, f := range kernelFamilies {
 		for _, n := range []int{8, 130} {
 			b.Run(fmt.Sprintf("edges/%s/n=%d", f.name, n), func(b *testing.B) {

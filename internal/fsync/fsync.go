@@ -17,10 +17,11 @@
 // adaptive adversaries of package adversary alike), occupancy uses a
 // count slice instead of a map, and simulators themselves are pooled via
 // Acquire/Release so million-scenario campaigns reuse backing slices
-// across jobs. A round reads every core once: Before is refilled by
-// copying the previous round's After, and each robot's global direction
-// is cached, set at Reset and updated only after Compute. The price of
-// the reuse is a retention contract: the *RoundEvent that Step returns
+// across jobs. A round writes its result once: Before is refilled by
+// copying the previous round's After, and Step writes each robot's new
+// global direction, state, position and moved flag straight into After,
+// which is also where the next round reads them. The price of the reuse
+// is a retention contract: the *RoundEvent that Step returns
 // and delivers, both *Snapshot buffers it points at, and its Edges set
 // are owned by the simulator and valid only until the next Step on it —
 // observers that keep data call Clone.
@@ -78,15 +79,23 @@ func (s Snapshot) Clone() Snapshot {
 	}
 }
 
-// copyFrom overwrites dst in place with src, reusing backing arrays. It is
-// the engine's double-buffer refill; the public retention-safe path stays
-// Clone.
+// copyFrom overwrites s in place with src, both sized by resize to the
+// same team. It is the engine's double-buffer refill; the public
+// retention-safe path stays Clone.
 func (s *Snapshot) copyFrom(src *Snapshot) {
 	s.T = src.T
-	s.Positions = append(s.Positions[:0], src.Positions...)
-	s.GlobalDirs = append(s.GlobalDirs[:0], src.GlobalDirs...)
-	s.States = append(s.States[:0], src.States...)
-	s.MovedPrev = append(s.MovedPrev[:0], src.MovedPrev...)
+	copy(s.Positions, src.Positions)
+	copy(s.GlobalDirs, src.GlobalDirs)
+	copy(s.States, src.States)
+	copy(s.MovedPrev, src.MovedPrev)
+}
+
+// resize sizes every per-robot slice to k, reusing backing arrays.
+func (s *Snapshot) resize(k int) {
+	s.Positions = resize(s.Positions, k)
+	s.GlobalDirs = resize(s.GlobalDirs, k)
+	s.States = resize(s.States, k)
+	s.MovedPrev = resize(s.MovedPrev, k)
 }
 
 // occScratch pools occupancy count slices, shared by Snapshot.Towers and
@@ -255,19 +264,19 @@ type RoundEvent struct {
 	Before *Snapshot
 	// After is the configuration at time T+1.
 	After *Snapshot
-	// Moved[i] reports whether robot i crossed an edge this round.
+	// Moved[i] reports whether robot i crossed an edge this round; it is
+	// After.MovedPrev.
 	Moved []bool
 	// Flipped[i] reports whether robot i changed its pointed global
 	// direction during this round's Compute.
 	Flipped []bool
 }
 
+// simRobot is what the snapshots do not hold of a robot: its position,
+// global direction, state and moved flag live in After between rounds.
 type simRobot struct {
-	core  robot.Core
-	chir  robot.Chirality
-	dir   ring.Direction // global direction of core.Dir(), kept by Reset and Compute
-	node  int
-	moved bool // moved during the previous round, scheduler-observed
+	core robot.Core
+	chir robot.Chirality
 }
 
 // Simulator executes rounds. Create with New (or Acquire, which reuses a
@@ -284,10 +293,9 @@ type Simulator struct {
 	// Steady-state scratch: reused by every Step, sized once per Reset.
 	before  Snapshot
 	after   Snapshot
-	ev      RoundEvent   // the event Step returns, pointing at before/after
+	ev      RoundEvent   // the event Step returns, built at Reset
 	edges   ring.EdgeSet // presence-set buffer Dynamics writes E_t into
 	views   []robot.View
-	moved   []bool
 	flipped []bool
 	occ     []int // occupancy counts indexed by node
 }
@@ -327,6 +335,9 @@ func (s *Simulator) Reset(cfg Config) error {
 	s.metrics = cfg.Metrics
 	s.t = 0
 	s.robots = resize(s.robots, k)
+	s.before.resize(k)
+	s.after.resize(k)
+	s.after.T = 0
 	s.occ = resize(s.occ, r.Size())
 	for i := range s.occ {
 		s.occ[i] = 0
@@ -348,7 +359,11 @@ func (s *Simulator) Reset(cfg Config) error {
 		if core == nil {
 			core = cfg.Algorithm.NewCore()
 		}
-		s.robots[i] = simRobot{core: core, chir: p.Chirality, dir: globalDir(p.Chirality, core.Dir()), node: p.Node}
+		s.robots[i] = simRobot{core: core, chir: p.Chirality}
+		s.after.Positions[i] = p.Node
+		s.after.GlobalDirs[i] = globalDir(p.Chirality, core.Dir())
+		s.after.States[i] = core.State()
+		s.after.MovedPrev[i] = false
 	}
 	for _, p := range cfg.Placements {
 		s.occ[p.Node] = 0
@@ -366,10 +381,8 @@ func (s *Simulator) Reset(cfg Config) error {
 		s.edges = ring.NewEdgeSet(r.Edges())
 	}
 	s.views = resize(s.views, k)
-	s.moved = resize(s.moved, k)
 	s.flipped = resize(s.flipped, k)
-	s.fillSnapshot(&s.before)
-	s.fillSnapshot(&s.after)
+	s.ev = RoundEvent{Before: &s.before, After: &s.after, Moved: s.after.MovedPrev, Flipped: s.flipped}
 	return nil
 }
 
@@ -443,33 +456,7 @@ func (s *Simulator) Robots() int { return len(s.robots) }
 
 // Snapshot returns the externally observable configuration at the current
 // instant. The returned snapshot is freshly allocated and safe to retain.
-func (s *Simulator) Snapshot() Snapshot {
-	snap := Snapshot{
-		Positions:  make([]int, len(s.robots)),
-		GlobalDirs: make([]ring.Direction, len(s.robots)),
-		States:     make([]robot.StateCode, len(s.robots)),
-		MovedPrev:  make([]bool, len(s.robots)),
-	}
-	s.fillSnapshot(&snap)
-	return snap
-}
-
-// fillSnapshot overwrites snap in place with the current configuration,
-// reusing its backing slices.
-func (s *Simulator) fillSnapshot(snap *Snapshot) {
-	snap.T = s.t
-	snap.Positions = resize(snap.Positions, len(s.robots))
-	snap.GlobalDirs = resize(snap.GlobalDirs, len(s.robots))
-	snap.States = resize(snap.States, len(s.robots))
-	snap.MovedPrev = resize(snap.MovedPrev, len(s.robots))
-	for i := range s.robots {
-		rb := &s.robots[i]
-		snap.Positions[i] = rb.node
-		snap.GlobalDirs[i] = rb.dir
-		snap.States[i] = rb.core.State()
-		snap.MovedPrev[i] = rb.moved
-	}
-}
+func (s *Simulator) Snapshot() Snapshot { return s.after.Clone() }
 
 // globalDir converts a robot's local pointed direction to the external
 // observer's global direction.
@@ -489,8 +476,9 @@ func (s *Simulator) RecordedGraph() *dyngraph.Recorded { return s.recorded }
 // Step.
 func (s *Simulator) Step() *RoundEvent {
 	// Only Step changes the configuration, and it leaves it in s.after.
-	s.before.copyFrom(&s.after)
-	s.dyn.EdgesAtInto(s.t, &s.before, &s.edges)
+	b, a := &s.before, &s.after
+	b.copyFrom(a)
+	s.dyn.EdgesAtInto(s.t, b, &s.edges)
 	edges := s.edges
 	if edges.Size() != s.r.Edges() {
 		panic(fmt.Sprintf("fsync: dynamics produced edge set of size %d for ring with %d edges", edges.Size(), s.r.Edges()))
@@ -499,21 +487,21 @@ func (s *Simulator) Step() *RoundEvent {
 		s.recorded.Append(edges)
 	}
 
-	for i := range s.robots {
-		s.occ[s.robots[i].node]++
+	for _, v := range b.Positions {
+		s.occ[v]++
 	}
 
 	// Look: gather each robot's view on E_t.
-	for i := range s.robots {
-		rb := &s.robots[i]
+	for i, v := range b.Positions {
+		d := b.GlobalDirs[i]
 		s.views[i] = robot.View{
-			EdgeDir:     edges.Contains(s.r.EdgeTowards(rb.node, rb.dir)),
-			EdgeOpp:     edges.Contains(s.r.EdgeTowards(rb.node, rb.dir.Opposite())),
-			OtherRobots: s.occ[rb.node] > 1,
+			EdgeDir:     edges.Contains(s.r.EdgeTowards(v, d)),
+			EdgeOpp:     edges.Contains(s.r.EdgeTowards(v, d.Opposite())),
+			OtherRobots: s.occ[v] > 1,
 		}
 	}
-	for i := range s.robots {
-		s.occ[s.robots[i].node] = 0
+	for _, v := range b.Positions {
+		s.occ[v] = 0
 	}
 
 	// Compute: all robots atomically.
@@ -525,31 +513,25 @@ func (s *Simulator) Step() *RoundEvent {
 			panic(fmt.Sprintf("fsync: robot %d computed invalid direction", i))
 		}
 		g := globalDir(rb.chir, d)
-		s.flipped[i] = g != rb.dir
-		rb.dir = g
+		s.flipped[i] = g != b.GlobalDirs[i]
+		a.GlobalDirs[i] = g
 	}
 
 	// Move: all robots atomically, on the same snapshot E_t.
-	for i := range s.robots {
-		rb := &s.robots[i]
-		s.moved[i] = false
-		if edges.Contains(s.r.EdgeTowards(rb.node, rb.dir)) {
-			rb.node = s.r.Next(rb.node, rb.dir)
-			s.moved[i] = true
+	for i, v := range b.Positions {
+		d := a.GlobalDirs[i]
+		moved := edges.Contains(s.r.EdgeTowards(v, d))
+		if moved {
+			v = s.r.Next(v, d)
 		}
-		rb.moved = s.moved[i]
+		a.Positions[i] = v
+		a.MovedPrev[i] = moved
+		a.States[i] = s.robots[i].core.State()
 	}
 
 	s.t++
-	s.fillSnapshot(&s.after)
-	s.ev = RoundEvent{
-		T:       s.before.T,
-		Edges:   edges,
-		Before:  &s.before,
-		After:   &s.after,
-		Moved:   s.moved,
-		Flipped: s.flipped,
-	}
+	a.T = s.t
+	s.ev.T, s.ev.Edges = b.T, edges
 	for _, ob := range s.observers {
 		ob.ObserveRound(&s.ev)
 	}

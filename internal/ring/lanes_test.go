@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"math/bits"
 	"testing"
 
 	"pef/internal/prng"
@@ -32,14 +33,69 @@ func TestTranspose64MatchesNaive(t *testing.T) {
 		}
 		want := naiveTranspose64(m)
 		got := m
-		Transpose64(&got)
+		Transpose64(&got, 64)
 		if got != want {
 			t.Fatalf("trial %d: transpose mismatch", trial)
 		}
 		// An involution: transposing twice restores the input.
-		Transpose64(&got)
+		Transpose64(&got, 64)
 		if got != m {
 			t.Fatalf("trial %d: double transpose is not the identity", trial)
+		}
+	}
+}
+
+// fullTranspose64 is Transpose64 before it took a row bound: it folds by
+// row width only and walks all 64 rows.
+func fullTranspose64(m *[64]uint64) {
+	var or uint64
+	for _, w := range m {
+		or |= w
+	}
+	p := uint(1) << bits.Len(uint(bits.Len64(or))-1)
+	j := uint(32)
+	mask := uint64(0x00000000FFFFFFFF)
+	for ; j != 0; j, mask = j>>1, mask^mask<<(j>>1) {
+		if j >= p {
+			for k := uint(0); k < j; k++ {
+				m[k] |= m[k+j] << j
+				m[k+j] = 0
+			}
+			continue
+		}
+		for k := uint(0); k < p; k = (k + j + 1) &^ j {
+			t := ((m[k] >> j) ^ m[k+j]) & mask
+			m[k+j] ^= t
+			m[k] ^= t << j
+		}
+	}
+}
+
+// TestTranspose64RowBoundMatchesFull checks the row-bounded transpose
+// against the full one for every row count 1–64 and row width 2–64,
+// with the last row always filled so the bound is tight.
+func TestTranspose64RowBoundMatchesFull(t *testing.T) {
+	src := prng.NewSource(0xB0B)
+	for rows := 1; rows <= 64; rows++ {
+		for width := uint(2); width <= 64; width++ {
+			var m [64]uint64
+			for i := range m[:rows] {
+				m[i] = src.Uint64() & (1<<width - 1)
+			}
+			m[rows-1] |= 1 << (width - 1)
+			want := m
+			fullTranspose64(&want)
+			got := m
+			Transpose64(&got, rows)
+			if got != want {
+				t.Fatalf("rows %d width %d: bounded transpose differs from the full one", rows, width)
+			}
+			// A loose bound gives the same answer.
+			got = m
+			Transpose64(&got, 64)
+			if got != want {
+				t.Fatalf("rows %d width %d: transpose with bound 64 differs", rows, width)
+			}
 		}
 	}
 }
@@ -49,7 +105,7 @@ func TestTranspose64SingleBit(t *testing.T) {
 		for c := 0; c < 64; c += 5 {
 			var m [64]uint64
 			m[r] = 1 << uint(c)
-			Transpose64(&m)
+			Transpose64(&m, 64)
 			for i := range m {
 				want := uint64(0)
 				if i == c {

@@ -73,8 +73,18 @@ func (r Ring) Size() int { return r.n }
 // equals the number of nodes; it is provided for readability at call sites.
 func (r Ring) Edges() int { return r.n }
 
-// Node normalizes an arbitrary integer to a node index in [0, n).
+// Node normalizes an arbitrary integer to a node index in [0, n). Next,
+// EdgeTowards and EdgeEndpoints on a valid node pass values in [-1, n],
+// which return without a division; anything further out takes the %.
 func (r Ring) Node(v int) int {
+	switch {
+	case uint(v) < uint(r.n):
+		return v
+	case v == -1:
+		return r.n - 1
+	case v == r.n:
+		return 0
+	}
 	v %= r.n
 	if v < 0 {
 		v += r.n

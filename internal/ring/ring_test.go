@@ -179,3 +179,47 @@ func TestCWDistInverseProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNodeMatchesModulo pins Node's division-free paths to the plain
+// modulo definitions of Node, Next, EdgeTowards, EdgeEndpoints, CWDist and
+// EdgeBetween over arguments well beyond [-1, n].
+func TestNodeMatchesModulo(t *testing.T) {
+	for n := 2; n <= 130; n++ {
+		r := New(n)
+		mod := func(v int) int { return (v%n + n) % n }
+		for v := -3 * n; v <= 3*n; v++ {
+			if got := r.Node(v); got != mod(v) {
+				t.Fatalf("n=%d: Node(%d) = %d, want %d", n, v, got, mod(v))
+			}
+			for _, d := range []Direction{CW, CCW} {
+				if got := r.Next(v, d); got != mod(v+int(d)) {
+					t.Fatalf("n=%d: Next(%d, %v) = %d, want %d", n, v, d, got, mod(v+int(d)))
+				}
+			}
+			if got := r.EdgeTowards(v, CW); got != v {
+				t.Fatalf("n=%d: EdgeTowards(%d, CW) = %d, want %d", n, v, got, v)
+			}
+			if got := r.EdgeTowards(v, CCW); got != mod(v-1) {
+				t.Fatalf("n=%d: EdgeTowards(%d, CCW) = %d, want %d", n, v, got, mod(v-1))
+			}
+			if lo, hi := r.EdgeEndpoints(v); lo != v || hi != mod(v+1) {
+				t.Fatalf("n=%d: EdgeEndpoints(%d) = (%d, %d), want (%d, %d)", n, v, lo, hi, v, mod(v+1))
+			}
+			for u := 0; u < n; u++ {
+				if got := r.CWDist(u, v); got != mod(v-u) {
+					t.Fatalf("n=%d: CWDist(%d, %d) = %d, want %d", n, u, v, got, mod(v-u))
+				}
+				want, wantOK := 0, false
+				switch {
+				case mod(u+1) == v:
+					want, wantOK = u, true
+				case mod(v+1) == u:
+					want, wantOK = v, true
+				}
+				if got, ok := r.EdgeBetween(u, v); got != want || ok != wantOK {
+					t.Fatalf("n=%d: EdgeBetween(%d, %d) = (%d, %v), want (%d, %v)", n, u, v, got, ok, want, wantOK)
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -72,6 +73,32 @@ func TestVisitTrackerTowerCountsOnce(t *testing.T) {
 	rep := vt.Report()
 	if rep.Visits[1] != 2 { // t=0 and t=1, one per instant despite 2 robots
 		t.Fatalf("visits = %v", rep.Visits)
+	}
+}
+
+// TestVisitTrackerThreeRobotTower counts a 3-robot tower as one visit per
+// instant, also when it stands on a node visited before and when it splits.
+func TestVisitTrackerThreeRobotTower(t *testing.T) {
+	vt := NewVisitTracker(5)
+	positions := [][]int{{0, 1, 2}, {1, 1, 1}, {1, 1, 1}, {0, 1, 2}}
+	for i := 0; i+1 < len(positions); i++ {
+		vt.ObserveRound(event(i, 5, positions[i], positions[i+1], nil))
+	}
+	rep := vt.Report()
+	if want := []int{2, 4, 2, 0, 0}; !reflect.DeepEqual(rep.Visits, want) {
+		t.Fatalf("visits = %v, want %v", rep.Visits, want)
+	}
+	// Nodes 0 and 2 were left for t=1,2: a gap of 3 instants; nodes 3 and
+	// 4 are never visited, so their gap is the horizon.
+	if rep.Covered != 3 || rep.CoverTime != -1 || rep.MaxGap != 4 || rep.WorstNode != 3 {
+		t.Fatalf("report = %+v", rep)
+	}
+	vt2 := NewVisitTracker(3)
+	for i := 0; i+1 < len(positions); i++ {
+		vt2.ObserveRound(event(i, 3, positions[i], positions[i+1], nil))
+	}
+	if rep := vt2.Report(); rep.CoverTime != 0 || rep.MaxGap != 3 || rep.WorstNode != 0 {
+		t.Fatalf("3-ring report = %+v", rep)
 	}
 }
 

@@ -79,17 +79,10 @@ func (vt *VisitTracker) ObserveRound(ev *fsync.RoundEvent) {
 
 func (vt *VisitTracker) recordConfig(snap *fsync.Snapshot) {
 	vt.horizon = snap.T + 1
-	for pi, node := range snap.Positions {
-		// Count each node once per instant even when a tower stands on it
-		// (k is tiny, so the quadratic rescan beats a per-round set).
-		dup := false
-		for _, prev := range snap.Positions[:pi] {
-			if prev == node {
-				dup = true
-				break
-			}
-		}
-		if dup {
+	for _, node := range snap.Positions {
+		// Count each node once per instant even when a tower stands on it:
+		// a robot already counted here this instant stamped lastVisit.
+		if vt.lastVisit[node] == snap.T {
 			continue
 		}
 		if vt.lastVisit[node] < 0 {
