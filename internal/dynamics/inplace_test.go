@@ -56,11 +56,11 @@ func testPeriodic(t *testing.T, n int) *Periodic {
 // markov builds a MarkovStream and its same-seed twin.
 func markov(up, down float64, seed uint64) kernelBuild {
 	return func(t *testing.T, n int) (dyngraph.InPlaceGraph, dyngraph.EvolvingGraph) {
-		g, err := NewMarkovStream(n, up, down, seed, 4)
+		g, err := NewMarkovStream(n, up, down, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := NewMarkovStream(n, up, down, seed, 4)
+		ref, err := NewMarkovStream(n, up, down, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestInPlaceMarkovSweep(t *testing.T) {
 	var dst ring.EdgeSet
 	for _, up := range probs {
 		for _, down := range append([]float64{0}, probs...) {
-			m, err := NewMarkovStream(n, up, down, seed, 2)
+			m, err := NewMarkovStream(n, up, down, seed)
 			if err != nil {
 				t.Fatal(err)
 			}

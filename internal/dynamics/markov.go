@@ -22,7 +22,7 @@ import (
 // connected-over-time with overwhelming probability on the horizons the
 // experiments use (tests verify it).
 func GenerateMarkov(n int, up, down float64, seed uint64, horizon int) (*dyngraph.Recorded, error) {
-	m, err := NewMarkovStream(n, up, down, seed, 1)
+	m, err := NewMarkovStream(n, up, down, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -33,62 +33,39 @@ func GenerateMarkov(n int, up, down float64, seed uint64, horizon int) (*dyngrap
 }
 
 // MarkovStream is the lazily generated form of the Markov dynamics: the
-// per-edge two-state chain produced forward on demand into a bounded
-// sliding window of presence sets. A campaign run over a million-round
-// horizon therefore holds O(window) edge sets instead of O(horizon).
+// per-edge two-state chain produced forward on demand into one presence
+// set, the chain state. A campaign run over a million-round horizon
+// therefore holds one edge set instead of O(horizon).
 //
-// Present and EdgesAtInto read the same window. They may be queried at
-// any instant from the retained window onwards (the chain advances as
-// needed); reading an instant that has slid out of the window panics.
-// Simulators only ever read the current instant, so any window >= 1
-// serves them. Negative instants have no edges.
+// Present and EdgesAtInto read the same set. They may be queried at the
+// newest generated instant or any later one (the chain advances as
+// needed); reading an instant behind the newest panics. Simulators only
+// ever read the current instant. Negative instants have no edges.
 type MarkovStream struct {
 	r ring.Ring
-	// win is the sliding window, a ring of presence sets over the
-	// instants [next-len(win), next). The newest, E_{next-1} in slot
-	// head, is the chain state.
-	win        []ring.EdgeSet
-	next, head int
-	src        prng.Source
+	// cur is E_{next-1}, the newest generated instant.
+	cur  ring.EdgeSet
+	next int
+	src  prng.Source
 	// upThr and downThr are prng.Threshold53 of the transition
 	// probabilities.
 	upThr, downThr uint64
 }
 
-// NewMarkovStream creates a streaming Markov dynamics over an n-node ring
-// retaining a window of the given size (values < 1 mean 1).
-func NewMarkovStream(n int, up, down float64, seed uint64, window int) (*MarkovStream, error) {
+// NewMarkovStream creates a streaming Markov dynamics over an n-node ring.
+func NewMarkovStream(n int, up, down float64, seed uint64) (*MarkovStream, error) {
 	if up <= 0 || up > 1 || down < 0 || down > 1 {
 		return nil, fmt.Errorf("dynamics: Markov probabilities up=%v down=%v outside (0,1]/[0,1]", up, down)
 	}
-	if window < 1 {
-		window = 1
-	}
 	r := ring.New(n)
-	m := &MarkovStream{
+	return &MarkovStream{
 		r:       r,
-		win:     make([]ring.EdgeSet, window),
+		cur:     ring.FullEdgeSet(r.Edges()),
 		next:    1,
 		src:     *prng.NewSource(seed),
 		upThr:   prng.Threshold53(up),
 		downThr: prng.Threshold53(down),
-	}
-	m.win[0] = ring.FullEdgeSet(r.Edges())
-	for i := 1; i < window; i++ {
-		m.win[i] = ring.NewEdgeSet(r.Edges())
-	}
-	return m, nil
-}
-
-// advance generates instants until t is inside the window.
-func (m *MarkovStream) advance(t int) {
-	for ; m.next <= t; m.next++ {
-		prev := m.head
-		if m.head++; m.head == len(m.win) {
-			m.head = 0
-		}
-		m.step(m.win[prev], &m.win[m.head])
-	}
+	}, nil
 }
 
 // step is the chain kernel: it writes into dst the successor of the state
@@ -119,16 +96,13 @@ func (m *MarkovStream) step(cur ring.EdgeSet, dst *ring.EdgeSet) {
 
 // at returns E_t for t >= 0, advancing the chain as needed.
 func (m *MarkovStream) at(t int) ring.EdgeSet {
-	m.advance(t)
-	back := m.next - 1 - t // how far t lies behind the newest instant
-	if back >= len(m.win) {
-		panic(fmt.Sprintf("dynamics: markov instant %d outside retained window [%d,%d)", t, m.next-len(m.win), m.next))
+	if t < m.next-1 {
+		panic(fmt.Sprintf("dynamics: markov instant %d behind the newest instant %d", t, m.next-1))
 	}
-	i := m.head - back
-	if i < 0 {
-		i += len(m.win)
+	for ; m.next <= t; m.next++ {
+		m.step(m.cur, &m.cur)
 	}
-	return m.win[i]
+	return m.cur
 }
 
 // Ring implements dyngraph.EvolvingGraph.
@@ -155,15 +129,15 @@ func (m *MarkovStream) EdgesAtInto(t int, dst *ring.EdgeSet) {
 }
 
 // MarkovSpec wraps the Markov chain as a workload Spec. A build streams
-// the chain with a one-instant window, so it materializes nothing and
-// serves forward reads only; random-access readers wrap the built graph in
-// dyngraph.Record. Build panics on invalid parameters (they are
-// programmer-chosen constants in the suites).
+// the chain, so it materializes nothing and serves forward reads only;
+// random-access readers wrap the built graph in dyngraph.Record. Build
+// panics on invalid parameters (they are programmer-chosen constants in
+// the suites).
 func MarkovSpec(up, down float64) Spec {
 	return Spec{
 		Name: "markov-" + ftoa(up) + "-" + ftoa(down),
 		Build: func(n int, seed uint64) dyngraph.EvolvingGraph {
-			g, err := NewMarkovStream(n, up, down, seed, 1)
+			g, err := NewMarkovStream(n, up, down, seed)
 			if err != nil {
 				panic(err)
 			}

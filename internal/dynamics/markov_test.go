@@ -98,7 +98,7 @@ func TestMarkovStreamMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := NewMarkovStream(n, 0.4, 0.25, 9, 8)
+	stream, err := NewMarkovStream(n, 0.4, 0.25, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,19 +111,26 @@ func TestMarkovStreamMatchesMaterialized(t *testing.T) {
 			}
 		}
 	}
-	// Instants inside the trailing window remain readable; evicted ones
-	// panic rather than lie.
-	if stream.Present(0, horizon-2) != full.Present(0, horizon-2) {
-		t.Fatal("window read mismatch")
+	// The newest instant stays readable; reads behind it panic rather
+	// than lie.
+	if stream.Present(0, horizon-1) != full.Present(0, horizon-1) {
+		t.Fatal("newest-instant read mismatch")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("evicted read did not panic")
-			}
-		}()
-		stream.Present(0, 0)
+	for _, behind := range []int{horizon - 2, 0} {
+		mustPanicBehind(t, func() { stream.Present(0, behind) })
+	}
+}
+
+// mustPanicBehind requires read to panic: it reads a markov stream behind
+// its newest instant.
+func mustPanicBehind(t *testing.T, read func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("read behind the newest instant did not panic")
+		}
 	}()
+	read()
 }
 
 // TestGenerateMarkovPinnedDigests pins whole traces against digests taken
@@ -166,14 +173,14 @@ func TestGenerateMarkovPinnedDigests(t *testing.T) {
 }
 
 // TestMarkovStreamMixedAccess interleaves the three read paths on one
-// stream: they share the window, so each sees the materialized chain.
+// stream: they share the chain state, so each sees the materialized chain.
 func TestMarkovStreamMixedAccess(t *testing.T) {
 	const n, horizon = 9, 300
 	full, err := GenerateMarkov(n, 0.3, 0.4, 21, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := NewMarkovStream(n, 0.3, 0.4, 21, 3)
+	stream, err := NewMarkovStream(n, 0.3, 0.4, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,10 +200,11 @@ func TestMarkovStreamMixedAccess(t *testing.T) {
 				t.Fatalf("EdgesAtInto(%d) = %v, want %v", tt, dst, want)
 			}
 		}
-		// The previous instant is still inside the window, whichever path
+		// The previous instant is behind the newest one, whichever path
 		// generated it.
-		if tt > 0 && stream.Present(0, tt-1) != full.Present(0, tt-1) {
-			t.Fatalf("window read at %d diverges", tt-1)
+		if tt > 0 {
+			mustPanicBehind(t, func() { stream.Present(0, tt-1) })
+			mustPanicBehind(t, func() { stream.EdgesAtInto(tt-1, &dst) })
 		}
 	}
 	if stream.Present(0, -1) {
@@ -208,10 +216,10 @@ func TestMarkovStreamMixedAccess(t *testing.T) {
 }
 
 func TestMarkovStreamRejectsBadProbabilities(t *testing.T) {
-	if _, err := NewMarkovStream(4, 0, 0.5, 1, 4); err == nil {
+	if _, err := NewMarkovStream(4, 0, 0.5, 1); err == nil {
 		t.Fatal("up=0 accepted")
 	}
-	if _, err := NewMarkovStream(4, 0.5, 1.5, 1, 4); err == nil {
+	if _, err := NewMarkovStream(4, 0.5, 1.5, 1); err == nil {
 		t.Fatal("down=1.5 accepted")
 	}
 }

@@ -282,117 +282,6 @@ type JourneyProbe struct {
 	Src, Dst, Start int
 }
 
-// JourneyScan is the online counterpart of VerifyConnectedOverTime: an
-// accumulator fed one presence set per instant that maintains the foremost
-// arrival times from every (probe start, source node) pair. It holds
-// O(|starts| · n²) integers and no edge-set history, so campaign and
-// experiment runs can verify connectivity-over-time without recording the
-// evolving graph at all. Feeding it E_0, E_1, ... in order reproduces
-// VerifyConnectedOverTime(g, horizon, starts) exactly.
-type JourneyScan struct {
-	r      ring.Ring
-	starts []int
-	// arrivals[si*n+src][node] is the foremost arrival at node for a
-	// walker leaving src at starts[si]; -1 while unreached.
-	arrivals [][]int
-	// unreached[li] counts the -1 entries left in layer li — the online
-	// equivalent of ForemostArrivals' reached-everything early exit, so
-	// completed layers cost nothing per round.
-	unreached []int
-	next      int // the instant the next Observe must carry
-}
-
-// NewJourneyScan creates a scan over r probing the given start instants.
-func NewJourneyScan(r ring.Ring, starts []int) *JourneyScan {
-	n := r.Size()
-	js := &JourneyScan{r: r, starts: append([]int(nil), starts...)}
-	js.arrivals = make([][]int, len(starts)*n)
-	js.unreached = make([]int, len(starts)*n)
-	for si, s := range js.starts {
-		for src := 0; src < n; src++ {
-			arr := make([]int, n)
-			for i := range arr {
-				arr[i] = -1
-			}
-			remaining := n
-			if r.ValidNode(src) && s >= 0 {
-				arr[src] = s
-				remaining--
-			}
-			js.arrivals[si*n+src] = arr
-			js.unreached[si*n+src] = remaining
-		}
-	}
-	return js
-}
-
-// Observe folds the presence set of instant t into every active layer.
-// Instants must arrive consecutively from 0.
-func (js *JourneyScan) Observe(t int, edges ring.EdgeSet) {
-	if t != js.next {
-		panic(fmt.Sprintf("dyngraph: JourneyScan observed instant %d, expected %d", t, js.next))
-	}
-	js.next++
-	n := js.r.Size()
-	for si, s := range js.starts {
-		if t < s {
-			continue
-		}
-		for src := 0; src < n; src++ {
-			li := si*n + src
-			if js.unreached[li] == 0 {
-				continue
-			}
-			arr := js.arrivals[li]
-			for e := 0; e < js.r.Edges(); e++ {
-				if !edges.Contains(e) {
-					continue
-				}
-				a, b := js.r.EdgeEndpoints(e)
-				if arr[a] >= 0 && arr[a] <= t && arr[b] < 0 {
-					arr[b] = t + 1
-					js.unreached[li]--
-				}
-				if arr[b] >= 0 && arr[b] <= t && arr[a] < 0 {
-					arr[a] = t + 1
-					js.unreached[li]--
-				}
-			}
-		}
-	}
-}
-
-// Horizon returns the number of observed instants.
-func (js *JourneyScan) Horizon() int { return js.next }
-
-// Report summarizes the scan, byte-compatible with the offline
-// VerifyConnectedOverTime on the same schedule and horizon.
-func (js *JourneyScan) Report() ConnectedOverTimeReport {
-	n := js.r.Size()
-	rep := ConnectedOverTimeReport{OK: true}
-	for si, s := range js.starts {
-		for src := 0; src < n; src++ {
-			arr := js.arrivals[si*n+src]
-			for dst, a := range arr {
-				if dst == src {
-					continue
-				}
-				if a < 0 {
-					rep.OK = false
-					if len(rep.Failures) < 16 {
-						rep.Failures = append(rep.Failures, JourneyProbe{Src: src, Dst: dst, Start: s})
-					}
-					continue
-				}
-				if lag := a - s; lag > rep.MaxArrivalLag {
-					rep.MaxArrivalLag = lag
-				}
-			}
-		}
-	}
-	return rep
-}
-
 // VerifyConnectedOverTime checks the paper's dynamicity assumption on a
 // finite horizon: from each probe start time, every node must be reachable
 // from every other through a journey completing before the horizon. An

@@ -205,152 +205,3 @@ func TestCommonPrefix(t *testing.T) {
 		t.Fatalf("different sizes: prefix %d", got)
 	}
 }
-
-// pseudoSchedule builds a deterministic, irregular 6-edge schedule with
-// absences of several lengths, appended to every given trace.
-func pseudoSchedule(h int, recs ...*Recorded) {
-	n := 6
-	for t := 0; t < h; t++ {
-		set := ring.NewEdgeSet(n)
-		for e := 0; e < n; e++ {
-			// Edge e is absent during runs whose length grows with e.
-			if (t+3*e)%(5+e) >= e {
-				set.Add(e)
-			}
-		}
-		for _, rec := range recs {
-			rec.Append(set)
-		}
-	}
-}
-
-// TestStreamingRecordedMatchesOfflineAnalyses drives the same schedule
-// into a full trace and a streaming one, then checks that the online
-// accumulators reproduce the offline suffix analyses exactly — including
-// for suffixes far longer than the retained window.
-func TestStreamingRecordedMatchesOfflineAnalyses(t *testing.T) {
-	const h, window = 64, 4
-	full := NewRecorded(6)
-	stream := NewStreamingRecorded(6, window)
-	pseudoSchedule(h, full, stream)
-
-	if full.Horizon() != h || stream.Horizon() != h {
-		t.Fatalf("horizons: full=%d stream=%d", full.Horizon(), stream.Horizon())
-	}
-	if !stream.Streaming() || full.Streaming() {
-		t.Fatal("mode flags wrong")
-	}
-	for e := 0; e < 6; e++ {
-		wantLast, wantOK := LastPresence(full, e, h)
-		gotLast, gotOK := stream.LastPresenceOnline(e)
-		if wantOK != gotOK || (wantOK && wantLast != gotLast) {
-			t.Fatalf("edge %d: LastPresenceOnline = (%d,%t), offline (%d,%t)", e, gotLast, gotOK, wantLast, wantOK)
-		}
-		if got, want := stream.MaxAbsenceRunOnline(e), MaxAbsenceRun(full, e, h); got != want {
-			t.Fatalf("edge %d: MaxAbsenceRunOnline = %d, offline %d", e, got, want)
-		}
-		if got, want := full.MaxAbsenceRunOnline(e), MaxAbsenceRun(full, e, h); got != want {
-			t.Fatalf("edge %d: full-mode online accumulators diverge: %d vs %d", e, got, want)
-		}
-	}
-	for _, suffix := range []int{1, 7, 32, h} {
-		want := EventuallyMissingEdges(full, h, suffix)
-		got := stream.EventuallyMissingOnline(suffix)
-		if len(want) != len(got) {
-			t.Fatalf("suffix %d: EventuallyMissingOnline = %v, offline %v", suffix, got, want)
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("suffix %d: EventuallyMissingOnline = %v, offline %v", suffix, got, want)
-			}
-		}
-	}
-	wantD, wantOK := RecurrenceBound(full, h)
-	gotD, gotOK := stream.RecurrenceBoundOnline()
-	if wantD != gotD || wantOK != gotOK {
-		t.Fatalf("RecurrenceBoundOnline = (%d,%t), offline (%d,%t)", gotD, gotOK, wantD, wantOK)
-	}
-
-	// The window keeps the trailing instants readable and bit-identical.
-	for tt := h - window; tt < h; tt++ {
-		for e := 0; e < 6; e++ {
-			if stream.Present(e, tt) != full.Present(e, tt) {
-				t.Fatalf("window read differs at edge %d t=%d", e, tt)
-			}
-		}
-	}
-	if stream.Oldest() != h-window {
-		t.Fatalf("Oldest = %d, want %d", stream.Oldest(), h-window)
-	}
-	// Evicted instants panic rather than lie.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("evicted read did not panic")
-			}
-		}()
-		stream.Present(0, 0)
-	}()
-	// Streaming traces refuse serialization.
-	if _, err := stream.MarshalJSON(); err == nil {
-		t.Fatal("streaming trace serialized")
-	}
-}
-
-// TestJourneyScanMatchesVerifyConnectedOverTime feeds the same schedule to
-// the online scan and the offline verifier and demands identical reports.
-func TestJourneyScanMatchesVerifyConnectedOverTime(t *testing.T) {
-	const h = 48
-	full := NewRecorded(6)
-	pseudoSchedule(h, full)
-	starts := []int{0, 13, 29}
-
-	scan := NewJourneyScan(full.Ring(), starts)
-	for tt := 0; tt < h; tt++ {
-		scan.Observe(tt, full.Snapshot(tt))
-	}
-	got := scan.Report()
-	want := VerifyConnectedOverTime(full, h, starts)
-	if got.OK != want.OK || got.MaxArrivalLag != want.MaxArrivalLag || len(got.Failures) != len(want.Failures) {
-		t.Fatalf("scan report %+v, offline %+v", got, want)
-	}
-	for i := range want.Failures {
-		if got.Failures[i] != want.Failures[i] {
-			t.Fatalf("failure %d: %+v vs %+v", i, got.Failures[i], want.Failures[i])
-		}
-	}
-	if scan.Horizon() != h {
-		t.Fatalf("scan horizon %d", scan.Horizon())
-	}
-	// Out-of-order feeding is a bug, not a silent miscount.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("out-of-order Observe did not panic")
-			}
-		}()
-		scan.Observe(3, full.Snapshot(3))
-	}()
-}
-
-// TestJourneyScanDisconnectedDetected checks the negative direction: a
-// schedule that strands one node is reported exactly like the offline
-// verifier reports it.
-func TestJourneyScanDisconnectedDetected(t *testing.T) {
-	const h = 24
-	rec := NewRecorded(4)
-	for tt := 0; tt < h; tt++ {
-		// Node 2 is isolated forever: edges 1 (1-2) and 2 (2-3) never appear.
-		rec.Append(ring.EdgeSetOf(4, 0, 3))
-	}
-	starts := []int{0, 8}
-	scan := NewJourneyScan(rec.Ring(), starts)
-	for tt := 0; tt < h; tt++ {
-		scan.Observe(tt, rec.Snapshot(tt))
-	}
-	got := scan.Report()
-	want := VerifyConnectedOverTime(rec, h, starts)
-	if got.OK || got.OK != want.OK || len(got.Failures) != len(want.Failures) {
-		t.Fatalf("scan %+v, offline %+v", got, want)
-	}
-}

@@ -54,7 +54,7 @@ var kernelFamilies = []struct {
 	{"eventual-missing", dynamics.EventualMissingSpec(2, 50, 0.5, 4).Build},
 	{"periodic", dynamics.TimetableSpec(6).Build},
 	{"markov", func(n int, seed uint64) dyngraph.EvolvingGraph {
-		m, err := dynamics.NewMarkovStream(n, 0.4, 0.25, seed, 1)
+		m, err := dynamics.NewMarkovStream(n, 0.4, 0.25, seed)
 		if err != nil {
 			panic(err)
 		}

@@ -221,12 +221,6 @@ type Config struct {
 	// dyngraph.Recorded retrievable via Simulator.RecordedGraph — needed
 	// when Dynamics is adaptive and the analyses want to replay it.
 	RecordGraph bool
-	// RecordWindow bounds the retained history when RecordGraph is set:
-	// values > 0 record in streaming mode (a sliding window of that many
-	// snapshots plus online recurrence accumulators) instead of the full
-	// O(horizon) trace. Zero keeps full history for trace emission and
-	// checker replay.
-	RecordWindow int
 	// Metrics, when non-nil, receives engine counters (rounds simulated,
 	// pool traffic). Recording is flushed once per run at Release/Reset —
 	// never inside Step — so enabling it cannot perturb the hot path or
@@ -371,11 +365,7 @@ func (s *Simulator) Reset(cfg Config) error {
 	s.observers = append(s.observers[:0], cfg.Observers...)
 	s.recorded = nil
 	if cfg.RecordGraph {
-		if cfg.RecordWindow > 0 {
-			s.recorded = dyngraph.NewStreamingRecorded(r.Size(), cfg.RecordWindow)
-		} else {
-			s.recorded = dyngraph.NewRecorded(r.Size())
-		}
+		s.recorded = dyngraph.NewRecorded(r.Size())
 	}
 	if s.edges.Size() != r.Edges() {
 		s.edges = ring.NewEdgeSet(r.Edges())

@@ -140,7 +140,7 @@ func TestLockstepOccupancyMatchesPositions(t *testing.T) {
 // TestLockstepStepAllocFree pins the hot path: once configured, stepping
 // a lockstep block must not allocate (the engine is pure word arithmetic
 // over preallocated buffers) — for stateless word graphs and for the
-// streaming Markov chain, whose window slots are reused in place.
+// streaming Markov chain, whose one presence set is advanced in place.
 func TestLockstepStepAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -152,7 +152,7 @@ func TestLockstepStepAllocFree(t *testing.T) {
 	}{
 		{"bernoulli", func(seed uint64) dyngraph.EvolvingGraph { return dynamics.NewBernoulli(n, 0.8, seed) }},
 		{"markov-stream", func(seed uint64) dyngraph.EvolvingGraph {
-			m, err := dynamics.NewMarkovStream(n, 0.4, 0.25, seed, 8)
+			m, err := dynamics.NewMarkovStream(n, 0.4, 0.25, seed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,9 +1,6 @@
 package fsync
 
-import (
-	"pef/internal/dyngraph"
-	"pef/internal/robot"
-)
+import "pef/internal/robot"
 
 // SnapshotRecorder is an Observer keeping a full per-instant snapshot
 // history (including the initial configuration). It backs the trajectory
@@ -44,13 +41,3 @@ func (sr *SnapshotRecorder) States(idx int) []robot.StateCode {
 	}
 	return out
 }
-
-// COTScan feeds every round's realized presence set into an online
-// dyngraph.JourneyScan, so connected-over-time verification runs without
-// recording the evolving graph (no O(horizon) history).
-type COTScan struct {
-	Scan *dyngraph.JourneyScan
-}
-
-// ObserveRound implements Observer.
-func (c COTScan) ObserveRound(ev *RoundEvent) { c.Scan.Observe(ev.T, ev.Edges) }

@@ -15,10 +15,11 @@ import (
 	"pef/internal/spec"
 )
 
-// TestLaneRowsMatchCommittedTrajectory reruns the lane-routed possibility
-// jobs (every E-T1.R1 shard, E-T1.R3 and E-T1.R5) at full size for seeds 1
-// and 2, and requires the verdict, table and notes that BENCH_0005.json
-// records for each job.
+// TestLaneRowsMatchCommittedTrajectory reruns, at full size for seeds 1
+// and 2, the lane-routed possibility jobs (every E-T1.R1 shard, E-T1.R3
+// and E-T1.R5) and the jobs that build a recorded graph (every shard of
+// E-F1, E-F2, E-F3, E-X8 and E-X11), and requires the verdict, table and
+// notes that BENCH_0005.json records for each job.
 func TestLaneRowsMatchCommittedTrajectory(t *testing.T) {
 	raw, err := os.ReadFile("../../BENCH_0005.json")
 	if err != nil {
@@ -37,9 +38,17 @@ func TestLaneRowsMatchCommittedTrajectory(t *testing.T) {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
+	pinned := func(id string) bool {
+		for _, exp := range []string{"E-T1.R1", "E-T1.R3", "E-T1.R5", "E-F1", "E-F2", "E-F3", "E-X8", "E-X11"} {
+			if id == exp || strings.HasPrefix(id, exp+"#") {
+				return true
+			}
+		}
+		return false
+	}
 	checked := 0
 	for _, e := range Sharded(All(), false) {
-		if e.ID != "E-T1.R3" && e.ID != "E-T1.R5" && !strings.HasPrefix(e.ID, "E-T1.R1#") {
+		if !pinned(e.ID) {
 			continue
 		}
 		for _, seed := range []uint64{1, 2} {
@@ -59,8 +68,8 @@ func TestLaneRowsMatchCommittedTrajectory(t *testing.T) {
 			checked++
 		}
 	}
-	if checked != 12 {
-		t.Fatalf("checked %d jobs, want 12 (4 E-T1.R1 shards, E-T1.R3, E-T1.R5; 2 seeds)", checked)
+	if checked != 22 {
+		t.Fatalf("checked %d jobs, want 22 (4 E-T1.R1 shards, E-T1.R3, E-T1.R5, E-F1, E-F2, E-F3, E-X8, E-X11; 2 seeds)", checked)
 	}
 }
 

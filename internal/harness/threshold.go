@@ -6,7 +6,6 @@ import (
 	"pef/internal/dyngraph"
 	"pef/internal/fsync"
 	"pef/internal/metrics"
-	"pef/internal/ring"
 	"pef/internal/robot"
 	"pef/internal/spec"
 )
@@ -23,21 +22,16 @@ func runX11(cfg Config, res *Result) error {
 
 	cotStarts := []int{0, horizon / 3}
 
-	// k = 1: Theorem 5.1 adversary. The legality checks run online — a
-	// JourneyScan accumulates foremost arrivals round by round and the
-	// recorder runs in streaming mode (window 1, recurrence accumulators
-	// only) — so this branch holds no O(horizon) edge-set history.
+	// k = 1: Theorem 5.1 adversary.
 	{
 		adv := adversary.NewOneRobotConfinement(n, 0, 0)
 		ct := spec.NewConfinementTracker()
-		scan := dyngraph.NewJourneyScan(ring.New(n), cotStarts)
 		sim, err := fsync.New(fsync.Config{
-			Algorithm:    core.PEF3Plus,
-			Dynamics:     adv,
-			Placements:   team(robot.RightIsCW),
-			Observers:    []fsync.Observer{ct, fsync.COTScan{Scan: scan}},
-			RecordGraph:  true,
-			RecordWindow: 1,
+			Algorithm:   core.PEF3Plus,
+			Dynamics:    adv,
+			Placements:  team(robot.RightIsCW),
+			Observers:   []fsync.Observer{ct},
+			RecordGraph: true,
 		})
 		if err != nil {
 			return err
@@ -47,7 +41,9 @@ func runX11(cfg Config, res *Result) error {
 		// missing edge keeps the eventual underlying graph connected, a
 		// chain); treat that case as legal even though the journey check
 		// needs a longer horizon to certify it.
-		legal := scan.Report().OK || len(sim.RecordedGraph().EventuallyMissingOnline(horizon/2)) == 1
+		g := sim.RecordedGraph()
+		legal := dyngraph.VerifyConnectedOverTime(g, horizon, cotStarts).OK ||
+			len(dyngraph.EventuallyMissingEdges(g, horizon, horizon/2)) == 1
 		confined := ct.ConfinedTo(2)
 		if !confined || !legal {
 			res.Pass = false
@@ -112,20 +108,18 @@ func runX11(cfg Config, res *Result) error {
 	} {
 		adv := adversary.NewArcContainment(n, 0, 4, policy.budget)
 		ct := spec.NewConfinementTracker()
-		// Legality comes from the online scan alone: nothing replays this
-		// schedule, so no graph is recorded at all.
-		scan := dyngraph.NewJourneyScan(ring.New(n), cotStarts)
 		sim, err := fsync.New(fsync.Config{
-			Algorithm:  core.PEF3Plus,
-			Dynamics:   adv,
-			Placements: fsync.AdjacentPlacements(n, 3, 0),
-			Observers:  []fsync.Observer{ct, fsync.COTScan{Scan: scan}},
+			Algorithm:   core.PEF3Plus,
+			Dynamics:    adv,
+			Placements:  fsync.AdjacentPlacements(n, 3, 0),
+			Observers:   []fsync.Observer{ct},
+			RecordGraph: true,
 		})
 		if err != nil {
 			return err
 		}
 		sim.Run(horizon)
-		legal := scan.Report().OK
+		legal := dyngraph.VerifyConnectedOverTime(sim.RecordedGraph(), horizon, cotStarts).OK
 		confined := ct.ConfinedTo(4)
 		outcome := "escaped: exploration wins"
 		if confined && legal {

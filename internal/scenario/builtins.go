@@ -165,9 +165,9 @@ func registerBuiltins(r *Registry) {
 		Build: func(s Spec) (fsync.Dynamics, error) {
 			// The materialized GenerateMarkov trace would retain O(horizon)
 			// edge sets; the streaming chain is bit-identical and holds only
-			// a bounded window, which is what lets campaigns scale to very
+			// the current one, which is what lets campaigns scale to very
 			// long horizons.
-			g, err := dynamics.NewMarkovStream(s.Ring, s.Params.Up, s.Params.Down, s.Seed, markovWindow)
+			g, err := dynamics.NewMarkovStream(s.Ring, s.Params.Up, s.Params.Down, s.Seed)
 			if err != nil {
 				return nil, err
 			}

@@ -68,11 +68,6 @@ func placements(r *Registry, s Spec) []fsync.Placement {
 	}
 }
 
-// markovWindow is the sliding-window size of streaming markov runs; the
-// simulator reads only the current instant, so a handful of retained
-// snapshots is plenty.
-const markovWindow = 8
-
 // evaluator bundles the per-spec checkers a campaign worker reuses from
 // spec to spec; together with the fsync simulator pool it makes the
 // steady-state per-round cost of a campaign allocation-free. The visit
