@@ -64,8 +64,8 @@ import (
 //	                 e.g. "bernoulli=3,periodic=1" (exclusive with
 //	                 -families; equal weights sample identically to it)
 //	-maxring N       largest sampled ring size (default 16)
-//	-lockstep        run shape-aligned scenarios on the bit-parallel
-//	                 lockstep engine, up to 64 seeds per machine word
+//	-lockstep        run eligible scenarios on the bit-parallel lockstep
+//	                 engine, up to 64 per machine word
 //	                 (default true; -lockstep=false forces the scalar
 //	                 engine — output is byte-identical either way)
 //	-lanewidth N     scenarios batched per worker job for lane packing
@@ -147,7 +147,7 @@ func runScenarios(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		families  = fs.String("families", "", "comma-separated family pool for the registered generator")
 		weights   = fs.String("family-weights", "", "weighted family pool for the registered generator, e.g. \"bernoulli=3,periodic=1\"")
 		maxRing   = fs.Int("maxring", 16, "largest sampled ring size")
-		lockstep  = fs.Bool("lockstep", true, "run shape-aligned scenarios on the bit-parallel lane engine")
+		lockstep  = fs.Bool("lockstep", true, "run eligible scenarios on the bit-parallel lane engine")
 		laneWidth = fs.Int("lanewidth", 0, "scenarios batched per worker job for lane packing (<1 means 1024)")
 		timings   = fs.Bool("timings", false, "record the campaign's wall time in the output")
 		jsonOut   = fs.Bool("json", false, "emit the versioned campaign document")

@@ -97,7 +97,7 @@ func runSearch(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		maxRing    = fs.Int("maxring", 16, "largest sampled ring size")
 		maxRobots  = fs.Int("maxrobots", 0, "largest sampled team size (default 5)")
 		workers    = fs.Int("workers", 0, "worker pool size (<1 means GOMAXPROCS)")
-		lockstep   = fs.Bool("lockstep", true, "run shape-aligned specs on the bit-parallel lane engine")
+		lockstep   = fs.Bool("lockstep", true, "run eligible specs on the bit-parallel lane engine")
 		laneWidth  = fs.Int("lanewidth", 0, "specs batched per worker job for lane packing (<1 means 1024)")
 		jsonOut    = fs.Bool("json", false, "emit the boundary-report document instead of the text report")
 		ck         = addCheckpointFlags(fs, "search", "generations")

@@ -70,7 +70,7 @@ func runServe(ctx context.Context, args []string, _, stderr io.Writer) error {
 		addrFile    = fs.String("addr-file", "", "write the bound address to this file")
 		workers     = fs.Int("workers", 0, "campaign worker pool size (<1 means GOMAXPROCS)")
 		laneWidth   = fs.Int("lanewidth", 0, "scenarios batched per worker job for lane packing (<1 means 1024)")
-		lockstep    = fs.Bool("lockstep", true, "run shape-aligned scenarios on the bit-parallel lane engine")
+		lockstep    = fs.Bool("lockstep", true, "run eligible scenarios on the bit-parallel lane engine")
 		cacheBytes  = fs.Int64("cache-bytes", 256<<20, "verdict cache capacity in bytes (0 disables the cache)")
 		spill       = fs.String("spill", "", "warm the cache from this file at startup, spill back on drain")
 		rate        = fs.Float64("rate", 0, "per-client admission rate in requests/second (0 disables)")

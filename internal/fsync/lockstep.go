@@ -11,15 +11,16 @@ import (
 )
 
 // This file implements the lockstep engine: one simulator instance that
-// advances up to 64 seed lanes of the same scenario shape bit-parallel.
-// Robot positions are kept one-hot — pos[r][v] is a lane word whose bit l
-// says "lane l's robot r stands on node v" — and the whole
-// Look–Compute–Move cycle becomes a fixed boolean circuit over such
-// words: every lane advances exactly as it would under the scalar
-// Simulator (same per-lane edge schedules, same placements, same
-// algorithm table), so lane l of a lockstep run is bit-identical to the
-// corresponding scalar run. The differential tests in lockstep_test.go
-// pin that equivalence round by round.
+// advances up to 64 seed lanes on one ring bit-parallel. Robot positions
+// are kept one-hot — pos[r][v] is a lane word whose bit l says "lane l's
+// robot r stands on node v" — and the whole Look–Compute–Move cycle
+// becomes a fixed boolean circuit over such words: every lane advances
+// exactly as it would under the scalar Simulator (same per-lane edge
+// schedules, same placements, same algorithm table), so lane l of a
+// lockstep run is bit-identical to the corresponding scalar run. A lane
+// with fewer robots than the widest keeps its missing robots' rows all
+// zero: they never move, occupy a node or join a tower. The differential
+// tests in lockstep_test.go pin that equivalence round by round.
 //
 // The engine supports oblivious dynamics only (per-lane evolving graphs):
 // adaptive adversaries read robot positions and stay on the scalar path.
@@ -29,9 +30,9 @@ type LaneRun struct {
 	// Graph is the lane's edge schedule. All lanes must share one ring
 	// size, which may be at most 64 (one presence word per instant).
 	Graph dyngraph.EvolvingGraph
-	// Placements give the lane's initial configuration; every lane must
-	// place the same number of robots. The usual Config rules apply:
-	// towerless, valid nodes and chiralities, k < n. Per-robot Core
+	// Placements give the lane's initial configuration; lanes may place
+	// different numbers of robots. The usual Config rules apply:
+	// towerless, valid nodes and chiralities, 1 <= k < n. Per-robot Core
 	// overrides are not supported (every lane starts in the table's
 	// initial state).
 	Placements []Placement
@@ -45,7 +46,7 @@ type LockstepConfig struct {
 	// Algorithm is the uniform algorithm every robot of every lane runs.
 	// Only rule tables have a lane form.
 	Algorithm robot.Table
-	// Lanes holds 1 to 64 seed lanes.
+	// Lanes holds 1 to 64 seed lanes on one ring, of any team sizes.
 	Lanes []LaneRun
 	// Metrics, when non-nil, receives engine counters (word steps,
 	// lane·rounds, word-graph fast-path hits, pool traffic). Step only
@@ -114,12 +115,12 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 	if n > 64 {
 		return fmt.Errorf("fsync: ring size %d exceeds the 64-edge lane word", n)
 	}
-	k := len(cfg.Lanes[0].Placements)
-	if k == 0 {
-		return fmt.Errorf("fsync: no robots placed")
-	}
-	if k >= n {
-		return fmt.Errorf("fsync: %d robots on %d nodes violates k < n", k, n)
+	k := 0
+	for l, lane := range cfg.Lanes {
+		if kl := len(lane.Placements); kl == 0 || kl >= n {
+			return fmt.Errorf("fsync: lane %d places %d robots on %d nodes, want 1 <= k < n", l, kl, n)
+		}
+		k = max(k, len(lane.Placements))
 	}
 	ls.r, ls.n, ls.k, ls.lanes = r, n, k, lanes
 	ls.alg = cfg.Algorithm
@@ -149,9 +150,6 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 		if lane.Graph.Ring() != r {
 			return fmt.Errorf("fsync: lane %d ring %v disagrees with lane 0 ring %v", l, lane.Graph.Ring(), r)
 		}
-		if len(lane.Placements) != k {
-			return fmt.Errorf("fsync: lane %d places %d robots, lane 0 places %d", l, len(lane.Placements), k)
-		}
 		if lane.Horizon < 1 {
 			return fmt.Errorf("fsync: lane %d has non-positive horizon %d", l, lane.Horizon)
 		}
@@ -175,7 +173,7 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 		// node.
 		for v := 0; v < n; v++ {
 			var seen uint64
-			for i := 0; i < k; i++ {
+			for i := range lane.Placements {
 				if p := ls.pos[i*n+v] & bit; p != 0 {
 					if seen != 0 {
 						return fmt.Errorf("fsync: lane %d initial configuration has a tower on node %d (not towerless)", l, v)
@@ -250,7 +248,7 @@ func (ls *LockstepSimulator) Now() int { return ls.t }
 // Lanes returns the number of configured lanes.
 func (ls *LockstepSimulator) Lanes() int { return ls.lanes }
 
-// Robots returns the number of robots per lane.
+// Robots returns the widest lane's team size: the number of position rows.
 func (ls *LockstepSimulator) Robots() int { return ls.k }
 
 // Active returns the mask of lanes that have not yet reached their
@@ -275,12 +273,13 @@ func (ls *LockstepSimulator) Rows() []uint64 { return ls.pos }
 
 // PointsCW returns the lane word of robot i pointing clockwise: its global
 // direction after the last Step's Compute phase (Move keeps it), or its
-// initial direction before the first Step. Bits of unconfigured lanes are
-// meaningless.
+// initial direction before the first Step. Bits of unconfigured lanes,
+// and of lanes that place no robot i, are meaningless.
 func (ls *LockstepSimulator) PointsCW(i int) uint64 { return ^(ls.chirCW[i] ^ ls.dirRight[i]) }
 
 // Position returns lane l's robot i node at the current instant — the
 // slow introspection path used by tests and debugging, not the engine.
+// It panics when lane l places no robot i.
 func (ls *LockstepSimulator) Position(i, l int) int {
 	bit := uint64(1) << uint(l)
 	for v := 0; v < ls.n; v++ {

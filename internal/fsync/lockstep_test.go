@@ -1,6 +1,7 @@
 package fsync
 
 import (
+	"strings"
 	"testing"
 
 	"pef/internal/baseline"
@@ -30,7 +31,8 @@ func buildLaneGraph(n int, kind int, seed uint64) dyngraph.EvolvingGraph {
 // TestLockstepMatchesScalarTrajectories runs mixed-family lane blocks and
 // checks every lane's position trajectory round by round against a scalar
 // Simulator configured identically — the engine-level byte-identity
-// invariant.
+// invariant. Every third trial draws a team size per lane, so the block
+// carries teams narrower than its widest one.
 func TestLockstepMatchesScalarTrajectories(t *testing.T) {
 	algs := []robot.Table{
 		core.PEF3Plus, core.PEF2, core.PEF1, core.NoRule2, core.NoRule3,
@@ -43,15 +45,21 @@ func TestLockstepMatchesScalarTrajectories(t *testing.T) {
 		alg := algs[trial%len(algs)] // every table runs four trials
 		lanes := 1 + src.Intn(64)
 		horizon := 20 + src.Intn(60)
+		mixed := trial%3 == 0
 
 		cfg := LockstepConfig{Algorithm: alg}
 		type scalarRun struct {
 			sim     *Simulator
 			horizon int
+			k       int
 		}
 		var scalars []scalarRun
 		for l := 0; l < lanes; l++ {
 			seed := src.Uint64()
+			k := k
+			if mixed {
+				k = 1 + src.Intn(min(5, n-1))
+			}
 			g := buildLaneGraph(n, l, seed)
 			place := RandomPlacements(n, k, prng.NewSource(seed))
 			h := horizon + l%7 // staggered horizons exercise retirement
@@ -67,7 +75,7 @@ func TestLockstepMatchesScalarTrajectories(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d lane %d: scalar New: %v", trial, l, err)
 			}
-			scalars = append(scalars, scalarRun{sim, h})
+			scalars = append(scalars, scalarRun{sim, h, k})
 		}
 		ls, err := NewLockstep(cfg)
 		if err != nil {
@@ -80,10 +88,10 @@ func TestLockstepMatchesScalarTrajectories(t *testing.T) {
 					continue
 				}
 				sc.sim.Step()
-				for i := 0; i < k; i++ {
+				for i := 0; i < sc.k; i++ {
 					if got, want := ls.Position(i, l), sc.sim.Snapshot().Positions[i]; got != want {
-						t.Fatalf("trial %d (n=%d k=%d alg=%s): lane %d robot %d at t=%d: lockstep node %d, scalar node %d",
-							trial, n, k, alg.Name(), l, i, ls.Now(), got, want)
+						t.Fatalf("trial %d (n=%d k=%d of %d alg=%s): lane %d robot %d at t=%d: lockstep node %d, scalar node %d",
+							trial, n, sc.k, ls.Robots(), alg.Name(), l, i, ls.Now(), got, want)
 					}
 				}
 			}
@@ -97,16 +105,17 @@ func TestLockstepMatchesScalarTrajectories(t *testing.T) {
 }
 
 // TestLockstepOccupancyMatchesPositions checks the tracker-facing
-// occupancy words against the one-hot positions.
+// occupancy words against the one-hot positions, on a block whose lanes
+// field one to five robots: an absent robot's row must stay empty.
 func TestLockstepOccupancyMatchesPositions(t *testing.T) {
 	src := prng.NewSource(7)
 	var lanesCfg []LaneRun
-	const n, k, lanes = 9, 3, 17
+	const n, lanes = 9, 17
 	for l := 0; l < lanes; l++ {
 		seed := src.Uint64()
 		lanesCfg = append(lanesCfg, LaneRun{
 			Graph:      dynamics.NewBernoulli(n, 0.6, seed),
-			Placements: RandomPlacements(n, k, prng.NewSource(seed)),
+			Placements: RandomPlacements(n, 1+l%5, prng.NewSource(seed)),
 			Horizon:    25,
 		})
 	}
@@ -119,9 +128,14 @@ func TestLockstepOccupancyMatchesPositions(t *testing.T) {
 		for v := 0; v < n; v++ {
 			for l := 0; l < lanes; l++ {
 				want := false
-				for i := 0; i < k; i++ {
+				for i := range lanesCfg[l].Placements {
 					if ls.Position(i, l) == v {
 						want = true
+					}
+				}
+				for i := len(lanesCfg[l].Placements); i < ls.Robots(); i++ {
+					if ls.Rows()[i*n+v]&(1<<uint(l)) != 0 {
+						t.Fatalf("t=%d lane %d places %d robots, yet robot %d has a bit on node %d", ls.Now(), l, len(lanesCfg[l].Placements), i, v)
 					}
 				}
 				if got := occ[v]&(1<<uint(l)) != 0; got != want {
@@ -134,6 +148,52 @@ func TestLockstepOccupancyMatchesPositions(t *testing.T) {
 	for !ls.Done() {
 		ls.Step()
 		check()
+	}
+}
+
+// TestLockstepResetRejectsBadLanes checks the per-lane shape checks of
+// Reset: lanes may field different team sizes, but each needs 1 <= k < n
+// robots and lane 0's ring.
+func TestLockstepResetRejectsBadLanes(t *testing.T) {
+	// lane places k robots on nodes 0..k-1 of a static n-ring.
+	lane := func(n, k int) LaneRun {
+		ps := make([]Placement, k)
+		for i := range ps {
+			ps[i] = Placement{Node: i, Chirality: robot.RightIsCW}
+		}
+		return LaneRun{Graph: dyngraph.NewStatic(n), Placements: ps, Horizon: 5}
+	}
+	for _, tc := range []struct {
+		name  string
+		lanes []LaneRun
+		want  string // error substring; "" means Reset accepts the block
+	}{
+		{"mixed teams", []LaneRun{lane(6, 2), lane(6, 5), lane(6, 1)}, ""},
+		{"empty lane", []LaneRun{lane(6, 3), lane(6, 0)}, "lane 1 places 0 robots on 6 nodes"},
+		{"empty lane 0", []LaneRun{lane(6, 0), lane(6, 3)}, "lane 0 places 0 robots on 6 nodes"},
+		{"k = n", []LaneRun{lane(6, 2), lane(6, 3), lane(6, 6)}, "lane 2 places 6 robots on 6 nodes"},
+		{"ring mismatch", []LaneRun{lane(6, 2), lane(7, 2)}, "lane 1 ring"},
+		{"wider lane on a smaller ring", []LaneRun{lane(6, 2), lane(5, 4)}, "lane 1 ring"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ls, err := NewLockstep(LockstepConfig{Algorithm: core.PEF3Plus, Lanes: tc.lanes})
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("Reset rejected a valid block: %v", err)
+			case tc.want == "":
+				widest := 0
+				for _, l := range tc.lanes {
+					widest = max(widest, len(l.Placements))
+				}
+				if ls.Robots() != widest {
+					t.Fatalf("Robots() = %d, want the widest team %d", ls.Robots(), widest)
+				}
+			case err == nil:
+				t.Fatalf("Reset accepted the block, want an error containing %q", tc.want)
+			case !strings.Contains(err.Error(), tc.want):
+				t.Fatalf("Reset error %q, want it to contain %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -74,15 +74,15 @@ func TestLaneRowsMatchCommittedTrajectory(t *testing.T) {
 }
 
 // TestLaneExplorationsMatchScalar runs the oblivious E-T1.R1 workloads as
-// one lane block and each on its own scalar simulator, and requires every
+// one lane block of mixed team sizes (3 to 5 robots where the ring allows)
+// and each on its own scalar simulator, and requires every
 // passing lane to carry the scalar run's report and tower rounds.
 func TestLaneExplorationsMatchScalar(t *testing.T) {
 	for _, n := range []int{4, 7, 12} {
-		const k = 3
 		horizon := 60 * n
 		wls := positiveWorkloads(n)[:len(dynamics.StandardSuite())]
-		team := func(i int) fsync.Config {
-			return randomTeam(core.PEF3Plus, k, wls[i].build, uint64(n))
+		team := func(i int) fsync.Config { // k = 3, 4, 5 where the ring allows
+			return randomTeam(core.PEF3Plus, 3+i%min(3, n-3), wls[i].build, uint64(n))
 		}
 		cs := make([]fsync.Config, len(wls))
 		lanes := make([]int, len(wls))

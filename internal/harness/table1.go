@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"pef/internal/adversary"
 	"pef/internal/baseline"
@@ -46,14 +47,14 @@ func (x exploration) ok(horizon int) bool {
 
 // explorations runs team(0), …, team(runs-1) for horizon rounds each,
 // checking the tower invariants when towers is set. team(i) must build a
-// fresh config for run i on every call; all runs share one algorithm,
-// ring and team size. The runs on oblivious dynamics form one lockstep
+// fresh config for run i on every call; all runs share one algorithm and
+// ring, of any team sizes. The runs on oblivious dynamics form one lockstep
 // block; the others, and every lane that fails the possibility verdict or
 // a tower lemma, run on the scalar path, so every outcome, failure notes
 // included, is the scalar run's. Lanes pay for blocks of about n/2 runs or
 // more (a lockstep round costs O(k·n) word operations whatever the lane
 // count, a scalar round O(k) per run), which is why only the Table 1 rows
-// with 8–16 runs per ring call this and E-X1, E-X2 and E-X7 run each team
+// with 8–24 runs per ring call this and E-X1, E-X2 and E-X7 run each team
 // through explorationRun.
 func explorations(runs, horizon int, towers bool, team func(i int) fsync.Config) ([]exploration, error) {
 	cs := make([]fsync.Config, runs)
@@ -200,25 +201,24 @@ var t1r1 = sweep{
 	body: func(cfg Config, res *Result, c sweepCase) error {
 		n := c.n
 		horizon := pick(cfg, 200*n, 60*n)
-		for _, k := range pick(cfg, []int{3, 4, 5}, []int{3}) {
-			if n <= k {
-				continue
+		ks := slices.DeleteFunc(pick(cfg, []int{3, 4, 5}, []int{3}), func(k int) bool { return k >= n })
+		// Run i is team ks[i/len(wls)] on workload i%len(wls), all one block.
+		wls := positiveWorkloads(n)
+		xs, err := explorations(len(ks)*len(wls), horizon, true, func(i int) fsync.Config {
+			k := ks[i/len(wls)]
+			return randomTeam(core.PEF3Plus, k, wls[i%len(wls)].build, cfg.Seed+uint64(n*100+k))
+		})
+		if err != nil {
+			return err
+		}
+		for i, x := range xs {
+			k, name := ks[i/len(wls)], wls[i%len(wls)].name
+			res.ObserveExploration(x.rep)
+			ok := x.ok(horizon)
+			if !ok {
+				res.fail("FAIL k=%d n=%d %s: %s, tower violations %v", k, n, name, x.rep, x.violations)
 			}
-			wls := positiveWorkloads(n)
-			xs, err := explorations(len(wls), horizon, true, func(i int) fsync.Config {
-				return randomTeam(core.PEF3Plus, k, wls[i].build, cfg.Seed+uint64(n*100+k))
-			})
-			if err != nil {
-				return err
-			}
-			for i, x := range xs {
-				res.ObserveExploration(x.rep)
-				ok := x.ok(horizon)
-				if !ok {
-					res.fail("FAIL k=%d n=%d %s: %s, tower violations %v", k, n, wls[i].name, x.rep, x.violations)
-				}
-				res.Table.AddRow(k, n, wls[i].name, x.rep.CoverTime, x.rep.MaxGap, x.towers, verdict(ok))
-			}
+			res.Table.AddRow(k, n, name, x.rep.CoverTime, x.rep.MaxGap, x.towers, verdict(ok))
 		}
 		return nil
 	},

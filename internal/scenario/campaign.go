@@ -53,12 +53,12 @@ type CampaignConfig struct {
 	OnVerdict func(Verdict)
 	// DisableLockstep forces every scenario onto the scalar oracle — the
 	// escape hatch for the bit-parallel lane engine. Off (the default),
-	// shape-aligned eligible scenarios advance up to 64 seeds per word;
+	// eligible scenarios on one ring and table advance 64 per word;
 	// verdicts and reports are byte-identical either way.
 	DisableLockstep bool
 	// LaneWidth is the number of consecutive scenarios batched into one
-	// pool job, within which shape-aligned runs share lockstep engine
-	// instances. Values < 1 mean 1024 — wide enough that sampled shapes
+	// pool job, within which runs on one ring and table share lockstep
+	// engine instances. Values < 1 mean 1024 — wide enough that shapes
 	// recur tens of times per block, which is what amortizes the engine's
 	// per-round circuit (64-scenario blocks of a diverse sampler average
 	// one to two lanes per shape and gain nothing). Narrower widths give

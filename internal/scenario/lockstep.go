@@ -14,7 +14,7 @@ import (
 )
 
 // This file routes blocks of specs through the bit-parallel lockstep
-// engine: up to 64 seeds of one scenario shape advance per machine word.
+// engine: up to 64 specs on one ring and rule table advance per word.
 // Eligibility is conservative — anything the lane engine cannot represent
 // (big rings, adaptive adversaries, imperative overrides, algorithms that
 // are not a robot.Table) falls back to the scalar oracle — and every lane's
@@ -70,15 +70,15 @@ func lockstepEligible(s Spec, o RunOptions, res preparedRun) (*robot.Table, dyng
 }
 
 // blockKey is the shape a lane group must share: one lockstep run drives
-// one ring size, one team size and one algorithm across all its lanes
-// (per-lane graphs, placements, horizons and verdicts differ freely).
+// one ring size and one algorithm across all its lanes (per-lane team
+// sizes, graphs, placements, horizons and verdicts differ freely).
 type blockKey struct {
-	ring, robots int
-	algorithm    string
+	ring      int
+	algorithm string
 }
 
 // blockUnit is one independently executable piece of a block: a lane
-// group of at most 64 shape-aligned specs (alg non-nil) or a single
+// group of at most 64 specs sharing a blockKey (alg non-nil) or a single
 // scalar spec (alg nil, one member). Units share nothing but read-only
 // plan state and write disjoint verdict slots.
 type blockUnit struct {
@@ -86,15 +86,15 @@ type blockUnit struct {
 	alg     *robot.Table
 }
 
-// RunBlock executes a block of specs, routing shape-aligned eligible runs
-// through the lockstep engine (up to 64 seeds per engine instance) and
+// RunBlock executes a block of specs, routing eligible runs that share a
+// ring and table through the lockstep engine (up to 64 per instance) and
 // everything else through the scalar oracle. Verdicts come back in spec
 // order and are byte-identical to per-spec RunWith calls, with run errors
 // folded into Verdict.Err exactly like the campaign worker folds them.
 //
 // It runs in two phases. The plan is sequential: it resolves every spec,
-// decides its engine and cuts the eligible ones into shape-aligned lane
-// groups, yielding a list of independent units (lane groups in
+// decides its engine and cuts the eligible ones into lane groups by
+// (ring, table), yielding a list of independent units (lane groups in
 // first-member order, then scalar specs in spec order). The execute phase
 // runs those units on up to o.fan goroutines pulling from one cursor,
 // each with its own lane scratch; verdicts are written by position, so
@@ -105,7 +105,7 @@ type blockUnit struct {
 func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 	out := make([]Verdict, len(specs))
 
-	// Plan: group eligible specs by shape; everything else runs scalar.
+	// Plan: group eligible specs by (ring, table); the rest run scalar.
 	tel := o.Telemetry
 	groups := map[blockKey][]int{}
 	algs := map[blockKey]*robot.Table{}
@@ -127,7 +127,7 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 			scalar = append(scalar, i)
 			continue
 		}
-		key := blockKey{s.Ring, s.Robots, s.Algorithm}
+		key := blockKey{s.Ring, s.Algorithm}
 		graphs[i] = g
 		groups[key] = append(groups[key], i)
 		if _, seen := algs[key]; !seen {
@@ -218,7 +218,7 @@ func runScalar(ctx context.Context, s Spec, o RunOptions) Verdict {
 	return v
 }
 
-// runLockstepGroup advances one shape-aligned group of specs (≤ 64) on a
+// runLockstepGroup advances one (ring, table) group of specs (≤ 64) on a
 // single lockstep engine instance and writes their verdicts into out. Any
 // engine-level failure — configuration rejection or a panic mid-run —
 // falls back to scalar runs for the whole group, which rebuild their

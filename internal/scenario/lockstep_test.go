@@ -222,6 +222,63 @@ func TestBaselineTablesRunLockstep(t *testing.T) {
 	}
 }
 
+// TestRunBlockPacksTeamSizesIntoOneLockstepGroup checks that RunBlock
+// groups lanes by (ring, table) alone: specs mixing three team sizes on two
+// rings under two tables form four lane groups, one per (ring, table),
+// whose verdict JSON is byte-identical to per-spec RunWith.
+func TestRunBlockPacksTeamSizesIntoOneLockstepGroup(t *testing.T) {
+	var specs []Spec
+	for seed := uint64(1); seed <= 2; seed++ {
+		for _, fam := range []struct {
+			name   string
+			params Params
+		}{{"bernoulli", Params{P: 0.6}}, {"markov", Params{Up: 0.5, Down: 0.3}}} {
+			for k := 3; k <= 5; k++ {
+				for _, n := range []int{7, 10} {
+					for _, alg := range []string{"pef3+", "tower-bounce"} {
+						specs = append(specs, Spec{Ring: n, Robots: k, Algorithm: alg, Placement: PlaceRandom,
+							Family: fam.name, Params: fam.params, Horizon: 40 * n, Seed: seed})
+					}
+				}
+			}
+		}
+	}
+	ctx := context.Background()
+	tel := NewTelemetry()
+	got := RunBlock(ctx, specs, RunOptions{Telemetry: tel})
+	want := make([]Verdict, len(specs))
+	for i, s := range specs {
+		want[i] = runScalar(ctx, s, RunOptions{})
+		if want[i].Err != "" {
+			t.Fatalf("spec %d (%s): %s", i, s.ID(), want[i].Err)
+		}
+	}
+	if verdictJSON(t, got) != verdictJSON(t, want) {
+		t.Fatal("mixed-team lockstep verdict JSON differs from per-spec RunWith")
+	}
+	snap := tel.Snapshot()
+	const groups = 4 // rings 7 and 10 × tables pef3+ and tower-bounce
+	if g := snap.Counters["engine.lockstepGroups"]; g != groups {
+		t.Fatalf("engine.lockstepGroups = %d, want one per (ring, table) = %d", g, groups)
+	}
+	occ := snap.Hists["engine.laneOccupancy"]
+	if occ.Count != groups || occ.Min != len(specs)/groups || occ.Max != len(specs)/groups {
+		t.Fatalf("engine.laneOccupancy = %+v, want %d groups of %d lanes", occ, groups, len(specs)/groups)
+	}
+	if lock := snap.Counters["engine.lockstepSpecs"]; lock != int64(len(specs)) {
+		t.Fatalf("engine.lockstepSpecs = %d, want all %d specs", lock, len(specs))
+	}
+	// A group the engine rejected would fall back to scalar runs with the
+	// same verdicts; the lane rounds show every lane really ran on lanes.
+	var horizons int64
+	for _, s := range specs {
+		horizons += int64(s.Horizon)
+	}
+	if lr := snap.Counters["sim.lockstep.laneRounds"]; lr != horizons {
+		t.Fatalf("sim.lockstep.laneRounds = %d, want the %d rounds of all lanes", lr, horizons)
+	}
+}
+
 // countRounds counts observed rounds; its presence in RunOptions must
 // force the scalar engine.
 type countRounds struct{ rounds *int }

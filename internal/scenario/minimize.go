@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"math"
+	"strings"
 )
 
 // Minimize deterministically shrinks a failing scenario to a smaller
@@ -10,7 +11,8 @@ import (
 // dynamics parameters — in that fixed order, smallest candidate first —
 // keeping every step only if the shrunk spec still fails the same way
 // (predicate violation stays a violation of the same enforced
-// expectation; execution errors stay errors). The passes repeat until a
+// expectation and kind — for explore specs coverage, visit count or
+// revisit gap; execution errors stay errors). The passes repeat until a
 // fixed point, so Minimize is idempotent: Minimize(Minimize(s)) ==
 // Minimize(s). A spec that does not fail is returned unchanged.
 //
@@ -44,7 +46,7 @@ func (r *Registry) Minimize(s Spec) Spec {
 	if s.Expect == "" {
 		s.Expect = v.Expect
 	}
-	wantErr := v.Err != ""
+	wantErr, kind := v.Err != "", violationKind(v.Violation)
 	fails := func(c Spec) bool {
 		cv := runIn(r, c)
 		if cv.OK && cv.Err == "" {
@@ -53,7 +55,7 @@ func (r *Registry) Minimize(s Spec) Spec {
 		if (cv.Err != "") != wantErr {
 			return false
 		}
-		return wantErr || stillAttributable(r, c)
+		return wantErr || violationKind(cv.Violation) == kind && stillAttributable(r, c)
 	}
 	for pass := 0; pass < 8; pass++ {
 		next := shrinkOnce(s, fails)
@@ -88,6 +90,16 @@ func stillAttributable(r *Registry, c Spec) bool {
 	cc.Algorithm = control
 	cv := runIn(r, cc)
 	return cv.OK && cv.Err == ""
+}
+
+// violationKind is a violation's text up to its first number, the kind a
+// shrink must keep: "covered ", "a node was visited only " or "max revisit
+// gap " for the explore predicate (spec.ExploreViolation).
+func violationKind(msg string) string {
+	if i := strings.IndexAny(msg, "0123456789"); i >= 0 {
+		return msg[:i]
+	}
+	return msg
 }
 
 // runIn is Run against an explicit registry: errors fold into the

@@ -1,6 +1,9 @@
 package scenario
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // violatingSpec is a deterministic counterexample workload: the
 // oscillator baseline never leaves its starting neighborhood, so forcing
@@ -80,5 +83,37 @@ func TestMinimizePreservesErrorSignature(t *testing.T) {
 	m := Minimize(s)
 	if mv := Run(m); mv.Err == "" {
 		t.Fatalf("minimized spec lost the error signature: %+v", mv)
+	}
+}
+
+// TestMinimizeKeepsViolationKind pins a revisit-gap finding of the search
+// (pef search -seed 43 -generations 12 -generation-size 256): a slow
+// Markov ring whose edges return after 1/up = 100 rounds on average. Its
+// reproducer must still break the revisit-gap bound, not collapse into a
+// horizon so short that a node is simply visited once.
+func TestMinimizeKeepsViolationKind(t *testing.T) {
+	s := Spec{
+		Version:   Version,
+		Ring:      11,
+		Robots:    3,
+		Algorithm: "pef3+",
+		Placement: PlaceEven,
+		Family:    "markov",
+		Params:    Params{Up: 0.01, Down: 0.55},
+		Horizon:   2200,
+		Seed:      14617434723818034084,
+		Expect:    ExpectExplore,
+	}
+	const gap = "max revisit gap "
+	if v := Run(s); v.OK || !strings.HasPrefix(v.Violation, gap) {
+		t.Fatalf("seed spec is not a revisit-gap violation: %+v", v)
+	}
+	m := Minimize(s)
+	mv := Run(m)
+	if mv.OK || mv.Err != "" || !strings.HasPrefix(mv.Violation, gap) {
+		t.Fatalf("minimized %s fails as %q, want a %q violation", m.ID(), mv.Violation, gap)
+	}
+	if want := "v1/n4.k3/pef3+/even/markov{up=0.01,down=0.55}/h34/s14617434723818034084/explore"; m.ID() != want {
+		t.Fatalf("minimized to %s (%s), want %s", m.ID(), mv.Violation, want)
 	}
 }
