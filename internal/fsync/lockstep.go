@@ -22,13 +22,29 @@ import (
 // zero: they never move, occupy a node or join a tower. The differential
 // tests in lockstep_test.go pin that equivalence round by round.
 //
-// The engine supports oblivious dynamics only (per-lane evolving graphs):
-// adaptive adversaries read robot positions and stay on the scalar path.
+// A lane's edges come from its own evolving graph (oblivious dynamics) or
+// from the block's LaneAdversary. Adaptive adversaries without a lane form
+// stay on the scalar path.
+
+// LaneAdversary is the lane form of an adaptive adversary: a boolean
+// circuit over the lockstep configuration that decides E_t of all the
+// lanes it drives. Declaring it here keeps package adversary importing
+// fsync, not the reverse.
+type LaneAdversary interface {
+	// Ring returns the ring of the lanes it drives.
+	Ring() ring.Ring
+	// EdgeColumns runs once per Step, before Compute, for the active
+	// lanes it drives (mask): from the pre-round Rows and PointsCW of ls,
+	// it sets their (clear) bit of cols[e] iff edge e is present, leaving
+	// other bits alone, and advances their state by one round.
+	EdgeColumns(ls *LockstepSimulator, mask uint64, cols []uint64)
+}
 
 // LaneRun describes one seed lane of a lockstep run.
 type LaneRun struct {
-	// Graph is the lane's edge schedule. All lanes must share one ring
-	// size, which may be at most 64 (one presence word per instant).
+	// Graph is the lane's edge schedule, or nil for a lane that the
+	// block's Adversary drives. All lanes share one ring size, which may
+	// be at most 64 (one presence word per instant).
 	Graph dyngraph.EvolvingGraph
 	// Placements give the lane's initial configuration; lanes may place
 	// different numbers of robots. The usual Config rules apply:
@@ -48,6 +64,9 @@ type LockstepConfig struct {
 	Algorithm robot.Table
 	// Lanes holds 1 to 64 seed lanes on one ring, of any team sizes.
 	Lanes []LaneRun
+	// Adversary, when non-nil, drives every lane whose Graph is nil, and
+	// its Ring is the block's ring.
+	Adversary LaneAdversary
 	// Metrics, when non-nil, receives engine counters (word steps,
 	// lane·rounds, word-graph fast-path hits, pool traffic). Step only
 	// accumulates plain ints; the atomics are touched once per run at
@@ -70,14 +89,16 @@ type LockstepSimulator struct {
 	dirRight []uint64                 // per robot: bit l = lane l's dir is Right
 	moved    []uint64                 // per robot: bit l = lane l's memory bit
 	chirCW   []uint64                 // per robot: bit l = lane l is right-is-CW
-	graphs   []dyngraph.EvolvingGraph // per lane
+	graphs   []dyngraph.EvolvingGraph // per lane; nil for adversary lanes
+	adv      LaneAdversary
+	advLanes uint64 // lanes the adversary drives
 
 	// Run-local telemetry accumulators: plain ints bumped by Step and
 	// flushed to metrics once per run (Release or re-Reset).
 	metrics       *Metrics
 	statRounds    int // word steps executed
 	statLaneSteps int // active lanes summed over steps
-	statWordFast  int // lane-instants served by a family kernel (InPlaceGraph)
+	statWordFast  int // lane-instants served by a kernel (InPlaceGraph or the adversary)
 
 	// Steady-state scratch, sized once per Reset.
 	sets []ring.EdgeSet // per lane materialization buffer
@@ -110,7 +131,15 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 	if lanes == 0 || lanes > 64 {
 		return fmt.Errorf("fsync: %d lanes outside [1,64]", lanes)
 	}
-	r := cfg.Lanes[0].Graph.Ring()
+	var r ring.Ring
+	switch {
+	case cfg.Adversary != nil:
+		r = cfg.Adversary.Ring()
+	case cfg.Lanes[0].Graph != nil:
+		r = cfg.Lanes[0].Graph.Ring()
+	default:
+		return fmt.Errorf("fsync: lane 0 has neither a graph nor an adversary")
+	}
 	n := r.Size()
 	if n > 64 {
 		return fmt.Errorf("fsync: ring size %d exceeds the 64-edge lane word", n)
@@ -124,6 +153,7 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 	}
 	ls.r, ls.n, ls.k, ls.lanes = r, n, k, lanes
 	ls.alg = cfg.Algorithm
+	ls.adv, ls.advLanes = cfg.Adversary, 0
 	ls.metrics = cfg.Metrics
 	ls.statRounds, ls.statLaneSteps, ls.statWordFast = 0, 0, 0
 	ls.t = 0
@@ -147,13 +177,18 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 		ls.chirCW[i], ls.dirRight[i], ls.moved[i] = 0, 0, 0
 	}
 	for l, lane := range cfg.Lanes {
-		if lane.Graph.Ring() != r {
-			return fmt.Errorf("fsync: lane %d ring %v disagrees with lane 0 ring %v", l, lane.Graph.Ring(), r)
+		bit := uint64(1) << uint(l)
+		switch {
+		case lane.Graph != nil && lane.Graph.Ring() != r:
+			return fmt.Errorf("fsync: lane %d ring %v disagrees with the block ring %v", l, lane.Graph.Ring(), r)
+		case lane.Graph == nil && cfg.Adversary == nil:
+			return fmt.Errorf("fsync: lane %d has neither a graph nor an adversary", l)
+		case lane.Graph == nil:
+			ls.advLanes |= bit
 		}
 		if lane.Horizon < 1 {
 			return fmt.Errorf("fsync: lane %d has non-positive horizon %d", l, lane.Horizon)
 		}
-		bit := uint64(1) << uint(l)
 		for i, p := range lane.Placements {
 			if !r.ValidNode(p.Node) {
 				return fmt.Errorf("fsync: lane %d robot %d placed on invalid node %d", l, i, p.Node)
@@ -199,9 +234,16 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 var lockstepPool = sync.Pool{New: func() any { return new(LockstepSimulator) }}
 
 // AcquireLockstep returns a pooled lockstep simulator configured with
-// cfg. Pair it with Release when the run is done.
+// cfg. Pair it with Release when the run is done. A Reset that fails or
+// panics still returns the simulator to the pool; a panic propagates.
 func AcquireLockstep(cfg LockstepConfig) (*LockstepSimulator, error) {
 	ls := lockstepPool.Get().(*LockstepSimulator)
+	defer func() {
+		if r := recover(); r != nil {
+			lockstepPool.Put(ls)
+			panic(r)
+		}
+	}()
 	if err := ls.Reset(cfg); err != nil {
 		lockstepPool.Put(ls)
 		return nil, err
@@ -219,9 +261,8 @@ func (ls *LockstepSimulator) Release() {
 		ls.metrics.LockstepReleases.Inc()
 	}
 	ls.flushMetrics()
-	for l := range ls.graphs {
-		ls.graphs[l] = nil
-	}
+	clear(ls.graphs)
+	ls.adv = nil
 	lockstepPool.Put(ls)
 }
 
@@ -319,7 +360,13 @@ func (ls *LockstepSimulator) Step() uint64 {
 	// Materialize E_t of every active lane as per-edge lane columns. The
 	// per-lane EdgesInto calls are issued in increasing t order, exactly
 	// like the scalar engine's, so stateful graphs see the same sequence.
-	wordFast := dyngraph.LaneColumns(ls.graphs, ls.sets, stepped, ls.t, ls.cols)
+	// The adversary reads the configuration before Compute, like the
+	// scalar Dynamics; no per-lane Present runs for its lanes.
+	wordFast := dyngraph.LaneColumns(ls.graphs, ls.sets, stepped&^ls.advLanes, ls.t, ls.cols)
+	if a := stepped & ls.advLanes; a != 0 {
+		ls.adv.EdgeColumns(ls, a, ls.cols)
+		wordFast += bits.OnesCount64(a)
+	}
 	ls.statRounds++
 	ls.statLaneSteps += bits.OnesCount64(stepped)
 	ls.statWordFast += wordFast

@@ -9,6 +9,7 @@ import (
 	"pef/internal/dynamics"
 	"pef/internal/dyngraph"
 	"pef/internal/prng"
+	"pef/internal/ring"
 	"pef/internal/robot"
 )
 
@@ -153,7 +154,7 @@ func TestLockstepOccupancyMatchesPositions(t *testing.T) {
 
 // TestLockstepResetRejectsBadLanes checks the per-lane shape checks of
 // Reset: lanes may field different team sizes, but each needs 1 <= k < n
-// robots and lane 0's ring.
+// robots, the block's ring, and a graph or the block's adversary.
 func TestLockstepResetRejectsBadLanes(t *testing.T) {
 	// lane places k robots on nodes 0..k-1 of a static n-ring.
 	lane := func(n, k int) LaneRun {
@@ -174,6 +175,8 @@ func TestLockstepResetRejectsBadLanes(t *testing.T) {
 		{"k = n", []LaneRun{lane(6, 2), lane(6, 3), lane(6, 6)}, "lane 2 places 6 robots on 6 nodes"},
 		{"ring mismatch", []LaneRun{lane(6, 2), lane(7, 2)}, "lane 1 ring"},
 		{"wider lane on a smaller ring", []LaneRun{lane(6, 2), lane(5, 4)}, "lane 1 ring"},
+		{"no graph in lane 0", []LaneRun{{Placements: lane(6, 2).Placements, Horizon: 5}, lane(6, 2)}, "lane 0 has neither a graph nor an adversary"},
+		{"no graph in lane 1", []LaneRun{lane(6, 2), {Placements: lane(6, 2).Placements, Horizon: 5}}, "lane 1 has neither a graph nor an adversary"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ls, err := NewLockstep(LockstepConfig{Algorithm: core.PEF3Plus, Lanes: tc.lanes})
@@ -197,40 +200,87 @@ func TestLockstepResetRejectsBadLanes(t *testing.T) {
 	}
 }
 
+// ringPanics is a lane graph whose Ring panics, so Reset panics on it.
+type ringPanics struct{ dyngraph.EvolvingGraph }
+
+func (ringPanics) Ring() ring.Ring { panic("ring unknown") }
+
+// TestAcquireLockstepRepanicsResetPanic checks that a panic inside Reset
+// reaches the caller unchanged, and that the lane engine still serves the
+// next block afterwards.
+func TestAcquireLockstepRepanicsResetPanic(t *testing.T) {
+	place := EvenPlacements(6, 2)
+	func() {
+		defer func() {
+			if r := recover(); r != "ring unknown" {
+				t.Fatalf("recovered %v, want the Reset panic", r)
+			}
+		}()
+		AcquireLockstep(LockstepConfig{Algorithm: core.PEF3Plus, Lanes: []LaneRun{{Graph: ringPanics{}, Placements: place, Horizon: 3}}})
+		t.Fatal("AcquireLockstep returned after a Reset panic")
+	}()
+	ls, err := AcquireLockstep(LockstepConfig{Algorithm: core.PEF3Plus, Lanes: []LaneRun{{Graph: dyngraph.NewStatic(6), Placements: place, Horizon: 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !ls.Done() {
+		ls.Step()
+	}
+	if ls.Now() != 3 {
+		t.Fatalf("ran %d rounds, want 3", ls.Now())
+	}
+	ls.Release()
+}
+
+// staticAdversary is a test LaneAdversary that keeps every edge of its
+// lanes present.
+type staticAdversary struct{ r ring.Ring }
+
+func (a staticAdversary) Ring() ring.Ring { return a.r }
+
+func (a staticAdversary) EdgeColumns(_ *LockstepSimulator, mask uint64, cols []uint64) {
+	for e := range cols {
+		cols[e] |= mask
+	}
+}
+
 // TestLockstepStepAllocFree pins the hot path: once configured, stepping
 // a lockstep block must not allocate (the engine is pure word arithmetic
-// over preallocated buffers) — for stateless word graphs and for the
-// streaming Markov chain, whose one presence set is advanced in place.
+// over preallocated buffers) — for stateless word graphs, for the
+// streaming Markov chain, whose one presence set is advanced in place,
+// and for a block whose odd lanes a LaneAdversary drives.
 func TestLockstepStepAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const n, k = 12, 3
 	for _, tc := range []struct {
-		name  string
-		graph func(seed uint64) dyngraph.EvolvingGraph
+		name      string
+		graph     func(seed uint64) dyngraph.EvolvingGraph
+		adversary LaneAdversary
 	}{
-		{"bernoulli", func(seed uint64) dyngraph.EvolvingGraph { return dynamics.NewBernoulli(n, 0.8, seed) }},
+		{"bernoulli", func(seed uint64) dyngraph.EvolvingGraph { return dynamics.NewBernoulli(n, 0.8, seed) }, nil},
 		{"markov-stream", func(seed uint64) dyngraph.EvolvingGraph {
 			m, err := dynamics.NewMarkovStream(n, 0.4, 0.25, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return m
-		}},
+		}, nil},
+		{"adversary", func(seed uint64) dyngraph.EvolvingGraph { return dynamics.NewBernoulli(n, 0.8, seed) }, staticAdversary{ring.New(n)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := prng.NewSource(11)
 			var lanesCfg []LaneRun
 			for l := 0; l < 64; l++ {
 				seed := src.Uint64()
-				lanesCfg = append(lanesCfg, LaneRun{
-					Graph:      tc.graph(seed),
-					Placements: RandomPlacements(n, k, prng.NewSource(seed)),
-					Horizon:    1 << 20,
-				})
+				run := LaneRun{Placements: RandomPlacements(n, k, prng.NewSource(seed)), Horizon: 1 << 20}
+				if tc.adversary == nil || l%2 == 0 {
+					run.Graph = tc.graph(seed)
+				}
+				lanesCfg = append(lanesCfg, run)
 			}
-			ls, err := AcquireLockstep(LockstepConfig{Algorithm: core.PEF3Plus, Lanes: lanesCfg})
+			ls, err := AcquireLockstep(LockstepConfig{Algorithm: core.PEF3Plus, Lanes: lanesCfg, Adversary: tc.adversary})
 			if err != nil {
 				t.Fatal(err)
 			}

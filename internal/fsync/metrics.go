@@ -25,9 +25,10 @@ type Metrics struct {
 	LockstepAcquires *telemetry.Counter
 	LockstepReleases *telemetry.Counter
 
-	// WordFastLanes counts lane-instants materialized by their graph's own
-	// E_t kernel (dyngraph.InPlaceGraph); WordFallbackLanes counts those
-	// that fell back to testing every edge with Present.
+	// WordFastLanes counts lane-instants materialized by a word kernel:
+	// their graph's own E_t kernel (dyngraph.InPlaceGraph) or the block's
+	// LaneAdversary, which runs no per-lane Present. WordFallbackLanes
+	// counts those that fell back to testing every edge with Present.
 	WordFastLanes     *telemetry.Counter
 	WordFallbackLanes *telemetry.Counter
 }

@@ -7,16 +7,17 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pef/internal/dyngraph"
+	"pef/internal/adversary"
 	"pef/internal/fsync"
 	"pef/internal/robot"
 	"pef/internal/spec"
 )
 
 // This file routes blocks of specs through the bit-parallel lockstep
-// engine: up to 64 specs on one ring and rule table advance per word.
-// Eligibility is conservative — anything the lane engine cannot represent
-// (big rings, adaptive adversaries, imperative overrides, algorithms that
+// engine: up to 64 specs on one ring and rule table advance per word,
+// oblivious and block-pointed specs alike. Eligibility is conservative —
+// anything the lane engine cannot represent (big rings, adaptive
+// adversaries without a lane form, imperative overrides, algorithms that
 // are not a robot.Table) falls back to the scalar oracle — and every lane's
 // verdict is byte-identical to the scalar RunWith verdict for the same
 // spec, an invariant the differential tests in lockstep_test.go pin
@@ -29,8 +30,10 @@ const laneWordSize = 64
 // laneEval bundles the per-block lane tracker a campaign worker reuses
 // from block to block, mirroring the scalar evaluator pool.
 type laneEval struct {
-	lv   *spec.LaneVisits
-	runs []fsync.LaneRun
+	lv      *spec.LaneVisits
+	runs    []fsync.LaneRun
+	budgets []int // per lane: block-pointed budget, 0 for graph lanes
+	bp      adversary.BlockPointedLanes
 }
 
 var laneEvalPool = sync.Pool{New: func() any {
@@ -39,15 +42,16 @@ var laneEvalPool = sync.Pool{New: func() any {
 
 // lockstepEligible reports whether the spec may run on the lane engine
 // under the given options, returning the resolved rule table and
-// evolving graph when it may — or, when it may not, a short reason tag
-// for the engine.skip.* telemetry counters. Overrides (imperative
+// dynamics when it may — or, when it may not, a short reason tag for the
+// engine.skip.* telemetry counters. The dynamics must be an oblivious
+// graph or a fresh block-pointed adversary (its lane form); confine-one
+// and confine-two are scalar-only. So are overrides (imperative
 // algorithm/dynamics, explicit placements, observers — but NOT attached
-// Telemetry, which is observational) and adaptive adversaries are
-// scalar-only; so are rings wider than the 64-bit presence word and
-// algorithms that are not a robot.Table (the counting baselines). A
-// dynamics build error also reports ineligible: the scalar path rebuilds
-// and reports the identical error verdict.
-func lockstepEligible(s Spec, o RunOptions, res preparedRun) (*robot.Table, dyngraph.EvolvingGraph, bool, string) {
+// Telemetry, which is observational), rings wider than the 64-bit
+// presence word and algorithms that are not a robot.Table (the counting
+// baselines). A dynamics build error also reports ineligible: the scalar
+// path rebuilds and reports the identical error verdict.
+func lockstepEligible(s Spec, o RunOptions, res preparedRun) (*robot.Table, fsync.Dynamics, bool, string) {
 	if o.hasOverrides() {
 		return nil, nil, false, "overrides"
 	}
@@ -62,11 +66,19 @@ func lockstepEligible(s Spec, o RunOptions, res preparedRun) (*robot.Table, dyng
 	if err != nil {
 		return nil, nil, false, "family-build"
 	}
-	obl, ok := dyn.(fsync.Oblivious)
-	if !ok || obl.G == nil {
+	switch d := dyn.(type) {
+	case fsync.Oblivious:
+		ok = d.G != nil
+	case *adversary.BlockPointed:
+		_, fresh := d.LaneBudget()
+		ok = fresh && d.Ring().Size() == s.Ring
+	default:
+		ok = false
+	}
+	if !ok {
 		return nil, nil, false, "dynamics"
 	}
-	return &table, obl.G, true, ""
+	return &table, dyn, true, ""
 }
 
 // blockKey is the shape a lane group must share: one lockstep run drives
@@ -109,7 +121,7 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 	tel := o.Telemetry
 	groups := map[blockKey][]int{}
 	algs := map[blockKey]*robot.Table{}
-	graphs := make([]dyngraph.EvolvingGraph, len(specs))
+	dyns := make([]fsync.Dynamics, len(specs))
 	var scalar []int
 	for i, s := range specs {
 		v, res, err := prepareRun(s, o)
@@ -118,7 +130,7 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 			out[i] = v
 			continue
 		}
-		la, g, ok, reason := lockstepEligible(s, o, res)
+		la, dyn, ok, reason := lockstepEligible(s, o, res)
 		if !ok {
 			if tel != nil {
 				tel.scalarSpecs.Inc()
@@ -128,7 +140,7 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 			continue
 		}
 		key := blockKey{s.Ring, s.Algorithm}
-		graphs[i] = g
+		dyns[i] = dyn
 		groups[key] = append(groups[key], i)
 		if _, seen := algs[key]; !seen {
 			algs[key] = la
@@ -153,11 +165,6 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 		members := groups[key]
 		for len(members) > 0 {
 			lanes := min(len(members), laneWordSize)
-			if tel != nil {
-				tel.lockstepGroups.Inc()
-				tel.lockstepSpecs.Add(int64(lanes))
-				tel.laneOccupancy.Observe(lanes)
-			}
 			units = append(units, blockUnit{members: members[:lanes], alg: algs[key]})
 			members = members[lanes:]
 		}
@@ -184,10 +191,10 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 				out[unit.members[0]] = runScalar(ctx, specs[unit.members[0]], o)
 			case tel != nil:
 				start := time.Now()
-				runLockstepGroup(ctx, specs, graphs, unit.members, *unit.alg, o, ev, out)
+				runLockstepGroup(ctx, specs, dyns, unit.members, *unit.alg, o, ev, out)
 				tel.lockstepMillis.Add(time.Since(start).Milliseconds())
 			default:
-				runLockstepGroup(ctx, specs, graphs, unit.members, *unit.alg, o, ev, out)
+				runLockstepGroup(ctx, specs, dyns, unit.members, *unit.alg, o, ev, out)
 			}
 		}
 	}
@@ -223,12 +230,25 @@ func runScalar(ctx context.Context, s Spec, o RunOptions) Verdict {
 // engine-level failure — configuration rejection or a panic mid-run —
 // falls back to scalar runs for the whole group, which rebuild their
 // dynamics from the specs and reproduce the verdicts (or the error)
-// independently.
-func runLockstepGroup(ctx context.Context, specs []Spec, graphs []dyngraph.EvolvingGraph, members []int, alg robot.Table, o RunOptions, ev *laneEval, out []Verdict) {
+// independently. The group counts as lane work in the telemetry only once
+// it has finished on lanes; a fallen-back group counts as scalar specs
+// under engine.skip.fallback.
+func runLockstepGroup(ctx context.Context, specs []Spec, dyns []fsync.Dynamics, members []int, alg robot.Table, o RunOptions, ev *laneEval, out []Verdict) {
+	tel := o.Telemetry
 	fallback := true
 	defer func() {
 		if r := recover(); r != nil {
 			fallback = true
+		}
+		switch {
+		case tel == nil:
+		case fallback:
+			tel.scalarSpecs.Add(int64(len(members)))
+			tel.skipReason("fallback").Add(int64(len(members)))
+		default:
+			tel.lockstepGroups.Inc()
+			tel.lockstepSpecs.Add(int64(len(members)))
+			tel.laneOccupancy.Observe(len(members))
 		}
 		if fallback {
 			for _, i := range members {
@@ -237,19 +257,30 @@ func runLockstepGroup(ctx context.Context, specs []Spec, graphs []dyngraph.Evolv
 		}
 	}()
 
-	ev.runs = ev.runs[:0]
+	ev.runs, ev.budgets = ev.runs[:0], ev.budgets[:0]
+	var adv fsync.LaneAdversary
 	for _, i := range members {
 		s := specs[i]
-		ev.runs = append(ev.runs, fsync.LaneRun{
-			Graph:      graphs[i],
-			Placements: placements(o.registry(), s),
-			Horizon:    s.Horizon,
-		})
+		run := fsync.LaneRun{Placements: placements(o.registry(), s), Horizon: s.Horizon}
+		budget := 0
+		switch d := dyns[i].(type) {
+		case fsync.Oblivious:
+			run.Graph = d.G
+		case *adversary.BlockPointed:
+			budget, _ = d.LaneBudget()
+			adv = &ev.bp
+		}
+		ev.runs = append(ev.runs, run)
+		ev.budgets = append(ev.budgets, budget)
+	}
+	if adv != nil {
+		ev.bp.Reset(specs[members[0]].Ring, ev.budgets)
 	}
 	ls, err := fsync.AcquireLockstep(fsync.LockstepConfig{
 		Algorithm: alg,
 		Lanes:     ev.runs,
-		Metrics:   o.Telemetry.simMetrics(),
+		Adversary: adv,
+		Metrics:   tel.simMetrics(),
 	})
 	if err != nil {
 		return // scalar fallback reproduces the rejection per spec

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pef/internal/fsync"
+	"pef/internal/robot"
 )
 
 var updateLockstepGoldens = flag.Bool("update-lockstep-goldens", false,
@@ -276,6 +277,112 @@ func TestRunBlockPacksTeamSizesIntoOneLockstepGroup(t *testing.T) {
 	}
 	if lr := snap.Counters["sim.lockstep.laneRounds"]; lr != horizons {
 		t.Fatalf("sim.lockstep.laneRounds = %d, want the %d rounds of all lanes", lr, horizons)
+	}
+}
+
+// TestRunBlockRunsBlockPointedOnLanes checks that the block-pointed
+// adversary runs on the lane engine: on an adversarial block only the
+// confinement specs leave the lockstep path, every block-pointed
+// lane-round counts as word-fast, and the verdict JSON is byte-identical
+// to per-spec RunWith.
+func TestRunBlockRunsBlockPointedOnLanes(t *testing.T) {
+	specs, err := Generate("adversarial", GenConfig{}, 3, 192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want := make([]Verdict, len(specs))
+	var pointed, confine, rounds int64
+	for i, s := range specs {
+		want[i] = runScalar(ctx, s, RunOptions{})
+		if s.Family == FamilyBlockPointed {
+			pointed++
+			rounds += int64(s.Horizon)
+		} else {
+			confine++
+		}
+	}
+	if pointed == 0 || confine == 0 {
+		t.Fatalf("block has %d block-pointed and %d confinement specs, want both", pointed, confine)
+	}
+	tel := NewTelemetry()
+	got := RunBlock(ctx, specs, RunOptions{Telemetry: tel})
+	if verdictJSON(t, got) != verdictJSON(t, want) {
+		t.Fatal("adversarial lockstep verdict JSON differs from per-spec RunWith")
+	}
+	c := tel.Snapshot().Counters
+	for _, tc := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"engine.lockstepSpecs", c["engine.lockstepSpecs"], pointed},
+		{"engine.scalarSpecs", c["engine.scalarSpecs"], confine},
+		{"engine.skip.dynamics+algorithm", c["engine.skip.dynamics"] + c["engine.skip.algorithm"], confine},
+		{"engine.skip.fallback", c["engine.skip.fallback"], 0},
+		{"sim.lockstep.laneRounds", c["sim.lockstep.laneRounds"], rounds},
+		{"sim.wordFastLanes", c["sim.wordFastLanes"], rounds},
+		{"sim.wordFallbackLanes", c["sim.wordFallbackLanes"], 0},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %d, want %d (counters: %v)", tc.name, tc.got, tc.want, c)
+		}
+	}
+}
+
+// TestRunLockstepGroupFallbackCountsScalar drives runLockstepGroup with a
+// group whose rings disagree, which the engine's Reset rejects: every
+// verdict must come from the scalar fallback, and the telemetry must
+// count the group as scalar specs under engine.skip.fallback, never as
+// lane work.
+func TestRunLockstepGroupFallbackCountsScalar(t *testing.T) {
+	specs := []Spec{
+		{Ring: 7, Robots: 3, Algorithm: "pef3+", Placement: PlaceRandom, Family: "bernoulli", Params: Params{P: 0.6}, Horizon: 90, Seed: 1},
+		{Ring: 8, Robots: 3, Algorithm: "pef3+", Placement: PlaceRandom, Family: "bernoulli", Params: Params{P: 0.6}, Horizon: 90, Seed: 2},
+		{Ring: 7, Robots: 4, Algorithm: "pef3+", Placement: PlaceEven, Family: FamilyBlockPointed, Params: Params{Budget: 3}, Horizon: 90, Seed: 3},
+	}
+	ctx := context.Background()
+	tel := NewTelemetry()
+	o := RunOptions{Telemetry: tel}
+	dyns := make([]fsync.Dynamics, len(specs))
+	var table *robot.Table
+	for i, s := range specs {
+		_, res, err := prepareRun(s, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, dyn, ok, reason := lockstepEligible(s, o, res)
+		if !ok {
+			t.Fatalf("spec %d not lane-eligible: %s", i, reason)
+		}
+		table, dyns[i] = tb, dyn
+	}
+	got := make([]Verdict, len(specs))
+	ev := laneEvalPool.Get().(*laneEval)
+	defer laneEvalPool.Put(ev)
+	runLockstepGroup(ctx, specs, dyns, []int{0, 1, 2}, *table, o, ev, got)
+	want := make([]Verdict, len(specs))
+	for i, s := range specs {
+		want[i] = runScalar(ctx, s, RunOptions{})
+	}
+	if verdictJSON(t, got) != verdictJSON(t, want) {
+		t.Fatal("fallen-back group verdicts differ from per-spec RunWith")
+	}
+	snap := tel.Snapshot()
+	for name, want := range map[string]int64{
+		"engine.lockstepGroups":   0,
+		"engine.lockstepSpecs":    0,
+		"engine.scalarSpecs":      3,
+		"engine.skip.fallback":    3,
+		"oracle.scalarRuns":       3,
+		"sim.lockstep.acquires":   0,
+		"sim.lockstep.laneRounds": 0,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if occ := snap.Hists["engine.laneOccupancy"]; occ.Count != 0 {
+		t.Errorf("engine.laneOccupancy observed %d groups, want none", occ.Count)
 	}
 }
 

@@ -21,13 +21,13 @@ import (
 //	pool.*                    scheduling (harness.PoolMetrics)
 //	sim.rounds|acquires|releases          scalar engine
 //	sim.lockstep.rounds|laneRounds|acquires|releases  lane engine
-//	sim.wordFastLanes|wordFallbackLanes   lane E_t by family kernel vs Present
+//	sim.wordFastLanes|wordFallbackLanes   lane E_t by word kernel vs Present
 //	oracle.scalarRuns         scalar oracle executions
 //	engine.lockstepSpecs|scalarSpecs      per-spec path routing
-//	engine.lockstepGroups     lane groups launched
+//	engine.lockstepGroups     lane groups that finished on lanes
 //	engine.laneOccupancy      lanes per group (packing efficiency)
 //	engine.lockstepMillis     busy ms spent inside lane groups
-//	engine.skip.<reason>      why specs left the lockstep path
+//	engine.skip.<reason>      why specs left the lockstep path (fallback: group rejected)
 //	family.<family>.millis    scalar-oracle busy ms per dynamics family
 //	campaign.<generator>.millis  campaign wall ms per generator (CLI-recorded)
 //
