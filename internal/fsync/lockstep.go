@@ -314,8 +314,10 @@ func (ls *LockstepSimulator) Rows() []uint64 { return ls.pos }
 
 // PointsCW returns the lane word of robot i pointing clockwise: its global
 // direction after the last Step's Compute phase (Move keeps it), or its
-// initial direction before the first Step. Bits of unconfigured lanes,
-// and of lanes that place no robot i, are meaningless.
+// initial direction before the first Step. Only the bits of active lanes
+// that place a robot i carry meaning. Step runs Compute on every lane, so
+// a retired lane's direction and memory words keep changing after its
+// horizon; bits of unconfigured lanes are meaningless too.
 func (ls *LockstepSimulator) PointsCW(i int) uint64 { return ^(ls.chirCW[i] ^ ls.dirRight[i]) }
 
 // Position returns lane l's robot i node at the current instant — the

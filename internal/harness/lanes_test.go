@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,8 +11,8 @@ import (
 	"testing"
 
 	"pef/internal/core"
-	"pef/internal/dynamics"
 	"pef/internal/fsync"
+	"pef/internal/robot"
 	"pef/internal/spec"
 )
 
@@ -73,42 +74,64 @@ func TestLaneRowsMatchCommittedTrajectory(t *testing.T) {
 	}
 }
 
-// TestLaneExplorationsMatchScalar runs the oblivious E-T1.R1 workloads as
-// one lane block of mixed team sizes (3 to 5 robots where the ring allows)
-// and each on its own scalar simulator, and requires every
-// passing lane to carry the scalar run's report and tower rounds.
+// TestLaneExplorationsMatchScalar runs the possibility-row shapes as lane
+// blocks on the LaneBlock runner — E-T1.R1's PEF_3+ teams of 3 to 5 robots
+// (where the ring allows) over every positiveWorkloads entry, and E-T1.R3's
+// PEF_2 pair on the 3-ring over every entry under both chirality pairs —
+// and each run on its own scalar simulator, and requires every lane to
+// carry its scalar run's report, tower rounds and tower-lemma verdict.
 func TestLaneExplorationsMatchScalar(t *testing.T) {
+	type shape struct {
+		name             string
+		n, runs, horizon int
+		team             func(i int) fsync.Config
+	}
+	var shapes []shape
 	for _, n := range []int{4, 7, 12} {
-		horizon := 60 * n
-		wls := positiveWorkloads(n)[:len(dynamics.StandardSuite())]
-		team := func(i int) fsync.Config { // k = 3, 4, 5 where the ring allows
+		wls := positiveWorkloads(n)
+		shapes = append(shapes, shape{fmt.Sprintf("pef3+/n=%d", n), n, len(wls), 60 * n, func(i int) fsync.Config {
 			return randomTeam(core.PEF3Plus, 3+i%min(3, n-3), wls[i].build, uint64(n))
+		}})
+	}
+	wls := positiveWorkloads(3)
+	chirs := [][2]robot.Chirality{{robot.RightIsCW, robot.RightIsCW}, {robot.RightIsCW, robot.RightIsCCW}}
+	shapes = append(shapes, shape{"pef2/n=3", 3, 2 * len(wls), 400, func(i int) fsync.Config {
+		ch := chirs[i%2]
+		return fsync.Config{
+			Algorithm:  core.PEF2,
+			Dynamics:   wls[i/2].build(1 + uint64(i%2)),
+			Placements: []fsync.Placement{{Node: 0, Chirality: ch[0]}, {Node: 1, Chirality: ch[1]}},
 		}
-		cs := make([]fsync.Config, len(wls))
-		lanes := make([]int, len(wls))
-		for i := range cs {
-			cs[i], lanes[i] = team(i), i
-		}
-		out := make([]exploration, len(wls))
-		passed := laneExplorations(cs, lanes, horizon, true, out)
-		if passed == 0 {
-			t.Fatalf("n=%d: no lane passed", n)
-		}
-		for i, x := range out {
-			if passed&(1<<uint(i)) == 0 {
-				continue
+	}})
+	for _, sh := range shapes {
+		lanes := make([]Lane, sh.runs)
+		for i := range lanes {
+			c := sh.team(i)
+			if !LaneEligible(c.Dynamics, sh.n) {
+				t.Fatalf("%s run %d: dynamics %T not lane-eligible", sh.name, i, c.Dynamics)
 			}
+			lanes[i] = Lane{Dynamics: c.Dynamics, Placements: c.Placements, Horizon: sh.horizon}
+		}
+		cfg := LaneConfig{Algorithm: sh.team(0).Algorithm.(robot.Table), Lanes: lanes, Towers: true}
+		reps, err := NewLaneBlock().Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		for i, x := range reps {
 			ti := spec.NewTowerInvariants()
-			c := team(i)
+			c := sh.team(i)
 			c.Observers = []fsync.Observer{ti}
-			want, err := explorationRun(c, horizon)
+			want, err := explorationRun(c, sh.horizon)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := x.rep
+			got := x.Report
+			gotV, wantV := got.ExploreViolation(2, sh.horizon/2), want.ExploreViolation(2, sh.horizon/2)
 			got.Visits, want.Visits = nil, nil
-			if !reflect.DeepEqual(got, want) || x.towers != ti.TowerRounds() {
-				t.Errorf("n=%d %s: lane %+v towers %d, scalar %+v towers %d", n, wls[i].name, got, x.towers, want, ti.TowerRounds())
+			if !reflect.DeepEqual(got, want) || gotV != wantV || x.Rounds != sh.horizon ||
+				x.Towers != ti.TowerRounds() || x.Flagged != (len(ti.Violations()) > 0) {
+				t.Errorf("%s run %d: lane %+v %q towers %d flagged %v, scalar %+v %q towers %d violations %v",
+					sh.name, i, got, gotV, x.Towers, x.Flagged, want, wantV, ti.TowerRounds(), ti.Violations())
 			}
 		}
 	}

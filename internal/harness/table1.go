@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -48,27 +49,34 @@ func (x exploration) ok(horizon int) bool {
 // explorations runs team(0), …, team(runs-1) for horizon rounds each,
 // checking the tower invariants when towers is set. team(i) must build a
 // fresh config for run i on every call; all runs share one algorithm and
-// ring, of any team sizes. The runs on oblivious dynamics form one lockstep
-// block; the others, and every lane that fails the possibility verdict or
-// a tower lemma, run on the scalar path, so every outcome, failure notes
-// included, is the scalar run's. Lanes pay for blocks of about n/2 runs or
-// more (a lockstep round costs O(k·n) word operations whatever the lane
-// count, a scalar round O(k) per run), which is why only the Table 1 rows
-// with 8–24 runs per ring call this and E-X1, E-X2 and E-X7 run each team
-// through explorationRun.
+// ring, of any team sizes. The runs whose dynamics have a lane form
+// (LaneEligible: oblivious graphs and the fresh block-pointed adversary)
+// form one LaneBlock; the others, and every lane that fails the
+// possibility verdict or a tower lemma, run on the scalar path, so every
+// outcome, failure notes included, is the scalar run's. Lanes pay for
+// blocks of about n/2 runs or more (a lockstep round costs O(k·n) word
+// operations whatever the lane count, a scalar round O(k) per run), which
+// is why only the Table 1 rows with 8–24 runs per ring call this and E-X1,
+// E-X2 and E-X7 run each team through explorationRun.
 func explorations(runs, horizon int, towers bool, team func(i int) fsync.Config) ([]exploration, error) {
 	cs := make([]fsync.Config, runs)
-	var lanes []int
+	var idx []int
+	var lanes []Lane
 	for i := range cs {
 		cs[i] = team(i)
-		if _, ok := cs[i].Dynamics.(fsync.Oblivious); ok {
-			lanes = append(lanes, i)
+		if LaneEligible(cs[i].Dynamics, cs[0].Dynamics.Ring().Size()) {
+			idx = append(idx, i)
+			lanes = append(lanes, Lane{Dynamics: cs[i].Dynamics, Placements: cs[i].Placements, Horizon: horizon})
 		}
 	}
+	// The engine rejects a block whose algorithm is not a rule table (the
+	// zero table) and the scalar runs then report every run.
+	alg, _ := cs[0].Algorithm.(robot.Table)
+	reps, err := NewLaneBlock().Run(context.Background(), LaneConfig{Algorithm: alg, Lanes: lanes, Towers: towers})
 	out := make([]exploration, runs)
-	passed := laneExplorations(cs, lanes, horizon, towers, out)
-	for j, i := range lanes {
-		if passed&(1<<uint(j)) != 0 {
+	for j, i := range idx {
+		if err == nil && !reps[j].Flagged && possibleVerdict(reps[j].Report, horizon) {
+			out[i] = exploration{rep: reps[j].Report, towers: reps[j].Towers}
 			cs[i].Dynamics = nil // settled on lanes
 		} else {
 			cs[i] = team(i) // the block may have consumed the run's dynamics
@@ -93,54 +101,6 @@ func explorations(runs, horizon int, towers bool, team func(i int) fsync.Config)
 		}
 	}
 	return out, nil
-}
-
-// laneExplorations runs cs[lanes[0]], cs[lanes[1]], … as the lanes of one
-// lockstep block when their algorithm is a rule table, and fills out for
-// every lane that passes the possibility verdict without a tower flag. It
-// returns the mask of passing lanes (bit j for lanes[j]).
-func laneExplorations(cs []fsync.Config, lanes []int, horizon int, towers bool, out []exploration) (passed uint64) {
-	if len(lanes) == 0 {
-		return 0
-	}
-	alg, ok := cs[lanes[0]].Algorithm.(robot.Table)
-	if !ok {
-		return 0
-	}
-	n := cs[lanes[0]].Dynamics.Ring().Size()
-	runs := make([]fsync.LaneRun, len(lanes))
-	for j, i := range lanes {
-		runs[j] = fsync.LaneRun{Graph: cs[i].Dynamics.(fsync.Oblivious).G, Placements: cs[i].Placements, Horizon: horizon}
-	}
-	ls, err := fsync.AcquireLockstep(fsync.LockstepConfig{Algorithm: alg, Lanes: runs})
-	if err != nil {
-		return 0 // the scalar runs report the error
-	}
-	lv, lt := spec.NewLaneVisits(), spec.NewLaneTowers()
-	lv.Reset(n)
-	lt.Reset(n, ls.Robots())
-	lv.Record(0, ls.Occupancy(), ls.Active())
-	for !ls.Done() {
-		if towers {
-			lt.Look(ls.Rows(), ls.Active())
-		}
-		stepped := ls.Step()
-		if towers {
-			lt.Compute(ls.PointsCW)
-		}
-		lv.Record(ls.Now(), ls.Occupancy(), stepped)
-	}
-	ls.Release()
-	flagged := lt.Lemma34() | lt.Lemma33()
-	for j, i := range lanes {
-		rep := lv.Report(j, horizon+1)
-		if flagged&(1<<uint(j)) != 0 || !possibleVerdict(rep, horizon) {
-			continue
-		}
-		out[i] = exploration{rep: rep, towers: lt.TowerRounds(j)}
-		passed |= 1 << uint(j)
-	}
-	return passed
 }
 
 // randomTeam places k robots running alg at random on the ring of

@@ -468,12 +468,7 @@ func runSpecs(ctx context.Context, block []Spec, opts RunOptions, scalar bool) [
 	if scalar {
 		vs := make([]Verdict, len(block))
 		for j, s := range block {
-			v, rerr := RunWith(ctx, s, opts)
-			if rerr != nil && v.Err == "" {
-				v.Err = rerr.Error()
-				v.OK = false
-			}
-			vs[j] = v
+			vs[j] = runScalar(ctx, s, opts)
 		}
 		return vs
 	}

@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"pef/internal/fsync"
-	"pef/internal/robot"
+	"pef/internal/harness"
 )
 
 var updateLockstepGoldens = flag.Bool("update-lockstep-goldens", false,
@@ -343,23 +343,20 @@ func TestRunLockstepGroupFallbackCountsScalar(t *testing.T) {
 	ctx := context.Background()
 	tel := NewTelemetry()
 	o := RunOptions{Telemetry: tel}
-	dyns := make([]fsync.Dynamics, len(specs))
-	var table *robot.Table
+	plans := make([]lanePlan, len(specs))
+	got := make([]Verdict, len(specs))
 	for i, s := range specs {
-		_, res, err := prepareRun(s, o)
+		v, res, err := prepareRun(s, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb, dyn, ok, reason := lockstepEligible(s, o, res)
-		if !ok {
+		dyn, reason := lockstepEligible(s, o, res)
+		if dyn == nil {
 			t.Fatalf("spec %d not lane-eligible: %s", i, reason)
 		}
-		table, dyns[i] = tb, dyn
+		plans[i], got[i] = lanePlan{dyn: dyn, res: res}, v
 	}
-	got := make([]Verdict, len(specs))
-	ev := laneEvalPool.Get().(*laneEval)
-	defer laneEvalPool.Put(ev)
-	runLockstepGroup(ctx, specs, dyns, []int{0, 1, 2}, *table, o, ev, got)
+	runLockstepGroup(ctx, specs, plans, []int{0, 1, 2}, o, harness.NewLaneBlock(), got)
 	want := make([]Verdict, len(specs))
 	for i, s := range specs {
 		want[i] = runScalar(ctx, s, RunOptions{})

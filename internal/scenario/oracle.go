@@ -282,11 +282,7 @@ func RunWith(ctx context.Context, s Spec, o RunOptions) (v Verdict, err error) {
 	rep := vt.Report()
 	if cancelled {
 		err := ctx.Err()
-		v.Covered, v.CoverTime, v.MaxGap = rep.Covered, rep.CoverTime, rep.MaxGap
-		v.Distinct = rep.Covered
-		v.Outcome = "cancelled"
-		v.Err = fmt.Sprintf("cancelled after %d of %d rounds: %v", executed, s.Horizon, err)
-		v.OK = false
+		markCancelled(&v, s, rep, executed, err)
 		return v, err
 	}
 	classify(&v, s, res, rep)
@@ -353,6 +349,17 @@ func prepareRun(s Spec, o RunOptions) (Verdict, preparedRun, error) {
 		res.alg = alg
 	}
 	return v, res, nil
+}
+
+// markCancelled turns v into the verdict of a run that the context
+// stopped after executed of its s.Horizon rounds, with rep its partial
+// report.
+func markCancelled(v *Verdict, s Spec, rep spec.ExplorationReport, executed int, err error) {
+	v.Covered, v.CoverTime, v.MaxGap = rep.Covered, rep.CoverTime, rep.MaxGap
+	v.Distinct = rep.Covered
+	v.Outcome = "cancelled"
+	v.Err = fmt.Sprintf("cancelled after %d of %d rounds: %v", executed, s.Horizon, err)
+	v.OK = false
 }
 
 // classify is the shared post-execution half of the oracle: it fills the
