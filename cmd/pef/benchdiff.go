@@ -178,9 +178,8 @@ func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
 // confineHeadroom — how much slack each family kept against its
 // predicate; a "tighter" flag warns of drift toward the boundary before
 // any verdict flips), and — when both documents carry -timings wall
-// times — the campaign wall time, under the same gate. CI uses this to
-// require the lockstep engine's campaign to run no slower than the
-// scalar engine's.
+// times — the campaign wall time, under the same gate, so a campaign
+// captured at two commits can be held to run no slower.
 //
 // When both arguments are search boundary reports (pef search -json)
 // instead, the diff switches to boundary mode: per (family, metric), the
@@ -191,7 +190,7 @@ func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
 //
 //	pef benchdiff BENCH_0004.json BENCH_0005.json
 //	pef benchdiff -fail-on-regress 0.0 OLD.json NEW.json
-//	pef benchdiff -fail-on-regress 0.0 campaign_scalar.json campaign_lockstep.json
+//	pef benchdiff -fail-on-regress 0.0 campaign_old.json campaign_new.json
 //	pef benchdiff boundary_old.json boundary_new.json
 //
 // Flags:
@@ -338,8 +337,7 @@ func oldHasTimings(stats []expStats) bool {
 
 // campaignDiff renders the campaign-mode comparison: OK rates always,
 // wall times when both documents carry them, both under the regression
-// gate. The two campaigns need not share a generator — the lockstep
-// wall-time gate diffs the same campaign under two engines — but mismatched
+// gate. The two campaigns need not share a generator, but mismatched
 // scenario counts make the wall-time ratio meaningless, so they fail.
 func campaignDiff(stdout io.Writer, oldPath, newPath string, oldC, newC campaignFile, failOn float64) error {
 	fmt.Fprintf(stdout, "# Campaign diff: %s → %s\n\n", oldPath, newPath)

@@ -74,7 +74,7 @@ func runExperiments(ctx context.Context, args []string, stdout, stderr io.Writer
 		quick    = fs.Bool("quick", false, "reduced horizons and sweeps")
 		shard    = fs.Bool("shard", true, "split heavy ring-size sweeps into per-ring-size jobs (-shard=false for coarse rows)")
 		only     = fs.String("only", "", "run a single experiment or shard by ID (e.g. E-F2, E-T1.R1#n=4)")
-		progress = fs.Int("progress", 0, "print a progress line to stderr every N retired jobs")
+		progress = addProgress(fs, "retired jobs")
 		obs      = addObservability(fs, "sweep")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -83,8 +83,8 @@ func runExperiments(ctx context.Context, args []string, stdout, stderr io.Writer
 	if *seeds < 1 {
 		return fmt.Errorf("-seeds must be >= 1, got %d", *seeds)
 	}
-	if *progress < 0 {
-		return fmt.Errorf("-progress must be >= 0, got %d", *progress)
+	if err := progress.validate(); err != nil {
+		return err
 	}
 
 	exps := harness.All()
@@ -123,7 +123,7 @@ func runExperiments(ctx context.Context, args []string, stdout, stderr io.Writer
 		observe = func(j harness.JobResult) {
 			retired++
 			tracer.Emit("job-retired", map[string]any{"id": j.ID, "seed": j.Seed, "pass": j.Passed()})
-			if *progress > 0 && retired%*progress == 0 {
+			if progress.due(retired) {
 				fmt.Fprintf(stderr, "progress: %d jobs retired\n", retired)
 			}
 		}

@@ -87,6 +87,29 @@ func (o *observability) close() {
 	}
 }
 
+// progressEvery is the -progress flag of experiments, scenarios and
+// search: a stderr line every N units of progress (retired jobs,
+// aggregated scenarios, generations); 0 prints none. It writes only
+// stderr, so stdout stays byte-identical.
+type progressEvery int
+
+// addProgress registers -progress on fs; unit names what it counts.
+func addProgress(fs *flag.FlagSet, unit string) *progressEvery {
+	p := new(progressEvery)
+	fs.IntVar((*int)(p), "progress", 0, "print a progress line to stderr every N "+unit)
+	return p
+}
+
+func (p progressEvery) validate() error {
+	if p < 0 {
+		return fmt.Errorf("-progress must be >= 0, got %d", p)
+	}
+	return nil
+}
+
+// due reports whether n units of progress are due a line.
+func (p progressEvery) due(n int) bool { return p > 0 && n%int(p) == 0 }
+
 // checkpointFlags is the -checkpoint/-checkpoint-every/-halt-after/-resume
 // group of scenarios and search. Both count progress in their own unit
 // (aggregated scenarios, generations) and write through internal/durable.

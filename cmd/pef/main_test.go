@@ -104,6 +104,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			{"-seeds", "0"},
 			{"-family", "nope"},
 			{"-maxring", "3"},
+			{"-lockstep=false"}, // the removed engine route flag
+			{"-lanewidth", "8"}, // the removed block width flag
+		}},
+		{"search", [][]string{
+			{"-progress", "-1"},
+			{"-lockstep=false"},
 		}},
 	}
 	for _, c := range cases {
@@ -133,6 +139,7 @@ func TestObservabilityFlagsKeepStdout(t *testing.T) {
 		{"experiments", runExperiments, []string{"-quick", "-seeds", "2", "-json", "-only", "E-T1.R5"}, "1", "progress: 1 jobs retired"},
 		{"scenarios", runScenarios, campaign, "10", "progress: 10/40 scenarios"},
 		{"scenarios-json", runScenarios, append([]string{"-json"}, campaign...), "10", "progress: 10/40 scenarios"},
+		{"search", runSearch, searchBase, "2", "progress: generation 2/4"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

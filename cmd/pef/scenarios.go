@@ -23,6 +23,14 @@ import (
 // with bounded memory (verdicts fold into an online aggregate, never a
 // slice) and their output is byte-identical for any worker count.
 //
+// The engine route is fixed, not a flag: each worker job is a block of
+// 1024 consecutive scenarios, whose specs on one ring under one rule
+// table run as lanes of the bit-parallel lockstep engine, 64 per machine
+// word; the rest (adaptive adversaries other than block-pointed, rings
+// over 64 nodes, counting baselines) run on the scalar oracle. Every
+// verdict is the scalar oracle's, byte for byte. Both engines poll for
+// cancellation every 256 rounds.
+//
 // Every name the tool accepts — generators, dynamics families, algorithms,
 // oracle properties — resolves through the scenario extension registry;
 // -list prints the full enumeration.
@@ -64,12 +72,6 @@ import (
 //	                 e.g. "bernoulli=3,periodic=1" (exclusive with
 //	                 -families; equal weights sample identically to it)
 //	-maxring N       largest sampled ring size (default 16)
-//	-lockstep        run eligible scenarios on the bit-parallel lockstep
-//	                 engine, up to 64 per machine word
-//	                 (default true; -lockstep=false forces the scalar
-//	                 engine — output is byte-identical either way)
-//	-lanewidth N     scenarios batched per worker job for lane packing
-//	                 (default 1024; ignored with -lockstep=false)
 //	-timings         record the campaign's wall time: a trailing line in
 //	                 report mode, the "millis" field in -json mode (the
 //	                 only field that varies run to run)
@@ -117,8 +119,8 @@ import (
 //	-worker-coord U  worker mode: join the pef coord lease fabric at base
 //	                 URL U and run granted blocks until the campaign is
 //	                 done. The coordinator owns the campaign identity, so
-//	                 every campaign-shaping flag conflicts; only engine
-//	                 knobs (-workers, -lockstep, -lanewidth) apply.
+//	                 every campaign-shaping flag conflicts; only -workers
+//	                 applies.
 //	-worker-id ID    worker name in the lease fabric (default
 //	                 worker-<pid>)
 //	-chaos-seed N    arm the deterministic fault schedule: per the seeded
@@ -147,8 +149,6 @@ func runScenarios(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		families  = fs.String("families", "", "comma-separated family pool for the registered generator")
 		weights   = fs.String("family-weights", "", "weighted family pool for the registered generator, e.g. \"bernoulli=3,periodic=1\"")
 		maxRing   = fs.Int("maxring", 16, "largest sampled ring size")
-		lockstep  = fs.Bool("lockstep", true, "run eligible scenarios on the bit-parallel lane engine")
-		laneWidth = fs.Int("lanewidth", 0, "scenarios batched per worker job for lane packing (<1 means 1024)")
 		timings   = fs.Bool("timings", false, "record the campaign's wall time in the output")
 		jsonOut   = fs.Bool("json", false, "emit the versioned campaign document")
 		list      = fs.Bool("list", false, "list the registry contents and exit")
@@ -157,7 +157,7 @@ func runScenarios(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		shardCnt  = fs.Int("shard-count", 0, "number of contiguous shards the campaign is split into")
 		merge     = fs.Bool("merge", false, "merge completed per-shard checkpoint files (positional args) into one report")
 		minimize  = fs.Bool("minimize", false, "append a minimal reproducer per violation (report mode only)")
-		progress  = fs.Int("progress", 0, "print a progress line to stderr every N aggregated scenarios")
+		progress  = addProgress(fs, "aggregated scenarios")
 		obs       = addObservability(fs, "campaign")
 		workerURL = fs.String("worker-coord", "", "join the pef coord lease fabric at this base URL as a worker")
 		workerID  = fs.String("worker-id", "", "worker name in the lease fabric (default worker-<pid>)")
@@ -175,11 +175,9 @@ func runScenarios(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	cfg := scenario.CampaignConfig{
-		Workers:         *workers,
-		ShardIndex:      *shardIdx,
-		ShardCount:      *shardCnt,
-		DisableLockstep: !*lockstep,
-		LaneWidth:       *laneWidth,
+		Workers:    *workers,
+		ShardIndex: *shardIdx,
+		ShardCount: *shardCnt,
 	}
 	if *workerURL != "" {
 		// Worker mode: the campaign identity comes from the coordinator's
@@ -188,7 +186,7 @@ func runScenarios(ctx context.Context, args []string, stdout, stderr io.Writer) 
 			"checkpoint", "checkpoint-every", "halt-after", "resume", "shard-index", "shard-count",
 			"merge", "minimize", "json", "timings"} {
 			if explicit[name] {
-				return fmt.Errorf("-%s conflicts with -worker-coord (the coordinator owns the campaign; workers only bring -workers/-lockstep/-lanewidth)", name)
+				return fmt.Errorf("-%s conflicts with -worker-coord (the coordinator owns the campaign; workers only bring -workers)", name)
 			}
 		}
 		return runWorker(ctx, strings.TrimRight(*workerURL, "/"), *workerID, cfg, *chaosSeed, stderr)
@@ -220,8 +218,8 @@ func runScenarios(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	if *minimize && *jsonOut {
 		return fmt.Errorf("-minimize applies to the report mode, not -json")
 	}
-	if *progress < 0 {
-		return fmt.Errorf("-progress must be >= 0, got %d", *progress)
+	if err := progress.validate(); err != nil {
+		return err
 	}
 
 	var err error
@@ -272,7 +270,7 @@ func runScenarios(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		}
 		agg.Add(v)
 		ran := agg.Start() + agg.Done() - start
-		if *progress > 0 && ran%*progress == 0 {
+		if progress.due(ran) {
 			fmt.Fprintf(stderr, "progress: %d/%d scenarios, %d violations\n",
 				agg.Done(), agg.End()-agg.Start(), len(agg.Violations()))
 		}
@@ -402,9 +400,8 @@ func runMerge(paths []string, jsonOut bool, stdout io.Writer) error {
 // what -shard-index/-shard-count would run — and is delivered back as an
 // encoded checkpoint under the grant's fencing token.
 //
-// engine carries the engine knobs applied to every block (worker count,
-// lane width and engine choice, all byte-invisible); the campaign
-// identity always comes from the grant — workers bring compute, not
+// engine carries the worker count applied to every block (byte-invisible);
+// the campaign identity always comes from the grant — workers bring compute, not
 // configuration. A non-zero chaosSeed arms the deterministic fault schedule
 // (lease.Chaos): the worker then kills, stalls, or double-acks leases
 // per the seeded plan, for chaos-testing the coordinator's recovery. The

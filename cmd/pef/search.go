@@ -27,7 +27,9 @@ import (
 //
 // Every draw is hash-keyed by (seed, generation, slot) and all steering
 // is single-threaded, so a fixed-seed search is byte-identical for any
-// -workers, -lanewidth and -lockstep setting.
+// -workers setting. A generation runs through the campaign engine's fixed
+// route (blocks of up to 1024 specs, lanes where eligible, the scalar
+// oracle otherwise; see runScenarios), fanned out over the workers.
 //
 //	pef search                                  # 8 generations of 256, seed 1
 //	pef search -seed 7 -generations 20 -json    # machine-readable boundary report
@@ -56,8 +58,6 @@ import (
 //	-minring/-maxring  sampled ring bounds (defaults 4/16)
 //	-maxrobots N       largest sampled team (default 5)
 //	-workers M         worker pool size; <1 means GOMAXPROCS
-//	-lockstep          bit-parallel lane engine (default true)
-//	-lanewidth N       lane packing width (default 1024)
 //	-json              emit the boundary-report document instead of text
 //	-checkpoint P      atomically write a resumable search checkpoint to
 //	                   P (via P.tmp) on finish or halt
@@ -68,7 +68,7 @@ import (
 //	                   -checkpoint; simulates a kill for resume testing)
 //	-resume P          continue the search checkpointed at P (rotation
 //	                   fallback to P.1/P.2 when P is corrupt)
-//	-progress          print a per-generation progress line to stderr
+//	-progress N        print a progress line to stderr every N generations
 //	-metrics P         write the final telemetry snapshot (search.* and
 //	                   engine counters) to P as JSON
 //	-telemetry-addr A  serve the live telemetry snapshot and pprof on A
@@ -97,11 +97,9 @@ func runSearch(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		maxRing    = fs.Int("maxring", 16, "largest sampled ring size")
 		maxRobots  = fs.Int("maxrobots", 0, "largest sampled team size (default 5)")
 		workers    = fs.Int("workers", 0, "worker pool size (<1 means GOMAXPROCS)")
-		lockstep   = fs.Bool("lockstep", true, "run eligible specs on the bit-parallel lane engine")
-		laneWidth  = fs.Int("lanewidth", 0, "specs batched per worker job for lane packing (<1 means 1024)")
 		jsonOut    = fs.Bool("json", false, "emit the boundary-report document instead of the text report")
 		ck         = addCheckpointFlags(fs, "search", "generations")
-		progress   = fs.Bool("progress", false, "print a per-generation progress line to stderr")
+		progress   = addProgress(fs, "generations")
 		metricsOut = fs.String("metrics", "", "write the final telemetry snapshot to this path as JSON")
 		obs        = addObservability(fs, "search")
 	)
@@ -114,6 +112,9 @@ func runSearch(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	if err := ck.validate(); err != nil {
 		return err
 	}
+	if err := progress.validate(); err != nil {
+		return err
+	}
 
 	// When resuming, the search identity comes from the checkpoint;
 	// explicitly set flags still apply (conflicts are rejected by the
@@ -121,15 +122,13 @@ func runSearch(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	cfg := search.Config{
-		Generations:     *gens,
-		GenerationSize:  *genSize,
-		Warmup:          *warmup,
-		MutationShare:   *mutShare,
-		CorpusSize:      *corpusSize,
-		MaxMinimize:     *maxMin,
-		Workers:         *workers,
-		LaneWidth:       *laneWidth,
-		DisableLockstep: !*lockstep,
+		Generations:    *gens,
+		GenerationSize: *genSize,
+		Warmup:         *warmup,
+		MutationShare:  *mutShare,
+		CorpusSize:     *corpusSize,
+		MaxMinimize:    *maxMin,
+		Workers:        *workers,
 	}
 	var err error
 	if cfg.Resume, err = resumeFrom(ck, search.DecodeCheckpoint, stderr); err != nil {
@@ -168,7 +167,7 @@ func runSearch(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	target := 0 // the resolved generation count, for the halt message
 	cfg.OnGeneration = func(p search.Progress) error {
 		target = p.Generations
-		if *progress {
+		if progress.due(p.Generation) {
 			fmt.Fprintf(stderr, "progress: generation %d/%d, %d samples, corpus %d, %d violations\n",
 				p.Generation, p.Generations, p.Samples, p.CorpusSize, p.Violations)
 		}

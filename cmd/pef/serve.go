@@ -29,7 +29,9 @@ import (
 //
 // The report a served campaign streams is byte-identical to the
 // single-process `pef scenarios` run of the same config — cache on or
-// off, any concurrency.
+// off, any concurrency. Campaigns take the campaign engine's fixed route
+// (1024-spec blocks, lanes where eligible, the scalar oracle otherwise;
+// see runScenarios); /run executes one spec on the scalar oracle.
 //
 // Routes (see internal/serve):
 //
@@ -44,8 +46,6 @@ import (
 //	-addr-file P      write the bound address to P (for scripts racing
 //	                  against ":0")
 //	-workers N        campaign worker pool size (<1 means GOMAXPROCS)
-//	-lanewidth N      scenarios batched per worker job (<1 means 1024)
-//	-lockstep         use the bit-parallel lane engine (default true)
 //	-cache-bytes N    verdict cache capacity (default 256 MiB; 0 disables
 //	                  the cache entirely)
 //	-spill P          warm the cache from P at startup and spill it back
@@ -69,8 +69,6 @@ func runServe(ctx context.Context, args []string, _, stderr io.Writer) error {
 		listen      = fs.String("listen", "127.0.0.1:0", "listen address (\":0\" picks a free port)")
 		addrFile    = fs.String("addr-file", "", "write the bound address to this file")
 		workers     = fs.Int("workers", 0, "campaign worker pool size (<1 means GOMAXPROCS)")
-		laneWidth   = fs.Int("lanewidth", 0, "scenarios batched per worker job for lane packing (<1 means 1024)")
-		lockstep    = fs.Bool("lockstep", true, "run eligible scenarios on the bit-parallel lane engine")
 		cacheBytes  = fs.Int64("cache-bytes", 256<<20, "verdict cache capacity in bytes (0 disables the cache)")
 		spill       = fs.String("spill", "", "warm the cache from this file at startup, spill back on drain")
 		rate        = fs.Float64("rate", 0, "per-client admission rate in requests/second (0 disables)")
@@ -105,15 +103,13 @@ func runServe(ctx context.Context, args []string, _, stderr io.Writer) error {
 	}
 
 	srv := serve.New(serve.Config{
-		Cache:           store,
-		Workers:         *workers,
-		LaneWidth:       *laneWidth,
-		DisableLockstep: !*lockstep,
-		MaxInFlight:     *maxInFlight,
-		Rate:            *rate,
-		Burst:           *burst,
-		Telemetry:       tel,
-		Logf:            logf,
+		Cache:       store,
+		Workers:     *workers,
+		MaxInFlight: *maxInFlight,
+		Rate:        *rate,
+		Burst:       *burst,
+		Telemetry:   tel,
+		Logf:        logf,
 	})
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {

@@ -24,6 +24,11 @@ func LaneEligible(dyn fsync.Dynamics, n int) bool {
 	return false
 }
 
+// PollRounds is the number of rounds between context polls, on the lanes
+// here and on the scalar oracle (scenario.RunWith): a cancelled run stops
+// at the first multiple of it.
+const PollRounds = 256
+
 // Lane is one run of a lane block; its dynamics is LaneEligible.
 type Lane struct {
 	Dynamics   fsync.Dynamics
@@ -33,15 +38,13 @@ type Lane struct {
 
 // LaneConfig describes one lane block: 1 to 64 lanes on one ring, of any
 // team sizes, under one rule table. Towers also checks the tower lemmas
-// 3.3 and 3.4 on every lane. CheckEvery is the number of rounds between
-// context polls (values < 1 mean 256). Metrics, when non-nil, receives the
-// engine counters.
+// 3.3 and 3.4 on every lane. Metrics, when non-nil, receives the engine
+// counters.
 type LaneConfig struct {
-	Algorithm  robot.Table
-	Lanes      []Lane
-	Towers     bool
-	CheckEvery int
-	Metrics    *fsync.Metrics
+	Algorithm robot.Table
+	Lanes     []Lane
+	Towers    bool
+	Metrics   *fsync.Metrics
 }
 
 // LaneReport is the outcome of one lane. Rounds is the number of rounds
@@ -110,17 +113,13 @@ func (b *LaneBlock) Run(ctx context.Context, cfg LaneConfig) ([]LaneReport, erro
 	if cfg.Towers {
 		lt.Reset(n, ls.Robots())
 	}
-	check := cfg.CheckEvery
-	if check < 1 {
-		check = 256
-	}
 	sinceCheck, primed := 0, false
 	for !ls.Done() {
 		if sinceCheck <= 0 {
 			if ctx.Err() != nil {
 				break
 			}
-			sinceCheck = check
+			sinceCheck = PollRounds
 		}
 		if !primed {
 			// The initial configuration counts as a visited instant, but —

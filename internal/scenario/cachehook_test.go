@@ -63,45 +63,51 @@ func campaignReport(t *testing.T, cfg CampaignConfig) string {
 // TestCampaignCacheByteIdentity pins the cache hook's contract: a
 // campaign with a cache attached renders the byte-identical report of
 // the uncached run — on the cold pass (all misses, everything stored)
-// and on the warm pass (all hits, zero engine executions) — for both
-// engine paths.
+// and on the warm pass (all hits, zero engine executions). The boundary
+// sample mixes lane specs with scalar-routed ones (the confinement
+// adversaries), so the miss block exercises both engine routes.
 func TestCampaignCacheByteIdentity(t *testing.T) {
-	for _, scalar := range []bool{false, true} {
-		base := CampaignConfig{
-			Generator:       "boundary",
-			Gen:             GenConfig{MaxRing: 8},
-			Count:           32,
-			Seeds:           []uint64{3},
-			Workers:         4,
-			DisableLockstep: scalar,
-		}
-		want := campaignReport(t, base)
+	base := CampaignConfig{
+		Generator: "boundary",
+		Gen:       GenConfig{MaxRing: 8},
+		Count:     32,
+		Seeds:     []uint64{3},
+		Workers:   4,
+	}
+	direct := base
+	tel := NewTelemetry()
+	direct.Telemetry = tel
+	want := campaignReport(t, direct)
+	snap := tel.Snapshot()
+	if snap.Counters["engine.lockstepSpecs"] == 0 || snap.Counters["engine.scalarSpecs"] == 0 {
+		t.Fatalf("sample must take both engine routes: lockstep %d, scalar %d",
+			snap.Counters["engine.lockstepSpecs"], snap.Counters["engine.scalarSpecs"])
+	}
 
-		cold := base
-		mc := newMapCache()
-		cold.Cache = mc
-		if got := campaignReport(t, cold); got != want {
-			t.Fatalf("scalar=%v: cold cached report diverged:\n--- cached ---\n%s\n--- direct ---\n%s", scalar, got, want)
-		}
-		if mc.stores == 0 {
-			t.Fatalf("scalar=%v: cold pass stored nothing", scalar)
-		}
-		if mc.storedWithErr != 0 {
-			t.Fatalf("scalar=%v: %d error verdicts offered to Store", scalar, mc.storedWithErr)
-		}
+	cold := base
+	mc := newMapCache()
+	cold.Cache = mc
+	if got := campaignReport(t, cold); got != want {
+		t.Fatalf("cold cached report diverged:\n--- cached ---\n%s\n--- direct ---\n%s", got, want)
+	}
+	if mc.stores == 0 {
+		t.Fatal("cold pass stored nothing")
+	}
+	if mc.storedWithErr != 0 {
+		t.Fatalf("%d error verdicts offered to Store", mc.storedWithErr)
+	}
 
-		warm := base
-		warm.Cache = mc
-		storesBefore := mc.stores
-		if got := campaignReport(t, warm); got != want {
-			t.Fatalf("scalar=%v: warm cached report diverged from direct bytes", scalar)
-		}
-		if mc.stores != storesBefore {
-			t.Fatalf("scalar=%v: warm pass ran %d engine executions, want 0", scalar, mc.stores-storesBefore)
-		}
-		if mc.hits != 32 {
-			t.Fatalf("scalar=%v: warm pass hit %d of 32", scalar, mc.hits)
-		}
+	warm := base
+	warm.Cache = mc
+	storesBefore := mc.stores
+	if got := campaignReport(t, warm); got != want {
+		t.Fatal("warm cached report diverged from direct bytes")
+	}
+	if mc.stores != storesBefore {
+		t.Fatalf("warm pass ran %d engine executions, want 0", mc.stores-storesBefore)
+	}
+	if mc.hits != 32 {
+		t.Fatalf("warm pass hit %d of 32", mc.hits)
 	}
 }
 

@@ -51,21 +51,6 @@ type CampaignConfig struct {
 	// independent of the worker count. On cancellation only the executed
 	// prefix is streamed; consume Campaign.Verdicts for everything.
 	OnVerdict func(Verdict)
-	// DisableLockstep forces every scenario onto the scalar oracle — the
-	// escape hatch for the bit-parallel lane engine. Off (the default),
-	// eligible scenarios on one ring and table advance 64 per word;
-	// verdicts and reports are byte-identical either way.
-	DisableLockstep bool
-	// LaneWidth is the number of consecutive scenarios batched into one
-	// pool job, within which runs on one ring and table share lockstep
-	// engine instances. Values < 1 mean 1024 — wide enough that shapes
-	// recur tens of times per block, which is what amortizes the engine's
-	// per-round circuit (64-scenario blocks of a diverse sampler average
-	// one to two lanes per shape and gain nothing). Narrower widths give
-	// finer work granularity for many-worker campaigns at the cost of lane
-	// packing. Ignored when DisableLockstep is set (every job is then a
-	// single scenario).
-	LaneWidth int
 	// Telemetry, when non-nil, instruments the whole campaign stack: the
 	// worker pool, the oracle, the lockstep router and the simulators.
 	// Purely observational — verdict streams and every report stay
@@ -75,8 +60,8 @@ type CampaignConfig struct {
 	// verdicts replace engine runs, freshly computed clean verdicts are
 	// offered to Store. Streams and reports stay byte-identical with any
 	// correct cache attached, because per-spec verdicts are already
-	// invariant under engine blocking (lockstep vs scalar, any lane
-	// width) and a cache only substitutes a spec's own stored verdict.
+	// invariant under engine blocking (lane or scalar route, any block)
+	// and a cache only substitutes a spec's own stored verdict.
 	Cache VerdictCache
 	// Trace, when non-nil, receives structured campaign lifecycle events
 	// (campaign-start, block-retired) as JSONL. Events are emitted from
@@ -157,15 +142,6 @@ func (cfg CampaignConfig) resolved() (CampaignConfig, error) {
 		// An empty shard would checkpoint a [0, 0) block, which is
 		// indistinguishable from a pre-shard whole-campaign checkpoint.
 		return cfg, fmt.Errorf("scenario: %d shards for %d scenarios (every shard must be non-empty)", cfg.ShardCount, total)
-	}
-	if cfg.LaneWidth < 0 {
-		return cfg, fmt.Errorf("scenario: negative lane width %d", cfg.LaneWidth)
-	}
-	if cfg.LaneWidth == 0 {
-		cfg.LaneWidth = 1024
-	}
-	if cfg.DisableLockstep {
-		cfg.LaneWidth = 1
 	}
 	return cfg, nil
 }
@@ -306,7 +282,7 @@ func StreamCampaign(ctx context.Context, cfg CampaignConfig) iter.Seq2[Verdict, 
 // the same worker pool, lane blocking, cache and trace path as
 // StreamCampaign, minus the seeded sampler — yielding one (verdict,
 // error) pair per spec in input order, byte-identical for any worker
-// count and lane width. It is the steering hook of the coverage-guided
+// count. It is the steering hook of the coverage-guided
 // searcher: generated-then-mutated spec blocks run here without round-
 // tripping through a Generator. The sampler-stream fields of cfg
 // (Generator, Gen, Count, Seeds, the shard selection and Resume) are
@@ -335,8 +311,15 @@ func StreamSpecs(ctx context.Context, cfg CampaignConfig, specs []Spec) iter.Seq
 	}
 }
 
+// blockSpecs is the number of consecutive specs in one pool job, the
+// block RunBlock packs lane groups from. It is wide enough that shapes
+// recur tens of times per block, which is what amortizes the engine's
+// per-round circuit: 64-spec blocks of a diverse sampler average one to
+// two lanes per shape and gain nothing.
+const blockSpecs = 1024
+
 // streamBlocks shards the next-supplied spec sequence across the worker
-// pool in LaneWidth blocks and yields verdicts in canonical (input)
+// pool in blocks of blockSpecs and yields verdicts in canonical (input)
 // order — the shared engine core behind StreamCampaign's lazy sampler
 // streams and StreamSpecs' explicit lists.
 //
@@ -347,17 +330,16 @@ func StreamSpecs(ctx context.Context, cfg CampaignConfig, specs []Spec) iter.Seq
 // one goroutine per block: a served campaign shares the cores with the
 // server's /run traffic, and fanning it out slows that traffic down.
 func streamBlocks(ctx context.Context, rcfg CampaignConfig, reg *Registry, next func() Spec, total int, spread bool, yield func(Verdict, error) bool) {
-	// Jobs are blocks of LaneWidth consecutive specs of the canonical
-	// stream (1 when lockstep is disabled): the block is the unit the
-	// lane engine packs seed lanes from, and flattening block verdicts
-	// in job order reproduces the canonical per-spec stream exactly.
-	width := rcfg.LaneWidth
-	jobs := (total + width - 1) / width
+	// Jobs are blocks of consecutive specs of the canonical stream: the
+	// block is the unit the lane engine packs lanes from, and flattening
+	// block verdicts in job order reproduces the canonical per-spec
+	// stream exactly.
+	jobs := (total + blockSpecs - 1) / blockSpecs
 	blockLen := func(i int) int {
 		if i == jobs-1 {
-			return total - i*width
+			return total - i*blockSpecs
 		}
-		return width
+		return blockSpecs
 	}
 	workers := poolWorkers(rcfg.Workers)
 	fan := 1
@@ -370,7 +352,7 @@ func streamBlocks(ctx context.Context, rcfg CampaignConfig, reg *Registry, next 
 	window := 8 * workers
 	ring := make([][]Spec, min(window, jobs))
 	for i := range ring {
-		ring[i] = make([]Spec, 0, min(width, total))
+		ring[i] = make([]Spec, 0, min(blockSpecs, total))
 	}
 	slot := func(i int) int { return i % len(ring) }
 	fed := 0
@@ -394,7 +376,7 @@ func streamBlocks(ctx context.Context, rcfg CampaignConfig, reg *Registry, next 
 			block := ring[slot(i)]
 			opts := RunOptions{Registry: reg, Telemetry: rcfg.Telemetry, fan: fan}
 			if rcfg.Cache == nil {
-				return runSpecs(ctx, block, opts, rcfg.DisableLockstep)
+				return RunBlock(ctx, block, opts)
 			}
 			// Cached path: serve hits from the store and run only the
 			// miss subset as its own block. Safe for byte-identity:
@@ -413,7 +395,7 @@ func streamBlocks(ctx context.Context, rcfg CampaignConfig, reg *Registry, next 
 				missAt = append(missAt, j)
 			}
 			if len(misses) > 0 {
-				for j, v := range runSpecs(ctx, misses, opts, rcfg.DisableLockstep) {
+				for j, v := range RunBlock(ctx, misses, opts) {
 					if v.Err == "" {
 						rcfg.Cache.Store(misses[j], v)
 					}
@@ -459,20 +441,6 @@ func streamBlocks(ctx context.Context, rcfg CampaignConfig, reg *Registry, next 
 			"specs": len(item.R),
 		})
 	}
-}
-
-// runSpecs executes one spec block through the configured engine path:
-// the lockstep router by default, the scalar oracle under
-// DisableLockstep. Verdict bytes are identical either way.
-func runSpecs(ctx context.Context, block []Spec, opts RunOptions, scalar bool) []Verdict {
-	if scalar {
-		vs := make([]Verdict, len(block))
-		for j, s := range block {
-			vs[j] = runScalar(ctx, s, opts)
-		}
-		return vs
-	}
-	return RunBlock(ctx, block, opts)
 }
 
 // Campaign is a completed sweep: the verdicts this process executed in

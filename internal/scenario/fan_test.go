@@ -119,13 +119,15 @@ func tripRegistry(t *testing.T, at int, hook func()) *Registry {
 }
 
 // tripBlock interleaves stock specs with trip specs of two lane shapes
-// and one wide (scalar) ring, so the trip lands in several units.
+// and one wide (scalar) ring, so the trip lands in several units. Their
+// horizon spans three cancellation polls (rounds 0, 256 and 512), so a
+// trip between two polls still cuts every trip spec short.
 func tripBlock(t *testing.T) []Spec {
 	t.Helper()
 	block := fanBlock(t, 5, 12)
 	for i, n := range []int{6, 9, 70, 6, 9, 70} {
 		block = append(block, Spec{Version: Version, Ring: n, Robots: 3, Algorithm: "pef3+",
-			Placement: PlaceEven, Family: "trip", Horizon: 40, Seed: uint64(i + 1)})
+			Placement: PlaceEven, Family: "trip", Horizon: 600, Seed: uint64(i + 1)})
 		block[len(block)-1], block[i*7] = block[i*7], block[len(block)-1]
 	}
 	return block
@@ -144,8 +146,9 @@ func TestRunBlockFanCancellation(t *testing.T) {
 
 	for _, fan := range []int{1, 2} {
 		ctx, cancel := context.WithCancel(context.Background())
-		reg := tripRegistry(t, 20, cancel)
-		got := RunBlock(ctx, block, RunOptions{Registry: reg, CheckEvery: 1, fan: fan})
+		// The trip fires between the polls at rounds 256 and 512.
+		reg := tripRegistry(t, 300, cancel)
+		got := RunBlock(ctx, block, RunOptions{Registry: reg, fan: fan})
 		cancel()
 		cancelled := 0
 		for i, v := range got {

@@ -58,12 +58,20 @@ type blockKey struct {
 	algorithm string
 }
 
-// lanePlan is what the plan resolved for a spec: the property and family
-// its verdict is classified against and, for a lane-eligible spec, the
-// dynamics its lane runs (nil for a scalar spec).
+// lanePlan is what the plan keeps of a lane-eligible spec until its group
+// runs: the dynamics its lane runs (nil for a scalar spec), its rule table
+// (a robot.Table), and the property and confinement limit its verdict is
+// classified against. RunBlock holds one per spec of the block, so it
+// keeps none of the family descriptor.
 type lanePlan struct {
-	dyn fsync.Dynamics
-	res preparedRun
+	dyn          fsync.Dynamics
+	table        robot.Algorithm
+	prop         Property
+	confineLimit int
+}
+
+func newLanePlan(dyn fsync.Dynamics, res preparedRun) lanePlan {
+	return lanePlan{dyn: dyn, table: res.alg, prop: res.prop, confineLimit: res.fam.ConfineLimit}
 }
 
 // RunBlock executes a block of specs, running eligible specs that share a
@@ -107,7 +115,7 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 			scalar = append(scalar, i)
 			continue
 		}
-		plans[i] = lanePlan{dyn: dyn, res: res}
+		plans[i] = newLanePlan(dyn, res)
 		key := blockKey{s.Ring, s.Algorithm}
 		if u, ok := filling[key]; ok && len(units[u]) < laneWordSize {
 			units[u] = append(units[u], i)
@@ -207,10 +215,9 @@ func runLockstepGroup(ctx context.Context, specs []Spec, plans []lanePlan, membe
 		lanes[l] = harness.Lane{Dynamics: plans[i].dyn, Placements: placements(o.registry(), specs[i]), Horizon: specs[i].Horizon}
 	}
 	reps, err := blk.Run(ctx, harness.LaneConfig{
-		Algorithm:  plans[members[0]].res.alg.(robot.Table),
-		Lanes:      lanes,
-		CheckEvery: o.CheckEvery,
-		Metrics:    tel.simMetrics(),
+		Algorithm: plans[members[0]].table.(robot.Table),
+		Lanes:     lanes,
+		Metrics:   tel.simMetrics(),
 	})
 	if err != nil {
 		return // scalar fallback reproduces the rejection per spec
@@ -222,7 +229,7 @@ func runLockstepGroup(ctx context.Context, specs []Spec, plans []lanePlan, membe
 		if x.Rounds < s.Horizon {
 			markCancelled(v, s, x.Report, x.Rounds, ctx.Err())
 		} else {
-			classify(v, s, plans[i].res, x.Report)
+			classify(v, s, plans[i].prop, plans[i].confineLimit, x.Report)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pef/internal/fsync"
@@ -27,10 +28,7 @@ func TestRunBlockMatchesRunWith(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", gen, err)
 		}
-		want := make([]Verdict, len(specs))
-		for i, s := range specs {
-			want[i] = runScalar(ctx, s, RunOptions{})
-		}
+		want := scalarVerdicts(ctx, specs, RunOptions{})
 		for _, width := range []int{1, 7, 64} {
 			for start := 0; start < len(specs); start += width {
 				end := min(start+width, len(specs))
@@ -46,67 +44,111 @@ func TestRunBlockMatchesRunWith(t *testing.T) {
 	}
 }
 
+// scalarVerdicts runs every spec on the scalar oracle, the reference the
+// lane engine must reproduce byte for byte.
+func scalarVerdicts(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
+	vs := make([]Verdict, len(specs))
+	for i, s := range specs {
+		vs[i] = runScalar(ctx, s, o)
+	}
+	return vs
+}
+
 // TestCampaignLockstepScalarByteIdentity pins the campaign-level
-// guarantee: reports and JSON documents are byte-identical between the
-// scalar path (DisableLockstep) and the lane engine, for any worker count
-// and lane width — and both match the committed golden generated from
-// the scalar path over the full explorable-family pool.
+// guarantee: reports and JSON documents of the lane route are
+// byte-identical to a scalar-oracle reference, for any worker count and
+// any block width. The reference folds Generate's specs, run one by one
+// through runScalar, into an Aggregate; the lane side is the campaign
+// itself (its fixed 1024-spec blocks) and RunBlock over 1-, 7- and
+// 64-spec blocks. The registered generator, over the full
+// explorable-family pool, also matches the committed golden; uniform
+// and adversarial (block-pointed lanes beside scalar confinement runs)
+// are checked against their reference alone.
 func TestCampaignLockstepScalarByteIdentity(t *testing.T) {
-	base := CampaignConfig{Generator: "registered", Count: 40, Seeds: []uint64{3, 4}}
-	render := func(cfg CampaignConfig) (string, string) {
-		c, err := RunCampaign(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("campaign %+v: %v", cfg, err)
-		}
+	ctx := context.Background()
+	render := func(agg *Aggregate) (string, string) {
 		var rep, js bytes.Buffer
-		if err := c.WriteReport(&rep); err != nil {
+		if err := agg.WriteReport(&rep); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.WriteJSON(&js); err != nil {
+		if err := agg.WriteJSON(&js); err != nil {
 			t.Fatal(err)
 		}
 		return rep.String(), js.String()
 	}
-
-	scalar := base
-	scalar.DisableLockstep = true
-	scalar.Workers = 1
-	wantRep, wantJSON := render(scalar)
-
-	if *updateLockstepGoldens {
-		if err := os.WriteFile("testdata/lockstep_registered.txt", []byte(wantRep), 0o644); err != nil {
-			t.Fatal(err)
+	for _, gen := range []string{"registered", "uniform", "adversarial"} {
+		base := CampaignConfig{Generator: gen, Count: 40, Seeds: []uint64{3, 4}}
+		var specs []Spec
+		for _, seed := range base.Seeds {
+			batch, err := Generate(gen, GenConfig{}, seed, base.Count)
+			if err != nil {
+				t.Fatalf("%s: %v", gen, err)
+			}
+			specs = append(specs, batch...)
 		}
-		if err := os.WriteFile("testdata/lockstep_registered.json", []byte(wantJSON), 0o644); err != nil {
-			t.Fatal(err)
+		fold := func(vs []Verdict) (string, string) {
+			agg, err := NewAggregate(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range vs {
+				agg.Add(v)
+			}
+			return render(agg)
 		}
-	}
-	goldRep, err := os.ReadFile("testdata/lockstep_registered.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	goldJSON, err := os.ReadFile("testdata/lockstep_registered.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantRep != string(goldRep) {
-		t.Error("scalar report differs from committed golden")
-	}
-	if wantJSON != string(goldJSON) {
-		t.Error("scalar JSON differs from committed golden")
-	}
+		wantRep, wantJSON := fold(scalarVerdicts(ctx, specs, RunOptions{}))
 
-	for _, workers := range []int{1, 4} {
-		for _, width := range []int{1, 7, 64} {
+		if gen == "registered" {
+			if *updateLockstepGoldens {
+				if err := os.WriteFile("testdata/lockstep_registered.txt", []byte(wantRep), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile("testdata/lockstep_registered.json", []byte(wantJSON), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			goldRep, err := os.ReadFile("testdata/lockstep_registered.txt")
+			if err != nil {
+				t.Fatal(err)
+			}
+			goldJSON, err := os.ReadFile("testdata/lockstep_registered.json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantRep != string(goldRep) {
+				t.Error("scalar report differs from committed golden")
+			}
+			if wantJSON != string(goldJSON) {
+				t.Error("scalar JSON differs from committed golden")
+			}
+		}
+
+		for _, workers := range []int{1, 4} {
 			cfg := base
 			cfg.Workers = workers
-			cfg.LaneWidth = width
-			rep, js := render(cfg)
+			c, err := RunCampaign(ctx, cfg)
+			if err != nil {
+				t.Fatalf("%s campaign workers=%d: %v", gen, workers, err)
+			}
+			rep, js := render(c.aggregate())
 			if rep != wantRep {
-				t.Errorf("workers=%d width=%d: lockstep report differs from scalar", workers, width)
+				t.Errorf("%s workers=%d: campaign report differs from scalar", gen, workers)
 			}
 			if js != wantJSON {
-				t.Errorf("workers=%d width=%d: lockstep JSON differs from scalar", workers, width)
+				t.Errorf("%s workers=%d: campaign JSON differs from scalar", gen, workers)
+			}
+		}
+		for _, width := range []int{1, 7, 64} {
+			var vs []Verdict
+			for block := range slices.Chunk(specs, width) {
+				vs = append(vs, RunBlock(ctx, block, RunOptions{})...)
+			}
+			rep, js := fold(vs)
+			if rep != wantRep {
+				t.Errorf("%s width=%d: lane report differs from scalar", gen, width)
+			}
+			if js != wantJSON {
+				t.Errorf("%s width=%d: lane JSON differs from scalar", gen, width)
 			}
 		}
 	}
@@ -211,7 +253,7 @@ func TestBaselineTablesRunLockstep(t *testing.T) {
 		}
 	}
 	got := verdictJSON(t, verdicts)
-	if want := verdictJSON(t, runSpecs(ctx, specs, RunOptions{}, true)); got != want {
+	if want := verdictJSON(t, scalarVerdicts(ctx, specs, RunOptions{})); got != want {
 		t.Fatal("lockstep verdict JSON differs from the scalar oracle's")
 	}
 	snap := tel.Snapshot()
@@ -354,7 +396,7 @@ func TestRunLockstepGroupFallbackCountsScalar(t *testing.T) {
 		if dyn == nil {
 			t.Fatalf("spec %d not lane-eligible: %s", i, reason)
 		}
-		plans[i], got[i] = lanePlan{dyn: dyn, res: res}, v
+		plans[i], got[i] = newLanePlan(dyn, res), v
 	}
 	runLockstepGroup(ctx, specs, plans, []int{0, 1, 2}, o, harness.NewLaneBlock(), got)
 	want := make([]Verdict, len(specs))

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pef/internal/fsync"
+	"pef/internal/harness"
 	"pef/internal/prng"
 	"pef/internal/robot"
 	"pef/internal/spec"
@@ -104,10 +105,6 @@ type RunOptions struct {
 	// Observers are attached to the simulator in addition to the oracle's
 	// own trackers — trace sinks, diagnostics, custom metrics.
 	Observers []fsync.Observer
-	// CheckEvery is the number of rounds between context-cancellation
-	// polls; values < 1 mean 256. Smaller values cancel long horizons
-	// faster at slightly higher per-round cost.
-	CheckEvery int
 	// Telemetry, when non-nil, receives oracle and engine instrumentation
 	// (run counts, per-family wall time, simulator round counters). It is
 	// observational only — verdicts are byte-identical with or without it
@@ -261,17 +258,13 @@ func RunWith(ctx context.Context, s Spec, o RunOptions) (v Verdict, err error) {
 		v.Err = err.Error()
 		return v, err
 	}
-	check := o.CheckEvery
-	if check < 1 {
-		check = 256
-	}
 	cancelled := false
 	for sim.Now() < s.Horizon {
 		if ctx.Err() != nil {
 			cancelled = true
 			break
 		}
-		target := sim.Now() + check
+		target := sim.Now() + harness.PollRounds
 		if target > s.Horizon {
 			target = s.Horizon
 		}
@@ -285,7 +278,7 @@ func RunWith(ctx context.Context, s Spec, o RunOptions) (v Verdict, err error) {
 		markCancelled(&v, s, rep, executed, err)
 		return v, err
 	}
-	classify(&v, s, res, rep)
+	classify(&v, s, res.prop, res.fam.ConfineLimit, rep)
 	return v, nil
 }
 
@@ -367,7 +360,7 @@ func markCancelled(v *Verdict, s Spec, rep spec.ExplorationReport, executed int,
 // registered property — identically for the scalar and lockstep engines.
 // Distinct is the report's Covered: the nodes occupied in some recorded
 // instant.
-func classify(v *Verdict, s Spec, res preparedRun, rep spec.ExplorationReport) {
+func classify(v *Verdict, s Spec, prop Property, confineLimit int, rep spec.ExplorationReport) {
 	v.Covered, v.CoverTime, v.MaxGap = rep.Covered, rep.CoverTime, rep.MaxGap
 	v.Distinct = rep.Covered
 
@@ -377,14 +370,14 @@ func classify(v *Verdict, s Spec, res preparedRun, rep spec.ExplorationReport) {
 		v.Outcome = "explored"
 	}
 
-	pr := res.prop.Check(PropertyInput{
+	pr := prop.Check(PropertyInput{
 		Spec:             s,
 		Covered:          v.Covered,
 		CoverTime:        v.CoverTime,
 		MaxGap:           v.MaxGap,
 		Distinct:         v.Distinct,
 		ExploreViolation: exploreMsg,
-		ConfineLimit:     res.fam.ConfineLimit,
+		ConfineLimit:     confineLimit,
 	})
 	v.OK = pr.OK
 	if pr.Outcome != "" {

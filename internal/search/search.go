@@ -22,7 +22,7 @@
 // runs. Every random draw comes from prng.Hash3 keyed by (seed,
 // generation, slot) — no wall clocks, no global state — and planning,
 // folding and reporting are single-threaded, so a fixed-seed search is
-// byte-identical for any worker count and lane width.
+// byte-identical for any worker count.
 package search
 
 import (
@@ -88,11 +88,9 @@ type Config struct {
 	// (Families filter or FamilyWeights), exactly like the "registered"
 	// generator.
 	Gen scenario.GenConfig
-	// Workers, LaneWidth and DisableLockstep configure the engine like
-	// CampaignConfig; none of them affects output bytes.
-	Workers         int
-	LaneWidth       int
-	DisableLockstep bool
+	// Workers bounds the engine's worker pool like CampaignConfig; it
+	// does not affect output bytes.
+	Workers int
 	// Telemetry, when non-nil, instruments the run: the engine stack as
 	// usual plus the search.* instruments (generations, samples,
 	// mutations, corpus size, margin distribution, concentration
@@ -100,10 +98,9 @@ type Config struct {
 	Telemetry *scenario.Telemetry
 	// Trace, when non-nil, receives search lifecycle events
 	// (search-start, generation, violation-found, search-end) —
-	// deterministic fields only, byte-identical for any worker count and
-	// lane width. The engine's own block events are deliberately not
-	// forwarded: block boundaries depend on the lane width, and the
-	// search trace must not.
+	// deterministic fields only, byte-identical for any worker count. The
+	// engine's own block events are deliberately not forwarded: the
+	// search trace records generations, not engine blocks.
 	Trace *telemetry.Tracer
 	// Resume, when non-nil, continues a checkpointed search: the config
 	// identity is adopted from the checkpoint (conflicting non-zero
@@ -429,11 +426,9 @@ func (sr *searcher) runGeneration(ctx context.Context, g int) error {
 	var cands []CorpusEntry
 	i := 0
 	for v, err := range scenario.StreamSpecs(ctx, scenario.CampaignConfig{
-		Registry:        sr.reg,
-		Workers:         sr.cfg.Workers,
-		LaneWidth:       sr.cfg.LaneWidth,
-		DisableLockstep: sr.cfg.DisableLockstep,
-		Telemetry:       sr.cfg.Telemetry,
+		Registry:  sr.reg,
+		Workers:   sr.cfg.Workers,
+		Telemetry: sr.cfg.Telemetry,
 	}, specs) {
 		if err != nil {
 			// Cancellation mid-generation: the partial fold is discarded

@@ -3,6 +3,7 @@ package search
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -38,8 +39,7 @@ func runToBytes(t *testing.T, cfg Config) (report, trace []byte) {
 }
 
 // A fixed-seed search must produce byte-identical boundary reports and
-// trace event streams for any worker count and lane width, with the
-// lockstep engine on or off.
+// trace event streams for any worker count.
 func TestSearchDeterminism(t *testing.T) {
 	base := testConfig()
 	base.Workers = 1
@@ -47,23 +47,73 @@ func TestSearchDeterminism(t *testing.T) {
 	if !bytes.Contains(wantTrace, []byte(`"event":"search-end"`)) {
 		t.Fatalf("trace lacks search-end:\n%s", wantTrace)
 	}
-	variants := []Config{
-		{Workers: 4},
-		{Workers: 7, LaneWidth: 8},
-		{Workers: 2, DisableLockstep: true},
-	}
-	for _, v := range variants {
+	for _, workers := range []int{4, 7} {
 		cfg := testConfig()
-		cfg.Workers, cfg.LaneWidth, cfg.DisableLockstep = v.Workers, v.LaneWidth, v.DisableLockstep
+		cfg.Workers = workers
 		report, trace := runToBytes(t, cfg)
 		if !bytes.Equal(report, wantReport) {
-			t.Errorf("boundary report diverges at workers=%d lanewidth=%d lockstep=%v",
-				v.Workers, v.LaneWidth, !v.DisableLockstep)
+			t.Errorf("boundary report diverges at workers=%d", workers)
 		}
 		if !bytes.Equal(trace, wantTrace) {
-			t.Errorf("trace diverges at workers=%d lanewidth=%d lockstep=%v",
-				v.Workers, v.LaneWidth, !v.DisableLockstep)
+			t.Errorf("trace diverges at workers=%d", workers)
 		}
+	}
+}
+
+// A searched generation's specs — bandit draws and corpus mutations
+// after warmup — must get the same verdict JSON from one scenario.RunBlock
+// call, the engine route a generation takes, as from per-spec
+// scenario.RunWith calls on the scalar oracle.
+func TestSearchGenerationLaneScalarIdentity(t *testing.T) {
+	ctx := context.Background()
+	sr, err := newSearcher(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sr.cfg.Warmup + 1
+	for i := 0; i < g; i++ {
+		if err := sr.runGeneration(ctx, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plans, err := sr.plan(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]scenario.Spec, len(plans))
+	mutated := 0
+	for i, p := range plans {
+		specs[i] = p.spec
+		if p.arm < 0 {
+			mutated++
+		}
+	}
+	if mutated == 0 {
+		t.Fatalf("generation %d planned no corpus mutations", g)
+	}
+	opts := scenario.RunOptions{Registry: sr.reg}
+	scalar := make([]scenario.Verdict, len(specs))
+	for i, s := range specs {
+		v, err := scenario.RunWith(ctx, s, opts)
+		if err != nil && v.Err == "" {
+			v.Err, v.OK = err.Error(), false
+		}
+		scalar[i] = v
+	}
+	tel := scenario.NewTelemetry()
+	lanes, err := json.Marshal(scenario.RunBlock(ctx, specs, scenario.RunOptions{Registry: sr.reg, Telemetry: tel}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tel.Snapshot().Counters["engine.lockstepSpecs"] == 0 {
+		t.Fatal("RunBlock ran no spec on lanes")
+	}
+	want, err := json.Marshal(scalar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(lanes, want) {
+		t.Fatalf("generation %d: RunBlock verdict JSON differs from per-spec RunWith", g)
 	}
 }
 

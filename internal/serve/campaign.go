@@ -46,15 +46,13 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ccfg := scenario.CampaignConfig{
-		Registry:        s.reg,
-		Generator:       req.Generator,
-		Gen:             req.Gen,
-		Count:           req.Count,
-		Seeds:           req.Seeds,
-		Workers:         s.cfg.Workers,
-		LaneWidth:       s.cfg.LaneWidth,
-		DisableLockstep: s.cfg.DisableLockstep,
-		Telemetry:       s.tel,
+		Registry:  s.reg,
+		Generator: req.Generator,
+		Gen:       req.Gen,
+		Count:     req.Count,
+		Seeds:     req.Seeds,
+		Workers:   s.cfg.Workers,
+		Telemetry: s.tel,
 	}
 	var cc *campaignCache
 	if s.store != nil && req.Cache != "off" {

@@ -19,8 +19,7 @@
 // byte-identical to the pef scenarios single-process run of the same
 // config — cache on or off, any concurrency — because the server only
 // rides scenario.StreamCampaign + Aggregate, whose bytes are invariant
-// under worker count, lane width, engine path and (by the VerdictCache
-// contract) caching.
+// under worker count and (by the VerdictCache contract) caching.
 package serve
 
 import (
@@ -48,16 +47,14 @@ type Config struct {
 	// Cache, when non-nil, fronts the engines with the content-addressed
 	// verdict store. Nil runs every request fresh.
 	Cache *cache.Cache
-	// Workers, LaneWidth and DisableLockstep size the campaign engine
-	// exactly like CampaignConfig. They are server-owned — clients never
-	// choose pool shapes, which keeps responses byte-identical across
-	// deployments (the engine guarantees invariance anyway; this keeps
-	// the knobs in one place). The worker pool is sized once per process:
-	// every campaign runs under the same Workers budget, and MaxInFlight
-	// bounds how many pools are live at once.
-	Workers         int
-	LaneWidth       int
-	DisableLockstep bool
+	// Workers sizes the campaign worker pool exactly like
+	// CampaignConfig. It is server-owned — clients never choose pool
+	// shapes, which keeps responses byte-identical across deployments
+	// (the engine guarantees invariance anyway; this keeps the knob in one
+	// place). The worker pool is sized once per process: every campaign
+	// runs under the same Workers budget, and MaxInFlight bounds how many
+	// pools are live at once.
+	Workers int
 	// MaxInFlight bounds concurrently admitted /run + /campaign requests
 	// (values < 1 mean 2×GOMAXPROCS); excess requests are refused with
 	// 503 + Retry-After rather than queued.

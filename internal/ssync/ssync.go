@@ -44,7 +44,8 @@ func (rr RoundRobin) Active(t int, _ []int) []int {
 }
 
 // AllActive activates every robot every instant, which makes the SSYNC
-// scheduler coincide with FSYNC — used as the control in E-X4.
+// scheduler coincide with FSYNC. No experiment uses it: E-X4's FSYNC
+// control is a block-both-sides run on the fsync engine.
 type AllActive struct {
 	K int
 }

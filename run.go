@@ -77,13 +77,6 @@ func WithDynamics(dyn Dynamics) Option {
 	return func(s *runSettings) { s.opts.Dynamics = dyn }
 }
 
-// WithCancelCheckEvery sets the number of rounds between context
-// cancellation polls (default 256): smaller values cancel long horizons
-// faster at slightly higher per-round cost.
-func WithCancelCheckEvery(rounds int) Option {
-	return func(s *runSettings) { s.opts.CheckEvery = rounds }
-}
-
 // WithRegistry resolves the scenario's algorithm, family and property
 // names through r instead of the process-default registry — the bridge
 // for embedding programs that keep isolated extension sets (see
@@ -99,9 +92,10 @@ func WithRegistry(r *Registry) Option {
 // ExplorationReport; campaigns stream Run at scale via StreamCampaign.
 //
 // Configuration problems (non-positive horizon, unknown names,
-// inconsistent overrides) return a non-nil error. When ctx is cancelled
-// mid-run, Run returns the partial verdict — metrics over the rounds that
-// executed, Outcome "cancelled" — together with ctx's error. Predicate
+// inconsistent overrides) return a non-nil error. Run polls ctx every 256
+// rounds; when ctx is cancelled mid-run, Run returns the partial verdict
+// — metrics over the rounds that executed, Outcome "cancelled" — together
+// with ctx's error. Predicate
 // violations are not errors: they come back as OK=false verdicts with a
 // nil error.
 func Run(ctx context.Context, s Scenario, options ...Option) (ScenarioVerdict, error) {

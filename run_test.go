@@ -106,7 +106,7 @@ func TestRunCancellationReturnsPartialVerdict(t *testing.T) {
 	cancel() // cancelled before the first poll: zero additional rounds run
 	s := exploreScenario()
 	s.Horizon = 100000
-	v, err := Run(ctx, s, WithCancelCheckEvery(16))
+	v, err := Run(ctx, s)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
