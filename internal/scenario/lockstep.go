@@ -59,19 +59,21 @@ type blockKey struct {
 }
 
 // lanePlan is what the plan keeps of a lane-eligible spec until its group
-// runs: the dynamics its lane runs (nil for a scalar spec), its rule table
-// (a robot.Table), and the property and confinement limit its verdict is
-// classified against. RunBlock holds one per spec of the block, so it
-// keeps none of the family descriptor.
+// runs: the dynamics its lane runs (nil for a scalar spec), its rule table,
+// and the property and confinement limit its verdict is classified
+// against. RunBlock holds one per spec of the block, so it keeps none of
+// the family descriptor.
 type lanePlan struct {
 	dyn          fsync.Dynamics
-	table        robot.Algorithm
+	table        robot.Table
 	prop         Property
 	confineLimit int
 }
 
+// newLanePlan keeps what a lane-eligible spec's group needs of its
+// preparedRun; lockstepEligible has checked that its algorithm is a table.
 func newLanePlan(dyn fsync.Dynamics, res preparedRun) lanePlan {
-	return lanePlan{dyn: dyn, table: res.alg, prop: res.prop, confineLimit: res.fam.ConfineLimit}
+	return lanePlan{dyn: dyn, table: res.alg.(robot.Table), prop: res.prop, confineLimit: res.fam.ConfineLimit}
 }
 
 // RunBlock executes a block of specs, running eligible specs that share a
@@ -215,7 +217,7 @@ func runLockstepGroup(ctx context.Context, specs []Spec, plans []lanePlan, membe
 		lanes[l] = harness.Lane{Dynamics: plans[i].dyn, Placements: placements(o.registry(), specs[i]), Horizon: specs[i].Horizon}
 	}
 	reps, err := blk.Run(ctx, harness.LaneConfig{
-		Algorithm: plans[members[0]].table.(robot.Table),
+		Algorithm: plans[members[0]].table,
 		Lanes:     lanes,
 		Metrics:   tel.simMetrics(),
 	})

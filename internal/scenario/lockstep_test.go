@@ -6,7 +6,6 @@ import (
 	"flag"
 	"os"
 	"reflect"
-	"slices"
 	"testing"
 
 	"pef/internal/fsync"
@@ -55,15 +54,15 @@ func scalarVerdicts(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 }
 
 // TestCampaignLockstepScalarByteIdentity pins the campaign-level
-// guarantee: reports and JSON documents of the lane route are
-// byte-identical to a scalar-oracle reference, for any worker count and
-// any block width. The reference folds Generate's specs, run one by one
-// through runScalar, into an Aggregate; the lane side is the campaign
-// itself (its fixed 1024-spec blocks) and RunBlock over 1-, 7- and
-// 64-spec blocks. The registered generator, over the full
-// explorable-family pool, also matches the committed golden; uniform
-// and adversarial (block-pointed lanes beside scalar confinement runs)
-// are checked against their reference alone.
+// guarantee: reports and JSON documents of the lane route (the campaign
+// itself, in its fixed 1024-spec blocks) are byte-identical to a
+// scalar-oracle reference, for any worker count. The reference folds
+// Generate's specs, run one by one through runScalar, into an Aggregate.
+// The registered generator, over the full explorable-family pool, also
+// matches the committed golden. Uniform and adversarial run 400 specs per
+// seed: the uniform campaign must form full 64-lane groups, and every
+// block-pointed spec of the adversarial one must ride lanes. Narrower
+// blocks are TestRunBlockMatchesRunWith's.
 func TestCampaignLockstepScalarByteIdentity(t *testing.T) {
 	ctx := context.Background()
 	render := func(agg *Aggregate) (string, string) {
@@ -76,8 +75,12 @@ func TestCampaignLockstepScalarByteIdentity(t *testing.T) {
 		}
 		return rep.String(), js.String()
 	}
-	for _, gen := range []string{"registered", "uniform", "adversarial"} {
-		base := CampaignConfig{Generator: gen, Count: 40, Seeds: []uint64{3, 4}}
+	for _, leg := range []struct {
+		gen   string
+		count int
+	}{{"registered", 40}, {"uniform", 400}, {"adversarial", 400}} {
+		gen := leg.gen
+		base := CampaignConfig{Generator: gen, Count: leg.count, Seeds: []uint64{3, 4}}
 		var specs []Spec
 		for _, seed := range base.Seeds {
 			batch, err := Generate(gen, GenConfig{}, seed, base.Count)
@@ -86,17 +89,14 @@ func TestCampaignLockstepScalarByteIdentity(t *testing.T) {
 			}
 			specs = append(specs, batch...)
 		}
-		fold := func(vs []Verdict) (string, string) {
-			agg, err := NewAggregate(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range vs {
-				agg.Add(v)
-			}
-			return render(agg)
+		ref, err := NewAggregate(base)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wantRep, wantJSON := fold(scalarVerdicts(ctx, specs, RunOptions{}))
+		for _, v := range scalarVerdicts(ctx, specs, RunOptions{}) {
+			ref.Add(v)
+		}
+		wantRep, wantJSON := render(ref)
 
 		if gen == "registered" {
 			if *updateLockstepGoldens {
@@ -126,6 +126,7 @@ func TestCampaignLockstepScalarByteIdentity(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			cfg := base
 			cfg.Workers = workers
+			cfg.Telemetry = NewTelemetry()
 			c, err := RunCampaign(ctx, cfg)
 			if err != nil {
 				t.Fatalf("%s campaign workers=%d: %v", gen, workers, err)
@@ -137,18 +138,26 @@ func TestCampaignLockstepScalarByteIdentity(t *testing.T) {
 			if js != wantJSON {
 				t.Errorf("%s workers=%d: campaign JSON differs from scalar", gen, workers)
 			}
-		}
-		for _, width := range []int{1, 7, 64} {
-			var vs []Verdict
-			for block := range slices.Chunk(specs, width) {
-				vs = append(vs, RunBlock(ctx, block, RunOptions{})...)
+			snap := cfg.Telemetry.Snapshot()
+			lock := snap.Counters["engine.lockstepSpecs"]
+			if lock == 0 {
+				t.Errorf("%s workers=%d: engine.lockstepSpecs = 0, the campaign never took the lane route", gen, workers)
 			}
-			rep, js := fold(vs)
-			if rep != wantRep {
-				t.Errorf("%s width=%d: lane report differs from scalar", gen, width)
-			}
-			if js != wantJSON {
-				t.Errorf("%s width=%d: lane JSON differs from scalar", gen, width)
+			switch gen {
+			case "uniform":
+				if occ := snap.Hists["engine.laneOccupancy"]; occ.Max != laneWordSize {
+					t.Errorf("uniform workers=%d: largest lane group has %d lanes, want a full %d", workers, occ.Max, laneWordSize)
+				}
+			case "adversarial":
+				var pointed int64
+				for _, s := range specs {
+					if s.Family == FamilyBlockPointed {
+						pointed++
+					}
+				}
+				if pointed == 0 || lock != pointed {
+					t.Errorf("adversarial workers=%d: engine.lockstepSpecs = %d, want all %d block-pointed specs on lanes", workers, lock, pointed)
+				}
 			}
 		}
 	}
