@@ -2,8 +2,6 @@ package adversary
 
 import (
 	"fmt"
-	"math/bits"
-	"slices"
 
 	"pef/internal/fsync"
 	"pef/internal/ring"
@@ -41,73 +39,6 @@ func (a *BlockPointed) EdgesAtInto(_ int, snap *fsync.Snapshot, dst *ring.EdgeSe
 		a.runs.remove(a.r.EdgeTowards(pos, snap.GlobalDirs[i]), dst)
 	}
 	a.runs.advance(*dst)
-}
-
-// LaneBudget returns the budget, and ok when every absence counter is
-// zero: the state BlockPointedLanes starts each lane from.
-func (a *BlockPointed) LaneBudget() (budget int, ok bool) {
-	return a.runs.budget, len(a.runs.prev) == 0
-}
-
-// BlockPointedLanes is the lane form of BlockPointed (fsync.LaneAdversary)
-// for all block-pointed lanes of a lockstep block, each with its own
-// budget. Counters and budgets are bit-sliced — run[e*planes+p] and
-// budget[p] hold bit p of every lane's counter of edge e and budget — so a
-// round costs a few word operations per edge and plane, whatever the lanes.
-type BlockPointedLanes struct {
-	r       ring.Ring
-	planes  int
-	budget  []uint64 // per plane
-	run     []uint64 // per edge and plane
-	pointed []uint64 // per edge scratch
-}
-
-// Reset starts a block on an n-node ring with every counter at zero:
-// lane l's budget is budgets[l], and 0 marks a lane it does not drive.
-func (b *BlockPointedLanes) Reset(n int, budgets []int) {
-	b.r, b.planes = ring.New(n), bits.Len(uint(slices.Max(budgets)))
-	b.budget, b.run, b.pointed = make([]uint64, b.planes), make([]uint64, n*b.planes), make([]uint64, n)
-	for l, x := range budgets {
-		for p := range b.budget {
-			b.budget[p] |= uint64(x>>p&1) << l
-		}
-	}
-}
-
-// Ring implements fsync.LaneAdversary.
-func (b *BlockPointedLanes) Ring() ring.Ring { return b.r }
-
-// EdgeColumns implements fsync.LaneAdversary: a pointed edge is removed
-// while its counter is below the budget; the counter then counts one more
-// round if the edge was removed and restarts at zero if it is present.
-func (b *BlockPointedLanes) EdgeColumns(ls *fsync.LockstepSimulator, mask uint64, cols []uint64) {
-	n, planes, rows, pointed := b.r.Size(), b.planes, ls.Rows(), b.pointed
-	clear(pointed)
-	// Pointing CW from node v is pointing at edge v; CCW, at edge v-1.
-	for i := 0; i < ls.Robots(); i++ {
-		cw, prev := ls.PointsCW(i), n-1
-		for v, p := range rows[i*n : (i+1)*n] {
-			pointed[v] |= p & cw
-			pointed[prev] |= p &^ cw
-			prev = v
-		}
-	}
-	for e, pt := range pointed {
-		run := b.run[e*planes : (e+1)*planes]
-		var less uint64 // run < budget, decided from the top plane down
-		eq := ^uint64(0)
-		for p := planes - 1; p >= 0; p-- {
-			less |= eq & b.budget[p] &^ run[p]
-			eq &^= b.budget[p] ^ run[p]
-		}
-		removed := pt & less & mask
-		cols[e] |= mask &^ removed
-		carry := removed // masked increment; lanes outside mask keep theirs
-		for p, r := range run {
-			run[p] = (r^carry)&removed | r&^mask
-			carry &= r
-		}
-	}
 }
 
 // absenceRuns holds the per-edge consecutive-absence counters of the

@@ -16,7 +16,7 @@ import (
 
 // laneCounter reads lane l's absence counter of edge e out of the bit
 // planes of the lane form.
-func laneCounter(b *BlockPointedLanes, l, e int) int {
+func laneCounter(b *Lanes, l, e int) int {
 	c := 0
 	for p, w := range b.run[e*b.planes : (e+1)*b.planes] {
 		c |= int(w>>uint(l)&1) << p
@@ -39,15 +39,16 @@ func TestLockstepBlockPointedMatchesScalar(t *testing.T) {
 		n := 3 + src.Intn(14)
 		lanes := 32 + src.Intn(33)
 		alg := algs[trial%len(algs)]
-		var bp BlockPointedLanes
-		cfg := fsync.LockstepConfig{Algorithm: alg, Adversary: &bp}
+		var bp Lanes
+		cfg := fsync.LockstepConfig{Adversary: &bp}
 		budgets := make([]int, lanes)
+		dyns := make([]fsync.Dynamics, lanes)
 		sims := make([]*fsync.Simulator, lanes)
 		advs := make([]*BlockPointed, lanes)
 		for l := range lanes {
 			seed := src.Uint64()
 			k := 1 + src.Intn(min(5, n-1))
-			run := fsync.LaneRun{Placements: fsync.RandomPlacements(n, k, prng.NewSource(seed)), Horizon: 10 + src.Intn(90)}
+			run := fsync.LaneRun{Table: alg, Placements: fsync.RandomPlacements(n, k, prng.NewSource(seed)), Horizon: 10 + src.Intn(90)}
 			var dyn fsync.Dynamics
 			if l%3 == 2 {
 				run.Graph = dynamics.NewBernoulli(n, 0.6, seed)
@@ -55,7 +56,7 @@ func TestLockstepBlockPointedMatchesScalar(t *testing.T) {
 			} else {
 				budgets[l] = 1 + (l-l/3)%9
 				advs[l] = NewBlockPointed(n, budgets[l])
-				dyn = advs[l]
+				dyn, dyns[l] = advs[l], advs[l]
 			}
 			cfg.Lanes = append(cfg.Lanes, run)
 			sim, err := fsync.New(fsync.Config{Algorithm: alg, Dynamics: dyn, Placements: run.Placements})
@@ -64,7 +65,7 @@ func TestLockstepBlockPointedMatchesScalar(t *testing.T) {
 			}
 			sims[l] = sim
 		}
-		bp.Reset(n, budgets)
+		bp.Reset(n, dyns)
 		ls, err := fsync.NewLockstep(cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -134,11 +135,10 @@ func pointsTwice(r ring.Ring, snap *fsync.Snapshot) bool {
 func TestLockstepBlockPointedSharedEdge(t *testing.T) {
 	const n, budget = 5, 2
 	place := []fsync.Placement{{Node: 0, Chirality: robot.RightIsCCW}, {Node: 1, Chirality: robot.RightIsCW}}
-	var bp BlockPointedLanes
-	bp.Reset(n, []int{budget})
+	var bp Lanes
+	bp.Reset(n, []fsync.Dynamics{NewBlockPointed(n, budget)})
 	ls, err := fsync.NewLockstep(fsync.LockstepConfig{
-		Algorithm: baseline.KeepDirection,
-		Lanes:     []fsync.LaneRun{{Placements: place, Horizon: 8}},
+		Lanes:     []fsync.LaneRun{{Table: baseline.KeepDirection, Placements: place, Horizon: 8}},
 		Adversary: &bp,
 	})
 	if err != nil {
@@ -194,9 +194,12 @@ func TestLockstepCreditsBlockPointedLanesAsWordFast(t *testing.T) {
 		{Graph: dynamics.NewBernoulli(n, 0.5, 1), Placements: place, Horizon: 25},       // kernel
 		{Graph: presentOnly{dyngraph.NewStatic(n)}, Placements: place[:2], Horizon: 15}, // Present
 	}
-	var bp BlockPointedLanes
-	bp.Reset(n, []int{3, 7, 0, 0})
-	ls, err := fsync.AcquireLockstep(fsync.LockstepConfig{Algorithm: core.PEF3Plus, Lanes: lanes, Adversary: &bp, Metrics: m})
+	for l := range lanes {
+		lanes[l].Table = core.PEF3Plus
+	}
+	var bp Lanes
+	bp.Reset(n, []fsync.Dynamics{NewBlockPointed(n, 3), NewBlockPointed(n, 7), nil, nil})
+	ls, err := fsync.AcquireLockstep(fsync.LockstepConfig{Lanes: lanes, Adversary: &bp, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,20 +225,20 @@ func TestLockstepStepAllocFreeWithBlockPointedLanes(t *testing.T) {
 	const n, k = 12, 3
 	src := prng.NewSource(11)
 	var lanes []fsync.LaneRun
-	budgets := make([]int, 64)
-	for l := range budgets {
+	dyns := make([]fsync.Dynamics, 64)
+	for l := range dyns {
 		seed := src.Uint64()
-		run := fsync.LaneRun{Placements: fsync.RandomPlacements(n, k, prng.NewSource(seed)), Horizon: 1 << 20}
+		run := fsync.LaneRun{Table: core.PEF3Plus, Placements: fsync.RandomPlacements(n, k, prng.NewSource(seed)), Horizon: 1 << 20}
 		if l%2 == 0 {
 			run.Graph = dynamics.NewBernoulli(n, 0.8, seed)
 		} else {
-			budgets[l] = 1 + l%5
+			dyns[l] = NewBlockPointed(n, 1+l%5)
 		}
 		lanes = append(lanes, run)
 	}
-	var bp BlockPointedLanes
-	bp.Reset(n, budgets)
-	ls, err := fsync.AcquireLockstep(fsync.LockstepConfig{Algorithm: core.PEF3Plus, Lanes: lanes, Adversary: &bp})
+	var bp Lanes
+	bp.Reset(n, dyns)
+	ls, err := fsync.AcquireLockstep(fsync.LockstepConfig{Lanes: lanes, Adversary: &bp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,5 +246,237 @@ func TestLockstepStepAllocFreeWithBlockPointedLanes(t *testing.T) {
 	ls.Step()
 	if allocs := testing.AllocsPerRun(200, func() { ls.Step() }); allocs != 0 {
 		t.Fatalf("lockstep Step with block-pointed lanes allocates %.1f times per round, want 0", allocs)
+	}
+}
+
+// recordColumns wraps the lane adversary and keeps a copy of the edge
+// columns of the last round it drove, at instant at, so a test can read
+// the E_t every lane saw.
+type recordColumns struct {
+	*Lanes
+	cols []uint64
+	at   int
+}
+
+func (r *recordColumns) EdgeColumns(ls *fsync.LockstepSimulator, mask uint64, cols []uint64) {
+	r.Lanes.EdgeColumns(ls, mask, cols)
+	r.cols, r.at = append(r.cols[:0], cols...), ls.Now()
+}
+
+// lanePhase reads lane l's confine-two phase out of its two bit planes.
+func lanePhase(b *Lanes, l int) int {
+	return int(b.phase[0]>>uint(l)&1) | int(b.phase[1]>>uint(l)&1)<<1
+}
+
+// TestLockstepConfinementMatchesScalar runs lane blocks that mix
+// confine-one, confine-two, block-pointed and Bernoulli lanes, each lane
+// under one of the nine rule tables, on rings 3–20 with staggered
+// horizons. Every round it checks every lane's positions, pointed
+// directions and E_t, and every confine-two lane's phase, against the
+// scalar Simulator under the scalar adversary.
+func TestLockstepConfinementMatchesScalar(t *testing.T) {
+	tables := []robot.Table{
+		core.PEF3Plus, core.PEF2, core.PEF1, core.NoRule2, core.NoRule3,
+		baseline.KeepDirection, baseline.BounceOnMissing, baseline.TowerBounce, baseline.Oscillator,
+	}
+	chir := []robot.Chirality{robot.RightIsCW, robot.RightIsCCW}
+	src := prng.NewSource(0xC0F1)
+	phases := 0 // bit p: some confine-two lane was seen in phase p
+	for trial := 0; trial < 36; trial++ {
+		n := 3 + trial%18
+		lanes := 32 + src.Intn(33)
+		var bp Lanes
+		rec := &recordColumns{Lanes: &bp}
+		cfg := fsync.LockstepConfig{Adversary: rec}
+		dyns := make([]fsync.Dynamics, lanes)
+		sims := make([]*fsync.Simulator, lanes)
+		twos := make([]*TwoRobotConfinement, lanes)
+		for l := range lanes {
+			seed := src.Uint64()
+			table := tables[src.Intn(len(tables))]
+			run := fsync.LaneRun{Table: table, Horizon: 10 + src.Intn(150)}
+			var dyn fsync.Dynamics
+			switch kind := l % 4; {
+			case kind == 0 || kind == 1 && n < 4:
+				run.Placements = []fsync.Placement{{Node: 0, Chirality: chir[src.Intn(2)]}}
+				dyn = NewOneRobotConfinement(n, 0, 0)
+			case kind == 1:
+				run.Placements = []fsync.Placement{{Node: 0, Chirality: chir[src.Intn(2)]}, {Node: 1, Chirality: chir[src.Intn(2)]}}
+				twos[l] = NewTwoRobotConfinement(n, 0, 0, 1)
+				dyn = twos[l]
+			case kind == 2:
+				run.Placements = fsync.RandomPlacements(n, 1+src.Intn(min(5, n-1)), prng.NewSource(seed))
+				dyn = NewBlockPointed(n, 1+src.Intn(4))
+			default:
+				run.Placements = fsync.RandomPlacements(n, 1+src.Intn(min(5, n-1)), prng.NewSource(seed))
+				run.Graph = dynamics.NewBernoulli(n, 0.6, seed)
+				dyn = fsync.Oblivious{G: dynamics.NewBernoulli(n, 0.6, seed)}
+			}
+			if run.Graph == nil {
+				if !LaneForm(dyn, n) {
+					t.Fatalf("trial %d lane %d: fresh %T has no lane form", trial, l, dyn)
+				}
+				dyns[l] = dyn
+			}
+			cfg.Lanes = append(cfg.Lanes, run)
+			sim, err := fsync.New(fsync.Config{Algorithm: table, Dynamics: dyn, Placements: run.Placements})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sims[l] = sim
+		}
+		bp.Reset(n, dyns)
+		ls, err := fsync.NewLockstep(cfg)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for !ls.Done() {
+			stepped := ls.Step()
+			for l, sim := range sims {
+				bit := uint64(1) << uint(l)
+				if stepped&bit == 0 {
+					continue
+				}
+				ev := sim.Step()
+				for e := 0; e < n && rec.at == ev.T; e++ {
+					if got := rec.cols[e]&bit != 0; got != ev.Edges.Contains(e) {
+						t.Fatalf("trial %d (n=%d) lane %d (%T, %s) edge %d at t=%d: lane present %v, scalar %v",
+							trial, n, l, dyns[l], cfg.Lanes[l].Table.Name(), e, ev.T, got, !got)
+					}
+				}
+				for i, v := range ev.After.Positions {
+					if got := ls.Position(i, l); got != v {
+						t.Fatalf("trial %d (n=%d) lane %d (%T, %s) robot %d at t=%d: lockstep node %d, scalar node %d",
+							trial, n, l, dyns[l], cfg.Lanes[l].Table.Name(), i, ls.Now(), got, v)
+					}
+					if got := ls.PointsCW(i)&bit != 0; got != (ev.After.GlobalDirs[i] == ring.CW) {
+						t.Fatalf("trial %d lane %d robot %d at t=%d: lockstep points CW %v, scalar %v",
+							trial, l, i, ls.Now(), got, ev.After.GlobalDirs[i])
+					}
+				}
+				if twos[l] != nil {
+					if got, want := lanePhase(&bp, l), twos[l].Phase(); got != want {
+						t.Fatalf("trial %d (n=%d) lane %d (%s) at t=%d: lane phase %d, scalar %d",
+							trial, n, l, cfg.Lanes[l].Table.Name(), ls.Now(), got, want)
+					}
+					phases |= 1 << twos[l].Phase()
+				}
+			}
+		}
+	}
+	if phases != 0b1111 {
+		t.Fatalf("confine-two phases seen %04b, want all four", phases)
+	}
+}
+
+// TestLaneConfinementPanicsOnEscape places a confine-one victim and a
+// confine-two robot outside their nodes: the lane form must panic, as the
+// scalar adversaries do, so that a lane block falls back to scalar runs.
+func TestLaneConfinementPanicsOnEscape(t *testing.T) {
+	const n = 6
+	for _, tc := range []struct {
+		name  string
+		dyn   fsync.Dynamics
+		place []fsync.Placement
+	}{
+		{"confine-one", NewOneRobotConfinement(n, 0, 0), []fsync.Placement{{Node: 2, Chirality: robot.RightIsCW}}},
+		{"confine-two", NewTwoRobotConfinement(n, 0, 0, 1), []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}, {Node: 4, Chirality: robot.RightIsCW}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var b Lanes
+			b.Reset(n, []fsync.Dynamics{tc.dyn})
+			ls, err := fsync.NewLockstep(fsync.LockstepConfig{
+				Lanes:     []fsync.LaneRun{{Table: core.PEF3Plus, Placements: tc.place, Horizon: 4}},
+				Adversary: &b,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("the lane form let a victim escape")
+				}
+			}()
+			ls.Step()
+		})
+	}
+}
+
+// TestLaneFormAdmitsFreshRegistryInstances pins which adversaries ride
+// lanes: fresh instances built the way the scenario registry builds them,
+// on the block's ring. Another start node, another watched robot, a used
+// instance or another ring keeps the scalar form.
+func TestLaneFormAdmitsFreshRegistryInstances(t *testing.T) {
+	const n = 7
+	used := NewTwoRobotConfinement(n, 0, 0, 1)
+	used.phase = 1
+	moved := NewOneRobotConfinement(n, 0, 0)
+	moved.lastNode = n - 1
+	for _, tc := range []struct {
+		name string
+		dyn  fsync.Dynamics
+		want bool
+	}{
+		{"block-pointed", NewBlockPointed(n, 2), true},
+		{"confine-one", NewOneRobotConfinement(n, 0, 0), true},
+		{"confine-two", NewTwoRobotConfinement(n, 0, 0, 1), true},
+		{"confine-one other ring", NewOneRobotConfinement(n+1, 0, 0), false},
+		{"confine-one at u=2", NewOneRobotConfinement(n, 2, 0), false},
+		{"confine-one robot 1", NewOneRobotConfinement(n, 0, 1), false},
+		{"confine-one moved", moved, false},
+		{"confine-two robots 1, 0", NewTwoRobotConfinement(n, 0, 1, 0), false},
+		{"confine-two at u=3", NewTwoRobotConfinement(n, 3, 0, 1), false},
+		{"confine-two used", used, false},
+		{"block-both-sides", NewBlockBothSides(n, 2), false},
+	} {
+		if got := LaneForm(tc.dyn, n); got != tc.want {
+			t.Errorf("%s: LaneForm = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestLaneAdversaryAllocFree guards the mixed lane adversary: a block of
+// confine-one, confine-two, block-pointed and Bernoulli lanes steps with 0
+// allocs, and a repeated Reset reuses the planes of the last block.
+func TestLaneAdversaryAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 12
+	src := prng.NewSource(13)
+	var lanes []fsync.LaneRun
+	dyns := make([]fsync.Dynamics, 64)
+	for l := range dyns {
+		seed := src.Uint64()
+		run := fsync.LaneRun{Table: core.PEF3Plus, Horizon: 1 << 20}
+		switch l % 4 {
+		case 0:
+			run.Table, run.Placements = baseline.BounceOnMissing, []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}}
+			dyns[l] = NewOneRobotConfinement(n, 0, 0)
+		case 1:
+			run.Table, run.Placements = core.PEF2, []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}, {Node: 1, Chirality: robot.RightIsCCW}}
+			dyns[l] = NewTwoRobotConfinement(n, 0, 0, 1)
+		case 2:
+			run.Placements = fsync.RandomPlacements(n, 3, prng.NewSource(seed))
+			dyns[l] = NewBlockPointed(n, 1+l%5)
+		default:
+			run.Placements = fsync.RandomPlacements(n, 3, prng.NewSource(seed))
+			run.Graph = dynamics.NewBernoulli(n, 0.8, seed)
+		}
+		lanes = append(lanes, run)
+	}
+	var b Lanes
+	b.Reset(n, dyns)
+	if allocs := testing.AllocsPerRun(100, func() { b.Reset(n, dyns) }); allocs != 0 {
+		t.Fatalf("a repeated lane adversary Reset allocates %.1f times, want 0", allocs)
+	}
+	ls, err := fsync.AcquireLockstep(fsync.LockstepConfig{Lanes: lanes, Adversary: &b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Release()
+	ls.Step()
+	if allocs := testing.AllocsPerRun(200, func() { ls.Step() }); allocs != 0 {
+		t.Fatalf("lockstep Step with confinement lanes allocates %.1f times per round, want 0", allocs)
 	}
 }

@@ -149,8 +149,12 @@ func TestTablesMatchReferences(t *testing.T) {
 
 // TestCoincidingTables pins two identities the table form exposes: the
 // Rule-3 ablation is keep-direction, and PEF_1 is bounce-on-missing. Each
-// pair is one table under two names.
+// pair is one table under two names, which Same reports (the lane engine
+// evaluates such a pair once).
 func TestCoincidingTables(t *testing.T) {
+	if PEF3Plus.Same(NoRule3) || PEF1.Same(PEF2) {
+		t.Error("Same holds for tables with different rules")
+	}
 	for _, pair := range [][2]robot.Table{
 		{NoRule3, baseline.KeepDirection},
 		{PEF1, baseline.BounceOnMissing},
@@ -158,6 +162,9 @@ func TestCoincidingTables(t *testing.T) {
 		a, b := pair[0], pair[1]
 		if a.Name() == b.Name() {
 			t.Errorf("%s: both tables carry one name", a.Name())
+		}
+		if !a.Same(b) {
+			t.Errorf("%s and %s: Same = false for one rule", a.Name(), b.Name())
 		}
 		inputs(func(moved bool, v robot.View) {
 			af, an := a.Rule(moved, v)

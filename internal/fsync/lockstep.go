@@ -16,11 +16,14 @@ import (
 // robot r stands on node v" — and the whole Look–Compute–Move cycle
 // becomes a fixed boolean circuit over such words: every lane advances
 // exactly as it would under the scalar Simulator (same per-lane edge
-// schedules, same placements, same algorithm table), so lane l of a
-// lockstep run is bit-identical to the corresponding scalar run. A lane
-// with fewer robots than the widest keeps its missing robots' rows all
-// zero: they never move, occupy a node or join a tower. The differential
-// tests in lockstep_test.go pin that equivalence round by round.
+// schedules, same placements, same rule table), so lane l of a lockstep
+// run is bit-identical to the corresponding scalar run. A lane with fewer
+// robots than the widest keeps its missing robots' rows all zero: they
+// never move, occupy a node or join a tower. Each lane runs its own rule
+// table: Compute evaluates every distinct table of the block once per
+// robot row and keeps each lane's outputs by mask, so a one-table block
+// pays one circuit per row. The differential tests in lockstep_test.go pin
+// that equivalence round by round.
 //
 // A lane's edges come from its own evolving graph (oblivious dynamics) or
 // from the block's LaneAdversary. Adaptive adversaries without a lane form
@@ -42,6 +45,9 @@ type LaneAdversary interface {
 
 // LaneRun describes one seed lane of a lockstep run.
 type LaneRun struct {
+	// Table is the rule every robot of the lane runs; lanes of one block
+	// may run different tables. Only rule tables have a lane form.
+	Table robot.Table
 	// Graph is the lane's edge schedule, or nil for a lane that the
 	// block's Adversary drives. All lanes share one ring size, which may
 	// be at most 64 (one presence word per instant).
@@ -49,8 +55,8 @@ type LaneRun struct {
 	// Placements give the lane's initial configuration; lanes may place
 	// different numbers of robots. The usual Config rules apply:
 	// towerless, valid nodes and chiralities, 1 <= k < n. Per-robot Core
-	// overrides are not supported (every lane starts in the table's
-	// initial state).
+	// overrides are not supported (every robot starts in the table's
+	// initial state: dir = Left, memory 0).
 	Placements []Placement
 	// Horizon is the number of rounds to execute for this lane (>= 1).
 	// Lanes retire individually once their horizon is reached.
@@ -59,9 +65,6 @@ type LaneRun struct {
 
 // LockstepConfig assembles a lockstep simulation.
 type LockstepConfig struct {
-	// Algorithm is the uniform algorithm every robot of every lane runs.
-	// Only rule tables have a lane form.
-	Algorithm robot.Table
 	// Lanes holds 1 to 64 seed lanes on one ring, of any team sizes.
 	Lanes []LaneRun
 	// Adversary, when non-nil, drives every lane whose Graph is nil, and
@@ -84,7 +87,8 @@ type LockstepSimulator struct {
 	t      int
 	active uint64 // lanes with t < horizon
 
-	alg      robot.Table
+	tables   []laneTable // the block's distinct rule tables
+	placed   []uint64    // per robot: lanes that place it
 	horizons []int
 	dirRight []uint64                 // per robot: bit l = lane l's dir is Right
 	moved    []uint64                 // per robot: bit l = lane l's memory bit
@@ -110,6 +114,12 @@ type LockstepSimulator struct {
 	occ  []uint64       // per node: any-robot occupancy at the current instant
 }
 
+// laneTable is one distinct rule table of a block and the lanes running it.
+type laneTable struct {
+	t    robot.Table
+	mask uint64
+}
+
 // NewLockstep validates the configuration and builds a lockstep simulator
 // positioned at time 0.
 func NewLockstep(cfg LockstepConfig) (*LockstepSimulator, error) {
@@ -124,9 +134,6 @@ func NewLockstep(cfg LockstepConfig) (*LockstepSimulator, error) {
 // reusing its backing slices where shapes allow.
 func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 	ls.flushMetrics() // a direct re-Reset still credits the finished run
-	if cfg.Algorithm.Name() == "" {
-		return fmt.Errorf("fsync: zero lockstep algorithm table")
-	}
 	lanes := len(cfg.Lanes)
 	if lanes == 0 || lanes > 64 {
 		return fmt.Errorf("fsync: %d lanes outside [1,64]", lanes)
@@ -152,7 +159,7 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 		k = max(k, len(lane.Placements))
 	}
 	ls.r, ls.n, ls.k, ls.lanes = r, n, k, lanes
-	ls.alg = cfg.Algorithm
+	ls.tables = ls.tables[:0]
 	ls.adv, ls.advLanes = cfg.Adversary, 0
 	ls.metrics = cfg.Metrics
 	ls.statRounds, ls.statLaneSteps, ls.statWordFast = 0, 0, 0
@@ -163,6 +170,7 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 	ls.chirCW = resize(ls.chirCW, k)
 	ls.dirRight = resize(ls.dirRight, k)
 	ls.moved = resize(ls.moved, k)
+	ls.placed = resize(ls.placed, k)
 	ls.sets = resize(ls.sets, lanes)
 	ls.cols = resize(ls.cols, n)
 	ls.pos = resize(ls.pos, k*n)
@@ -174,7 +182,7 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 		ls.pos[i] = 0
 	}
 	for i := 0; i < k; i++ {
-		ls.chirCW[i], ls.dirRight[i], ls.moved[i] = 0, 0, 0
+		ls.chirCW[i], ls.dirRight[i], ls.moved[i], ls.placed[i] = 0, 0, 0, 0
 	}
 	for l, lane := range cfg.Lanes {
 		bit := uint64(1) << uint(l)
@@ -189,6 +197,10 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 		if lane.Horizon < 1 {
 			return fmt.Errorf("fsync: lane %d has non-positive horizon %d", l, lane.Horizon)
 		}
+		if lane.Table.Name() == "" {
+			return fmt.Errorf("fsync: lane %d has the zero rule table", l)
+		}
+		ls.addTable(lane.Table, bit)
 		for i, p := range lane.Placements {
 			if !r.ValidNode(p.Node) {
 				return fmt.Errorf("fsync: lane %d robot %d placed on invalid node %d", l, i, p.Node)
@@ -200,6 +212,7 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 				return fmt.Errorf("fsync: lane %d robot %d carries a Core override (unsupported in lockstep)", l, i)
 			}
 			ls.pos[i*n+p.Node] |= bit
+			ls.placed[i] |= bit
 			if p.Chirality == robot.RightIsCW {
 				ls.chirCW[i] |= bit
 			}
@@ -226,6 +239,18 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 	}
 	ls.refreshOccupancy()
 	return nil
+}
+
+// addTable adds the lane bit to the mask of the block's table that
+// computes t's rule, or adds t as a new one.
+func (ls *LockstepSimulator) addTable(t robot.Table, bit uint64) {
+	for j := range ls.tables {
+		if ls.tables[j].t.Same(t) {
+			ls.tables[j].mask |= bit
+			return
+		}
+	}
+	ls.tables = append(ls.tables, laneTable{t, bit})
 }
 
 // lockstepPool backs AcquireLockstep/Release, mirroring the scalar
@@ -315,9 +340,9 @@ func (ls *LockstepSimulator) Rows() []uint64 { return ls.pos }
 // PointsCW returns the lane word of robot i pointing clockwise: its global
 // direction after the last Step's Compute phase (Move keeps it), or its
 // initial direction before the first Step. Only the bits of active lanes
-// that place a robot i carry meaning. Step runs Compute on every lane, so
-// a retired lane's direction and memory words keep changing after its
-// horizon; bits of unconfigured lanes are meaningless too.
+// that place a robot i carry meaning. Step may run Compute on retired
+// lanes, so a retired lane's direction and memory words are meaningless
+// after its horizon; bits of unconfigured lanes are meaningless too.
 func (ls *LockstepSimulator) PointsCW(i int) uint64 { return ^(ls.chirCW[i] ^ ls.dirRight[i]) }
 
 // Position returns lane l's robot i node at the current instant — the
@@ -390,8 +415,9 @@ func (ls *LockstepSimulator) Step() uint64 {
 	}
 
 	// Look + Compute per robot: gather the three predicates as lane words
-	// and run the table's circuit. Pointing CW means the robot's edge
-	// "towards dir" is its own node index and the opposite edge is the
+	// and run the circuit of every table some active lane placing the robot
+	// runs, keeping each lane's outputs by mask. Pointing CW means the robot's
+	// edge "towards dir" is its own node index and the opposite edge is the
 	// counter-clockwise one (node-1), matching ring.EdgeTowards.
 	for i := 0; i < k; i++ {
 		row := ls.pos[i*n : (i+1)*n]
@@ -405,13 +431,24 @@ func (ls *LockstepSimulator) Step() uint64 {
 			prev = v
 		}
 		pcw := ^(ls.chirCW[i] ^ ls.dirRight[i]) // XNOR: global dir is CW
-		var flip uint64
-		flip, ls.moved[i] = ls.alg.Lanes(ls.moved[i], robot.LaneView{
+		view := robot.LaneView{
 			EdgeDir:     (pcw & ecw) | (^pcw & eccw),
 			EdgeOpp:     (pcw & eccw) | (^pcw & ecw),
 			OtherRobots: tower,
-		})
+		}
+		var flip, next uint64
+		live := stepped & ls.placed[i]
+		for j := range ls.tables {
+			lt := &ls.tables[j]
+			if lt.mask&live == 0 {
+				continue
+			}
+			f, m := lt.t.Lanes(ls.moved[i], view)
+			flip |= f & lt.mask
+			next |= m & lt.mask
+		}
 		ls.dirRight[i] ^= flip
+		ls.moved[i] = next
 	}
 
 	// Move per robot, with the post-Compute direction on the same E_t.

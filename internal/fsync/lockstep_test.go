@@ -33,7 +33,9 @@ func buildLaneGraph(n int, kind int, seed uint64) dyngraph.EvolvingGraph {
 // checks every lane's position trajectory round by round against a scalar
 // Simulator configured identically — the engine-level byte-identity
 // invariant. Every third trial draws a team size per lane, so the block
-// carries teams narrower than its widest one.
+// carries teams narrower than its widest one; three trials in four draw a
+// rule table per lane from all nine tables, and the fourth runs one table
+// on every lane.
 func TestLockstepMatchesScalarTrajectories(t *testing.T) {
 	algs := []robot.Table{
 		core.PEF3Plus, core.PEF2, core.PEF1, core.NoRule2, core.NoRule3,
@@ -43,16 +45,17 @@ func TestLockstepMatchesScalarTrajectories(t *testing.T) {
 	for trial := 0; trial < 36; trial++ {
 		n := 2 + src.Intn(15)
 		k := 1 + src.Intn(min(5, n-1))
-		alg := algs[trial%len(algs)] // every table runs four trials
 		lanes := 1 + src.Intn(64)
 		horizon := 20 + src.Intn(60)
 		mixed := trial%3 == 0
+		oneTable := trial%4 == 3
 
-		cfg := LockstepConfig{Algorithm: alg}
+		var cfg LockstepConfig
 		type scalarRun struct {
 			sim     *Simulator
 			horizon int
 			k       int
+			alg     robot.Table
 		}
 		var scalars []scalarRun
 		for l := 0; l < lanes; l++ {
@@ -61,10 +64,14 @@ func TestLockstepMatchesScalarTrajectories(t *testing.T) {
 			if mixed {
 				k = 1 + src.Intn(min(5, n-1))
 			}
+			alg := algs[trial%len(algs)]
+			if !oneTable {
+				alg = algs[src.Intn(len(algs))]
+			}
 			g := buildLaneGraph(n, l, seed)
 			place := RandomPlacements(n, k, prng.NewSource(seed))
 			h := horizon + l%7 // staggered horizons exercise retirement
-			cfg.Lanes = append(cfg.Lanes, LaneRun{Graph: g, Placements: place, Horizon: h})
+			cfg.Lanes = append(cfg.Lanes, LaneRun{Table: alg, Graph: g, Placements: place, Horizon: h})
 
 			// The scalar reference needs its own graph instance with the
 			// same seed so stateful schedules match.
@@ -76,7 +83,7 @@ func TestLockstepMatchesScalarTrajectories(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d lane %d: scalar New: %v", trial, l, err)
 			}
-			scalars = append(scalars, scalarRun{sim, h, k})
+			scalars = append(scalars, scalarRun{sim, h, k, alg})
 		}
 		ls, err := NewLockstep(cfg)
 		if err != nil {
@@ -92,7 +99,7 @@ func TestLockstepMatchesScalarTrajectories(t *testing.T) {
 				for i := 0; i < sc.k; i++ {
 					if got, want := ls.Position(i, l), sc.sim.Snapshot().Positions[i]; got != want {
 						t.Fatalf("trial %d (n=%d k=%d of %d alg=%s): lane %d robot %d at t=%d: lockstep node %d, scalar node %d",
-							trial, n, sc.k, ls.Robots(), alg.Name(), l, i, ls.Now(), got, want)
+							trial, n, sc.k, ls.Robots(), sc.alg.Name(), l, i, ls.Now(), got, want)
 					}
 				}
 			}
@@ -115,12 +122,13 @@ func TestLockstepOccupancyMatchesPositions(t *testing.T) {
 	for l := 0; l < lanes; l++ {
 		seed := src.Uint64()
 		lanesCfg = append(lanesCfg, LaneRun{
+			Table:      core.PEF3Plus,
 			Graph:      dynamics.NewBernoulli(n, 0.6, seed),
 			Placements: RandomPlacements(n, 1+l%5, prng.NewSource(seed)),
 			Horizon:    25,
 		})
 	}
-	ls, err := NewLockstep(LockstepConfig{Algorithm: core.PEF3Plus, Lanes: lanesCfg})
+	ls, err := NewLockstep(LockstepConfig{Lanes: lanesCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +161,9 @@ func TestLockstepOccupancyMatchesPositions(t *testing.T) {
 }
 
 // TestLockstepResetRejectsBadLanes checks the per-lane shape checks of
-// Reset: lanes may field different team sizes, but each needs 1 <= k < n
-// robots, the block's ring, and a graph or the block's adversary.
+// Reset: lanes may field different team sizes and tables, but each needs
+// 1 <= k < n robots, the block's ring, a graph or the block's adversary,
+// and a rule table.
 func TestLockstepResetRejectsBadLanes(t *testing.T) {
 	// lane places k robots on nodes 0..k-1 of a static n-ring.
 	lane := func(n, k int) LaneRun {
@@ -162,7 +171,11 @@ func TestLockstepResetRejectsBadLanes(t *testing.T) {
 		for i := range ps {
 			ps[i] = Placement{Node: i, Chirality: robot.RightIsCW}
 		}
-		return LaneRun{Graph: dyngraph.NewStatic(n), Placements: ps, Horizon: 5}
+		return LaneRun{Table: core.PEF3Plus, Graph: dyngraph.NewStatic(n), Placements: ps, Horizon: 5}
+	}
+	withTable := func(l LaneRun, table robot.Table) LaneRun {
+		l.Table = table
+		return l
 	}
 	for _, tc := range []struct {
 		name  string
@@ -170,16 +183,18 @@ func TestLockstepResetRejectsBadLanes(t *testing.T) {
 		want  string // error substring; "" means Reset accepts the block
 	}{
 		{"mixed teams", []LaneRun{lane(6, 2), lane(6, 5), lane(6, 1)}, ""},
+		{"mixed tables", []LaneRun{lane(6, 2), withTable(lane(6, 3), core.PEF2), withTable(lane(6, 1), baseline.Oscillator)}, ""},
+		{"zero table", []LaneRun{lane(6, 2), withTable(lane(6, 2), robot.Table{})}, "lane 1 has the zero rule table"},
 		{"empty lane", []LaneRun{lane(6, 3), lane(6, 0)}, "lane 1 places 0 robots on 6 nodes"},
 		{"empty lane 0", []LaneRun{lane(6, 0), lane(6, 3)}, "lane 0 places 0 robots on 6 nodes"},
 		{"k = n", []LaneRun{lane(6, 2), lane(6, 3), lane(6, 6)}, "lane 2 places 6 robots on 6 nodes"},
 		{"ring mismatch", []LaneRun{lane(6, 2), lane(7, 2)}, "lane 1 ring"},
 		{"wider lane on a smaller ring", []LaneRun{lane(6, 2), lane(5, 4)}, "lane 1 ring"},
-		{"no graph in lane 0", []LaneRun{{Placements: lane(6, 2).Placements, Horizon: 5}, lane(6, 2)}, "lane 0 has neither a graph nor an adversary"},
-		{"no graph in lane 1", []LaneRun{lane(6, 2), {Placements: lane(6, 2).Placements, Horizon: 5}}, "lane 1 has neither a graph nor an adversary"},
+		{"no graph in lane 0", []LaneRun{{Table: core.PEF3Plus, Placements: lane(6, 2).Placements, Horizon: 5}, lane(6, 2)}, "lane 0 has neither a graph nor an adversary"},
+		{"no graph in lane 1", []LaneRun{lane(6, 2), {Table: core.PEF3Plus, Placements: lane(6, 2).Placements, Horizon: 5}}, "lane 1 has neither a graph nor an adversary"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ls, err := NewLockstep(LockstepConfig{Algorithm: core.PEF3Plus, Lanes: tc.lanes})
+			ls, err := NewLockstep(LockstepConfig{Lanes: tc.lanes})
 			switch {
 			case tc.want == "" && err != nil:
 				t.Fatalf("Reset rejected a valid block: %v", err)
@@ -216,10 +231,10 @@ func TestAcquireLockstepRepanicsResetPanic(t *testing.T) {
 				t.Fatalf("recovered %v, want the Reset panic", r)
 			}
 		}()
-		AcquireLockstep(LockstepConfig{Algorithm: core.PEF3Plus, Lanes: []LaneRun{{Graph: ringPanics{}, Placements: place, Horizon: 3}}})
+		AcquireLockstep(LockstepConfig{Lanes: []LaneRun{{Table: core.PEF3Plus, Graph: ringPanics{}, Placements: place, Horizon: 3}}})
 		t.Fatal("AcquireLockstep returned after a Reset panic")
 	}()
-	ls, err := AcquireLockstep(LockstepConfig{Algorithm: core.PEF3Plus, Lanes: []LaneRun{{Graph: dyngraph.NewStatic(6), Placements: place, Horizon: 3}}})
+	ls, err := AcquireLockstep(LockstepConfig{Lanes: []LaneRun{{Table: core.PEF3Plus, Graph: dyngraph.NewStatic(6), Placements: place, Horizon: 3}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,39 +263,47 @@ func (a staticAdversary) EdgeColumns(_ *LockstepSimulator, mask uint64, cols []u
 // a lockstep block must not allocate (the engine is pure word arithmetic
 // over preallocated buffers) — for stateless word graphs, for the
 // streaming Markov chain, whose one presence set is advanced in place,
-// and for a block whose odd lanes a LaneAdversary drives.
+// for a block whose odd lanes a LaneAdversary drives, and for a block
+// whose lanes run all nine rule tables.
 func TestLockstepStepAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const n, k = 12, 3
+	tables := []robot.Table{core.PEF3Plus}
+	all := []robot.Table{
+		core.PEF3Plus, core.PEF2, core.PEF1, core.NoRule2, core.NoRule3,
+		baseline.KeepDirection, baseline.BounceOnMissing, baseline.TowerBounce, baseline.Oscillator,
+	}
 	for _, tc := range []struct {
 		name      string
 		graph     func(seed uint64) dyngraph.EvolvingGraph
 		adversary LaneAdversary
+		tables    []robot.Table
 	}{
-		{"bernoulli", func(seed uint64) dyngraph.EvolvingGraph { return dynamics.NewBernoulli(n, 0.8, seed) }, nil},
+		{"bernoulli", func(seed uint64) dyngraph.EvolvingGraph { return dynamics.NewBernoulli(n, 0.8, seed) }, nil, tables},
 		{"markov-stream", func(seed uint64) dyngraph.EvolvingGraph {
 			m, err := dynamics.NewMarkovStream(n, 0.4, 0.25, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return m
-		}, nil},
-		{"adversary", func(seed uint64) dyngraph.EvolvingGraph { return dynamics.NewBernoulli(n, 0.8, seed) }, staticAdversary{ring.New(n)}},
+		}, nil, tables},
+		{"adversary", func(seed uint64) dyngraph.EvolvingGraph { return dynamics.NewBernoulli(n, 0.8, seed) }, staticAdversary{ring.New(n)}, tables},
+		{"mixed-tables", func(seed uint64) dyngraph.EvolvingGraph { return dynamics.NewBernoulli(n, 0.8, seed) }, nil, all},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := prng.NewSource(11)
 			var lanesCfg []LaneRun
 			for l := 0; l < 64; l++ {
 				seed := src.Uint64()
-				run := LaneRun{Placements: RandomPlacements(n, k, prng.NewSource(seed)), Horizon: 1 << 20}
+				run := LaneRun{Table: tc.tables[l%len(tc.tables)], Placements: RandomPlacements(n, k, prng.NewSource(seed)), Horizon: 1 << 20}
 				if tc.adversary == nil || l%2 == 0 {
 					run.Graph = tc.graph(seed)
 				}
 				lanesCfg = append(lanesCfg, run)
 			}
-			ls, err := AcquireLockstep(LockstepConfig{Algorithm: core.PEF3Plus, Lanes: lanesCfg, Adversary: tc.adversary})
+			ls, err := AcquireLockstep(LockstepConfig{Lanes: lanesCfg, Adversary: tc.adversary})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -121,10 +121,9 @@ func TestLockstepMetricsFlushPerRun(t *testing.T) {
 		WordFallbackLanes:  reg.Counter("sim.wordFallbackLanes"),
 	}
 	ls, err := AcquireLockstep(LockstepConfig{
-		Algorithm: core.PEF3Plus,
 		Lanes: []LaneRun{
-			{Graph: dyngraph.NewStatic(6), Placements: EvenPlacements(6, 3), Horizon: 6},
-			{Graph: dyngraph.NewStatic(6), Placements: EvenPlacements(6, 3), Horizon: 6},
+			{Table: core.PEF3Plus, Graph: dyngraph.NewStatic(6), Placements: EvenPlacements(6, 3), Horizon: 6},
+			{Table: core.PEF3Plus, Graph: dyngraph.NewStatic(6), Placements: EvenPlacements(6, 3), Horizon: 6},
 		},
 		Metrics: m,
 	})

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"fmt"
 
 	"pef/internal/adversary"
 	"pef/internal/fsync"
@@ -11,17 +12,14 @@ import (
 
 // LaneEligible reports whether a run under dyn may ride a lane of a
 // lockstep block on an n-node ring: an oblivious graph, or a fresh
-// block-pointed adversary on that ring, which the block drives through its
-// lane form (adversary.BlockPointedLanes). Any other dynamics runs scalar.
+// block-pointed or confinement adversary on that ring, which the block
+// drives through their lane form (adversary.Lanes, as adversary.LaneForm
+// admits them). Any other dynamics runs scalar.
 func LaneEligible(dyn fsync.Dynamics, n int) bool {
-	switch d := dyn.(type) {
-	case fsync.Oblivious:
+	if d, ok := dyn.(fsync.Oblivious); ok {
 		return d.G != nil
-	case *adversary.BlockPointed:
-		_, fresh := d.LaneBudget()
-		return fresh && d.Ring().Size() == n
 	}
-	return false
+	return adversary.LaneForm(dyn, n)
 }
 
 // PollRounds is the number of rounds between context polls, on the lanes
@@ -29,22 +27,22 @@ func LaneEligible(dyn fsync.Dynamics, n int) bool {
 // at the first multiple of it.
 const PollRounds = 256
 
-// Lane is one run of a lane block; its dynamics is LaneEligible.
+// Lane is one run of a lane block; its dynamics is LaneEligible, and
+// every robot runs its rule table.
 type Lane struct {
 	Dynamics   fsync.Dynamics
+	Table      robot.Table
 	Placements []fsync.Placement
 	Horizon    int
 }
 
 // LaneConfig describes one lane block: 1 to 64 lanes on one ring, of any
-// team sizes, under one rule table. Towers also checks the tower lemmas
-// 3.3 and 3.4 on every lane. Metrics, when non-nil, receives the engine
-// counters.
+// team sizes and rule tables. Towers also checks the tower lemmas 3.3 and
+// 3.4 on every lane. Metrics, when non-nil, receives the engine counters.
 type LaneConfig struct {
-	Algorithm robot.Table
-	Lanes     []Lane
-	Towers    bool
-	Metrics   *fsync.Metrics
+	Lanes   []Lane
+	Towers  bool
+	Metrics *fsync.Metrics
 }
 
 // LaneReport is the outcome of one lane. Rounds is the number of rounds
@@ -62,14 +60,14 @@ type LaneReport struct {
 // scenario.RunBlock (campaigns, search, serve) and the Table 1 possibility
 // rows (explorations), which keep only their verdict logic; it lives here
 // because package scenario imports harness. It keeps its trackers, lane
-// buffers and block-pointed lane adversary from block to block, so it
-// serves one goroutine at a time.
+// buffers and lane adversary from block to block, so it serves one
+// goroutine at a time.
 type LaneBlock struct {
-	lv      *spec.LaneVisits
-	lt      *spec.LaneTowers
-	runs    []fsync.LaneRun
-	budgets []int // per lane: block-pointed budget, 0 for graph lanes
-	bp      adversary.BlockPointedLanes
+	lv   *spec.LaneVisits
+	lt   *spec.LaneTowers
+	runs []fsync.LaneRun
+	advs []fsync.Dynamics // per lane: the adversary, nil for graph lanes
+	adv  adversary.Lanes
 }
 
 // NewLaneBlock returns a runner with empty buffers.
@@ -78,32 +76,33 @@ func NewLaneBlock() *LaneBlock {
 }
 
 // Run executes cfg's lanes as one lockstep block and returns their
-// reports in lane order. An error means the
-// engine rejected the block before any round ran; a panic mid-run
-// propagates. Each report is the one the lane's scalar run yields under a
-// visit tracker (and the tower invariants), cut at the same round when the
-// context stops the block.
+// reports in lane order. An error means a lane's dynamics has no lane
+// form or the engine rejected the block, before any round ran; a panic
+// mid-run propagates. Each report is the one the lane's scalar run
+// yields under a visit tracker (and the tower invariants), cut at the
+// same round when the context stops the block.
 func (b *LaneBlock) Run(ctx context.Context, cfg LaneConfig) ([]LaneReport, error) {
-	b.runs, b.budgets = b.runs[:0], b.budgets[:0]
+	b.runs, b.advs = b.runs[:0], b.advs[:0]
 	var adv fsync.LaneAdversary
 	advRing := 0
-	for _, ln := range cfg.Lanes {
-		run := fsync.LaneRun{Placements: ln.Placements, Horizon: ln.Horizon}
-		budget := 0
-		switch d := ln.Dynamics.(type) {
-		case fsync.Oblivious:
-			run.Graph = d.G
-		case *adversary.BlockPointed:
-			budget, _ = d.LaneBudget()
-			adv, advRing = &b.bp, d.Ring().Size()
+	for l, ln := range cfg.Lanes {
+		run := fsync.LaneRun{Table: ln.Table, Placements: ln.Placements, Horizon: ln.Horizon}
+		var d fsync.Dynamics
+		switch g, ok := ln.Dynamics.(fsync.Oblivious); {
+		case ok:
+			run.Graph = g.G
+		case !adversary.LaneForm(ln.Dynamics, ln.Dynamics.Ring().Size()):
+			return nil, fmt.Errorf("harness: lane %d: %T has no lane form", l, ln.Dynamics)
+		default:
+			d, adv, advRing = ln.Dynamics, &b.adv, ln.Dynamics.Ring().Size()
 		}
 		b.runs = append(b.runs, run)
-		b.budgets = append(b.budgets, budget)
+		b.advs = append(b.advs, d)
 	}
 	if adv != nil {
-		b.bp.Reset(advRing, b.budgets)
+		b.adv.Reset(advRing, b.advs)
 	}
-	ls, err := fsync.AcquireLockstep(fsync.LockstepConfig{Algorithm: cfg.Algorithm, Lanes: b.runs, Adversary: adv, Metrics: cfg.Metrics})
+	ls, err := fsync.AcquireLockstep(fsync.LockstepConfig{Lanes: b.runs, Adversary: adv, Metrics: cfg.Metrics})
 	if err != nil {
 		return nil, err
 	}

@@ -110,9 +110,9 @@ func TestLaneExplorationsMatchScalar(t *testing.T) {
 			if !LaneEligible(c.Dynamics, sh.n) {
 				t.Fatalf("%s run %d: dynamics %T not lane-eligible", sh.name, i, c.Dynamics)
 			}
-			lanes[i] = Lane{Dynamics: c.Dynamics, Placements: c.Placements, Horizon: sh.horizon}
+			lanes[i] = Lane{Dynamics: c.Dynamics, Table: c.Algorithm.(robot.Table), Placements: c.Placements, Horizon: sh.horizon}
 		}
-		cfg := LaneConfig{Algorithm: sh.team(0).Algorithm.(robot.Table), Lanes: lanes, Towers: true}
+		cfg := LaneConfig{Lanes: lanes, Towers: true}
 		reps, err := NewLaneBlock().Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", sh.name, err)

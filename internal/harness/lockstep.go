@@ -73,11 +73,12 @@ func runX12(cfg Config, res *Result) error {
 			}
 			scalars[l] = sim
 		}
-		lcfg := fsync.LockstepConfig{Algorithm: sh.alg}
+		var lcfg fsync.LockstepConfig
 		for l := 0; l < lanes; l++ {
 			// The lockstep leg gets its own graph instance with the same
 			// seed, mirroring how a scalar campaign would build the lane.
 			lcfg.Lanes = append(lcfg.Lanes, fsync.LaneRun{
+				Table:      sh.alg,
 				Graph:      sh.graph(seeds[l]),
 				Placements: fsync.RandomPlacements(sh.n, sh.k, prng.NewSource(seeds[l])),
 				Horizon:    laneHorizon(l),

@@ -48,10 +48,11 @@ func (x exploration) ok(horizon int) bool {
 
 // explorations runs team(0), …, team(runs-1) for horizon rounds each,
 // checking the tower invariants when towers is set. team(i) must build a
-// fresh config for run i on every call; all runs share one algorithm and
-// ring, of any team sizes. The runs whose dynamics have a lane form
-// (LaneEligible: oblivious graphs and the fresh block-pointed adversary)
-// form one LaneBlock; the others, and every lane that fails the
+// fresh config for run i on every call; all runs share one ring, of any
+// team sizes and algorithms. The runs of a rule table whose dynamics have
+// a lane form (LaneEligible: here oblivious graphs and the fresh
+// block-pointed adversary) form one LaneBlock, each lane with its own
+// table; the others, and every lane that fails the
 // possibility verdict or a tower lemma, run on the scalar path, so every
 // outcome, failure notes included, is the scalar run's. Lanes pay for
 // blocks of about n/2 runs or more (a lockstep round costs O(k·n) word
@@ -64,15 +65,13 @@ func explorations(runs, horizon int, towers bool, team func(i int) fsync.Config)
 	var lanes []Lane
 	for i := range cs {
 		cs[i] = team(i)
-		if LaneEligible(cs[i].Dynamics, cs[0].Dynamics.Ring().Size()) {
+		table, ok := cs[i].Algorithm.(robot.Table)
+		if ok && LaneEligible(cs[i].Dynamics, cs[0].Dynamics.Ring().Size()) {
 			idx = append(idx, i)
-			lanes = append(lanes, Lane{Dynamics: cs[i].Dynamics, Placements: cs[i].Placements, Horizon: horizon})
+			lanes = append(lanes, Lane{Dynamics: cs[i].Dynamics, Table: table, Placements: cs[i].Placements, Horizon: horizon})
 		}
 	}
-	// The engine rejects a block whose algorithm is not a rule table (the
-	// zero table) and the scalar runs then report every run.
-	alg, _ := cs[0].Algorithm.(robot.Table)
-	reps, err := NewLaneBlock().Run(context.Background(), LaneConfig{Algorithm: alg, Lanes: lanes, Towers: towers})
+	reps, err := NewLaneBlock().Run(context.Background(), LaneConfig{Lanes: lanes, Towers: towers})
 	out := make([]exploration, runs)
 	for j, i := range idx {
 		if err == nil && !reps[j].Flagged && possibleVerdict(reps[j].Report, horizon) {

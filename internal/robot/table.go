@@ -57,6 +57,10 @@ func (t truth) Rule(moved bool, v View) (flip, next bool) {
 // Name implements Algorithm.
 func (t Table) Name() string { return t.name }
 
+// Same reports whether t and u compute the same rule, whatever their
+// names: both engines read only the truth tables.
+func (t Table) Same(u Table) bool { return t.truth == u.truth }
+
 // NewCore implements Algorithm. The state renders as StateDirMoved when
 // the rule ever sets the memory bit and as StateDir otherwise.
 func (t Table) NewCore() Core {

@@ -47,50 +47,57 @@ func BenchmarkCampaign(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignRoute times the 4 × 1000 uniform campaign of `pef
-// scenarios -count 1000 -seeds 4` on one worker, down both engine routes:
-// lanes is the campaign itself (1024-spec blocks through RunBlock),
-// scalar runs the same specs one by one on the scalar oracle. Both fold
-// into an Aggregate. CI fails when lanes is slower than scalar: the lane
-// engine exists to be faster.
+// BenchmarkCampaignRoute times two campaigns on one worker down both
+// engine routes: the 4 × 1000 uniform campaign of `pef scenarios -count
+// 1000 -seeds 4` and the 4 × 500 adversarial one, whose block-pointed and
+// confinement specs ride lanes through the lane adversary. lanes is the
+// campaign itself (1024-spec blocks through RunBlock), scalar runs the
+// same specs one by one on the scalar oracle. Both fold into an
+// Aggregate. CI fails when either campaign's lanes is slower than its
+// scalar: the lane engine exists to be faster.
 func BenchmarkCampaignRoute(b *testing.B) {
-	cfg := CampaignConfig{Generator: "uniform", Count: 1000, Seeds: []uint64{1, 2, 3, 4}, Workers: 1}
-	check := func(b *testing.B, agg *Aggregate) {
-		if agg.Done() != 4000 || len(agg.Violations()) != 0 {
-			b.Fatalf("%d scenarios, %d violations", agg.Done(), len(agg.Violations()))
+	for _, c := range []struct {
+		gen   string
+		count int
+	}{{"uniform", 1000}, {"adversarial", 500}} {
+		cfg := CampaignConfig{Generator: c.gen, Count: c.count, Seeds: []uint64{1, 2, 3, 4}, Workers: 1}
+		check := func(b *testing.B, agg *Aggregate) {
+			if agg.Done() != 4*c.count || len(agg.Violations()) != 0 {
+				b.Fatalf("%s: %d scenarios, %d violations", c.gen, agg.Done(), len(agg.Violations()))
+			}
 		}
+		b.Run(c.gen+"/lanes", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				agg, err := NewAggregate(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for v, err := range StreamCampaign(context.Background(), cfg) {
+					if err != nil {
+						b.Fatal(err)
+					}
+					agg.Add(v)
+				}
+				check(b, agg)
+			}
+		})
+		b.Run(c.gen+"/scalar", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				agg, err := NewAggregate(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, seed := range cfg.Seeds {
+					specs, err := Generate(cfg.Generator, cfg.Gen, seed, cfg.Count)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, s := range specs {
+						agg.Add(runScalar(context.Background(), s, RunOptions{}))
+					}
+				}
+				check(b, agg)
+			}
+		})
 	}
-	b.Run("lanes", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			agg, err := NewAggregate(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for v, err := range StreamCampaign(context.Background(), cfg) {
-				if err != nil {
-					b.Fatal(err)
-				}
-				agg.Add(v)
-			}
-			check(b, agg)
-		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			agg, err := NewAggregate(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, seed := range cfg.Seeds {
-				specs, err := Generate(cfg.Generator, cfg.Gen, seed, cfg.Count)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, s := range specs {
-					agg.Add(runScalar(context.Background(), s, RunOptions{}))
-				}
-			}
-			check(b, agg)
-		}
-	})
 }

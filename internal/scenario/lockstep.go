@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"context"
 	"slices"
 	"sync"
@@ -24,9 +25,10 @@ var laneBlockPool = sync.Pool{New: func() any { return harness.NewLaneBlock() }}
 
 // lockstepEligible returns the dynamics a spec runs on a lane, or nil and
 // a short reason tag for the engine.skip.* counters. A lane needs a
-// dynamics with a lane form (harness.LaneEligible; confine-one and
-// confine-two have none), a ring within the 64-bit presence word, a
-// robot.Table algorithm (the counting baselines are not) and options
+// dynamics with a lane form (harness.LaneEligible: the oblivious graphs,
+// block-pointed, confine-one and confine-two), a ring within the 64-bit
+// presence word, a robot.Table algorithm (the counting baselines are not,
+// so their confinement specs stay scalar) and options
 // without overrides (attached Telemetry is observational and may ride
 // along). A dynamics build error also reports ineligible: the scalar path
 // rebuilds and reports the identical error verdict.
@@ -50,14 +52,6 @@ func lockstepEligible(s Spec, o RunOptions, res preparedRun) (fsync.Dynamics, st
 	return dyn, ""
 }
 
-// blockKey is the shape a lane group must share: one lockstep run drives
-// one ring size and one algorithm across all its lanes (per-lane team
-// sizes, graphs, placements, horizons and verdicts differ freely).
-type blockKey struct {
-	ring      int
-	algorithm string
-}
-
 // lanePlan is what the plan keeps of a lane-eligible spec until its group
 // runs: the dynamics its lane runs (nil for a scalar spec), its rule table,
 // and the property and confinement limit its verdict is classified
@@ -77,14 +71,14 @@ func newLanePlan(dyn fsync.Dynamics, res preparedRun) lanePlan {
 }
 
 // RunBlock executes a block of specs, running eligible specs that share a
-// ring and table as lane groups of up to 64 on a harness.LaneBlock and the
+// ring as lane groups of up to 64 on a harness.LaneBlock and the
 // rest through the scalar oracle. Verdicts come back in spec order and are
 // byte-identical to per-spec RunWith calls, with run errors folded into
 // Verdict.Err exactly like the campaign worker folds them.
 //
 // A sequential plan resolves every spec once and cuts the eligible ones
-// into lane groups by (ring, table), yielding independent units: lane
-// groups in first-member order, then single scalar specs in spec order.
+// into lane groups by ring, yielding independent units: lane groups, ring
+// by ring in first-member order, then single scalar specs in spec order.
 // Up to o.fan goroutines then drain the units from one cursor, each with
 // its own LaneBlock, and write verdicts by position, so the output bytes
 // do not depend on the fan or on scheduling. Only StreamSpecs sets a fan
@@ -93,11 +87,13 @@ func newLanePlan(dyn fsync.Dynamics, res preparedRun) lanePlan {
 func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 	out := make([]Verdict, len(specs))
 
-	// Plan: cut eligible specs into lane groups by (ring, table); the rest
-	// run scalar.
+	// Plan: cut eligible specs into lane groups by ring, the one shape a
+	// lockstep run shares across its lanes (team sizes, tables, dynamics,
+	// placements, horizons and verdicts differ freely); the rest run
+	// scalar.
 	tel := o.Telemetry
-	filling := map[blockKey]int{} // the lane group each shape is filling
-	var units [][]int
+	rings := map[int]int{} // each ring's index in byRing
+	var byRing, units [][]int
 	plans := make([]lanePlan, len(specs))
 	var scalar []int
 	for i, s := range specs {
@@ -118,13 +114,24 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 			continue
 		}
 		plans[i] = newLanePlan(dyn, res)
-		key := blockKey{s.Ring, s.Algorithm}
-		if u, ok := filling[key]; ok && len(units[u]) < laneWordSize {
-			units[u] = append(units[u], i)
+		if r, ok := rings[s.Ring]; ok {
+			byRing[r] = append(byRing[r], i)
 		} else {
-			filling[key] = len(units)
-			units = append(units, []int{i})
+			rings[s.Ring] = len(byRing)
+			byRing = append(byRing, []int{i})
 		}
+	}
+	// A group steps until its longest lane retires, on as many rows as its
+	// widest team, so a ring with more than 64 specs is cut longest and
+	// widest first: its last group gets the short, narrow lanes rather
+	// than a few long ones.
+	for _, members := range byRing {
+		if len(members) > laneWordSize {
+			slices.SortStableFunc(members, func(a, b int) int {
+				return cmp.Or(cmp.Compare(specs[b].Horizon, specs[a].Horizon), cmp.Compare(specs[b].Robots, specs[a].Robots))
+			})
+		}
+		units = slices.AppendSeq(units, slices.Chunk(members, laneWordSize))
 	}
 	// Lane groups come first: they are the heavy units, which keeps the
 	// tail short when several goroutines share the cursor.
@@ -181,7 +188,7 @@ func runScalar(ctx context.Context, s Spec, o RunOptions) Verdict {
 	return v
 }
 
-// runLockstepGroup runs one (ring, table) group of ≤ 64 specs as one lane
+// runLockstepGroup runs one ring's group of ≤ 64 specs as one lane
 // block and classifies their verdicts into out, which holds each member's
 // prepareRun verdict. If the engine rejects the block or panics mid-run,
 // the whole group falls back to scalar runs, which rebuild their dynamics
@@ -214,13 +221,9 @@ func runLockstepGroup(ctx context.Context, specs []Spec, plans []lanePlan, membe
 
 	lanes := make([]harness.Lane, len(members))
 	for l, i := range members {
-		lanes[l] = harness.Lane{Dynamics: plans[i].dyn, Placements: placements(o.registry(), specs[i]), Horizon: specs[i].Horizon}
+		lanes[l] = harness.Lane{Dynamics: plans[i].dyn, Table: plans[i].table, Placements: placements(o.registry(), specs[i]), Horizon: specs[i].Horizon}
 	}
-	reps, err := blk.Run(ctx, harness.LaneConfig{
-		Algorithm: plans[members[0]].table,
-		Lanes:     lanes,
-		Metrics:   tel.simMetrics(),
-	})
+	reps, err := blk.Run(ctx, harness.LaneConfig{Lanes: lanes, Metrics: tel.simMetrics()})
 	if err != nil {
 		return // scalar fallback reproduces the rejection per spec
 	}

@@ -10,6 +10,7 @@ import (
 
 	"pef/internal/fsync"
 	"pef/internal/harness"
+	"pef/internal/robot"
 )
 
 var updateLockstepGoldens = flag.Bool("update-lockstep-goldens", false,
@@ -61,8 +62,9 @@ func scalarVerdicts(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 // The registered generator, over the full explorable-family pool, also
 // matches the committed golden. Uniform and adversarial run 400 specs per
 // seed: the uniform campaign must form full 64-lane groups, and every
-// block-pointed spec of the adversarial one must ride lanes. Narrower
-// blocks are TestRunBlockMatchesRunWith's.
+// block-pointed spec of the adversarial one and every confinement spec
+// whose victim is a rule table must ride lanes. Narrower blocks are
+// TestRunBlockMatchesRunWith's.
 func TestCampaignLockstepScalarByteIdentity(t *testing.T) {
 	ctx := context.Background()
 	render := func(agg *Aggregate) (string, string) {
@@ -149,14 +151,18 @@ func TestCampaignLockstepScalarByteIdentity(t *testing.T) {
 					t.Errorf("uniform workers=%d: largest lane group has %d lanes, want a full %d", workers, occ.Max, laneWordSize)
 				}
 			case "adversarial":
-				var pointed int64
+				var pointed, confine int64
 				for _, s := range specs {
-					if s.Family == FamilyBlockPointed {
+					switch {
+					case s.Family == FamilyBlockPointed:
 						pointed++
+					case tableVictim(t, s):
+						confine++
 					}
 				}
-				if pointed == 0 || lock != pointed {
-					t.Errorf("adversarial workers=%d: engine.lockstepSpecs = %d, want all %d block-pointed specs on lanes", workers, lock, pointed)
+				if pointed == 0 || confine == 0 || lock != pointed+confine {
+					t.Errorf("adversarial workers=%d: engine.lockstepSpecs = %d, want all %d block-pointed and %d table-victim confinement specs on lanes",
+						workers, lock, pointed, confine)
 				}
 			}
 		}
@@ -275,9 +281,9 @@ func TestBaselineTablesRunLockstep(t *testing.T) {
 }
 
 // TestRunBlockPacksTeamSizesIntoOneLockstepGroup checks that RunBlock
-// groups lanes by (ring, table) alone: specs mixing three team sizes on two
-// rings under two tables form four lane groups, one per (ring, table),
-// whose verdict JSON is byte-identical to per-spec RunWith.
+// groups lanes by ring alone: specs mixing three team sizes on two rings
+// under two tables form two lane groups, one per ring, whose verdict JSON
+// is byte-identical to per-spec RunWith.
 func TestRunBlockPacksTeamSizesIntoOneLockstepGroup(t *testing.T) {
 	var specs []Spec
 	for seed := uint64(1); seed <= 2; seed++ {
@@ -309,9 +315,9 @@ func TestRunBlockPacksTeamSizesIntoOneLockstepGroup(t *testing.T) {
 		t.Fatal("mixed-team lockstep verdict JSON differs from per-spec RunWith")
 	}
 	snap := tel.Snapshot()
-	const groups = 4 // rings 7 and 10 × tables pef3+ and tower-bounce
+	const groups = 2 // rings 7 and 10, each under tables pef3+ and tower-bounce
 	if g := snap.Counters["engine.lockstepGroups"]; g != groups {
-		t.Fatalf("engine.lockstepGroups = %d, want one per (ring, table) = %d", g, groups)
+		t.Fatalf("engine.lockstepGroups = %d, want one per ring = %d", g, groups)
 	}
 	occ := snap.Hists["engine.laneOccupancy"]
 	if occ.Count != groups || occ.Min != len(specs)/groups || occ.Max != len(specs)/groups {
@@ -331,11 +337,23 @@ func TestRunBlockPacksTeamSizesIntoOneLockstepGroup(t *testing.T) {
 	}
 }
 
-// TestRunBlockRunsBlockPointedOnLanes checks that the block-pointed
-// adversary runs on the lane engine: on an adversarial block only the
-// confinement specs leave the lockstep path, every block-pointed
-// lane-round counts as word-fast, and the verdict JSON is byte-identical
-// to per-spec RunWith.
+// tableVictim reports whether s's algorithm is a rule table, the form the
+// lane engine runs.
+func tableVictim(t *testing.T, s Spec) bool {
+	t.Helper()
+	alg, err := DefaultRegistry().Algorithm(s.Algorithm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ok := alg.(robot.Table)
+	return ok
+}
+
+// TestRunBlockRunsBlockPointedOnLanes checks that the adaptive adversaries
+// run on the lane engine: on an adversarial block only the confinement
+// specs whose victim is not a rule table (the counter-core baselines)
+// leave the lockstep path, every adversary lane-round counts as
+// word-fast, and the verdict JSON is byte-identical to per-spec RunWith.
 func TestRunBlockRunsBlockPointedOnLanes(t *testing.T) {
 	specs, err := Generate("adversarial", GenConfig{}, 3, 192)
 	if err != nil {
@@ -343,18 +361,23 @@ func TestRunBlockRunsBlockPointedOnLanes(t *testing.T) {
 	}
 	ctx := context.Background()
 	want := make([]Verdict, len(specs))
-	var pointed, confine, rounds int64
+	var lanes, pointed, confine, counters, rounds int64
 	for i, s := range specs {
 		want[i] = runScalar(ctx, s, RunOptions{})
-		if s.Family == FamilyBlockPointed {
+		switch {
+		case s.Family == FamilyBlockPointed:
 			pointed++
-			rounds += int64(s.Horizon)
-		} else {
+		case tableVictim(t, s):
 			confine++
+		default:
+			counters++
+			continue
 		}
+		lanes++
+		rounds += int64(s.Horizon)
 	}
-	if pointed == 0 || confine == 0 {
-		t.Fatalf("block has %d block-pointed and %d confinement specs, want both", pointed, confine)
+	if pointed == 0 || confine == 0 || counters == 0 {
+		t.Fatalf("block has %d block-pointed, %d table-victim and %d counter-victim confinement specs, want all three", pointed, confine, counters)
 	}
 	tel := NewTelemetry()
 	got := RunBlock(ctx, specs, RunOptions{Telemetry: tel})
@@ -366,9 +389,10 @@ func TestRunBlockRunsBlockPointedOnLanes(t *testing.T) {
 		name      string
 		got, want int64
 	}{
-		{"engine.lockstepSpecs", c["engine.lockstepSpecs"], pointed},
-		{"engine.scalarSpecs", c["engine.scalarSpecs"], confine},
-		{"engine.skip.dynamics+algorithm", c["engine.skip.dynamics"] + c["engine.skip.algorithm"], confine},
+		{"engine.lockstepSpecs", c["engine.lockstepSpecs"], lanes},
+		{"engine.scalarSpecs", c["engine.scalarSpecs"], counters},
+		{"engine.skip.dynamics", c["engine.skip.dynamics"], 0},
+		{"engine.skip.algorithm", c["engine.skip.algorithm"], counters},
 		{"engine.skip.fallback", c["engine.skip.fallback"], 0},
 		{"sim.lockstep.laneRounds", c["sim.lockstep.laneRounds"], rounds},
 		{"sim.wordFastLanes", c["sim.wordFastLanes"], rounds},

@@ -176,7 +176,7 @@ func TestLaneTowersMatchesTowerInvariants(t *testing.T) {
 		lanes := 1 + src.Intn(64)
 		horizon := 20 + src.Intn(60)
 
-		cfg := fsync.LockstepConfig{Algorithm: alg}
+		var cfg fsync.LockstepConfig
 		sims := make([]*fsync.Simulator, lanes)
 		tis := make([]*TowerInvariants, lanes)
 		for l := 0; l < lanes; l++ {
@@ -186,6 +186,7 @@ func TestLaneTowersMatchesTowerInvariants(t *testing.T) {
 				k = 2 + src.Intn(min(5, n-2))
 			}
 			cfg.Lanes = append(cfg.Lanes, fsync.LaneRun{
+				Table:      alg,
 				Graph:      laneTowerGraph(n, l, seed),
 				Placements: fsync.RandomPlacements(n, k, prng.NewSource(seed)),
 				Horizon:    horizon + l%5,
@@ -255,10 +256,11 @@ func TestLaneTowersAllocFree(t *testing.T) {
 	}
 	const n, k = 8, 4
 	src := prng.NewSource(5)
-	cfg := fsync.LockstepConfig{Algorithm: baseline.KeepDirection}
+	var cfg fsync.LockstepConfig
 	for l := 0; l < 64; l++ {
 		seed := src.Uint64()
 		cfg.Lanes = append(cfg.Lanes, fsync.LaneRun{
+			Table:      baseline.KeepDirection,
 			Graph:      dynamics.NewBernoulli(n, 0.3, seed),
 			Placements: fsync.RandomPlacements(n, k, prng.NewSource(seed)),
 			Horizon:    1 << 20,

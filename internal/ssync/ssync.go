@@ -43,22 +43,6 @@ func (rr RoundRobin) Active(t int, _ []int) []int {
 	return []int{t % rr.K}
 }
 
-// AllActive activates every robot every instant, which makes the SSYNC
-// scheduler coincide with FSYNC. No experiment uses it: E-X4's FSYNC
-// control is a block-both-sides run on the fsync engine.
-type AllActive struct {
-	K int
-}
-
-// Active implements Activation.
-func (aa AllActive) Active(_ int, _ []int) []int {
-	out := make([]int, aa.K)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // Dynamics decides the presence set per instant, knowing which robots are
 // activated (the SSYNC adversary of [10] needs exactly this power).
 type Dynamics interface {

@@ -21,6 +21,22 @@ func TestRoundRobinActivation(t *testing.T) {
 	}
 }
 
+// AllActive activates every robot every instant, which makes the SSYNC
+// scheduler coincide with FSYNC: the tests below use it to check the SSYNC
+// engine against the fsync one.
+type AllActive struct {
+	K int
+}
+
+// Active implements Activation.
+func (aa AllActive) Active(_ int, _ []int) []int {
+	out := make([]int, aa.K)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 func TestAllActive(t *testing.T) {
 	aa := AllActive{K: 4}
 	active := aa.Active(17, nil)
