@@ -32,17 +32,19 @@ func LaneForm(d fsync.Dynamics, n int) bool {
 // budget[p] hold bit p of every block-pointed lane's counter of edge e and
 // budget, and phase[p] bit p of every confine-two lane's phase (confine-one
 // needs no state beyond positions), so a round costs a few word operations
-// per edge and plane, whatever the lanes. A Lanes value keeps its planes
-// from block to block.
+// per edge and plane, whatever the lanes. The counters and the phase are
+// one slice, the State a lockstep block compares to find a lane's lasso. A
+// Lanes value keeps its planes from block to block.
 type Lanes struct {
 	r            ring.Ring
 	pointed      uint64 // block-pointed lanes
 	one, two     uint64 // confine-one and confine-two lanes
 	planes       int
 	budget       [64]uint64
+	state        []uint64 // run, then phase
 	run          []uint64 // per edge and plane
+	phase        []uint64 // 2 planes
 	pointedEdges []uint64 // per edge scratch
-	phase        [2]uint64
 }
 
 // Reset starts a block on an n-node ring, each adversary in the state a
@@ -50,7 +52,7 @@ type Lanes struct {
 // admit, and nil marks a lane it does not drive (a graph lane).
 func (b *Lanes) Reset(n int, dyns []fsync.Dynamics) {
 	b.r, b.pointed, b.one, b.two = ring.New(n), 0, 0, 0
-	b.budget, b.phase, b.planes = [64]uint64{}, [2]uint64{}, 0
+	b.budget, b.planes = [64]uint64{}, 0
 	for l, d := range dyns {
 		bit := uint64(1) << uint(l)
 		switch d := d.(type) {
@@ -67,13 +69,19 @@ func (b *Lanes) Reset(n int, dyns []fsync.Dynamics) {
 			b.two |= bit
 		}
 	}
-	b.run = slices.Grow(b.run[:0], n*b.planes)[:n*b.planes]
-	clear(b.run)
+	words := n*b.planes + 2
+	b.state = slices.Grow(b.state[:0], words)[:words]
+	clear(b.state)
+	b.run, b.phase = b.state[:n*b.planes], b.state[n*b.planes:]
 	b.pointedEdges = slices.Grow(b.pointedEdges[:0], n)[:n]
 }
 
 // Ring implements fsync.LaneAdversary.
 func (b *Lanes) Ring() ring.Ring { return b.r }
+
+// State implements fsync.LaneAdversary: the counter planes, then the two
+// phase planes.
+func (b *Lanes) State() []uint64 { return b.state }
 
 // EdgeColumns implements fsync.LaneAdversary.
 func (b *Lanes) EdgeColumns(ls *fsync.LockstepSimulator, mask uint64, cols []uint64) {
@@ -148,7 +156,7 @@ func (b *Lanes) confine(rows []uint64, one, two uint64, cols []uint64) {
 		done := two & (^hi&^lo&r2[2] | ^hi&lo&r1[1] | hi&^lo&r1[0] | hi&lo&r2[1])
 		hi ^= done & lo
 		lo ^= done
-		b.phase = [2]uint64{lo, hi}
+		b.phase[0], b.phase[1] = lo, hi
 		if out := two &^ ((r1[0] | r1[1] | r1[2]) & (r2[0] | r2[1] | r2[2])); out != 0 {
 			panic(fmt.Sprintf("adversary: confine-two robots of lanes %#x escaped {0, 1, 2}", out))
 		}

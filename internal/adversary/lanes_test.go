@@ -480,3 +480,77 @@ func TestLaneAdversaryAllocFree(t *testing.T) {
 		t.Fatalf("lockstep Step with confinement lanes allocates %.1f times per round, want 0", allocs)
 	}
 }
+
+// TestLockstepLassoAllocFree runs whole lasso blocks back to back on one
+// simulator: confine-one, confine-two and block-pointed lanes that
+// retire at their lasso beside Bernoulli lanes that run to the horizon.
+// The state saves, compares and early retirements allocate nothing.
+func TestLockstepLassoAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 10
+	src := prng.NewSource(29)
+	var lanes []fsync.LaneRun
+	dyns := make([]fsync.Dynamics, 64)
+	for l := range dyns {
+		seed := src.Uint64()
+		run := fsync.LaneRun{Table: core.PEF3Plus, Horizon: 64 * n}
+		switch l % 4 {
+		case 0:
+			run.Table, run.Placements = baseline.BounceOnMissing, []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}}
+		case 1:
+			run.Table, run.Placements = core.PEF2, []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}, {Node: 1, Chirality: robot.RightIsCCW}}
+		case 2:
+			run.Placements = fsync.RandomPlacements(n, 3, prng.NewSource(seed))
+		default:
+			run.Placements = fsync.RandomPlacements(n, 3, prng.NewSource(seed))
+			run.Graph, run.Horizon = dynamics.NewBernoulli(n, 0.8, seed), 64
+		}
+		lanes = append(lanes, run)
+	}
+	fresh := func() {
+		for l := range dyns {
+			switch l % 4 {
+			case 0:
+				dyns[l] = NewOneRobotConfinement(n, 0, 0)
+			case 1:
+				dyns[l] = NewTwoRobotConfinement(n, 0, 0, 1)
+			case 2:
+				dyns[l] = NewBlockPointed(n, 1+l%5)
+			}
+		}
+	}
+	var b Lanes
+	fresh()
+	b.Reset(n, dyns)
+	reg := telemetry.NewRegistry()
+	m := &fsync.Metrics{LassoLanes: reg.Counter("lasso")}
+	cfg := fsync.LockstepConfig{Lanes: lanes, Adversary: &b, Lasso: true, Metrics: m}
+	ls, err := fsync.AcquireLockstep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Release()
+	fresh() // the constructors allocate; the block below must not
+	if allocs := testing.AllocsPerRun(20, func() {
+		b.Reset(n, dyns)
+		if err := ls.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		for !ls.Done() {
+			ls.Step()
+		}
+	}); allocs != 0 {
+		t.Fatalf("a lasso block allocates %.1f times per run, want 0", allocs)
+	}
+	if ls.Now() >= 64*n {
+		t.Fatalf("the block ran %d rounds: its adversary lanes did not retire at their lasso", ls.Now())
+	}
+	if err := ls.Reset(cfg); err != nil { // credits the last run
+		t.Fatal(err)
+	}
+	if got := m.LassoLanes.Value(); got != 21*48 {
+		t.Fatalf("%d adversary lanes retired at their lasso over 21 runs, want all 48 each time", got)
+	}
+}

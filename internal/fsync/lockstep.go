@@ -28,6 +28,13 @@ import (
 // A lane's edges come from its own evolving graph (oblivious dynamics) or
 // from the block's LaneAdversary. Adaptive adversaries without a lane form
 // stay on the scalar path.
+//
+// An adversary lane is a finite-state run: its positions, directions and
+// memory bits and the adversary's state words fix every later round. With
+// LockstepConfig.Lasso set the block looks for the first repeat of that
+// state with Brent's scheme (save it at t = 1, 2, 4, …, compare every
+// round) and retires the lane early, at an instant whose remaining rounds
+// to the horizon are whole periods; see Lasso.
 
 // LaneAdversary is the lane form of an adaptive adversary: a boolean
 // circuit over the lockstep configuration that decides E_t of all the
@@ -41,6 +48,12 @@ type LaneAdversary interface {
 	// it sets their (clear) bit of cols[e] iff edge e is present, leaving
 	// other bits alone, and advances their state by one round.
 	EdgeColumns(ls *LockstepSimulator, mask uint64, cols []uint64)
+	// State returns the words that hold the adversary's state between
+	// rounds, bit l of each for lane l: with the lane's configuration
+	// they decide every later E_t. EdgeColumns updates them in place, so
+	// the slice stays valid until the next reconfiguration; a stateless
+	// adversary returns nil.
+	State() []uint64
 }
 
 // LaneRun describes one seed lane of a lockstep run.
@@ -59,7 +72,9 @@ type LaneRun struct {
 	// initial state: dir = Left, memory 0).
 	Placements []Placement
 	// Horizon is the number of rounds to execute for this lane (>= 1).
-	// Lanes retire individually once their horizon is reached.
+	// Lanes retire individually once their horizon is reached, or, for an
+	// adversary lane of a Lasso block, at the earlier instant Lasso
+	// reports, from which the horizon lies whole periods ahead.
 	Horizon int
 }
 
@@ -70,6 +85,9 @@ type LockstepConfig struct {
 	// Adversary, when non-nil, drives every lane whose Graph is nil, and
 	// its Ring is the block's ring.
 	Adversary LaneAdversary
+	// Lasso retires each adversary lane once its state repeats (see
+	// LockstepSimulator.Lasso); graph lanes always run to their horizon.
+	Lasso bool
 	// Metrics, when non-nil, receives engine counters (word steps,
 	// lane·rounds, word-graph fast-path hits, pool traffic). Step only
 	// accumulates plain ints; the atomics are touched once per run at
@@ -85,11 +103,11 @@ type LockstepSimulator struct {
 	n, k   int
 	lanes  int
 	t      int
-	active uint64 // lanes with t < horizon
+	active uint64 // lanes with t < horizons[l]
 
-	tables   []laneTable // the block's distinct rule tables
-	placed   []uint64    // per robot: lanes that place it
-	horizons []int
+	tables   []laneTable              // the block's distinct rule tables
+	placed   []uint64                 // per robot: lanes that place it
+	horizons []int                    // per lane: the retirement instant, its horizon or earlier at its lasso
 	dirRight []uint64                 // per robot: bit l = lane l's dir is Right
 	moved    []uint64                 // per robot: bit l = lane l's memory bit
 	chirCW   []uint64                 // per robot: bit l = lane l is right-is-CW
@@ -97,12 +115,25 @@ type LockstepSimulator struct {
 	adv      LaneAdversary
 	advLanes uint64 // lanes the adversary drives
 
+	// Lasso detection: the adversary lanes still looking for a repeat,
+	// their state words as of instant savedAt (0: none saved yet), and
+	// per lane the detection instant, period and skipped rounds.
+	seek     uint64
+	advState []uint64
+	saved    []uint64
+	savedAt  int
+	lassoAt  [64]int
+	period   [64]int
+	skip     [64]int
+
 	// Run-local telemetry accumulators: plain ints bumped by Step and
 	// flushed to metrics once per run (Release or re-Reset).
 	metrics       *Metrics
 	statRounds    int // word steps executed
 	statLaneSteps int // active lanes summed over steps
 	statWordFast  int // lane-instants served by a kernel (InPlaceGraph or the adversary)
+	statLasso     int // lanes retired at their lasso
+	statSkipped   int // rounds those lanes skipped
 
 	// Steady-state scratch, sized once per Reset.
 	sets []ring.EdgeSet // per lane materialization buffer
@@ -162,7 +193,8 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 	ls.tables = ls.tables[:0]
 	ls.adv, ls.advLanes = cfg.Adversary, 0
 	ls.metrics = cfg.Metrics
-	ls.statRounds, ls.statLaneSteps, ls.statWordFast = 0, 0, 0
+	ls.statRounds, ls.statLaneSteps, ls.statWordFast, ls.statLasso, ls.statSkipped = 0, 0, 0, 0, 0
+	ls.lassoAt, ls.period, ls.skip = [64]int{}, [64]int{}, [64]int{}
 	ls.t = 0
 	ls.active = 0
 	ls.horizons = resize(ls.horizons, lanes)
@@ -237,6 +269,11 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 			ls.sets[l] = ring.NewEdgeSet(n)
 		}
 	}
+	ls.seek, ls.savedAt, ls.advState = 0, 0, nil
+	if cfg.Lasso && ls.advLanes != 0 {
+		ls.seek, ls.advState = ls.advLanes, cfg.Adversary.State()
+		ls.saved = resize(ls.saved, k*n+2*k+len(ls.advState))
+	}
 	ls.refreshOccupancy()
 	return nil
 }
@@ -287,7 +324,7 @@ func (ls *LockstepSimulator) Release() {
 	}
 	ls.flushMetrics()
 	clear(ls.graphs)
-	ls.adv = nil
+	ls.adv, ls.advState = nil, nil
 	lockstepPool.Put(ls)
 }
 
@@ -301,8 +338,10 @@ func (ls *LockstepSimulator) flushMetrics() {
 	ls.metrics.LockstepLaneRounds.Add(int64(ls.statLaneSteps))
 	ls.metrics.WordFastLanes.Add(int64(ls.statWordFast))
 	ls.metrics.WordFallbackLanes.Add(int64(ls.statLaneSteps - ls.statWordFast))
+	ls.metrics.LassoLanes.Add(int64(ls.statLasso))
+	ls.metrics.SkippedLaneRounds.Add(int64(ls.statSkipped))
 	ls.metrics = nil
-	ls.statRounds, ls.statLaneSteps, ls.statWordFast = 0, 0, 0
+	ls.statRounds, ls.statLaneSteps, ls.statWordFast, ls.statLasso, ls.statSkipped = 0, 0, 0, 0, 0
 }
 
 // Ring returns the underlying ring.
@@ -317,11 +356,24 @@ func (ls *LockstepSimulator) Lanes() int { return ls.lanes }
 // Robots returns the widest lane's team size: the number of position rows.
 func (ls *LockstepSimulator) Robots() int { return ls.k }
 
-// Active returns the mask of lanes that have not yet reached their
-// horizon.
+// Active returns the mask of lanes that have not yet retired.
 func (ls *LockstepSimulator) Active() uint64 { return ls.active }
 
-// Done reports whether every lane has reached its horizon.
+// Lasso reports what the block knows of lane l's lasso: at is the instant
+// at which its state first repeated the state of instant at−period, both 0
+// while no repeat has been seen or when the block does not look (a graph
+// lane, or Lasso unset). From then on the lane runs to the first instant
+// T >= at+period with T ≡ Horizon (mod period), or to its horizon if that
+// comes first, and retires; skip is the rounds Horizon−T that cuts, a
+// multiple of period. Every later instant repeats one of the last period
+// instants before T, which by then also hold every revisit gap the cycle
+// produces, so a tracker shifted by skip (spec.LaneVisits.Skip) reads as
+// if the lane had run to its horizon.
+func (ls *LockstepSimulator) Lasso(l int) (at, period, skip int) {
+	return ls.lassoAt[l], ls.period[l], ls.skip[l]
+}
+
+// Done reports whether every lane has retired.
 func (ls *LockstepSimulator) Done() bool { return ls.active == 0 }
 
 // Occupancy returns the per-node any-robot occupancy words of the current
@@ -478,12 +530,71 @@ func (ls *LockstepSimulator) Step() uint64 {
 
 	ls.refreshOccupancy()
 	ls.t++
-	// Retire lanes that reached their horizon.
+	// Retire lanes that reached their horizon or their lasso retirement.
 	for w := stepped; w != 0; w &= w - 1 {
 		l := bits.TrailingZeros64(w)
 		if ls.horizons[l] == ls.t {
 			ls.active &^= 1 << uint(l)
+			if ls.skip[l] > 0 {
+				ls.statLasso++
+				ls.statSkipped += ls.skip[l]
+			}
 		}
 	}
+	if ls.seek != 0 {
+		ls.lasso()
+	}
 	return stepped
+}
+
+// lasso runs one round of Brent's cycle detection on the adversary lanes
+// still seeking: it compares their state now with the state saved at
+// savedAt, schedules the early retirement of the lanes that repeat it, and
+// saves the state again when t is a power of two. A lane's state is its
+// position rows, its placed robots' direction and memory bits, and the
+// adversary's state words.
+func (ls *LockstepSimulator) lasso() {
+	seek := ls.seek & ls.active
+	if seek == 0 {
+		ls.seek = 0
+		return
+	}
+	k, rows := ls.k, len(ls.pos)
+	saved := ls.saved
+	if ls.savedAt > 0 {
+		var diff uint64
+		for i, w := range ls.pos {
+			diff |= w ^ saved[i]
+		}
+		for i := 0; i < k; i++ {
+			diff |= ((ls.dirRight[i] ^ saved[rows+i]) | (ls.moved[i] ^ saved[rows+k+i])) & ls.placed[i]
+		}
+		for i, w := range ls.advState {
+			diff |= w ^ saved[rows+2*k+i]
+		}
+		for w := seek &^ diff; w != 0; w &= w - 1 {
+			ls.repeat(bits.TrailingZeros64(w))
+		}
+		seek &= diff
+	}
+	ls.seek = seek
+	if seek != 0 && ls.t&(ls.t-1) == 0 {
+		copy(saved, ls.pos)
+		copy(saved[rows:], ls.dirRight)
+		copy(saved[rows+k:], ls.moved)
+		copy(saved[rows+2*k:], ls.advState)
+		ls.savedAt = ls.t
+	}
+}
+
+// repeat records that lane l's state at t repeats the saved one and moves
+// its retirement to the first T >= t+period with T ≡ horizon (mod period),
+// when that comes before the horizon.
+func (ls *LockstepSimulator) repeat(l int) {
+	p, h := ls.t-ls.savedAt, ls.horizons[l]
+	ls.lassoAt[l], ls.period[l] = ls.t, p
+	if end := ls.t + p; end < h {
+		end += (h - end) % p
+		ls.horizons[l], ls.skip[l] = end, h-end
+	}
 }

@@ -259,6 +259,8 @@ func (a staticAdversary) EdgeColumns(_ *LockstepSimulator, mask uint64, cols []u
 	}
 }
 
+func (staticAdversary) State() []uint64 { return nil }
+
 // TestLockstepStepAllocFree pins the hot path: once configured, stepping
 // a lockstep block must not allocate (the engine is pure word arithmetic
 // over preallocated buffers) — for stateless word graphs, for the

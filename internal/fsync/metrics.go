@@ -21,6 +21,12 @@ type Metrics struct {
 	// steps) — the scalar-equivalent round volume.
 	LockstepRounds     *telemetry.Counter
 	LockstepLaneRounds *telemetry.Counter
+	// LassoLanes counts adversary lanes retired at their lasso, before
+	// their horizon, and SkippedLaneRounds the rounds they skipped (see
+	// LockstepSimulator.Lasso): LockstepLaneRounds plus SkippedLaneRounds
+	// is the lane·round volume of the horizons.
+	LassoLanes        *telemetry.Counter
+	SkippedLaneRounds *telemetry.Counter
 	// LockstepAcquires / LockstepReleases count lane-engine pool traffic.
 	LockstepAcquires *telemetry.Counter
 	LockstepReleases *telemetry.Counter

@@ -38,7 +38,8 @@ type Lane struct {
 
 // LaneConfig describes one lane block: 1 to 64 lanes on one ring, of any
 // team sizes and rule tables. Towers also checks the tower lemmas 3.3 and
-// 3.4 on every lane. Metrics, when non-nil, receives the engine counters.
+// 3.4 on every lane, and runs every lane to its horizon. Metrics, when
+// non-nil, receives the engine counters.
 type LaneConfig struct {
 	Lanes   []Lane
 	Towers  bool
@@ -46,7 +47,8 @@ type LaneConfig struct {
 }
 
 // LaneReport is the outcome of one lane. Rounds is the number of rounds
-// the lane ran: its horizon, or fewer when the context stopped the block
+// the report covers: the lane's horizon once the lane retired, at its
+// horizon or at its lasso, or fewer when the context stopped the block
 // first. Towers counts the rounds with a tower and Flagged reports a
 // broken tower lemma; both stay zero unless LaneConfig.Towers is set.
 type LaneReport struct {
@@ -59,9 +61,12 @@ type LaneReport struct {
 // LaneBlock is the one lockstep lane-block runner, under both
 // scenario.RunBlock (campaigns, search, serve) and the Table 1 possibility
 // rows (explorations), which keep only their verdict logic; it lives here
-// because package scenario imports harness. It keeps its trackers, lane
-// buffers and lane adversary from block to block, so it serves one
-// goroutine at a time.
+// because package scenario imports harness. Without Towers, an adversary
+// lane retires at its lasso (fsync.LockstepSimulator.Lasso) and its
+// report is carried forward to the horizon exactly, so the block can end
+// before its longest horizon. It keeps its trackers, lane buffers and
+// lane adversary from block to block, so it serves one goroutine at a
+// time.
 type LaneBlock struct {
 	lv   *spec.LaneVisits
 	lt   *spec.LaneTowers
@@ -80,7 +85,7 @@ func NewLaneBlock() *LaneBlock {
 // form or the engine rejected the block, before any round ran; a panic
 // mid-run propagates. Each report is the one the lane's scalar run
 // yields under a visit tracker (and the tower invariants), cut at the
-// same round when the context stops the block.
+// same round when the context stops the block before the lane retires.
 func (b *LaneBlock) Run(ctx context.Context, cfg LaneConfig) ([]LaneReport, error) {
 	b.runs, b.advs = b.runs[:0], b.advs[:0]
 	var adv fsync.LaneAdversary
@@ -102,7 +107,7 @@ func (b *LaneBlock) Run(ctx context.Context, cfg LaneConfig) ([]LaneReport, erro
 	if adv != nil {
 		b.adv.Reset(advRing, b.advs)
 	}
-	ls, err := fsync.AcquireLockstep(fsync.LockstepConfig{Lanes: b.runs, Adversary: adv, Metrics: cfg.Metrics})
+	ls, err := fsync.AcquireLockstep(fsync.LockstepConfig{Lanes: b.runs, Adversary: adv, Lasso: !cfg.Towers, Metrics: cfg.Metrics})
 	if err != nil {
 		return nil, err
 	}
@@ -137,19 +142,20 @@ func (b *LaneBlock) Run(ctx context.Context, cfg LaneConfig) ([]LaneReport, erro
 		lv.Record(ls.Now(), ls.Occupancy(), stepped)
 		sinceCheck--
 	}
-	executed := ls.Now()
-	ls.Release()
+	executed, active := ls.Now(), ls.Active()
 
 	out := make([]LaneReport, len(cfg.Lanes))
 	for l, ln := range cfg.Lanes {
 		x := &out[l]
-		x.Rounds = min(ln.Horizon, executed)
-		instants := ln.Horizon + 1
-		if x.Rounds < ln.Horizon {
-			instants = executed + 1
-			if !primed {
-				instants = 0 // no round ran: the scalar tracker saw nothing
-			}
+		x.Rounds = ln.Horizon
+		if active&(1<<uint(l)) != 0 {
+			x.Rounds = executed // stopped before it retired
+		} else if _, period, skip := ls.Lasso(l); skip > 0 {
+			lv.Skip(l, ln.Horizon-skip, period, skip)
+		}
+		instants := x.Rounds + 1
+		if !primed {
+			instants = 0 // no round ran: the scalar tracker saw nothing
 		}
 		x.Report = lv.Report(l, instants)
 		if cfg.Towers {
@@ -157,5 +163,6 @@ func (b *LaneBlock) Run(ctx context.Context, cfg LaneConfig) ([]LaneReport, erro
 			x.Flagged = (lt.Lemma34()|lt.Lemma33())&(1<<uint(l)) != 0
 		}
 	}
+	ls.Release()
 	return out, nil
 }

@@ -156,9 +156,7 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 			}
 			start := time.Now()
 			runLockstepGroup(ctx, specs, plans, members, o, blk, out)
-			if tel != nil {
-				tel.lockstepMillis.Add(time.Since(start).Milliseconds())
-			}
+			tel.addLockstepTime(time.Since(start))
 		}
 	}
 	if fan <= 1 {

@@ -7,10 +7,12 @@ import (
 	"os"
 	"reflect"
 	"testing"
+	"time"
 
 	"pef/internal/fsync"
 	"pef/internal/harness"
 	"pef/internal/robot"
+	"pef/internal/telemetry"
 )
 
 var updateLockstepGoldens = flag.Bool("update-lockstep-goldens", false,
@@ -353,7 +355,9 @@ func tableVictim(t *testing.T, s Spec) bool {
 // run on the lane engine: on an adversarial block only the confinement
 // specs whose victim is not a rule table (the counter-core baselines)
 // leave the lockstep path, every adversary lane-round counts as
-// word-fast, and the verdict JSON is byte-identical to per-spec RunWith.
+// word-fast, the lane-rounds run plus those cut by lasso retirement add
+// up to the lane specs' horizons, and the verdict JSON is byte-identical
+// to per-spec RunWith.
 func TestRunBlockRunsBlockPointedOnLanes(t *testing.T) {
 	specs, err := Generate("adversarial", GenConfig{}, 3, 192)
 	if err != nil {
@@ -394,13 +398,97 @@ func TestRunBlockRunsBlockPointedOnLanes(t *testing.T) {
 		{"engine.skip.dynamics", c["engine.skip.dynamics"], 0},
 		{"engine.skip.algorithm", c["engine.skip.algorithm"], counters},
 		{"engine.skip.fallback", c["engine.skip.fallback"], 0},
-		{"sim.lockstep.laneRounds", c["sim.lockstep.laneRounds"], rounds},
-		{"sim.wordFastLanes", c["sim.wordFastLanes"], rounds},
+		{"sim.lockstep.laneRounds + skippedLaneRounds", c["sim.lockstep.laneRounds"] + c["sim.lockstep.skippedLaneRounds"], rounds},
+		{"sim.wordFastLanes", c["sim.wordFastLanes"], c["sim.lockstep.laneRounds"]},
 		{"sim.wordFallbackLanes", c["sim.wordFallbackLanes"], 0},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s = %d, want %d (counters: %v)", tc.name, tc.got, tc.want, c)
 		}
+	}
+	if c["engine.lassoLanes"] == 0 || c["sim.lockstep.skippedLaneRounds"] == 0 {
+		t.Errorf("no lane retired at its lasso (counters: %v)", c)
+	}
+}
+
+// TestRunBlockLassoBlockNotCancelled runs a block of confinement specs
+// whose victims are rule tables: every lane lassos within a few rounds, so
+// the lane group ends long before the shortest horizon, yet no verdict
+// reads cancelled and all equal per-spec RunWith.
+func TestRunBlockLassoBlockNotCancelled(t *testing.T) {
+	all, err := Generate("adversarial", GenConfig{}, 7, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []Spec
+	shortest := 1 << 30
+	for _, s := range all {
+		if s.Family != FamilyBlockPointed && tableVictim(t, s) {
+			specs = append(specs, s)
+			shortest = min(shortest, s.Horizon)
+		}
+	}
+	ctx := context.Background()
+	tel := NewTelemetry()
+	got := RunBlock(ctx, specs, RunOptions{Telemetry: tel})
+	for i, s := range specs {
+		if got[i].Outcome == "cancelled" {
+			t.Fatalf("%s: lasso lane reported cancelled: %+v", s.ID(), got[i])
+		}
+		if want := runScalar(ctx, s, RunOptions{}); !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("%s:\nlockstep %+v\nscalar   %+v", s.ID(), got[i], want)
+		}
+	}
+	c := tel.Snapshot().Counters
+	if n := int64(len(specs)); n < 64 || c["engine.lockstepSpecs"] != n || c["engine.lassoLanes"] != n {
+		t.Fatalf("%d confinement specs: %d on lanes, %d lassoed", n, c["engine.lockstepSpecs"], c["engine.lassoLanes"])
+	}
+	if groups, rounds := c["engine.lockstepGroups"], c["sim.lockstep.rounds"]; rounds >= groups*int64(shortest) {
+		t.Fatalf("%d lane groups ran %d rounds, want fewer than %d each (the shortest horizon)", groups, rounds, shortest)
+	}
+}
+
+// TestAdversarialCampaignLassoTelemetry pins the lane work of the 4 × 500
+// adversarial campaign at 2 workers: the routing and the scalar rounds
+// are those of full-horizon lanes, while lasso retirement cuts the lane
+// rounds. The counts are deterministic; laneRounds plus skipped rounds
+// is the lane specs' horizon total.
+func TestAdversarialCampaignLassoTelemetry(t *testing.T) {
+	cfg := CampaignConfig{Generator: "adversarial", Count: 500, Seeds: []uint64{1, 2, 3, 4}, Workers: 2, Telemetry: NewTelemetry()}
+	if _, err := RunCampaign(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	c := cfg.Telemetry.Snapshot().Counters
+	for name, want := range map[string]int64{
+		"engine.lockstepSpecs":           1672,
+		"sim.rounds":                     202560,
+		"engine.lassoLanes":              1672,
+		"sim.lockstep.skippedLaneRounds": 1827167,
+		"sim.lockstep.laneRounds":        140009,
+		"sim.lockstep.rounds":            17170,
+	} {
+		if got := c[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestBusyTimeFloorsTotal books three 0.999 ms lane groups: the
+// nanosecond counter holds their sum and the millisecond one its floor,
+// 2, where per-group truncation would read 0.
+func TestBusyTimeFloorsTotal(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	ns, ms := reg.Counter("ns"), reg.Counter("ms")
+	b := busyTime{ns, ms}
+	for range 3 {
+		b.add(999 * time.Microsecond)
+	}
+	if ns.Value() != 2_997_000 || ms.Value() != 2 {
+		t.Fatalf("three 0.999 ms groups booked %d ns and %d ms, want 2997000 and 2", ns.Value(), ms.Value())
+	}
+	b.add(3 * time.Microsecond)
+	if ms.Value() != 3 {
+		t.Fatalf("reaching 3.000 ms booked %d ms, want 3", ms.Value())
 	}
 }
 

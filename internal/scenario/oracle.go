@@ -221,7 +221,7 @@ func RunWith(ctx context.Context, s Spec, o RunOptions) (v Verdict, err error) {
 		o.Telemetry.scalarRuns.Inc()
 		start := time.Now()
 		defer func() {
-			o.Telemetry.famMillis(s.Family).Add(time.Since(start).Milliseconds())
+			o.Telemetry.addFamilyTime(s.Family, time.Since(start))
 		}()
 	}
 	v, res, err := prepareRun(s, o)

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"sync"
+	"time"
 
 	"pef/internal/fsync"
 	"pef/internal/harness"
@@ -21,19 +22,22 @@ import (
 //	pool.*                    scheduling (harness.PoolMetrics)
 //	sim.rounds|acquires|releases          scalar engine
 //	sim.lockstep.rounds|laneRounds|acquires|releases  lane engine
+//	sim.lockstep.skippedLaneRounds  lane rounds cut by lasso retirement
 //	sim.wordFastLanes|wordFallbackLanes   lane E_t by word kernel vs Present
 //	oracle.scalarRuns         scalar oracle executions
 //	engine.lockstepSpecs|scalarSpecs      per-spec path routing
 //	engine.lockstepGroups     lane groups that finished on lanes
 //	engine.laneOccupancy      lanes per group (packing efficiency)
-//	engine.lockstepMillis     busy ms spent inside lane groups
+//	engine.lassoLanes         adversary lanes retired at their lasso
+//	engine.lockstepNanos|lockstepMillis   busy ns / whole ms spent inside lane groups
 //	engine.skip.<reason>      why specs left the lockstep path (fallback: group rejected)
-//	family.<family>.millis    scalar-oracle busy ms per dynamics family
+//	family.<family>.nanos|millis  scalar-oracle busy ns / whole ms per dynamics family
 //	campaign.<generator>.millis  campaign wall ms per generator (CLI-recorded)
 //
-// engine.lockstepMillis and family.<family>.millis sum time across
-// goroutines: a search block that RunBlock fans out runs units
-// concurrently, so they can exceed wall time.
+// The busy-time counters sum time across goroutines: a search block that
+// RunBlock fans out runs units concurrently, so they can exceed wall time.
+// Each *.millis counter reads the floor of its *.nanos twin, not a sum of
+// per-run truncations (see busyTime.add).
 type Telemetry struct {
 	reg  *telemetry.Registry
 	pool *harness.PoolMetrics
@@ -43,14 +47,26 @@ type Telemetry struct {
 	lockstepSpecs  *telemetry.Counter
 	scalarSpecs    *telemetry.Counter
 	lockstepGroups *telemetry.Counter
-	lockstepMillis *telemetry.Counter
+	lockstepTime   busyTime
 	laneOccupancy  *telemetry.Hist
 
 	// mu guards the lazily-built per-name counter caches; lookups after
 	// the first per name are one map read, no string concatenation.
-	mu           sync.Mutex
-	familyMillis map[string]*telemetry.Counter
-	skipReasons  map[string]*telemetry.Counter
+	mu          sync.Mutex
+	familyTimes map[string]busyTime
+	skipReasons map[string]*telemetry.Counter
+}
+
+// busyTime is a nanosecond counter and its whole-millisecond twin.
+type busyTime struct{ nanos, millis *telemetry.Counter }
+
+// add books d on the nanosecond counter and advances its twin by the
+// whole milliseconds the new total crosses, so millis reads ⌊nanos /
+// 10⁶⌋ however the time is split into runs and goroutines: three runs of
+// 0.999 ms add 2 ms, not the 0 that summing truncated runs would.
+func (b busyTime) add(d time.Duration) {
+	after := b.nanos.Add(int64(d))
+	b.millis.Add(after/1e6 - (after-int64(d))/1e6)
 }
 
 // NewTelemetry creates an instrumentation bundle backed by a fresh
@@ -66,6 +82,8 @@ func NewTelemetry() *Telemetry {
 			Releases:           reg.Counter("sim.releases"),
 			LockstepRounds:     reg.Counter("sim.lockstep.rounds"),
 			LockstepLaneRounds: reg.Counter("sim.lockstep.laneRounds"),
+			LassoLanes:         reg.Counter("engine.lassoLanes"),
+			SkippedLaneRounds:  reg.Counter("sim.lockstep.skippedLaneRounds"),
 			LockstepAcquires:   reg.Counter("sim.lockstep.acquires"),
 			LockstepReleases:   reg.Counter("sim.lockstep.releases"),
 			WordFastLanes:      reg.Counter("sim.wordFastLanes"),
@@ -75,11 +93,19 @@ func NewTelemetry() *Telemetry {
 		lockstepSpecs:  reg.Counter("engine.lockstepSpecs"),
 		scalarSpecs:    reg.Counter("engine.scalarSpecs"),
 		lockstepGroups: reg.Counter("engine.lockstepGroups"),
-		lockstepMillis: reg.Counter("engine.lockstepMillis"),
+		lockstepTime:   busyTime{reg.Counter("engine.lockstepNanos"), reg.Counter("engine.lockstepMillis")},
 		laneOccupancy:  reg.Hist("engine.laneOccupancy"),
-		familyMillis:   map[string]*telemetry.Counter{},
+		familyTimes:    map[string]busyTime{},
 		skipReasons:    map[string]*telemetry.Counter{},
 	}
+}
+
+// addLockstepTime books the busy time of one lane group; nil-safe.
+func (t *Telemetry) addLockstepTime(d time.Duration) {
+	if t == nil {
+		return
+	}
+	t.lockstepTime.add(d)
 }
 
 // Registry exposes the underlying instrument registry (for serving or
@@ -113,20 +139,20 @@ func (t *Telemetry) simMetrics() *fsync.Metrics {
 	return t.sim
 }
 
-// famMillis returns the per-family scalar-oracle wall-time counter,
-// cached per family name; nil-safe.
-func (t *Telemetry) famMillis(family string) *telemetry.Counter {
+// addFamilyTime books the busy time of one scalar-oracle run under its
+// dynamics family, with the family's counters cached by name; nil-safe.
+func (t *Telemetry) addFamilyTime(family string, d time.Duration) {
 	if t == nil {
-		return nil
+		return
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	c, ok := t.familyMillis[family]
+	c, ok := t.familyTimes[family]
 	if !ok {
-		c = t.reg.Counter("family." + family + ".millis")
-		t.familyMillis[family] = c
+		c = busyTime{t.reg.Counter("family." + family + ".nanos"), t.reg.Counter("family." + family + ".millis")}
+		t.familyTimes[family] = c
 	}
-	return c
+	t.mu.Unlock()
+	c.add(d)
 }
 
 // skipReason returns the counter for one lockstep-ineligibility reason,

@@ -116,6 +116,24 @@ func (lv *LaneVisits) Record(t int, occupied []uint64, mask uint64) {
 	lv.complete |= newly
 }
 
+// Skip carries lane l forward by s rounds without recording them, for a
+// lane whose run repeats with the given period and that retired at
+// instant t at least two periods into its cycle, with s a multiple of the
+// period (fsync.LockstepSimulator.Lasso). Every node visited in the cycle
+// was visited within the last period, and its last visit moves s instants
+// later; every other node keeps its last visit. Gaps, coverage, cover time
+// and second visits are already final, since the last two periods hold
+// every gap the cycle closes. Report(l, t+s+1) then equals the report of
+// the lane run to instant t+s.
+func (lv *LaneVisits) Skip(l, t, period, s int) {
+	since, s32 := int32(t-period), int32(s)
+	for v := 0; v < lv.n; v++ {
+		if idx := v<<6 + l; lv.lastVisit[idx] > since {
+			lv.lastVisit[idx] += s32
+		}
+	}
+}
+
 // Report summarizes lane l over the given number of observed instants,
 // reproducing VisitTracker.Report for that lane exactly: open gaps reach
 // the horizon, never-visited nodes count a full-horizon gap, and the

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"math/bits"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"pef/internal/dyngraph"
 	"pef/internal/fsync"
 	"pef/internal/prng"
+	"pef/internal/ring"
 	"pef/internal/robot"
 )
 
@@ -133,6 +135,84 @@ func TestLaneVisitsRecordAllocFree(t *testing.T) {
 		instant++
 	}); allocs != 0 {
 		t.Fatalf("LaneVisits.Record allocates %.1f times per instant, want 0", allocs)
+	}
+}
+
+// lateCycle is a lane adversary on the 3-ring whose run enters its cycle
+// exactly at a lasso save: edges stay absent while its phase counter runs
+// 0–3, then all present through phases 4, 5, 6, 4, … A one-robot walker
+// thus waits on its start node until t = 4 and then tours the ring with
+// period 3, first reaching its other two nodes at t = 5 and 6. The phase
+// is kept as three planes, every lane in the same phase.
+type lateCycle struct {
+	phase  int
+	planes [3]uint64
+}
+
+func (a *lateCycle) Ring() ring.Ring { return ring.New(3) }
+func (a *lateCycle) State() []uint64 { return a.planes[:] }
+func (a *lateCycle) EdgeColumns(_ *fsync.LockstepSimulator, mask uint64, cols []uint64) {
+	if a.phase >= 4 {
+		for e := range cols {
+			cols[e] |= mask
+		}
+	}
+	if a.phase++; a.phase == 7 {
+		a.phase = 4
+	}
+	for p := range a.planes {
+		a.planes[p] = -uint64(a.phase >> p & 1)
+	}
+}
+
+// TestLaneVisitsSkipAfterLateCycle runs lateCycle walkers to horizons
+// 1–48 with and without lasso retirement, and requires equal reports
+// after Skip. The block saves the state at t = 4, where the cycle starts,
+// and sees it again at t = 7; a lane retired there would have seen two of
+// the three nodes only once, so the second period before retirement is
+// what makes the reports exact.
+func TestLaneVisitsSkipAfterLateCycle(t *testing.T) {
+	const lanes = 48
+	run := func(lasso bool) (*LaneVisits, *fsync.LockstepSimulator) {
+		cfg := fsync.LockstepConfig{Adversary: &lateCycle{}, Lasso: lasso}
+		for l := range lanes {
+			cfg.Lanes = append(cfg.Lanes, fsync.LaneRun{
+				Table:      baseline.KeepDirection,
+				Placements: []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}},
+				Horizon:    l + 1,
+			})
+		}
+		ls, err := fsync.NewLockstep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lv := NewLaneVisits()
+		lv.Reset(3)
+		lv.Record(0, ls.Occupancy(), ^uint64(0)>>(64-lanes))
+		for !ls.Done() {
+			stepped := ls.Step()
+			lv.Record(ls.Now(), ls.Occupancy(), stepped)
+		}
+		return lv, ls
+	}
+	full, _ := run(false)
+	short, ls := run(true)
+	skipped := 0
+	for l := range lanes {
+		h := l + 1
+		if at, period, skip := ls.Lasso(l); skip > 0 {
+			if at != 7 || period != 3 {
+				t.Fatalf("horizon %d: lasso at %d with period %d, want 7 and 3", h, at, period)
+			}
+			short.Skip(l, h-skip, period, skip)
+			skipped++
+		}
+		if got, want := short.Report(l, h+1), full.Report(l, h+1); !reflect.DeepEqual(got, want) {
+			t.Errorf("horizon %d: lasso report %+v, full %+v", h, got, want)
+		}
+	}
+	if skipped != lanes-12 {
+		t.Fatalf("%d lanes retired at their lasso, want %d (every horizon from 13 on)", skipped, lanes-12)
 	}
 }
 

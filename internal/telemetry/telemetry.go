@@ -41,12 +41,12 @@ type Counter struct {
 func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds d (may be negative, though counters are conventionally
-// monotone). Nil receiver: no-op.
-func (c *Counter) Add(d int64) {
+// monotone) and returns the new count. Nil receiver: no-op returning 0.
+func (c *Counter) Add(d int64) int64 {
 	if c == nil {
-		return
+		return 0
 	}
-	c.v.Add(d)
+	return c.v.Add(d)
 }
 
 // Value returns the current count. Nil receiver: 0.
