@@ -5,49 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"pef/internal/metrics"
+	"pef/internal/scenario"
 	"pef/internal/search"
 )
-
-// expStats is one experiment's aggregate within a trajectory.
-type expStats struct {
-	id     string
-	jobs   int
-	passes int
-	millis float64 // summed wall time; 0 means "no timings recorded"
-}
-
-func (e expStats) passRate() float64 {
-	if e.jobs == 0 {
-		return 0
-	}
-	return float64(e.passes) / float64(e.jobs)
-}
-
-// aggregate folds a trajectory's job list per experiment, in first-seen
-// experiment order.
-func aggregate(jobs []jsonJob) []expStats {
-	var out []expStats
-	index := make(map[string]int)
-	for _, j := range jobs {
-		i, ok := index[j.ID]
-		if !ok {
-			i = len(out)
-			index[j.ID] = i
-			out = append(out, expStats{id: j.ID})
-		}
-		s := &out[i]
-		s.jobs++
-		if j.Pass {
-			s.passes++
-		}
-		s.millis += j.Millis
-	}
-	return out
-}
 
 // joined is one key of an old/new join, with the row each side holds.
 type joined[R any] struct {
@@ -87,24 +50,7 @@ func join[R any, K comparable](oldRows, newRows []R, key func(R) K) []joined[R] 
 	return out
 }
 
-// campaignFile mirrors the fields benchdiff consumes from a
-// pef scenarios -json campaign document.
-type campaignFile struct {
-	Generator string  `json:"generator"`
-	Total     int     `json:"total"`
-	OK        int     `json:"ok"`
-	OKRate    float64 `json:"okRate"`
-	// Millis is the campaign wall time; zero unless the document was
-	// captured with -timings.
-	Millis int64 `json:"millis"`
-	// Scalars carries the per-family scalar distributions, including the
-	// oracle's margin instrumentation (coverSlack, gapHeadroom,
-	// confineHeadroom) — how close each family ran to its predicate's
-	// edge.
-	Scalars []metrics.ScalarRow `json:"scalars"`
-}
-
-// scalarKey joins scalar rows on (experiment or family, metric).
+// scalarKey joins scalar rows on (family, metric).
 func scalarKey(r metrics.ScalarRow) [2]string { return [2]string{r.ID, r.Metric} }
 
 // marginMetrics names the oracle's margin distributions: the slack each
@@ -116,20 +62,15 @@ var marginMetrics = map[string]bool{
 	"confineHeadroom": true,
 }
 
-// document is one parsed input file: an experiment trajectory (Jobs
-// non-empty), a scenario-campaign document (isCamp), or a search
-// boundary report (isBoundary).
+// document is one parsed input file: a search boundary report when
+// boundary is non-nil, a scenario-campaign document otherwise.
 type document struct {
-	bench      jsonReport
-	campaign   campaignFile
-	boundary   *search.BoundaryReport
-	isCamp     bool
-	isBoundary bool
+	campaign scenario.CampaignDocument
+	boundary *search.BoundaryReport
 }
 
-// load parses one input file, detecting its kind: a "searchBoundary"
-// kind tag marks a boundary report, a jobs list marks an experiment
-// trajectory, a generator name marks a campaign document.
+// load parses one input file: a "searchBoundary" kind tag marks a
+// boundary report, and anything else must decode as a campaign document.
 func load(path string) (document, error) {
 	var d document
 	data, err := os.ReadFile(path)
@@ -143,43 +84,23 @@ func load(path string) (document, error) {
 		if d.boundary, err = search.DecodeReport(data); err != nil {
 			return d, fmt.Errorf("parsing %s: %w", path, err)
 		}
-		d.isBoundary = true
 		return d, nil
 	}
-	if err := json.Unmarshal(data, &d.bench); err != nil {
-		return d, fmt.Errorf("parsing %s: %w", path, err)
+	if d.campaign, err = scenario.DecodeCampaignDocument(data); err != nil {
+		return d, fmt.Errorf("%s is neither a boundary report nor a campaign document: %w", path, err)
 	}
-	if len(d.bench.Jobs) > 0 {
-		return d, nil
-	}
-	if err := json.Unmarshal(data, &d.campaign); err != nil {
-		return d, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	if d.campaign.Generator != "" && d.campaign.Total > 0 {
-		d.isCamp = true
-		return d, nil
-	}
-	return d, fmt.Errorf("%s carries neither experiment jobs, a campaign, nor a boundary report", path)
+	return d, nil
 }
 
 func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
 
-// runBenchdiff compares two BENCH_*.json trajectories (as emitted by
-// pef experiments -json) and prints a regression/improvement table: the
-// per-experiment pass rates, the scalar aggregates (cover times, revisit
-// gaps, …), and — when both files carry -timings data — the per-experiment
-// wall times. It is the trend-diff half of the bench-trajectory loop: CI
-// regenerates the current trajectory and diffs it against the committed
-// previous one.
-//
-// When both arguments are scenario-campaign documents (pef scenarios -json)
-// instead, the diff switches to campaign mode: it compares the oracle OK
-// rates, the margin distributions (coverSlack, gapHeadroom,
-// confineHeadroom — how much slack each family kept against its
-// predicate; a "tighter" flag warns of drift toward the boundary before
-// any verdict flips), and — when both documents carry -timings wall
-// times — the campaign wall time, under the same gate, so a campaign
-// captured at two commits can be held to run no slower.
+// runBenchdiff compares two scenario-campaign documents (pef scenarios
+// -json) and prints their oracle OK rates and margin distributions
+// (coverSlack, gapHeadroom, confineHeadroom — how much slack each family
+// kept against its predicate; a "tighter" flag warns of drift toward the
+// boundary before any verdict flips). Only the OK rate joins the
+// regression gate. The two campaigns need not share a generator or a
+// size.
 //
 // When both arguments are search boundary reports (pef search -json)
 // instead, the diff switches to boundary mode: per (family, metric), the
@@ -188,23 +109,22 @@ func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
 // newly found violations called out. Like the campaign margin section,
 // boundary mode is diagnostic and never joins the regression gate.
 //
-//	pef benchdiff BENCH_0004.json BENCH_0005.json
-//	pef benchdiff -fail-on-regress 0.0 OLD.json NEW.json
+// Neither document carries a wall clock; timing travels in the
+// telemetry counters and in pefbench.
+//
+//	pef benchdiff campaign_old.json campaign_new.json
 //	pef benchdiff -fail-on-regress 0.0 campaign_old.json campaign_new.json
 //	pef benchdiff boundary_old.json boundary_new.json
 //
 // Flags:
 //
-//	-fail-on-regress f   exit non-zero when any experiment's pass rate (or
-//	                     the campaign's OK rate) drops by more than f (a
-//	                     fraction in [0, 1]), or when wall times are present
-//	                     in both files and an experiment (or the campaign)
-//	                     slows down by more than fraction f. Negative values
-//	                     (the default) disable the gate.
+//	-fail-on-regress f   exit non-zero when the campaign's OK rate drops
+//	                     by more than f (a fraction in [0, 1]). Negative
+//	                     values (the default) disable the gate.
 func runBenchdiff(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("benchdiff", stderr)
 	failOn := fs.Float64("fail-on-regress", -1,
-		"fail when a pass rate drops, or a wall time grows, by more than this fraction (negative disables)")
+		"fail when the OK rate drops by more than this fraction (negative disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -219,157 +139,30 @@ func runBenchdiff(_ context.Context, args []string, stdout, stderr io.Writer) er
 	if err != nil {
 		return err
 	}
-	if oldD.isCamp != newD.isCamp || oldD.isBoundary != newD.isBoundary {
-		return fmt.Errorf("cannot diff documents of different kinds (trajectory, campaign, boundary report)")
+	if (oldD.boundary == nil) != (newD.boundary == nil) {
+		return fmt.Errorf("cannot diff documents of different kinds (campaign, boundary report)")
 	}
-	if oldD.isBoundary {
+	if oldD.boundary != nil {
 		return boundaryDiff(stdout, fs.Arg(0), fs.Arg(1), oldD.boundary, newD.boundary)
 	}
-	if oldD.isCamp {
-		return campaignDiff(stdout, fs.Arg(0), fs.Arg(1), oldD.campaign, newD.campaign, *failOn)
-	}
-	oldF, newF := oldD.bench, newD.bench
-
-	oldStats, newStats := aggregate(oldF.Jobs), aggregate(newF.Jobs)
-	rows := join(oldStats, newStats, func(s expStats) string { return s.id })
-
-	fmt.Fprintf(stdout, "# Bench trajectory diff: %s → %s\n\n", fs.Arg(0), fs.Arg(1))
-	fmt.Fprintf(stdout, "old: %d jobs over %d seeds (quick=%t), pass rate %s\n",
-		oldF.Total, len(oldF.Seeds), oldF.Quick, pct(oldF.PassRate))
-	fmt.Fprintf(stdout, "new: %d jobs over %d seeds (quick=%t), pass rate %s\n",
-		newF.Total, len(newF.Seeds), newF.Quick, pct(newF.PassRate))
-
-	var regressions []string
-
-	// Per-experiment pass rates.
-	fmt.Fprintf(stdout, "\n## Pass rates\n\n")
-	pt := metrics.NewTable("experiment", "old", "new", "delta", "flag")
-	for _, r := range rows {
-		id, o, n := r.either().id, r.old, r.new
-		switch {
-		case !r.hasNew:
-			pt.AddRow(id, pct(o.passRate()), "-", "-", "gone")
-		case !r.hasOld:
-			pt.AddRow(id, "-", pct(n.passRate()), "-", "new")
-		default:
-			delta := n.passRate() - o.passRate()
-			flag := "="
-			if delta < 0 {
-				flag = "REGRESS"
-				if *failOn >= 0 && -delta > *failOn {
-					regressions = append(regressions,
-						fmt.Sprintf("%s: pass rate %s → %s", id, pct(o.passRate()), pct(n.passRate())))
-				}
-			} else if delta > 0 {
-				flag = "improve"
-			}
-			pt.AddRow(id, pct(o.passRate()), pct(n.passRate()), fmt.Sprintf("%+.1f%%", 100*delta), flag)
-		}
-	}
-	if err := pt.Render(stdout); err != nil {
-		return err
-	}
-
-	// Per-experiment wall times, when both trajectories carry timings.
-	if oldHasTimings(oldStats) && oldHasTimings(newStats) {
-		fmt.Fprintf(stdout, "\n## Wall time (ms per experiment, summed over seeds)\n\n")
-		wt := metrics.NewTable("experiment", "old ms", "new ms", "ratio", "flag")
-		for _, r := range rows {
-			id, o, n := r.either().id, r.old, r.new
-			if !r.hasOld || !r.hasNew || o.millis == 0 {
-				continue
-			}
-			ratio := n.millis / o.millis
-			flag := "="
-			if ratio > 1.05 {
-				flag = "slower"
-			} else if ratio < 0.95 {
-				flag = "faster"
-			}
-			// The gate is independent of the 5% display bands: any
-			// threshold the flag sets is honored, even below 0.05.
-			if *failOn >= 0 && ratio > 1+*failOn {
-				flag = "REGRESS"
-				regressions = append(regressions,
-					fmt.Sprintf("%s: wall time %.0fms → %.0fms (%.2fx)", id, o.millis, n.millis, ratio))
-			}
-			wt.AddRow(id, fmt.Sprintf("%.0f", o.millis), fmt.Sprintf("%.0f", n.millis),
-				fmt.Sprintf("%.2fx", ratio), flag)
-		}
-		if err := wt.Render(stdout); err != nil {
-			return err
-		}
-	}
-
-	// Scalar aggregates joined on (experiment, metric).
-	if len(oldF.Scalars) > 0 || len(newF.Scalars) > 0 {
-		fmt.Fprintf(stdout, "\n## Scalar aggregates (mean)\n\n")
-		st := metrics.NewTable("experiment", "metric", "old mean", "new mean", "delta")
-		for _, j := range join(oldF.Scalars, newF.Scalars, scalarKey) {
-			r, o, n := j.either(), j.old, j.new
-			switch {
-			case !j.hasNew:
-				st.AddRow(r.ID, r.Metric, fmt.Sprintf("%.1f", o.Mean), "-", "gone")
-			case !j.hasOld:
-				st.AddRow(r.ID, r.Metric, "-", fmt.Sprintf("%.1f", n.Mean), "new")
-			default:
-				st.AddRow(r.ID, r.Metric, fmt.Sprintf("%.1f", o.Mean), fmt.Sprintf("%.1f", n.Mean),
-					fmt.Sprintf("%+.1f", n.Mean-o.Mean))
-			}
-		}
-		if err := st.Render(stdout); err != nil {
-			return err
-		}
-	}
-
-	return verdict(stdout, regressions, *failOn)
+	return campaignDiff(stdout, fs.Arg(0), fs.Arg(1), oldD.campaign, newD.campaign, *failOn)
 }
 
-// oldHasTimings reports whether any experiment recorded a wall time.
-func oldHasTimings(stats []expStats) bool {
-	for _, s := range stats {
-		if s.millis > 0 && !math.IsNaN(s.millis) {
-			return true
-		}
-	}
-	return false
-}
-
-// campaignDiff renders the campaign-mode comparison: OK rates always,
-// wall times when both documents carry them, both under the regression
-// gate. The two campaigns need not share a generator, but mismatched
-// scenario counts make the wall-time ratio meaningless, so they fail.
-func campaignDiff(stdout io.Writer, oldPath, newPath string, oldC, newC campaignFile, failOn float64) error {
+// campaignDiff renders the campaign-mode comparison: the OK rates, under
+// the regression gate, and the margin distributions.
+func campaignDiff(stdout io.Writer, oldPath, newPath string, oldC, newC scenario.CampaignDocument, failOn float64) error {
 	fmt.Fprintf(stdout, "# Campaign diff: %s → %s\n\n", oldPath, newPath)
-	ct := metrics.NewTable("campaign", "generator", "scenarios", "ok", "okRate", "wall ms")
-	wall := func(ms int64) string {
-		if ms == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%d", ms)
-	}
-	ct.AddRow("old", oldC.Generator, oldC.Total, oldC.OK, pct(oldC.OKRate), wall(oldC.Millis))
-	ct.AddRow("new", newC.Generator, newC.Total, newC.OK, pct(newC.OKRate), wall(newC.Millis))
+	ct := metrics.NewTable("campaign", "generator", "scenarios", "ok", "okRate")
+	ct.AddRow("old", oldC.Generator, oldC.Total, oldC.OK, pct(oldC.OKRate))
+	ct.AddRow("new", newC.Generator, newC.Total, newC.OK, pct(newC.OKRate))
 	if err := ct.Render(stdout); err != nil {
 		return err
 	}
 
 	var regressions []string
-	if oldC.Total != newC.Total {
-		regressions = append(regressions,
-			fmt.Sprintf("scenario counts differ: %d → %d (wall times not comparable)", oldC.Total, newC.Total))
-	}
 	if delta := newC.OKRate - oldC.OKRate; failOn >= 0 && -delta > failOn {
 		regressions = append(regressions,
 			fmt.Sprintf("OK rate %s → %s", pct(oldC.OKRate), pct(newC.OKRate)))
-	}
-	if oldC.Millis > 0 && newC.Millis > 0 {
-		ratio := float64(newC.Millis) / float64(oldC.Millis)
-		fmt.Fprintf(stdout, "\nwall time: %dms → %dms (%.2fx)\n", oldC.Millis, newC.Millis, ratio)
-		if failOn >= 0 && ratio > 1+failOn {
-			regressions = append(regressions,
-				fmt.Sprintf("wall time %dms → %dms (%.2fx)", oldC.Millis, newC.Millis, ratio))
-		}
 	}
 	if err := marginDiff(stdout, oldC, newC); err != nil {
 		return err
@@ -383,7 +176,7 @@ func campaignDiff(stdout io.Writer, oldPath, newPath string, oldC, newC campaign
 // diagnostic (a shrinking mean flags drift toward the predicate boundary
 // before any verdict flips), so this section never joins the regression
 // gate; the OK rate does the gating.
-func marginDiff(stdout io.Writer, oldC, newC campaignFile) error {
+func marginDiff(stdout io.Writer, oldC, newC scenario.CampaignDocument) error {
 	var rows []joined[metrics.ScalarRow]
 	for _, j := range join(oldC.Scalars, newC.Scalars, scalarKey) {
 		if marginMetrics[j.either().Metric] {

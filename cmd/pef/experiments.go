@@ -32,9 +32,9 @@ import (
 //	-seeds N    sweep N consecutive seeds starting at -seed (default 1)
 //	-workers M  worker pool size; <1 means GOMAXPROCS. Output is
 //	            byte-identical for any worker count.
-//	-json       emit the sweep as JSON (for BENCH_*.json trajectories)
-//	-timings    add per-job wall times to -json output (non-deterministic;
-//	            feeds pef benchdiff's wall-time comparison)
+//	-json       emit the sweep as JSON (for BENCH_*.json trajectories);
+//	            it carries no wall clocks, so it is byte-identical from
+//	            run to run
 //	-only ID    restrict to a single experiment, or to one shard by the
 //	            row ID the reports print (E-T1.R2#n=4/a=keep-direction);
 //	            combines with -seeds
@@ -70,7 +70,6 @@ func runExperiments(ctx context.Context, args []string, stdout, stderr io.Writer
 		seeds    = fs.Int("seeds", 1, "number of consecutive seeds to sweep, starting at -seed")
 		workers  = fs.Int("workers", 0, "worker pool size (<1 means GOMAXPROCS)")
 		jsonOut  = fs.Bool("json", false, "emit the sweep as JSON")
-		timings  = fs.Bool("timings", false, "include per-job wall times in -json output (non-deterministic; for pef benchdiff)")
 		quick    = fs.Bool("quick", false, "reduced horizons and sweeps")
 		shard    = fs.Bool("shard", true, "split heavy ring-size sweeps into per-ring-size jobs (-shard=false for coarse rows)")
 		only     = fs.String("only", "", "run a single experiment or shard by ID (e.g. E-F2, E-T1.R1#n=4)")
@@ -142,7 +141,7 @@ func runExperiments(ctx context.Context, args []string, stdout, stderr io.Writer
 	switch {
 	case *jsonOut:
 		jobs, runErr = harness.RunBatch(ctx, cfg)
-		if eerr := writeJSON(stdout, sweep, *quick, *timings, jobs); eerr != nil {
+		if eerr := writeJSON(stdout, sweep, *quick, jobs); eerr != nil {
 			return eerr
 		}
 	case *seeds == 1:
@@ -211,10 +210,6 @@ type jsonJob struct {
 	Error    string   `json:"error,omitempty"`
 	Notes    []string `json:"notes,omitempty"`
 	Table    string   `json:"table,omitempty"`
-	// Millis is the job's wall time, present only under -timings: the
-	// committed BENCH_*.json trajectories stay byte-deterministic, while
-	// timing-enabled captures feed pef benchdiff's wall-time comparison.
-	Millis float64 `json:"millis,omitempty"`
 }
 
 // jsonReport is the top-level -json document. It deliberately omits the
@@ -229,7 +224,7 @@ type jsonReport struct {
 	Scalars  []metrics.ScalarRow `json:"scalars,omitempty"`
 }
 
-func writeJSON(w io.Writer, seeds []uint64, quick, timings bool, jobs []harness.JobResult) error {
+func writeJSON(w io.Writer, seeds []uint64, quick bool, jobs []harness.JobResult) error {
 	rep := jsonReport{Seeds: seeds, Quick: quick, Total: len(jobs)}
 	rep.Scalars = harness.SweepAggregate(jobs).ScalarRows()
 	for _, j := range jobs {
@@ -240,9 +235,6 @@ func writeJSON(w io.Writer, seeds []uint64, quick, timings bool, jobs []harness.
 			Artifact: j.Result.Artifact,
 			Pass:     j.Passed(),
 			Notes:    j.Result.Notes,
-		}
-		if timings {
-			jj.Millis = float64(j.Elapsed.Microseconds()) / 1000
 		}
 		if j.Err != nil {
 			jj.Error = j.Err.Error()

@@ -40,7 +40,7 @@ var commands = []struct {
 	{"search", "steer a scenario search toward the theorem boundary", interruptible(runSearch)},
 	{"serve", "serve specs and campaigns over HTTP with a verdict cache", interruptible(runServe)},
 	{"coord", "lease a campaign's blocks to scenarios workers and merge the report", interruptible(runCoord)},
-	{"benchdiff", "diff two trajectories, campaign documents or boundary reports", runBenchdiff},
+	{"benchdiff", "diff two campaign documents or boundary reports", runBenchdiff},
 }
 
 func main() {

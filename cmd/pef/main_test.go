@@ -98,6 +98,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			{"-only", "bogus"},
 			{"-seeds", "0"},
 			{"-lockstep=false"}, // the removed -lockstep flag
+			{"-timings"},        // the removed per-job wall times
 		}},
 		{"scenarios", [][]string{
 			{"-count", "0"},
@@ -106,6 +107,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			{"-maxring", "3"},
 			{"-lockstep=false"}, // the removed engine route flag
 			{"-lanewidth", "8"}, // the removed block width flag
+			{"-timings"},        // the removed campaign wall time
 		}},
 		{"search", [][]string{
 			{"-progress", "-1"},

@@ -72,9 +72,6 @@ import (
 //	                 e.g. "bernoulli=3,periodic=1" (exclusive with
 //	                 -families; equal weights sample identically to it)
 //	-maxring N       largest sampled ring size (default 16)
-//	-timings         record the campaign's wall time: a trailing line in
-//	                 report mode, the "millis" field in -json mode (the
-//	                 only field that varies run to run)
 //	-json            emit the versioned campaign document (for BENCH_*.json)
 //	-list            list the registry contents (generators, families,
 //	                 algorithms, properties) and exit
@@ -129,7 +126,9 @@ import (
 //	                 recovery — the merged report must stay byte-identical
 //
 // The observability flags never change stdout: reports, JSON documents
-// and checkpoints are byte-identical with them on or off.
+// and checkpoints are byte-identical with them on or off, and carry no
+// wall clock. The campaign's wall time is the campaign.<generator>.millis
+// counter of the live telemetry (-telemetry-addr).
 //
 // SIGINT/SIGTERM interrupt a campaign gracefully: the stream stops at a
 // verdict boundary, in-flight runs drain, and with -checkpoint set the
@@ -149,7 +148,6 @@ func runScenarios(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		families  = fs.String("families", "", "comma-separated family pool for the registered generator")
 		weights   = fs.String("family-weights", "", "weighted family pool for the registered generator, e.g. \"bernoulli=3,periodic=1\"")
 		maxRing   = fs.Int("maxring", 16, "largest sampled ring size")
-		timings   = fs.Bool("timings", false, "record the campaign's wall time in the output")
 		jsonOut   = fs.Bool("json", false, "emit the versioned campaign document")
 		list      = fs.Bool("list", false, "list the registry contents and exit")
 		ck        = addCheckpointFlags(fs, "campaign", "aggregated scenarios")
@@ -184,7 +182,7 @@ func runScenarios(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		// grants, so every local campaign-shaping flag is a conflict.
 		for _, name := range []string{"count", "seed", "seeds", "family", "families", "family-weights", "maxring",
 			"checkpoint", "checkpoint-every", "halt-after", "resume", "shard-index", "shard-count",
-			"merge", "minimize", "json", "timings"} {
+			"merge", "minimize", "json"} {
 			if explicit[name] {
 				return fmt.Errorf("-%s conflicts with -worker-coord (the coordinator owns the campaign; workers only bring -workers)", name)
 			}
@@ -315,21 +313,14 @@ func runScenarios(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		return nil
 	}
 
-	elapsed := time.Since(began)
-	if *timings {
-		agg.SetWallMillis(elapsed.Milliseconds())
-	}
 	if tel != nil {
-		tel.Registry().Counter("campaign." + agg.Generator + ".millis").Add(elapsed.Milliseconds())
+		tel.Registry().Counter("campaign." + agg.Generator + ".millis").Add(time.Since(began).Milliseconds())
 	}
 	cfg.Trace.Emit("campaign-end", map[string]any{"done": agg.Done(), "violations": len(agg.Violations())})
 	if err := cfg.Trace.Err(); err != nil {
 		return err
 	}
 	var trailer strings.Builder
-	if *timings && !*jsonOut {
-		fmt.Fprintf(&trailer, "wall time: %d ms\n", elapsed.Milliseconds())
-	}
 	if *minimize {
 		for _, v := range agg.Violations() {
 			m := scenario.Minimize(v.Spec)

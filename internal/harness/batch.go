@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"pef/internal/metrics"
 )
@@ -34,7 +33,9 @@ type BatchConfig struct {
 	Metrics *PoolMetrics
 }
 
-// JobResult is the outcome of one (experiment, seed) job.
+// JobResult is the outcome of one (experiment, seed) job. It carries no
+// wall clock, so a batch's results are identical from run to run and for
+// any worker count.
 type JobResult struct {
 	// ID and Seed identify the job.
 	ID   string
@@ -47,10 +48,6 @@ type JobResult struct {
 	// that never ran because the context was cancelled — the context's
 	// error.
 	Err error
-	// Elapsed is the wall time the job's Run took (zero when it never
-	// ran). It never feeds the deterministic reports; the -timings bench
-	// trajectories and pef benchdiff consume it.
-	Elapsed time.Duration
 }
 
 // Passed reports the job's verdict: it executed without error and its
@@ -144,9 +141,7 @@ func RunBatch(ctx context.Context, cfg BatchConfig) ([]JobResult, error) {
 // sweep.
 func runJob(e Experiment, c Config) (jr JobResult) {
 	jr = newJobResult(e, c.Seed)
-	start := time.Now()
 	defer func() {
-		jr.Elapsed = time.Since(start)
 		if r := recover(); r != nil {
 			jr.Err = fmt.Errorf("harness: experiment %s (seed %d): panic: %v", e.ID, c.Seed, r)
 			jr.Result.Pass = false

@@ -73,12 +73,6 @@ func TestRunBatchDeterministicAcrossWorkers(t *testing.T) {
 	}
 	jobs1, rep1 := render(1)
 	jobs8, rep8 := render(8)
-	// Elapsed is wall time, documented as non-deterministic; everything
-	// else must be bit-identical across worker counts.
-	for i := range jobs1 {
-		jobs1[i].Elapsed = 0
-		jobs8[i].Elapsed = 0
-	}
 	if !reflect.DeepEqual(jobs1, jobs8) {
 		t.Fatal("RunBatch results differ between workers=1 and workers=8")
 	}

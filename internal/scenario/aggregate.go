@@ -41,7 +41,6 @@ type Aggregate struct {
 	families   []FamilyStats
 	sweep      *metrics.Sweep
 	violations []Verdict
-	millis     int64
 	// reg resolves family descriptors for the margin instrumentation
 	// (confinement limits); never nil after NewAggregate.
 	reg *Registry
@@ -285,16 +284,12 @@ func (a *Aggregate) WriteReport(w io.Writer) error {
 	return err
 }
 
-// SetWallMillis records the campaign's measured wall time for the JSON
-// document (pef scenarios -timings). Timings are observational: they never
-// enter reports or checkpoints, so byte-identity guarantees are unaffected
-// unless the producer opts in.
-func (a *Aggregate) SetWallMillis(ms int64) { a.millis = ms }
-
-// jsonCampaign is the versioned machine-readable campaign document (the
-// BENCH_*.json payload of scenario sweeps). It deliberately omits the
-// worker count so reports are byte-identical for any -workers value.
-type jsonCampaign struct {
+// CampaignDocument is the versioned machine-readable campaign document
+// (pef scenarios -json). It deliberately omits the worker count and any
+// wall time, so documents are byte-identical for any -workers value and
+// across runs; a campaign's wall time travels in the
+// campaign.<generator>.millis telemetry counter instead.
+type CampaignDocument struct {
 	Version    int                 `json:"version"`
 	Generator  string              `json:"generator"`
 	Count      int                 `json:"count"`
@@ -305,16 +300,27 @@ type jsonCampaign struct {
 	Families   []FamilyStats       `json:"families"`
 	Scalars    []metrics.ScalarRow `json:"scalars"`
 	Violations []Verdict           `json:"violations,omitempty"`
-	// Millis is the campaign's measured wall time; zero (omitted) unless
-	// the producer recorded one (pef scenarios -timings). It is the one
-	// field that varies run to run: strip it before byte-comparing
-	// documents, or leave it unset.
-	Millis int64 `json:"millis,omitempty"`
+}
+
+// DecodeCampaignDocument parses a campaign document, rejecting other
+// format versions and documents that name no generator.
+func DecodeCampaignDocument(data []byte) (CampaignDocument, error) {
+	var doc CampaignDocument
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return doc, fmt.Errorf("scenario: campaign document: %w", err)
+	}
+	if doc.Version != Version {
+		return doc, fmt.Errorf("scenario: unsupported campaign document version %d (want %d)", doc.Version, Version)
+	}
+	if doc.Generator == "" {
+		return doc, fmt.Errorf("scenario: campaign document names no generator")
+	}
+	return doc, nil
 }
 
 // WriteJSON renders the versioned campaign document from the aggregate.
 func (a *Aggregate) WriteJSON(w io.Writer) error {
-	doc := jsonCampaign{
+	doc := CampaignDocument{
 		Version:    Version,
 		Generator:  a.Generator,
 		Count:      a.Count,
@@ -324,7 +330,6 @@ func (a *Aggregate) WriteJSON(w io.Writer) error {
 		Families:   a.families,
 		Scalars:    a.sweep.ScalarRows(),
 		Violations: a.violations,
-		Millis:     a.millis,
 	}
 	if doc.Total > 0 {
 		doc.OKRate = float64(doc.OK) / float64(doc.Total)

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -325,5 +326,42 @@ func TestCheckpointSnapshotIsImmutable(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint(data); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeCampaignDocument checks that a written campaign document
+// decodes into the same document WriteJSON renders, and that other
+// versions and generator-less documents are refused.
+func TestDecodeCampaignDocument(t *testing.T) {
+	c, err := RunCampaign(context.Background(), campaignCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, js := renderCampaign(t, c)
+	doc, err := DecodeCampaignDocument([]byte(js))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Generator != "boundary" || doc.Total != 60 || doc.OK != c.OKCount() {
+		t.Fatalf("decoded %s campaign of %d (%d ok), want boundary of 60 (%d ok)", doc.Generator, doc.Total, doc.OK, c.OKCount())
+	}
+	var again bytes.Buffer
+	enc := json.NewEncoder(&again)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(doc); err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != js {
+		t.Fatalf("decoded document re-encodes differently:\n%s\nwant:\n%s", again.String(), js)
+	}
+	for _, bad := range []string{
+		`{"version": 2, "generator": "boundary", "total": 1}`,
+		`{"version": 1, "total": 1}`,
+		`{"seeds": [1], "jobs": [], "passRate": 1}`,
+		`not json`,
+	} {
+		if _, err := DecodeCampaignDocument([]byte(bad)); err == nil {
+			t.Errorf("DecodeCampaignDocument(%s) accepted", bad)
+		}
 	}
 }
