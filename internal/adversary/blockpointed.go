@@ -41,6 +41,13 @@ func (a *BlockPointed) EdgesAtInto(_ int, snap *fsync.Snapshot, dst *ring.EdgeSe
 	a.runs.advance(*dst)
 }
 
+// AppendLassoKey implements fsync.LassoKeyer: the per-edge absence
+// counters, which with the pointed edges decide the next presence set
+// (the edges removed last round are exactly those with a nonzero count).
+func (a *BlockPointed) AppendLassoKey(dst []int) []int {
+	return append(dst, a.runs.run...)
+}
+
 // absenceRuns holds the per-edge consecutive-absence counters of the
 // budgeted adversaries. Only the edges removed in the previous round have
 // nonzero counters, and prev lists exactly those, so a round costs O(k)

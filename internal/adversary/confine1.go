@@ -104,6 +104,11 @@ func (a *OneRobotConfinement) EdgesAtInto(t int, snap *fsync.Snapshot, dst *ring
 	}
 }
 
+// AppendLassoKey implements fsync.LassoKeyer: E_t follows from the
+// victim's position alone (lastNode and phaseStart only feed Stall), so
+// the key is empty.
+func (a *OneRobotConfinement) AppendLassoKey(dst []int) []int { return dst }
+
 // Nodes returns the two nodes the victim is confined to.
 func (a *OneRobotConfinement) Nodes() (u, v int) { return a.u, a.v }
 

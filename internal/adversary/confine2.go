@@ -117,6 +117,11 @@ func (a *TwoRobotConfinement) guard(snap *fsync.Snapshot, idx, t int) {
 	}
 }
 
+// AppendLassoKey implements fsync.LassoKeyer: the phase, which with the
+// watched robot's position decides the next presence set (phaseStart only
+// feeds Stall).
+func (a *TwoRobotConfinement) AppendLassoKey(dst []int) []int { return append(dst, a.phase) }
+
 // Phase returns the current phase index (0..3).
 func (a *TwoRobotConfinement) Phase() int { return a.phase }
 

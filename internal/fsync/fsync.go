@@ -226,6 +226,15 @@ type Config struct {
 	// never inside Step — so enabling it cannot perturb the hot path or
 	// any output byte.
 	Metrics *Metrics
+	// Lasso retires the run once its joint state repeats, when Dynamics
+	// is a LassoKeyer: Run then stops at the instant Simulator.Lasso
+	// reports, from which Horizon lies whole periods ahead. Observers see
+	// only the rounds executed, so the graph RecordGraph keeps is cut
+	// there too.
+	Lasso bool
+	// Horizon is the instant the run is meant to reach; only Lasso reads
+	// it.
+	Horizon int
 }
 
 // Observer receives one event per completed round.
@@ -292,6 +301,7 @@ type Simulator struct {
 	views   []robot.View
 	flipped []bool
 	occ     []int // occupancy counts indexed by node
+	lz      lasso // Config.Lasso's cycle detector
 }
 
 // New validates the configuration and builds a simulator positioned at
@@ -372,6 +382,7 @@ func (s *Simulator) Reset(cfg Config) error {
 	}
 	s.views = resize(s.views, k)
 	s.flipped = resize(s.flipped, k)
+	s.lz.reset(cfg, r.Size(), k)
 	s.ev = RoundEvent{Before: &s.before, After: &s.after, Moved: s.after.MovedPrev, Flipped: s.flipped}
 	return nil
 }
@@ -413,7 +424,7 @@ func (s *Simulator) Release() {
 		s.metrics.Releases.Inc()
 	}
 	s.flushMetrics()
-	s.dyn = nil
+	s.dyn, s.lz.keyer = nil, nil
 	s.recorded = nil
 	clear(s.observers) // drop observer references, not just the length
 	s.observers = s.observers[:0]
@@ -432,6 +443,10 @@ func (s *Simulator) flushMetrics() {
 		return
 	}
 	s.metrics.Rounds.Add(int64(s.t))
+	if s.Retired() {
+		s.metrics.LassoRuns.Inc()
+		s.metrics.SkippedRounds.Add(int64(s.lz.skip))
+	}
 	s.metrics = nil
 }
 
@@ -525,13 +540,17 @@ func (s *Simulator) Step() *RoundEvent {
 	for _, ob := range s.observers {
 		ob.ObserveRound(&s.ev)
 	}
+	if s.lz.keyer != nil {
+		s.lz.step(a, s.occ)
+	}
 	return &s.ev
 }
 
-// Run executes rounds until the given horizon (exclusive). Callers that
-// want the final configuration call Snapshot afterwards.
+// Run executes rounds until the given horizon (exclusive), or until the
+// run retires at its lasso (Retired). Callers that want the final
+// configuration call Snapshot afterwards.
 func (s *Simulator) Run(horizon int) {
-	for s.t < horizon {
+	for s.t < horizon && !s.Retired() {
 		s.Step()
 	}
 }

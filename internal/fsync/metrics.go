@@ -12,6 +12,12 @@ import "pef/internal/telemetry"
 type Metrics struct {
 	// Rounds counts scalar simulator rounds executed.
 	Rounds *telemetry.Counter
+	// LassoRuns counts scalar runs retired at their lasso, before their
+	// horizon, and SkippedRounds the rounds they skipped (see
+	// Simulator.Lasso): Rounds plus SkippedRounds is the round volume of
+	// the horizons.
+	LassoRuns     *telemetry.Counter
+	SkippedRounds *telemetry.Counter
 	// Acquires / Releases count scalar pool traffic.
 	Acquires *telemetry.Counter
 	Releases *telemetry.Counter

@@ -50,11 +50,13 @@ func benchPool(b *testing.B, jobs, workers, window int) {
 // BenchmarkPoolScaling measures the worker pool along the two axes its
 // defaults were chosen on. The workers axis is the multi-core scaling
 // curve of a CPU-bound sweep (flat on single-CPU runners, approaching
-// linear on real cores). The window axis validates the 8×workers permit
-// default of StreamPool: a 1× window stalls dispatch behind the slowest
-// in-flight job (head-of-line blocking in the reorder ring), while
-// widening far past 8× buys no additional throughput and only grows the
-// ring's memory footprint.
+// linear on real cores). The window axis times StreamPool's permit window
+// at 1×, 2×, 8× (the default) and 32× the workers. A narrow window could
+// hold dispatch behind the slowest in-flight job (head-of-line blocking
+// in the reorder ring), but medians of five runs on a 2-CPU host show
+// none at 1×: 1×, 8× and 32× lie within 2% of each other and 2× is the
+// slowest (SCENARIOS.md "Pool scaling, measured"). Widening past 8× only
+// grows the ring's memory footprint.
 func BenchmarkPoolScaling(b *testing.B) {
 	const jobs = 256
 	for _, workers := range []int{1, 2, 4, 8} {

@@ -70,23 +70,73 @@ func familySpec(family string, horizon int) Spec {
 	return s
 }
 
-// adaptiveFamilies are the families whose specs never take the lockstep
-// engine: their dynamics react to robot positions.
+// adaptiveFamilies are the adversary families: their dynamics react to
+// robot positions. Their specs ride lanes in campaigns when the victim is
+// a rule table; Run takes the scalar oracle for all of them.
 var adaptiveFamilies = []string{FamilyBlockPointed, FamilyConfineOne, FamilyConfineTwo}
 
 // TestAdversarialOracleSteadyStateAllocFree extends the oracle guard to
 // adaptive adversaries: their presence sets are written in place, so six
-// times the horizon may not cost more allocations beyond noise. Skipped
-// under -race (instrumented allocation counts).
+// times the horizon may not cost more allocations beyond noise. The no-op
+// observer of fullHorizon keeps the runs from retiring at their lasso, so
+// 200 and 1200 rounds are what is compared. Skipped under -race
+// (instrumented allocation counts).
 func TestAdversarialOracleSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	ctx := context.Background()
 	for _, family := range adaptiveFamilies {
 		t.Run(family, func(t *testing.T) {
 			measure := func(horizon int) float64 {
 				s := familySpec(family, horizon)
-				Run(s) // warm pools and grow tracker capacity for this horizon
+				RunWith(ctx, s, fullHorizon) // warm pools and grow tracker capacity for this horizon
+				return testing.AllocsPerRun(20, func() {
+					if v, _ := RunWith(ctx, s, fullHorizon); !v.OK {
+						t.Fatalf("guard spec failed: %+v", v)
+					}
+				})
+			}
+			short := measure(200)
+			long := measure(1200)
+			if long > short+2 {
+				t.Fatalf("%s oracle evaluation allocates per round: %v allocs at horizon 200 vs %v at 1200", family, short, long)
+			}
+		})
+	}
+}
+
+// TestScalarLassoAllocFree guards the scalar lasso path: runs that retire
+// at their lasso (saves, compares, the cycle count, the tracker's Skip)
+// and lcg-walker-7 runs that compare every round and never retire may not
+// cost more allocations at six times the horizon, nor more than the same
+// spec run every round, beyond noise: the detector's six buffers stay
+// pooled with the simulator. Telemetry first checks which of them retire. Skipped under
+// -race (instrumented allocation counts).
+func TestScalarLassoAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, c := range []struct {
+		family, alg string
+		retires     bool
+	}{
+		{FamilyConfineOne, "pendulum-3", true},
+		{FamilyConfineTwo, "doubling-zigzag", true},
+		{FamilyConfineTwo, "pef3+", true},
+		{FamilyBlockPointed, "pef3+", true},
+		{FamilyConfineOne, "lcg-walker-7", false},
+		{FamilyConfineTwo, "lcg-walker-7", false},
+	} {
+		t.Run(c.family+"/"+c.alg, func(t *testing.T) {
+			measure := func(horizon int) float64 {
+				s := familySpec(c.family, horizon)
+				s.Algorithm = c.alg
+				tel := NewTelemetry()
+				RunWith(context.Background(), s, RunOptions{Telemetry: tel}) // warm pools, check the route
+				if got := tel.Snapshot().Counters["engine.lassoRuns"]; (got == 1) != c.retires {
+					t.Fatalf("horizon %d: engine.lassoRuns = %d, want retirement %v", horizon, got, c.retires)
+				}
 				return testing.AllocsPerRun(20, func() {
 					if v := Run(s); !v.OK {
 						t.Fatalf("guard spec failed: %+v", v)
@@ -96,7 +146,13 @@ func TestAdversarialOracleSteadyStateAllocFree(t *testing.T) {
 			short := measure(200)
 			long := measure(1200)
 			if long > short+2 {
-				t.Fatalf("%s oracle evaluation allocates per round: %v allocs at horizon 200 vs %v at 1200", family, short, long)
+				t.Fatalf("lasso oracle evaluation allocates per round: %v allocs at horizon 200 vs %v at 1200", short, long)
+			}
+			s := familySpec(c.family, 1200)
+			s.Algorithm = c.alg
+			full := testing.AllocsPerRun(20, func() { RunWith(context.Background(), s, fullHorizon) })
+			if long > full+2 {
+				t.Fatalf("lasso oracle evaluation allocates %v times at horizon 1200, the full-horizon run %v", long, full)
 			}
 		})
 	}

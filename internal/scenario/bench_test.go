@@ -8,11 +8,26 @@ import (
 
 // BenchmarkOracleRun measures one spec evaluation end to end (dynamics
 // build, pooled simulator run, predicate check) — the per-scenario unit
-// cost a million-scenario campaign pays.
+// cost a million-scenario campaign pays. The adversary families' pef3+
+// runs retire at their lasso; the two counter-core victims time both
+// scalar lasso paths a campaign's scalar specs take: pendulum-3 retires
+// within a few rounds, and lcg-walker-7 compares its state every round
+// and runs to the horizon.
 func BenchmarkOracleRun(b *testing.B) {
+	type bench struct{ name, family, alg string }
+	var benches []bench
 	for _, family := range append([]string{"static", "bernoulli", "markov"}, adaptiveFamilies...) {
-		b.Run(family, func(b *testing.B) {
-			s := familySpec(family, 600)
+		benches = append(benches, bench{family, family, ""})
+	}
+	benches = append(benches,
+		bench{FamilyConfineOne + "/pendulum-3", FamilyConfineOne, "pendulum-3"},
+		bench{FamilyConfineTwo + "/lcg-walker-7", FamilyConfineTwo, "lcg-walker-7"})
+	for _, c := range benches {
+		b.Run(c.name, func(b *testing.B) {
+			s := familySpec(c.family, 600)
+			if c.alg != "" {
+				s.Algorithm = c.alg
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -22,7 +22,9 @@ var updateLockstepGoldens = flag.Bool("update-lockstep-goldens", false,
 // stock generator plus the registered generator over all explorable
 // families, block verdicts must equal per-spec scalar verdicts field for
 // field, at every block width (1 disables lane sharing entirely, 7 forces
-// partial words and mixed retirement, 64 is the full word).
+// partial words and mixed retirement, 64 is the full word). The scalar
+// reference runs every round to the horizon (fullHorizon), so neither
+// engine's lasso retirement is checked against itself.
 func TestRunBlockMatchesRunWith(t *testing.T) {
 	ctx := context.Background()
 	for _, gen := range []string{"uniform", "boundary", "markov", "adversarial", "registered"} {
@@ -30,7 +32,7 @@ func TestRunBlockMatchesRunWith(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", gen, err)
 		}
-		want := scalarVerdicts(ctx, specs, RunOptions{})
+		want := scalarVerdicts(ctx, specs, fullHorizon)
 		for _, width := range []int{1, 7, 64} {
 			for start := 0; start < len(specs); start += width {
 				end := min(start+width, len(specs))
@@ -47,7 +49,8 @@ func TestRunBlockMatchesRunWith(t *testing.T) {
 }
 
 // scalarVerdicts runs every spec on the scalar oracle, the reference the
-// lane engine must reproduce byte for byte.
+// lane engine must reproduce byte for byte; with fullHorizon's no-op
+// observer every run sees every round.
 func scalarVerdicts(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 	vs := make([]Verdict, len(specs))
 	for i, s := range specs {
@@ -60,7 +63,8 @@ func scalarVerdicts(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 // guarantee: reports and JSON documents of the lane route (the campaign
 // itself, in its fixed 1024-spec blocks) are byte-identical to a
 // scalar-oracle reference, for any worker count. The reference folds
-// Generate's specs, run one by one through runScalar, into an Aggregate.
+// Generate's specs, run one by one through runScalar with every round
+// executed (fullHorizon), into an Aggregate.
 // The registered generator, over the full explorable-family pool, also
 // matches the committed golden. Uniform and adversarial run 400 specs per
 // seed: the uniform campaign must form full 64-lane groups, and every
@@ -97,7 +101,7 @@ func TestCampaignLockstepScalarByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range scalarVerdicts(ctx, specs, RunOptions{}) {
+		for _, v := range scalarVerdicts(ctx, specs, fullHorizon) {
 			ref.Add(v)
 		}
 		wantRep, wantJSON := render(ref)
@@ -357,7 +361,7 @@ func tableVictim(t *testing.T, s Spec) bool {
 // leave the lockstep path, every adversary lane-round counts as
 // word-fast, the lane-rounds run plus those cut by lasso retirement add
 // up to the lane specs' horizons, and the verdict JSON is byte-identical
-// to per-spec RunWith.
+// to per-spec RunWith run every round.
 func TestRunBlockRunsBlockPointedOnLanes(t *testing.T) {
 	specs, err := Generate("adversarial", GenConfig{}, 3, 192)
 	if err != nil {
@@ -367,7 +371,7 @@ func TestRunBlockRunsBlockPointedOnLanes(t *testing.T) {
 	want := make([]Verdict, len(specs))
 	var lanes, pointed, confine, counters, rounds int64
 	for i, s := range specs {
-		want[i] = runScalar(ctx, s, RunOptions{})
+		want[i] = runScalar(ctx, s, fullHorizon)
 		switch {
 		case s.Family == FamilyBlockPointed:
 			pointed++
@@ -414,7 +418,7 @@ func TestRunBlockRunsBlockPointedOnLanes(t *testing.T) {
 // TestRunBlockLassoBlockNotCancelled runs a block of confinement specs
 // whose victims are rule tables: every lane lassos within a few rounds, so
 // the lane group ends long before the shortest horizon, yet no verdict
-// reads cancelled and all equal per-spec RunWith.
+// reads cancelled and all equal per-spec RunWith run every round.
 func TestRunBlockLassoBlockNotCancelled(t *testing.T) {
 	all, err := Generate("adversarial", GenConfig{}, 7, 400)
 	if err != nil {
@@ -435,7 +439,7 @@ func TestRunBlockLassoBlockNotCancelled(t *testing.T) {
 		if got[i].Outcome == "cancelled" {
 			t.Fatalf("%s: lasso lane reported cancelled: %+v", s.ID(), got[i])
 		}
-		if want := runScalar(ctx, s, RunOptions{}); !reflect.DeepEqual(got[i], want) {
+		if want := runScalar(ctx, s, fullHorizon); !reflect.DeepEqual(got[i], want) {
 			t.Fatalf("%s:\nlockstep %+v\nscalar   %+v", s.ID(), got[i], want)
 		}
 	}
@@ -448,11 +452,13 @@ func TestRunBlockLassoBlockNotCancelled(t *testing.T) {
 	}
 }
 
-// TestAdversarialCampaignLassoTelemetry pins the lane work of the 4 × 500
-// adversarial campaign at 2 workers: the routing and the scalar rounds
-// are those of full-horizon lanes, while lasso retirement cuts the lane
-// rounds. The counts are deterministic; laneRounds plus skipped rounds
-// is the lane specs' horizon total.
+// TestAdversarialCampaignLassoTelemetry pins the engine work of the 4 ×
+// 500 adversarial campaign at 2 workers. Lasso retirement cuts the lane
+// rounds and the scalar rounds alike: every one of the 209 pendulum-3 and
+// doubling-zigzag confinement specs retires at its lasso on the scalar
+// oracle, and the 119 lcg-walker-7 specs run their 71,616 rounds. The
+// counts are deterministic; on each engine the rounds run plus the rounds
+// skipped is the horizon total of its specs.
 func TestAdversarialCampaignLassoTelemetry(t *testing.T) {
 	cfg := CampaignConfig{Generator: "adversarial", Count: 500, Seeds: []uint64{1, 2, 3, 4}, Workers: 2, Telemetry: NewTelemetry()}
 	if _, err := RunCampaign(context.Background(), cfg); err != nil {
@@ -461,15 +467,21 @@ func TestAdversarialCampaignLassoTelemetry(t *testing.T) {
 	c := cfg.Telemetry.Snapshot().Counters
 	for name, want := range map[string]int64{
 		"engine.lockstepSpecs":           1672,
-		"sim.rounds":                     202560,
 		"engine.lassoLanes":              1672,
 		"sim.lockstep.skippedLaneRounds": 1827167,
 		"sim.lockstep.laneRounds":        140009,
 		"sim.lockstep.rounds":            17170,
+		"engine.scalarSpecs":             328,
+		"engine.lassoRuns":               209,
+		"sim.rounds":                     72402,
+		"sim.skippedRounds":              130158,
 	} {
 		if got := c[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
+	}
+	if got := c["sim.rounds"] + c["sim.skippedRounds"]; got != 202560 {
+		t.Errorf("scalar rounds run plus skipped = %d, want the 202560 rounds of the scalar specs' horizons", got)
 	}
 }
 
@@ -522,7 +534,7 @@ func TestRunLockstepGroupFallbackCountsScalar(t *testing.T) {
 	runLockstepGroup(ctx, specs, plans, []int{0, 1, 2}, o, harness.NewLaneBlock(), got)
 	want := make([]Verdict, len(specs))
 	for i, s := range specs {
-		want[i] = runScalar(ctx, s, RunOptions{})
+		want[i] = runScalar(ctx, s, fullHorizon)
 	}
 	if verdictJSON(t, got) != verdictJSON(t, want) {
 		t.Fatal("fallen-back group verdicts differ from per-spec RunWith")

@@ -208,7 +208,10 @@ func Run(s Spec) Verdict {
 // did execute, Outcome "cancelled" — is returned together with ctx's
 // error, so long horizons stay cancellable without losing what was
 // already measured. Predicate violations are not errors: they come back
-// as OK=false verdicts.
+// as OK=false verdicts. Without overrides a run against a dynamics with
+// a lasso key stops once its state repeats (fsync.Config.Lasso), and its
+// report is carried to the horizon exactly; such a run is complete, never
+// cancelled.
 func RunWith(ctx context.Context, s Spec, o RunOptions) (v Verdict, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -247,19 +250,23 @@ func RunWith(ctx context.Context, s Spec, o RunOptions) (v Verdict, err error) {
 	observers := make([]fsync.Observer, 0, 1+len(o.Observers))
 	observers = append(observers, vt)
 	observers = append(observers, o.Observers...)
+	// Overrides see every round, which also makes them the full-horizon
+	// reference the lasso is tested against.
 	sim, err := fsync.Acquire(fsync.Config{
 		Algorithm:  alg,
 		Dynamics:   dyn,
 		Placements: place,
 		Observers:  observers,
 		Metrics:    o.Telemetry.simMetrics(),
+		Lasso:      !o.hasOverrides(),
+		Horizon:    s.Horizon,
 	})
 	if err != nil {
 		v.Err = err.Error()
 		return v, err
 	}
 	cancelled := false
-	for sim.Now() < s.Horizon {
+	for sim.Now() < s.Horizon && !sim.Retired() {
 		if ctx.Err() != nil {
 			cancelled = true
 			break
@@ -271,6 +278,10 @@ func RunWith(ctx context.Context, s Spec, o RunOptions) (v Verdict, err error) {
 		sim.Run(target)
 	}
 	executed := sim.Now()
+	if sim.Retired() {
+		_, period, skip := sim.Lasso()
+		vt.Skip(executed, period, skip, sim.CycleVisits())
+	}
 	sim.Release()
 	rep := vt.Report()
 	if cancelled {

@@ -21,6 +21,7 @@ import (
 //
 //	pool.*                    scheduling (harness.PoolMetrics)
 //	sim.rounds|acquires|releases          scalar engine
+//	sim.skippedRounds         scalar rounds cut by lasso retirement
 //	sim.lockstep.rounds|laneRounds|acquires|releases  lane engine
 //	sim.lockstep.skippedLaneRounds  lane rounds cut by lasso retirement
 //	sim.wordFastLanes|wordFallbackLanes   lane E_t by word kernel vs Present
@@ -29,6 +30,7 @@ import (
 //	engine.lockstepGroups     lane groups that finished on lanes
 //	engine.laneOccupancy      lanes per group (packing efficiency)
 //	engine.lassoLanes         adversary lanes retired at their lasso
+//	engine.lassoRuns          scalar oracle runs retired at their lasso
 //	engine.lockstepNanos|lockstepMillis   busy ns / whole ms spent inside lane groups
 //	engine.skip.<reason>      why specs left the lockstep path (fallback: group rejected)
 //	family.<family>.nanos|millis  scalar-oracle busy ns / whole ms per dynamics family
@@ -80,6 +82,8 @@ func NewTelemetry() *Telemetry {
 			Rounds:             reg.Counter("sim.rounds"),
 			Acquires:           reg.Counter("sim.acquires"),
 			Releases:           reg.Counter("sim.releases"),
+			LassoRuns:          reg.Counter("engine.lassoRuns"),
+			SkippedRounds:      reg.Counter("sim.skippedRounds"),
 			LockstepRounds:     reg.Counter("sim.lockstep.rounds"),
 			LockstepLaneRounds: reg.Counter("sim.lockstep.laneRounds"),
 			LassoLanes:         reg.Counter("engine.lassoLanes"),

@@ -216,6 +216,68 @@ func TestLaneVisitsSkipAfterLateCycle(t *testing.T) {
 	}
 }
 
+// lateCycleDyn is lateCycle as scalar dynamics: its phase is its lasso
+// key, so a Lasso run of a walker saves the state at t = 4, where the
+// cycle starts, and sees it again at t = 7.
+type lateCycleDyn struct{ phase int }
+
+func (a *lateCycleDyn) Ring() ring.Ring                { return ring.New(3) }
+func (a *lateCycleDyn) AppendLassoKey(dst []int) []int { return append(dst, a.phase) }
+func (a *lateCycleDyn) EdgesAtInto(_ int, _ *fsync.Snapshot, dst *ring.EdgeSet) {
+	dst.Clear()
+	if a.phase >= 4 {
+		dst.Fill()
+	}
+	if a.phase++; a.phase == 7 {
+		a.phase = 4
+	}
+}
+
+// TestVisitTrackerLassoSkipAfterLateCycle is TestLaneVisitsSkipAfterLateCycle
+// on the scalar engine: lateCycleDyn walkers run to horizons 1–48 with
+// and without lasso retirement, and Skip must carry every per-node visit
+// count, last visit and the horizon to the full run's report. A run
+// retired at t = 7 would have seen two of the three nodes only once.
+func TestVisitTrackerLassoSkipAfterLateCycle(t *testing.T) {
+	run := func(lasso bool, h int) (ExplorationReport, *fsync.Simulator) {
+		vt := NewVisitTracker(3)
+		sim, err := fsync.New(fsync.Config{
+			Algorithm:  baseline.KeepDirection,
+			Dynamics:   &lateCycleDyn{},
+			Placements: []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}},
+			Observers:  []fsync.Observer{vt},
+			Lasso:      lasso,
+			Horizon:    h,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Run(h)
+		if sim.Retired() {
+			_, period, skip := sim.Lasso()
+			vt.Skip(sim.Now(), period, skip, sim.CycleVisits())
+		}
+		return vt.Report(), sim
+	}
+	skipped := 0
+	for h := 1; h <= 48; h++ {
+		full, _ := run(false, h)
+		got, sim := run(true, h)
+		if sim.Retired() {
+			if at, period, _ := sim.Lasso(); at != 7 || period != 3 {
+				t.Fatalf("horizon %d: lasso at %d with period %d, want 7 and 3", h, at, period)
+			}
+			skipped++
+		}
+		if !reflect.DeepEqual(got, full) {
+			t.Errorf("horizon %d: lasso report %+v, full %+v", h, got, full)
+		}
+	}
+	if skipped != 48-12 {
+		t.Fatalf("%d runs retired at their lasso, want %d (every horizon from 13 on)", skipped, 48-12)
+	}
+}
+
 // laneTowerGraph returns a per-lane oblivious schedule from a mix of
 // families, sparse and dense, so towers form and dissolve often.
 func laneTowerGraph(n, kind int, seed uint64) dyngraph.EvolvingGraph {

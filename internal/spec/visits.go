@@ -103,6 +103,28 @@ func (vt *VisitTracker) recordConfig(snap *fsync.Snapshot) {
 	}
 }
 
+// Skip carries the tracker forward by s rounds without observing them,
+// for a run that retired at instant t at least two periods into a cycle
+// of the given period, with s a multiple of the period
+// (fsync.Simulator.Lasso): the scalar twin of LaneVisits.Skip. cycle[v]
+// is the number of instants of one period at which node v is occupied
+// (fsync.Simulator.CycleVisits). Every node visited in the cycle was
+// visited within the last period, so its last visit moves s instants
+// later and its visit count grows by s/period periods' worth; every other
+// node keeps both. Gaps, coverage and cover time are already final, since
+// the last two periods hold every gap the cycle closes. Report then equals
+// the report of the run observed to instant t+s.
+func (vt *VisitTracker) Skip(t, period, s int, cycle []int) {
+	since, periods := t-period, s/period
+	for v := 0; v < vt.n; v++ {
+		if vt.lastVisit[v] > since {
+			vt.lastVisit[v] += s
+		}
+		vt.visits[v] += periods * cycle[v]
+	}
+	vt.horizon += s
+}
+
 // Report summarizes the tracker at the current horizon.
 func (vt *VisitTracker) Report() ExplorationReport {
 	rep := ExplorationReport{
