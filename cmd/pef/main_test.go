@@ -113,6 +113,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			{"-progress", "-1"},
 			{"-lockstep=false"},
 		}},
+		{"mirror", [][]string{
+			{"-patience", "50"}, // the removed stall patience: the lasso decides
+			{"-n", "2"},         // below Theorem 5.1's n >= 3
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.command, func(t *testing.T) {

@@ -8,15 +8,17 @@ import (
 	"pef"
 	"pef/internal/adversary"
 	"pef/internal/fsync"
-	"pef/internal/robot"
+	"pef/internal/scenario"
 	"pef/internal/trace"
 )
 
 // runMirror builds and verifies the Lemma 4.1 gadget (Figure 1) live: it
 // runs the chosen algorithm as a single robot against the Theorem 5.1
-// confinement adversary until it stalls, transfers the stalled prefix
-// onto the 8-node mirror ring G′, re-executes two opposite-chirality
-// copies there, and reports Claims 1–4 plus the permanent freeze.
+// confinement adversary (the confine-one registry family) until it
+// stalls — its lasso closes with no move in the cycle — transfers the
+// stalled prefix onto the 8-node mirror ring G′, re-executes two
+// opposite-chirality copies there, and reports Claims 1–4 plus the
+// permanent freeze.
 //
 // Example:
 //
@@ -24,12 +26,11 @@ import (
 func runMirror(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("mirror", stderr)
 	var (
-		algo     = fs.String("alg", "keep-direction", "victim algorithm")
-		n        = fs.Int("n", 8, "original ring size (>= 3)")
-		horizon  = fs.Int("horizon", 200, "rounds to hunt for a stall")
-		patience = fs.Int("patience", 50, "rounds without phase progress that count as a stall")
-		extra    = fs.Int("extra", 48, "instants to verify beyond the stall")
-		viz      = fs.Int("viz", 12, "space-time rows of the mirror execution to print")
+		algo    = fs.String("alg", "keep-direction", "victim algorithm")
+		n       = fs.Int("n", 8, "original ring size (>= 3)")
+		horizon = fs.Int("horizon", 200, "rounds to hunt for a stall")
+		extra   = fs.Int("extra", 48, "instants to verify beyond the stall")
+		viz     = fs.Int("viz", 12, "space-time rows of the mirror execution to print")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -41,20 +42,30 @@ func runMirror(_ context.Context, args []string, stdout, stderr io.Writer) error
 	}
 
 	// Phase 1: produce a stalled prefix with the Theorem 5.1 adversary.
-	adv := adversary.NewOneRobotConfinement(*n, 0, 0)
+	d, _ := scenario.DefaultRegistry().Family(scenario.FamilyConfineOne)
+	s := scenario.Spec{Ring: *n, Robots: 1, Family: scenario.FamilyConfineOne}
+	if err := d.Validate(s); err != nil {
+		return err
+	}
+	adv, err := d.Build(s)
+	if err != nil {
+		return err
+	}
+	placements := d.Placements(s)
 	rec := &fsync.SnapshotRecorder{}
 	sim, err := fsync.New(fsync.Config{
 		Algorithm:   alg,
 		Dynamics:    adv,
-		Placements:  []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}},
+		Placements:  placements,
 		Observers:   []fsync.Observer{rec},
 		RecordGraph: true,
+		Lasso:       true,
 	})
 	if err != nil {
 		return err
 	}
 	sim.Run(*horizon)
-	info, stalled := adv.Stall(sim.Now(), *patience)
+	info, stalled := adversary.ReadStall(sim, rec)
 	if !stalled {
 		return fmt.Errorf("%s never stalled within %d rounds (it cycles; the direct Theorem 5.1 run already confines it — try keep-direction, pendulum-3, doubling-zigzag or pef3+)", alg.Name(), *horizon)
 	}
@@ -64,10 +75,10 @@ func runMirror(_ context.Context, args []string, stdout, stderr io.Writer) error
 	// Phase 2: build and verify the gadget.
 	world, err := adversary.BuildMirror(adversary.MirrorInput{
 		Alg:         alg,
-		Chir:        robot.RightIsCW,
+		Chir:        placements[info.Robot].Chirality,
 		G:           sim.RecordedGraph(),
-		Traj:        rec.Trajectory(0)[:info.Since+1],
-		States:      rec.States(0)[:info.Since+1],
+		Traj:        rec.Trajectory(info.Robot)[:info.Since+1],
+		States:      rec.States(info.Robot)[:info.Since+1],
 		StallTime:   info.Since,
 		MissingSide: info.MissingSide,
 	})

@@ -95,26 +95,39 @@ func TestOneRobotAdversaryRealizesConnectedOverTime(t *testing.T) {
 	}
 }
 
-func TestOneRobotStallDetection(t *testing.T) {
-	// keep-direction with RightIsCW points CCW; at node 0 the adversary
-	// blocks the CW edge, so the robot moves to v=n-1 immediately, then at
-	// v the CCW edge is blocked while the robot still points CCW: stall.
-	adv := NewOneRobotConfinement(5, 0, 0)
+// lassoRun runs placements under alg against adv for horizon rounds,
+// recording the realized graph and every snapshot and looking for the
+// lasso without retiring, as ReadStall's callers do.
+func lassoRun(t *testing.T, alg robot.Algorithm, adv fsync.Dynamics, placements []fsync.Placement, horizon int) (*fsync.Simulator, *fsync.SnapshotRecorder) {
+	t.Helper()
+	rec := &fsync.SnapshotRecorder{}
 	sim, err := fsync.New(fsync.Config{
-		Algorithm:  baseline.KeepDirection,
-		Dynamics:   adv,
-		Placements: []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}},
+		Algorithm:   alg,
+		Dynamics:    adv,
+		Placements:  placements,
+		Observers:   []fsync.Observer{rec},
+		RecordGraph: true,
+		Lasso:       true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Run(50)
-	info, stalled := adv.Stall(sim.Now(), 20)
+	sim.Run(horizon)
+	return sim, rec
+}
+
+func TestOneRobotStallDetection(t *testing.T) {
+	// keep-direction with RightIsCW points CCW; at node 0 the adversary
+	// blocks the CW edge, so the robot moves to v=n-1 immediately, then at
+	// v the CCW edge is blocked while the robot still points CCW: stall.
+	sim, rec := lassoRun(t, baseline.KeepDirection, NewOneRobotConfinement(5, 0, 0),
+		[]fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}}, 50)
+	info, stalled := ReadStall(sim, rec)
 	if !stalled {
 		t.Fatal("expected a stall for keep-direction")
 	}
-	if info.Node != 4 || info.MissingSide != ring.CCW {
-		t.Fatalf("stall info = %+v, want node 4 missing CCW", info)
+	if info.Node != 4 || info.Since != 1 || info.MissingSide != ring.CCW {
+		t.Fatalf("stall info = %+v, want node 4 since t=1 missing CCW", info)
 	}
 }
 
@@ -152,54 +165,76 @@ func TestTwoRobotConfinementAcrossSuite(t *testing.T) {
 func TestTwoRobotPhasesCycleAgainstLiveVictim(t *testing.T) {
 	// tower-bounce robots keep moving when forced, so the adversary must
 	// complete many full phase cycles.
-	adv := NewTwoRobotConfinement(6, 0, 0, 1)
-	sim, err := fsync.New(fsync.Config{
-		Algorithm: baseline.BounceOnMissing,
-		Dynamics:  adv,
-		Placements: []fsync.Placement{
-			{Node: 0, Chirality: robot.RightIsCW},
-			{Node: 1, Chirality: robot.RightIsCW},
-		},
-		RecordGraph: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	sim, rec := lassoRun(t, baseline.BounceOnMissing, NewTwoRobotConfinement(6, 0, 0, 1), []fsync.Placement{
+		{Node: 0, Chirality: robot.RightIsCW},
+		{Node: 1, Chirality: robot.RightIsCW},
+	}, 200)
+	// The run is deterministic and finite-state, so its lasso closes; the
+	// robots move during the cycle, which is what makes it no stall.
+	if at, _, _ := sim.Lasso(); at == 0 {
+		t.Fatal("the phase machine against bounce-on-missing never repeated")
 	}
-	sim.Run(200)
-	if _, stalled := adv.Stall(sim.Now(), 100); stalled {
+	if _, stalled := ReadStall(sim, rec); stalled {
 		t.Fatal("bounce-on-missing should not stall the phase machine")
 	}
 	// Realized graph must be connected-over-time (all absence intervals
 	// finite) when phases keep cycling.
-	rec := sim.RecordedGraph()
-	rep := dyngraph.VerifyConnectedOverTime(rec, 200, []int{0, 60})
+	rep := dyngraph.VerifyConnectedOverTime(sim.RecordedGraph(), 200, []int{0, 60})
 	if !rep.OK {
 		t.Fatalf("realized graph not connected-over-time: %+v", rep.Failures)
 	}
 }
 
-func TestTwoRobotStallInfoSides(t *testing.T) {
-	// keep-direction robots: r2 at node 1 points CCW (towards u), which
-	// phase 0 blocks — immediate stall on v with the missing edge CCW.
-	adv := NewTwoRobotConfinement(5, 0, 0, 1)
-	sim, err := fsync.New(fsync.Config{
-		Algorithm: baseline.KeepDirection,
-		Dynamics:  adv,
-		Placements: []fsync.Placement{
-			{Node: 0, Chirality: robot.RightIsCW},
-			{Node: 1, Chirality: robot.RightIsCW},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Run(40)
-	info, stalled := adv.Stall(sim.Now(), 30)
-	if !stalled {
-		t.Fatal("expected stall")
-	}
-	if info.Robot != 1 || info.Node != 1 || info.MissingSide != ring.CCW {
-		t.Fatalf("stall info = %+v", info)
+// TestReadStallReadsEveryPhase reads the stall of both confinement
+// adversaries in every phase a victim can stall in: the four phases of
+// Theorem 4.1 (the watched robot has one adjacent edge missing, the boxed
+// one two) and both nodes of Theorem 5.1. The expected values are the
+// phase tables of the proofs: robot, node, the instant the robots last
+// moved, and the side of the blocked edge.
+func TestReadStallReadsEveryPhase(t *testing.T) {
+	keep, bounce := baseline.KeepDirection, baseline.BounceOnMissing
+	cw, ccw := robot.RightIsCW, robot.RightIsCCW
+	for _, tc := range []struct {
+		name       string
+		adv        fsync.Dynamics
+		placements []fsync.Placement
+		want       StallInfo
+	}{
+		// Phase 0: r2 on v, e_vl blocked; r1 boxed on u.
+		{"two/phase 0", NewTwoRobotConfinement(5, 0, 0, 1),
+			[]fsync.Placement{{Node: 0, Chirality: cw}, {Node: 1, Chirality: cw}},
+			StallInfo{Robot: 1, Node: 1, Since: 0, MissingSide: ring.CCW}},
+		// Phase 1: r1 on u, e_ul blocked; r2 boxed on w.
+		{"two/phase 1", NewTwoRobotConfinement(5, 0, 0, 1),
+			[]fsync.Placement{{Node: 0, Chirality: cw}, {Node: 1, Chirality: ccw}},
+			StallInfo{Robot: 0, Node: 0, Since: 1, MissingSide: ring.CCW}},
+		// Phase 2: r1 on v, e_vr blocked; r2 boxed on w.
+		{"two/phase 2", NewTwoRobotConfinement(5, 0, 0, 1),
+			[]fsync.Placement{{Node: 0, Chirality: ccw}, {Node: 1, Chirality: ccw}},
+			StallInfo{Robot: 0, Node: 1, Since: 2, MissingSide: ring.CW}},
+		// Phase 3: r1 bounces through phases 1 and 2, then r2 points at
+		// e_wr forever; r1 boxed on u.
+		{"two/phase 3", NewTwoRobotConfinement(5, 0, 0, 1),
+			[]fsync.Placement{{Node: 0, Chirality: cw, Core: bounce.NewCore()}, {Node: 1, Chirality: ccw}},
+			StallInfo{Robot: 1, Node: 2, Since: 3, MissingSide: ring.CW}},
+		// Theorem 5.1 on u: e_ur blocked from the start.
+		{"one/u", NewOneRobotConfinement(5, 0, 0),
+			[]fsync.Placement{{Node: 0, Chirality: ccw}},
+			StallInfo{Robot: 0, Node: 0, Since: 0, MissingSide: ring.CW}},
+		// Theorem 5.1 on v: e_vl blocked after the forced first move.
+		{"one/v", NewOneRobotConfinement(5, 0, 0),
+			[]fsync.Placement{{Node: 0, Chirality: cw}},
+			StallInfo{Robot: 0, Node: 4, Since: 1, MissingSide: ring.CCW}},
+		// doubling-zigzag returns to u before it stalls there.
+		{"one/u after a round trip", NewOneRobotConfinement(5, 0, 0),
+			[]fsync.Placement{{Node: 0, Chirality: cw, Core: baseline.DoublingZigzag{}.NewCore()}},
+			StallInfo{Robot: 0, Node: 0, Since: 2, MissingSide: ring.CW}},
+	} {
+		sim, rec := lassoRun(t, keep, tc.adv, tc.placements, 40)
+		got, stalled := ReadStall(sim, rec)
+		if !stalled || got != tc.want {
+			t.Errorf("%s: ReadStall = %+v, %v; want %+v, true", tc.name, got, stalled, tc.want)
+		}
 	}
 }
 

@@ -27,21 +27,6 @@ import (
 	"pef/internal/ring"
 )
 
-// StallInfo describes a phase that the victim never completed: the watched
-// robot sat on Node from Since onwards while OneEdge(Node, Since, now)
-// held, with the missing adjacent edge on side MissingSide.
-type StallInfo struct {
-	// Robot is the index of the stalled robot.
-	Robot int
-	// Node is where it is stuck.
-	Node int
-	// Since is the first instant of the stalled phase.
-	Since int
-	// MissingSide is the global direction from Node towards the blocked
-	// adjacent edge.
-	MissingSide ring.Direction
-}
-
 // OneRobotConfinement is the Theorem 5.1 adversary. Starting from the
 // victim's initial node u, it alternates two phases:
 //
@@ -60,9 +45,6 @@ type OneRobotConfinement struct {
 	r     ring.Ring
 	u, v  int
 	robot int
-
-	phaseStart int
-	lastNode   int
 }
 
 // NewOneRobotConfinement builds the adversary for the robot with the given
@@ -75,7 +57,7 @@ func NewOneRobotConfinement(n, u, robotIdx int) *OneRobotConfinement {
 	if !r.ValidNode(u) {
 		panic(fmt.Sprintf("adversary: invalid start node %d", u))
 	}
-	return &OneRobotConfinement{r: r, u: u, v: r.Next(u, ring.CCW), robot: robotIdx, lastNode: u}
+	return &OneRobotConfinement{r: r, u: u, v: r.Next(u, ring.CCW), robot: robotIdx}
 }
 
 // Ring implements fsync.Dynamics.
@@ -84,10 +66,6 @@ func (a *OneRobotConfinement) Ring() ring.Ring { return a.r }
 // EdgesAtInto implements fsync.Dynamics.
 func (a *OneRobotConfinement) EdgesAtInto(t int, snap *fsync.Snapshot, dst *ring.EdgeSet) {
 	pos := snap.Positions[a.robot]
-	if pos != a.lastNode {
-		a.phaseStart = t
-		a.lastNode = pos
-	}
 	dst.Fill()
 	switch pos {
 	case a.u:
@@ -105,22 +83,8 @@ func (a *OneRobotConfinement) EdgesAtInto(t int, snap *fsync.Snapshot, dst *ring
 }
 
 // AppendLassoKey implements fsync.LassoKeyer: E_t follows from the
-// victim's position alone (lastNode and phaseStart only feed Stall), so
-// the key is empty.
+// victim's position alone, so the key is empty.
 func (a *OneRobotConfinement) AppendLassoKey(dst []int) []int { return dst }
 
 // Nodes returns the two nodes the victim is confined to.
 func (a *OneRobotConfinement) Nodes() (u, v int) { return a.u, a.v }
-
-// Stall returns information about the current phase if the victim has been
-// sitting still for at least patience rounds, observed at time now.
-func (a *OneRobotConfinement) Stall(now, patience int) (StallInfo, bool) {
-	if now-a.phaseStart < patience {
-		return StallInfo{}, false
-	}
-	side := ring.CW
-	if a.lastNode == a.v {
-		side = ring.CCW
-	}
-	return StallInfo{Robot: a.robot, Node: a.lastNode, Since: a.phaseStart, MissingSide: side}, true
-}

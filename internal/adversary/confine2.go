@@ -27,8 +27,7 @@ type TwoRobotConfinement struct {
 	u, v, w int
 	r1, r2  int // robot indices
 
-	phase      int
-	phaseStart int
+	phase int
 }
 
 // NewTwoRobotConfinement builds the adversary on an n-node ring (n >= 4)
@@ -99,7 +98,6 @@ func (a *TwoRobotConfinement) EdgesAtInto(t int, snap *fsync.Snapshot, dst *ring
 	watched, target := a.watchedTarget()
 	if snap.Positions[watched] == target {
 		a.phase = (a.phase + 1) % 4
-		a.phaseStart = t
 	}
 	a.guard(snap, a.r1, t)
 	a.guard(snap, a.r2, t)
@@ -118,41 +116,8 @@ func (a *TwoRobotConfinement) guard(snap *fsync.Snapshot, idx, t int) {
 }
 
 // AppendLassoKey implements fsync.LassoKeyer: the phase, which with the
-// watched robot's position decides the next presence set (phaseStart only
-// feeds Stall).
+// watched robot's position decides the next presence set.
 func (a *TwoRobotConfinement) AppendLassoKey(dst []int) []int { return append(dst, a.phase) }
 
 // Phase returns the current phase index (0..3).
 func (a *TwoRobotConfinement) Phase() int { return a.phase }
-
-// Nodes returns the three nodes the victims are confined to.
-func (a *TwoRobotConfinement) Nodes() (u, v, w int) { return a.u, a.v, a.w }
-
-// Stall reports the watched robot of the current phase if it has not
-// completed the phase within patience rounds, observed at time now. The
-// stalled robot sits on a node satisfying OneEdge since the phase start;
-// MissingSide is the direction of its blocked adjacent edge, which is the
-// input the Lemma 4.1 mirror construction needs.
-func (a *TwoRobotConfinement) Stall(now, patience int) (StallInfo, bool) {
-	if now-a.phaseStart < patience {
-		return StallInfo{}, false
-	}
-	watched, _ := a.watchedTarget()
-	var node int
-	var side ring.Direction
-	switch a.phase {
-	case 0:
-		// r2 stuck on v: e_vl blocked (CCW side), e_vr open.
-		node, side = a.v, ring.CCW
-	case 1:
-		// r1 stuck on u: e_ul blocked (CCW side), e_ur open.
-		node, side = a.u, ring.CCW
-	case 2:
-		// r1 stuck on v: e_vr blocked (CW side), e_vl open.
-		node, side = a.v, ring.CW
-	default:
-		// r2 stuck on w: e_wr blocked (CW side), e_wl open.
-		node, side = a.w, ring.CW
-	}
-	return StallInfo{Robot: watched, Node: node, Since: a.phaseStart, MissingSide: side}, true
-}

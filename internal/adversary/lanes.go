@@ -10,17 +10,19 @@ import (
 )
 
 // LaneForm reports whether Lanes can drive a run under d on an n-node ring:
-// a fresh BlockPointed, or a fresh confinement adversary built the way the
-// scenario registry builds it (u = 0, watching robot 0, or robots 0 and 1).
-// Any other instance keeps its scalar form.
+// a fresh BlockPointed, or a confinement adversary built the way the
+// scenario registry builds it (u = 0, watching robot 0, or robots 0 and 1)
+// in its starting state, which is its lasso key: confine-two in phase 0,
+// and confine-one always, since it carries no state between rounds. Any
+// other instance keeps its scalar form.
 func LaneForm(d fsync.Dynamics, n int) bool {
 	switch d := d.(type) {
 	case *BlockPointed:
 		return len(d.runs.prev) == 0 && d.r.Size() == n
 	case *OneRobotConfinement:
-		return d.u == 0 && d.robot == 0 && d.lastNode == 0 && d.phaseStart == 0 && d.r.Size() == n
+		return d.u == 0 && d.robot == 0 && d.r.Size() == n
 	case *TwoRobotConfinement:
-		return d.u == 0 && d.r1 == 0 && d.r2 == 1 && d.phase == 0 && d.phaseStart == 0 && d.r.Size() == n
+		return d.u == 0 && d.r1 == 0 && d.r2 == 1 && d.phase == 0 && d.r.Size() == n
 	}
 	return false
 }

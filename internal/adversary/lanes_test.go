@@ -405,13 +405,12 @@ func TestLaneConfinementPanicsOnEscape(t *testing.T) {
 // TestLaneFormAdmitsFreshRegistryInstances pins which adversaries ride
 // lanes: fresh instances built the way the scenario registry builds them,
 // on the block's ring. Another start node, another watched robot, a used
-// instance or another ring keeps the scalar form.
+// instance or another ring keeps the scalar form. A confine-one instance
+// carries no state between rounds, so it is never "used".
 func TestLaneFormAdmitsFreshRegistryInstances(t *testing.T) {
 	const n = 7
 	used := NewTwoRobotConfinement(n, 0, 0, 1)
 	used.phase = 1
-	moved := NewOneRobotConfinement(n, 0, 0)
-	moved.lastNode = n - 1
 	for _, tc := range []struct {
 		name string
 		dyn  fsync.Dynamics
@@ -423,7 +422,6 @@ func TestLaneFormAdmitsFreshRegistryInstances(t *testing.T) {
 		{"confine-one other ring", NewOneRobotConfinement(n+1, 0, 0), false},
 		{"confine-one at u=2", NewOneRobotConfinement(n, 2, 0), false},
 		{"confine-one robot 1", NewOneRobotConfinement(n, 0, 1), false},
-		{"confine-one moved", moved, false},
 		{"confine-two robots 1, 0", NewTwoRobotConfinement(n, 0, 1, 0), false},
 		{"confine-two at u=3", NewTwoRobotConfinement(n, 3, 0, 1), false},
 		{"confine-two used", used, false},

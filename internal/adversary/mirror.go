@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"fmt"
+	"slices"
 
 	"pef/internal/dyngraph"
 	"pef/internal/fsync"
@@ -22,6 +23,59 @@ const (
 	mirrorF2     = 4
 	mirrorCutoff = mirrorF1 // edge joining f1' and f2'
 )
+
+// StallInfo describes a run whose robots sit still forever: the stalled
+// robot sat on Node from Since onwards with one adjacent edge missing, on
+// side MissingSide, the input the Lemma 4.1 mirror construction needs.
+type StallInfo struct {
+	// Robot is the index of the stalled robot.
+	Robot int
+	// Node is where it is stuck.
+	Node int
+	// Since is the last instant at which some robot changed node (0 when
+	// none ever did).
+	Since int
+	// MissingSide is the global direction from Node towards the blocked
+	// adjacent edge.
+	MissingSide ring.Direction
+}
+
+// Stalled reports whether the run of sim, which looked for its lasso
+// (fsync.Config.Lasso), stalled: its lasso closed and no robot changed
+// node during the cycle, i.e. lastMove, the last instant some robot
+// changed node, is at or before the cycle's first instant. Any other run,
+// one whose lasso has not closed included, cycles.
+func Stalled(sim *fsync.Simulator, lastMove int) bool {
+	at, period, _ := sim.Lasso()
+	return at > 0 && lastMove <= at-period
+}
+
+// ReadStall reads the stall of a run off its lasso; sim must have set
+// Config.Lasso and RecordGraph, and rec observed every round. The stalled
+// robot is the first whose node misses exactly one adjacent edge in
+// E_Since (the robot a confinement adversary boxes misses two). ok is
+// false when the run did not stall or no robot misses exactly one edge.
+func ReadStall(sim *fsync.Simulator, rec *fsync.SnapshotRecorder) (info StallInfo, ok bool) {
+	since := rec.Len() - 1
+	for since > 0 && !slices.Contains(rec.At(since).MovedPrev, true) {
+		since--
+	}
+	if !Stalled(sim, since) {
+		return StallInfo{}, false
+	}
+	g := sim.RecordedGraph()
+	for i, v := range rec.At(since).Positions {
+		cw := g.Present(g.Ring().EdgeTowards(v, ring.CW), since)
+		if ccw := g.Present(g.Ring().EdgeTowards(v, ring.CCW), since); cw != ccw {
+			side := ring.CW
+			if cw {
+				side = ring.CCW
+			}
+			return StallInfo{Robot: i, Node: v, Since: since, MissingSide: side}, true
+		}
+	}
+	return StallInfo{}, false
+}
 
 // MirrorInput packages a stalled execution prefix: a robot that, running
 // alg with chirality Chir on the recorded evolving graph G, followed the

@@ -11,25 +11,14 @@ import (
 )
 
 // stalledPrefix runs alg as a single robot against the Theorem 5.1
-// confinement adversary until it stalls, and returns the mirror input.
-// ok=false when the algorithm never stalled within the horizon (it keeps
-// ping-ponging, which is the other — already confined — proof outcome).
-func stalledPrefix(t *testing.T, alg robot.Algorithm, chir robot.Chirality, n, horizon, patience int) (MirrorInput, bool) {
+// confinement adversary and reads its stall (ReadStall) into the mirror
+// input. ok=false when the algorithm did not stall within the horizon (it
+// keeps ping-ponging, which is the other — already confined — proof
+// outcome).
+func stalledPrefix(t *testing.T, alg robot.Algorithm, chir robot.Chirality, n, horizon int) (MirrorInput, bool) {
 	t.Helper()
-	adv := NewOneRobotConfinement(n, 0, 0)
-	rec := &fsync.SnapshotRecorder{}
-	sim, err := fsync.New(fsync.Config{
-		Algorithm:   alg,
-		Dynamics:    adv,
-		Placements:  []fsync.Placement{{Node: 0, Chirality: chir}},
-		Observers:   []fsync.Observer{rec},
-		RecordGraph: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Run(horizon)
-	info, stalled := adv.Stall(sim.Now(), patience)
+	sim, rec := lassoRun(t, alg, NewOneRobotConfinement(n, 0, 0), []fsync.Placement{{Node: 0, Chirality: chir}}, horizon)
+	info, stalled := ReadStall(sim, rec)
 	if !stalled {
 		return MirrorInput{}, false
 	}
@@ -38,8 +27,8 @@ func stalledPrefix(t *testing.T, alg robot.Algorithm, chir robot.Chirality, n, h
 		Alg:         alg,
 		Chir:        chir,
 		G:           sim.RecordedGraph(),
-		Traj:        rec.Trajectory(0)[:stallT+1],
-		States:      rec.States(0)[:stallT+1],
+		Traj:        rec.Trajectory(info.Robot)[:stallT+1],
+		States:      rec.States(info.Robot)[:stallT+1],
 		StallTime:   stallT,
 		MissingSide: info.MissingSide,
 	}, true
@@ -47,7 +36,7 @@ func stalledPrefix(t *testing.T, alg robot.Algorithm, chir robot.Chirality, n, h
 
 func TestMirrorClaimsOnStalledKeepDirection(t *testing.T) {
 	for _, chir := range []robot.Chirality{robot.RightIsCW, robot.RightIsCCW} {
-		in, ok := stalledPrefix(t, baseline.KeepDirection, chir, 6, 60, 20)
+		in, ok := stalledPrefix(t, baseline.KeepDirection, chir, 6, 60)
 		if !ok {
 			t.Fatalf("keep-direction (chir %v) did not stall", chir)
 		}
@@ -80,7 +69,7 @@ func TestMirrorClaimsAcrossStallingVictims(t *testing.T) {
 		core.PEF3Plus, // with one robot it never meets anyone: pure rule 1
 	}
 	for _, alg := range algs {
-		in, ok := stalledPrefix(t, alg, robot.RightIsCW, 8, 100, 30)
+		in, ok := stalledPrefix(t, alg, robot.RightIsCW, 8, 100)
 		if !ok {
 			t.Logf("%s: no stall (cycling outcome), skipping mirror", alg.Name())
 			continue
@@ -100,7 +89,7 @@ func TestMirrorClaimsAcrossStallingVictims(t *testing.T) {
 }
 
 func TestMirrorPlacementGeometry(t *testing.T) {
-	in, ok := stalledPrefix(t, baseline.KeepDirection, robot.RightIsCW, 6, 60, 20)
+	in, ok := stalledPrefix(t, baseline.KeepDirection, robot.RightIsCW, 6, 60)
 	if !ok {
 		t.Fatal("no stall")
 	}
@@ -122,7 +111,7 @@ func TestMirrorPlacementGeometry(t *testing.T) {
 }
 
 func TestMirrorRejectsBadInput(t *testing.T) {
-	in, ok := stalledPrefix(t, baseline.KeepDirection, robot.RightIsCW, 6, 60, 20)
+	in, ok := stalledPrefix(t, baseline.KeepDirection, robot.RightIsCW, 6, 60)
 	if !ok {
 		t.Fatal("no stall")
 	}

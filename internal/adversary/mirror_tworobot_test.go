@@ -11,31 +11,23 @@ import (
 // TestMirrorFromTwoRobotStall feeds the mirror gadget from a stall of the
 // Theorem 4.1 adversary — the exact situation Lemma 4.1 is invoked for in
 // the paper's proof. PEF_3+ with two robots stalls in phase 1 (robot 0
-// boxed on u with its counter-clockwise edge missing), and the stalled
-// prefix must transfer to G′ with all four claims and a permanent freeze.
+// stuck on u with its counter-clockwise edge missing, robot 1 boxed on w),
+// and the stalled prefix must transfer to G′ with all four claims and a
+// permanent freeze.
 func TestMirrorFromTwoRobotStall(t *testing.T) {
-	const n, horizon, patience = 8, 160, 60
-	adv := NewTwoRobotConfinement(n, 0, 0, 1)
-	rec := &fsync.SnapshotRecorder{}
+	const n, horizon = 8, 160
 	chirs := []robot.Chirality{robot.RightIsCW, robot.RightIsCCW}
-	sim, err := fsync.New(fsync.Config{
-		Algorithm: core.PEF3Plus,
-		Dynamics:  adv,
-		Placements: []fsync.Placement{
-			{Node: 0, Chirality: chirs[0]},
-			{Node: 1, Chirality: chirs[1]},
-		},
-		Observers:   []fsync.Observer{rec},
-		RecordGraph: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Run(horizon)
+	sim, rec := lassoRun(t, core.PEF3Plus, NewTwoRobotConfinement(n, 0, 0, 1), []fsync.Placement{
+		{Node: 0, Chirality: chirs[0]},
+		{Node: 1, Chirality: chirs[1]},
+	}, horizon)
 
-	info, stalled := adv.Stall(sim.Now(), patience)
+	info, stalled := ReadStall(sim, rec)
 	if !stalled {
 		t.Fatal("PEF_3+ with two robots should stall against the phase machine")
+	}
+	if info.Robot != 0 || info.Node != 0 {
+		t.Fatalf("stall info = %+v, want robot 0 boxed on u = 0", info)
 	}
 	world, err := BuildMirror(MirrorInput{
 		Alg:         core.PEF3Plus,

@@ -233,7 +233,8 @@ type Config struct {
 	// there too.
 	Lasso bool
 	// Horizon is the instant the run is meant to reach; only Lasso reads
-	// it.
+	// it. A Lasso run with Horizon 0 finds its lasso (Simulator.Lasso)
+	// but never retires, for callers that need every round.
 	Horizon int
 }
 

@@ -15,16 +15,15 @@ import (
 
 func runF1(cfg Config, res *Result) error {
 	res.Table = metrics.NewTable("algorithm", "chirality", "stall t", "claims 1-4", "stalled forever", "visited in G'", "verdict")
-	horizon, patience := pick(cfg, 120, 60), pick(cfg, 40, 20)
+	horizon := pick(cfg, 120, 60)
 	cases := 0
 	for _, alg := range victimSuite() {
 		for _, chir := range []robot.Chirality{robot.RightIsCW, robot.RightIsCCW} {
-			adv := adversary.NewOneRobotConfinement(8, 0, 0)
-			_, sim, rec, err := confinementRun(alg, adv, team(chir), horizon, true)
+			_, sim, rec, err := confinementRun(alg, adversary.NewOneRobotConfinement(8, 0, 0), team(chir), horizon)
 			if err != nil {
 				return err
 			}
-			info, stalled := adv.Stall(sim.Now(), patience)
+			info, stalled := adversary.ReadStall(sim, rec)
 			if !stalled {
 				continue // cycling victims are covered by E-T1.R4 directly
 			}
@@ -93,7 +92,7 @@ type schedule struct {
 func checkSchedule(res *Result, s schedule) error {
 	res.Table = metrics.NewTable("check", "value", "verdict")
 	alg := baseline.BounceOnMissing
-	ct, sim, rec, err := confinementRun(alg, s.adv, s.placements, s.horizon, true)
+	ct, sim, rec, err := confinementRun(alg, s.adv, s.placements, s.horizon)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"pef/internal/adversary"
@@ -304,6 +305,42 @@ func TestLaneBlockCancelledAfterLasso(t *testing.T) {
 		}
 		if want := laneVisits(sh.full(t, rounds)); !reflect.DeepEqual(reps[l].Report, want) || reps[l].Rounds != rounds {
 			t.Errorf("%s: lane %+v after %d rounds, want %+v after %d", sh.name, reps[l].Report, reps[l].Rounds, want, rounds)
+		}
+	}
+}
+
+// TestConfinementOutcomesPerVictim pins the outcome column of E-T1.R2 and
+// E-T1.R4 at quick horizons, read off each run's lasso: six victims stop
+// moving inside their cycle and read "stalled" on every ring; the other
+// six keep moving in it (or, lcg-walker-7, never repeat within the
+// horizon) and read "cycling".
+func TestConfinementOutcomesPerVictim(t *testing.T) {
+	stalled := map[string]bool{
+		"keep-direction": true, "pendulum-3": true, "doubling-zigzag": true,
+		"pef3+": true, "pef3+/no-rule2": true, "pef3+/no-rule3": true,
+	}
+	for _, id := range []string{"E-T1.R2", "E-T1.R4"} {
+		e, ok := Find(id, true)
+		if !ok {
+			t.Fatalf("%s not found", id)
+		}
+		res, err := e.Run(Config{Seed: 1, Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := strings.Split(strings.TrimSpace(res.Table.String()), "\n")[2:]
+		if len(rows) != 2*len(victimSuite()) {
+			t.Fatalf("%s: %d rows, want %d (two quick rings per victim)", id, len(rows), 2*len(victimSuite()))
+		}
+		for _, row := range rows {
+			f := strings.Fields(row) // algorithm, n, visited, outcome, verdict
+			want := "cycling"
+			if stalled[f[0]] {
+				want = "stalled"
+			}
+			if f[3] != want {
+				t.Errorf("%s %s n=%s: outcome %s, want %s", id, f[0], f[1], f[3], want)
+			}
 		}
 	}
 }

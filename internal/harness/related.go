@@ -96,7 +96,7 @@ func runX8(cfg Config, res *Result) error {
 		{"Theorem 5.1 schedule", adversary.NewOneRobotConfinement(6, 0, 0), team(robot.RightIsCW)},
 		{"Theorem 4.1 schedule", adversary.NewTwoRobotConfinement(6, 0, 0, 1), team(robot.RightIsCW, robot.RightIsCW)},
 	} {
-		_, sim, _, err := confinementRun(alg, s.adv, s.placements, horizon, true)
+		_, sim, _, err := confinementRun(alg, s.adv, s.placements, horizon)
 		if err != nil {
 			return err
 		}

@@ -296,31 +296,21 @@ func team(chirs ...robot.Chirality) []fsync.Placement {
 	return ps
 }
 
-// confiner is a confinement adversary of Theorem 4.1 or 5.1, which can
-// tell when its victims stalled.
-type confiner interface {
-	fsync.Dynamics
-	Stall(now, patience int) (adversary.StallInfo, bool)
-}
-
 // confinementRun runs alg from placements against a confinement adversary
-// for horizon rounds and returns the confinement tracker and the
-// simulator. With record set, the simulator also keeps the realized graph
-// and the recorder every snapshot, for the mirror, the convergence checks
-// and the diagrams.
-func confinementRun(alg robot.Algorithm, adv fsync.Dynamics, placements []fsync.Placement, horizon int, record bool) (*spec.ConfinementTracker, *fsync.Simulator, *fsync.SnapshotRecorder, error) {
+// for horizon rounds and returns the confinement tracker, the simulator
+// and a recorder of every snapshot. The simulator keeps the realized graph
+// and finds the run's lasso without retiring it, for the mirror
+// (adversary.ReadStall), the convergence checks and the diagrams.
+func confinementRun(alg robot.Algorithm, adv fsync.Dynamics, placements []fsync.Placement, horizon int) (*spec.ConfinementTracker, *fsync.Simulator, *fsync.SnapshotRecorder, error) {
 	ct := spec.NewConfinementTracker()
 	rec := &fsync.SnapshotRecorder{}
-	obs := []fsync.Observer{ct}
-	if record {
-		obs = append(obs, rec)
-	}
 	sim, err := fsync.New(fsync.Config{
 		Algorithm:   alg,
 		Dynamics:    adv,
 		Placements:  placements,
-		Observers:   obs,
-		RecordGraph: record,
+		Observers:   []fsync.Observer{ct, rec},
+		RecordGraph: true,
+		Lasso:       true,
 	})
 	if err != nil {
 		return nil, nil, nil, err
@@ -331,8 +321,11 @@ func confinementRun(alg robot.Algorithm, adv fsync.Dynamics, placements []fsync.
 
 // confinementSweep is the shared body of the Table 1 impossibility rows:
 // every victim runs from placements against the theorem's adversary on
-// every ring, and must visit at most limit nodes.
-func confinementSweep(adv func(n int) confiner, placements []fsync.Placement, limit int, rings, quickRings []int, notes ...string) sweep {
+// every ring, and must visit at most limit nodes. A run retires at its
+// lasso; it is "stalled" when no robot moves during the cycle
+// (adversary.Stalled), and "cycling" otherwise, including a run whose
+// lasso does not close within the horizon.
+func confinementSweep(adv func(n int) fsync.Dynamics, placements []fsync.Placement, limit int, rings, quickRings []int, notes ...string) sweep {
 	return sweep{
 		rings:      rings,
 		quickRings: quickRings,
@@ -341,15 +334,24 @@ func confinementSweep(adv func(n int) confiner, placements []fsync.Placement, li
 		notes:      notes,
 		body: func(cfg Config, res *Result, c sweepCase) error {
 			horizon := pick(cfg, 64*c.n, 24*c.n)
-			a := adv(c.n)
-			ct, sim, _, err := confinementRun(c.alg, a, placements, horizon, false)
+			ct := spec.NewConfinementTracker()
+			sim, err := fsync.Acquire(fsync.Config{
+				Algorithm:  c.alg,
+				Dynamics:   adv(c.n),
+				Placements: placements,
+				Observers:  []fsync.Observer{ct},
+				Lasso:      true,
+				Horizon:    horizon,
+			})
 			if err != nil {
 				return err
 			}
+			sim.Run(horizon)
 			outcome := "cycling"
-			if _, stalled := a.Stall(sim.Now(), horizon/2); stalled {
+			if adversary.Stalled(sim, ct.LastMove()) {
 				outcome = "stalled"
 			}
+			sim.Release()
 			ok := ct.ConfinedTo(limit)
 			if !ok {
 				res.fail("FAIL %s n=%d visited %v", c.alg.Name(), c.n, ct.VisitedNodes())
@@ -360,12 +362,12 @@ func confinementSweep(adv func(n int) confiner, placements []fsync.Placement, li
 	}
 }
 
-var t1r2 = confinementSweep(func(n int) confiner { return adversary.NewTwoRobotConfinement(n, 0, 0, 1) },
+var t1r2 = confinementSweep(func(n int) fsync.Dynamics { return adversary.NewTwoRobotConfinement(n, 0, 0, 1) },
 	team(robot.RightIsCW, robot.RightIsCCW), 3, []int{4, 5, 8, 16}, []int{4, 8},
 	"Paper prediction: impossible — every pair of deterministic robots visits at most 3 nodes.",
 	"Stalled outcomes feed the Lemma 4.1 mirror gadget; see E-F1.")
 
-var t1r4 = confinementSweep(func(n int) confiner { return adversary.NewOneRobotConfinement(n, 0, 0) },
+var t1r4 = confinementSweep(func(n int) fsync.Dynamics { return adversary.NewOneRobotConfinement(n, 0, 0) },
 	team(robot.RightIsCW), 2, []int{3, 4, 8, 16}, []int{3, 8},
 	"Paper prediction: impossible — every deterministic algorithm visits at most 2 nodes.",
 	"'cycling' realizes the recurrent-edges limit graph Gω; 'stalled' realizes a legal eventual-missing-edge graph.")

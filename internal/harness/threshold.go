@@ -7,7 +7,6 @@ import (
 	"pef/internal/fsync"
 	"pef/internal/metrics"
 	"pef/internal/robot"
-	"pef/internal/spec"
 )
 
 // runX11 makes the computability threshold of Table 1 visible in a single
@@ -24,19 +23,10 @@ func runX11(cfg Config, res *Result) error {
 
 	// k = 1: Theorem 5.1 adversary.
 	{
-		adv := adversary.NewOneRobotConfinement(n, 0, 0)
-		ct := spec.NewConfinementTracker()
-		sim, err := fsync.New(fsync.Config{
-			Algorithm:   core.PEF3Plus,
-			Dynamics:    adv,
-			Placements:  team(robot.RightIsCW),
-			Observers:   []fsync.Observer{ct},
-			RecordGraph: true,
-		})
+		ct, sim, _, err := confinementRun(core.PEF3Plus, adversary.NewOneRobotConfinement(n, 0, 0), team(robot.RightIsCW), horizon)
 		if err != nil {
 			return err
 		}
-		sim.Run(horizon)
 		// A stalled victim freezes the schedule legally (one eventually
 		// missing edge keeps the eventual underlying graph connected, a
 		// chain); treat that case as legal even though the journey check
@@ -59,14 +49,13 @@ func runX11(cfg Config, res *Result) error {
 	// single eventually missing edge (legal), and both robot copies freeze
 	// there forever.
 	{
-		adv := adversary.NewTwoRobotConfinement(n, 0, 0, 1)
 		placements := team(robot.RightIsCW, robot.RightIsCCW)
-		ct, sim, rec, err := confinementRun(core.PEF3Plus, adv, placements, horizon, true)
+		ct, sim, rec, err := confinementRun(core.PEF3Plus, adversary.NewTwoRobotConfinement(n, 0, 0, 1), placements, horizon)
 		if err != nil {
 			return err
 		}
 		confined := ct.ConfinedTo(3)
-		if info, stalled := adv.Stall(sim.Now(), horizon/4); stalled {
+		if info, stalled := adversary.ReadStall(sim, rec); stalled {
 			world, err := adversary.BuildMirror(adversary.MirrorInput{
 				Alg:         core.PEF3Plus,
 				Chir:        placements[info.Robot].Chirality,
@@ -107,18 +96,10 @@ func runX11(cfg Config, res *Result) error {
 		{"arc walls with budget 6", 6},
 	} {
 		adv := adversary.NewArcContainment(n, 0, 4, policy.budget)
-		ct := spec.NewConfinementTracker()
-		sim, err := fsync.New(fsync.Config{
-			Algorithm:   core.PEF3Plus,
-			Dynamics:    adv,
-			Placements:  fsync.AdjacentPlacements(n, 3, 0),
-			Observers:   []fsync.Observer{ct},
-			RecordGraph: true,
-		})
+		ct, sim, _, err := confinementRun(core.PEF3Plus, adv, fsync.AdjacentPlacements(n, 3, 0), horizon)
 		if err != nil {
 			return err
 		}
-		sim.Run(horizon)
 		legal := dyngraph.VerifyConnectedOverTime(sim.RecordedGraph(), horizon, cotStarts).OK
 		confined := ct.ConfinedTo(4)
 		outcome := "escaped: exploration wins"

@@ -52,16 +52,18 @@ func lockstepEligible(s Spec, o RunOptions, res preparedRun) (fsync.Dynamics, st
 	return dyn, ""
 }
 
-// lanePlan is what the plan keeps of a lane-eligible spec until its group
-// runs: the dynamics its lane runs (nil for a scalar spec), its rule table,
-// and the property and confinement limit its verdict is classified
-// against. RunBlock holds one per spec of the block, so it keeps none of
-// the family descriptor.
+// lanePlan is what the plan keeps of a spec until its unit runs. A
+// lane-eligible spec keeps the dynamics its lane runs, its rule table, and
+// the property and confinement limit its verdict is classified against;
+// RunBlock holds one per spec of the block, so it keeps none of the family
+// descriptor. A scalar spec keeps its whole preparedRun behind scalar
+// (nil for a lane spec), so that its run does not resolve it again.
 type lanePlan struct {
 	dyn          fsync.Dynamics
 	table        robot.Table
 	prop         Property
 	confineLimit int
+	scalar       *preparedRun
 }
 
 // newLanePlan keeps what a lane-eligible spec's group needs of its
@@ -99,7 +101,7 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 	for i, s := range specs {
 		v, res, err := prepareRun(s, o)
 		// An error verdict is final (RunWith would add nothing); a lane
-		// verdict is classified into it. A scalar run overwrites it.
+		// verdict is classified into it, a scalar run starts from it.
 		out[i] = v
 		if err != nil {
 			continue
@@ -110,6 +112,8 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 				tel.scalarSpecs.Inc()
 				tel.skipReason(reason).Inc()
 			}
+			scalarRes := res // a copy, so that lane specs' res stays off the heap
+			plans[i].scalar = &scalarRes
 			scalar = append(scalar, i)
 			continue
 		}
@@ -150,8 +154,8 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 		defer laneBlockPool.Put(blk)
 		for u := int(cursor.Add(1)) - 1; u < len(units); u = int(cursor.Add(1)) - 1 {
 			members := units[u]
-			if plans[members[0]].dyn == nil {
-				out[members[0]] = runScalar(ctx, specs[members[0]], o)
+			if i := members[0]; plans[i].scalar != nil {
+				out[i] = foldErr(runPrepared(ctx, specs[i], o, out[i], *plans[i].scalar))
 				continue
 			}
 			start := time.Now()
@@ -178,7 +182,12 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 
 // runScalar is RunWith with the campaign worker's error folding.
 func runScalar(ctx context.Context, s Spec, o RunOptions) Verdict {
-	v, err := RunWith(ctx, s, o)
+	return foldErr(RunWith(ctx, s, o))
+}
+
+// foldErr is the campaign worker's error folding: an error the verdict
+// does not already carry becomes its Err.
+func foldErr(v Verdict, err error) Verdict {
 	if err != nil && v.Err == "" {
 		v.Err = err.Error()
 		v.OK = false

@@ -212,7 +212,19 @@ func Run(s Spec) Verdict {
 // a lasso key stops once its state repeats (fsync.Config.Lasso), and its
 // report is carried to the horizon exactly; such a run is complete, never
 // cancelled.
-func RunWith(ctx context.Context, s Spec, o RunOptions) (v Verdict, err error) {
+func RunWith(ctx context.Context, s Spec, o RunOptions) (Verdict, error) {
+	v, res, err := prepareRun(s, o)
+	if err != nil {
+		return v, err
+	}
+	return runPrepared(ctx, s, o, v, res)
+}
+
+// runPrepared is the execution half of RunWith: it runs s, which
+// prepareRun resolved into prep and res, and judges the run. RunBlock's
+// scalar units call it with the resolution their plan already holds.
+func runPrepared(ctx context.Context, s Spec, o RunOptions, prep Verdict, res preparedRun) (v Verdict, err error) {
+	v = prep
 	defer func() {
 		if r := recover(); r != nil {
 			v.Err = fmt.Sprintf("panic: %v", r)
@@ -226,10 +238,6 @@ func RunWith(ctx context.Context, s Spec, o RunOptions) (v Verdict, err error) {
 		defer func() {
 			o.Telemetry.addFamilyTime(s.Family, time.Since(start))
 		}()
-	}
-	v, res, err := prepareRun(s, o)
-	if err != nil {
-		return v, err
 	}
 	reg, fam, alg := res.reg, res.fam, res.alg
 	dyn := o.Dynamics

@@ -116,7 +116,9 @@ func TestVisitTrackerNeverVisited(t *testing.T) {
 
 func TestConfinementTracker(t *testing.T) {
 	ct := NewConfinementTracker()
-	ct.ObserveRound(event(0, 8, []int{0, 1}, []int{1, 2}, nil))
+	first := event(0, 8, []int{0, 1}, []int{1, 2}, nil)
+	first.Moved[1] = true
+	ct.ObserveRound(first)
 	ct.ObserveRound(event(1, 8, []int{1, 2}, []int{0, 1}, nil))
 	if ct.Distinct() != 3 || !ct.ConfinedTo(3) || ct.ConfinedTo(2) {
 		t.Fatalf("distinct = %d", ct.Distinct())
@@ -125,9 +127,8 @@ func TestConfinementTracker(t *testing.T) {
 	if len(nodes) != 3 || nodes[0] != 0 || nodes[2] != 2 {
 		t.Fatalf("nodes = %v", nodes)
 	}
-	series := ct.Series()
-	if series[0] != 2 || series[len(series)-1] != 3 {
-		t.Fatalf("series = %v", series)
+	if ct.LastMove() != 1 {
+		t.Fatalf("last move = %d, want 1 (the round from t=1 flags no move)", ct.LastMove())
 	}
 }
 

@@ -15,6 +15,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 
 	"pef/internal/fsync"
 )
@@ -216,28 +217,19 @@ func (r ExplorationReport) String() string {
 		r.Covered, r.Nodes, r.CoverTime, r.MaxGap, r.WorstNode, r.Horizon)
 }
 
-// ConfinementTracker records the set of nodes ever visited and its growth
-// over time — the quantity the impossibility theorems bound (two robots
-// never leave {u, v, w}; one robot never leaves {u, v}).
+// ConfinementTracker records the set of nodes ever visited — the quantity
+// the impossibility theorems bound (two robots never leave {u, v, w}; one
+// robot never leaves {u, v}) — and the last instant some robot moved.
 type ConfinementTracker struct {
-	visited []bool // node-indexed, grown on demand
-	count   int    // number of true entries in visited
-	series  []int  // distinct-visited count after each instant
-	primed  bool
+	visited  []bool // node-indexed, grown on demand
+	count    int    // number of true entries in visited
+	lastMove int    // last instant at which some robot changed node
+	primed   bool
 }
 
 // NewConfinementTracker creates an empty tracker.
 func NewConfinementTracker() *ConfinementTracker {
 	return &ConfinementTracker{}
-}
-
-// Reset re-arms the tracker for a fresh run, reusing the visited and
-// series storage.
-func (ct *ConfinementTracker) Reset() {
-	clear(ct.visited)
-	ct.count = 0
-	ct.series = ct.series[:0]
-	ct.primed = false
 }
 
 // ObserveRound implements fsync.Observer.
@@ -247,6 +239,9 @@ func (ct *ConfinementTracker) ObserveRound(ev *fsync.RoundEvent) {
 		ct.primed = true
 	}
 	ct.record(ev.After)
+	if slices.Contains(ev.Moved, true) {
+		ct.lastMove = ev.After.T
+	}
 }
 
 func (ct *ConfinementTracker) record(snap *fsync.Snapshot) {
@@ -259,7 +254,6 @@ func (ct *ConfinementTracker) record(snap *fsync.Snapshot) {
 			ct.count++
 		}
 	}
-	ct.series = append(ct.series, ct.count)
 }
 
 // Distinct returns the number of distinct nodes ever visited.
@@ -276,10 +270,9 @@ func (ct *ConfinementTracker) VisitedNodes() []int {
 	return out
 }
 
-// Series returns the distinct-visited counts after each observed instant.
-func (ct *ConfinementTracker) Series() []int {
-	return append([]int(nil), ct.series...)
-}
+// LastMove returns the last observed instant at which some robot changed
+// node, 0 when none did.
+func (ct *ConfinementTracker) LastMove() int { return ct.lastMove }
 
 // ConfinedTo reports whether the walkers never visited more than limit
 // distinct nodes.
