@@ -24,10 +24,12 @@ import (
 // slice) and their output is byte-identical for any worker count.
 //
 // The engine route is fixed, not a flag: each worker job is a block of
-// 1024 consecutive scenarios, whose specs on one ring under one rule
-// table run as lanes of the bit-parallel lockstep engine, 64 per machine
-// word; the rest (adaptive adversaries other than block-pointed, rings
-// over 64 nodes, counting baselines) run on the scalar oracle. Every
+// 1024 consecutive scenarios, whose specs under a rule table, on rings of
+// up to 64 nodes and under oblivious dynamics, block-pointed or the
+// confinement adversaries, run as lanes of the bit-parallel lockstep
+// engine, 64 per machine word whatever their rings; the rest (other
+// adaptive adversaries, larger rings, counting baselines) run on the
+// scalar oracle. Every
 // verdict is the scalar oracle's, byte for byte. Both engines poll for
 // cancellation every 256 rounds.
 //

@@ -9,7 +9,8 @@ import (
 	"pef/internal/ring"
 )
 
-// LaneForm reports whether Lanes can drive a run under d on an n-node ring:
+// LaneForm reports whether Lanes can drive a run under d on an n-node ring,
+// the ring of the run's own lane:
 // a fresh BlockPointed, or a confinement adversary built the way the
 // scenario registry builds it (u = 0, watching robot 0, or robots 0 and 1)
 // in its starting state, which is its lasso key: confine-two in phase 0,
@@ -37,10 +38,18 @@ func LaneForm(d fsync.Dynamics, n int) bool {
 // per edge and plane, whatever the lanes. The counters and the phase are
 // one slice, the State a lockstep block compares to find a lane's lasso. A
 // Lanes value keeps its planes from block to block.
+//
+// Lanes may run on rings of different sizes. The planes span the widest
+// of them, n edges, and a lane on a ring of m nodes keeps its bits of
+// edges m..n-1 clear; the rings of the block (LockstepSimulator.Rings)
+// place each lane's ring-dependent nodes and edges: block-pointed's
+// wrap edge m-1, confine-one's node m-1 and edge m-2, and confine-two's
+// edge m-1.
 type Lanes struct {
-	r            ring.Ring
-	pointed      uint64 // block-pointed lanes
-	one, two     uint64 // confine-one and confine-two lanes
+	rings        [64]ring.Ring // per lane it drives
+	has          []uint64      // per edge e of the widest ring: the lanes whose ring has edge e
+	pointed      uint64        // block-pointed lanes
+	one, two     uint64        // confine-one and confine-two lanes
 	planes       int
 	budget       [64]uint64
 	state        []uint64 // run, then phase
@@ -49,14 +58,24 @@ type Lanes struct {
 	pointedEdges []uint64 // per edge scratch
 }
 
-// Reset starts a block on an n-node ring, each adversary in the state a
-// fresh instance starts from: lane l runs dyns[l], which LaneForm must
-// admit, and nil marks a lane it does not drive (a graph lane).
-func (b *Lanes) Reset(n int, dyns []fsync.Dynamics) {
-	b.r, b.pointed, b.one, b.two = ring.New(n), 0, 0, 0
+// Reset starts a block, each adversary in the state a fresh instance
+// starts from and on its own ring: lane l runs dyns[l], which LaneForm
+// must admit, and nil marks a lane it does not drive (a graph lane).
+func (b *Lanes) Reset(dyns []fsync.Dynamics) {
+	b.has, b.pointed, b.one, b.two = b.has[:0], 0, 0, 0
 	b.budget, b.planes = [64]uint64{}, 0
 	for l, d := range dyns {
+		if d == nil {
+			continue
+		}
 		bit := uint64(1) << uint(l)
+		b.rings[l] = d.Ring()
+		for e := range b.rings[l].Size() {
+			if e == len(b.has) {
+				b.has = append(b.has, 0)
+			}
+			b.has[e] |= bit
+		}
 		switch d := d.(type) {
 		case *BlockPointed:
 			b.pointed |= bit
@@ -71,6 +90,7 @@ func (b *Lanes) Reset(n int, dyns []fsync.Dynamics) {
 			b.two |= bit
 		}
 	}
+	n := len(b.has)
 	words := n*b.planes + 2
 	b.state = slices.Grow(b.state[:0], words)[:words]
 	clear(b.state)
@@ -79,7 +99,7 @@ func (b *Lanes) Reset(n int, dyns []fsync.Dynamics) {
 }
 
 // Ring implements fsync.LaneAdversary.
-func (b *Lanes) Ring() ring.Ring { return b.r }
+func (b *Lanes) Ring(l int) ring.Ring { return b.rings[l] }
 
 // State implements fsync.LaneAdversary: the counter planes, then the two
 // phase planes.
@@ -91,7 +111,7 @@ func (b *Lanes) EdgeColumns(ls *fsync.LockstepSimulator, mask uint64, cols []uin
 		b.blockPointed(ls, m, cols)
 	}
 	if m := mask & (b.one | b.two); m != 0 {
-		b.confine(ls.Rows(), m&b.one, m&b.two, cols)
+		b.confine(ls, m&b.one, m&b.two, cols)
 	}
 }
 
@@ -100,15 +120,24 @@ func (b *Lanes) EdgeColumns(ls *fsync.LockstepSimulator, mask uint64, cols []uin
 // one more round if the edge was removed and restarts at zero if it is
 // present.
 func (b *Lanes) blockPointed(ls *fsync.LockstepSimulator, mask uint64, cols []uint64) {
-	n, planes, rows, pointed := b.r.Size(), b.planes, ls.Rows(), b.pointedEdges
+	n, planes, rows, pointed := len(b.has), b.planes, ls.Rows(), b.pointedEdges
+	stride := ls.Ring().Size()
 	clear(pointed)
 	// Pointing CW from node v is pointing at edge v; CCW, at edge v-1.
 	for i := 0; i < ls.Robots(); i++ {
 		cw, prev := ls.PointsCW(i), n-1
-		for v, p := range rows[i*n : (i+1)*n] {
+		for v, p := range rows[i*stride : i*stride+n] {
 			pointed[v] |= p & cw
 			pointed[prev] |= p &^ cw
 			prev = v
+		}
+	}
+	// On a narrower ring of m nodes, node 0's CCW edge is m-1.
+	for _, g := range ls.Rings() {
+		if g.Size < n {
+			w := pointed[n-1] & g.Mask
+			pointed[n-1] &^= w
+			pointed[g.Size-1] |= w
 		}
 	}
 	for e, pt := range pointed {
@@ -120,7 +149,7 @@ func (b *Lanes) blockPointed(ls *fsync.LockstepSimulator, mask uint64, cols []ui
 			eq &^= b.budget[p] ^ run[p]
 		}
 		removed := pt & less & mask
-		cols[e] |= mask &^ removed
+		cols[e] |= (mask &^ removed) & b.has[e]
 		carry := removed // masked increment; lanes outside mask keep theirs
 		for p, r := range run {
 			run[p] = (r^carry)&removed | r&^mask
@@ -129,31 +158,37 @@ func (b *Lanes) blockPointed(ls *fsync.LockstepSimulator, mask uint64, cols []ui
 	}
 }
 
-// confine runs the confinement adversaries from the pre-round rows: one
-// holds the confine-one lanes and two the confine-two lanes. Each removes
-// the edges of its current phase and leaves the rest present; a victim
-// outside its nodes panics, as the scalar adversaries do.
-func (b *Lanes) confine(rows []uint64, one, two uint64, cols []uint64) {
-	n := b.r.Size()
-	for e := range cols {
-		cols[e] |= one | two
+// confine runs the confinement adversaries from the pre-round rows of ls:
+// one holds the confine-one lanes and two the confine-two lanes. Each
+// removes the edges of its current phase and leaves the rest of its ring
+// present; a victim outside its nodes panics, as the scalar adversaries
+// do.
+func (b *Lanes) confine(ls *fsync.LockstepSimulator, one, two uint64, cols []uint64) {
+	rows, stride := ls.Rows(), ls.Ring().Size()
+	for e, has := range b.has {
+		cols[e] |= (one | two) & has
 	}
 	if one != 0 {
 		// Theorem 5.1 with u = 0 and v = n-1: remove e_ur = edge 0 while
 		// the victim is on u and e_vl = edge n-2 while it is on v.
-		atU, atV := rows[0]&one, rows[n-1]&one
+		atU, atV := rows[0]&one, uint64(0)
+		for _, g := range ls.Rings() {
+			if w := rows[g.Size-1] & one & g.Mask; w != 0 {
+				atV |= w
+				cols[g.Size-2] &^= w
+			}
+		}
 		if out := one &^ (atU | atV); out != 0 {
-			panic(fmt.Sprintf("adversary: confine-one victims of lanes %#x escaped {0, %d}", out, n-1))
+			panic(fmt.Sprintf("adversary: confine-one victims of lanes %#x escaped nodes 0 and n-1", out))
 		}
 		cols[0] &^= atU
-		cols[n-2] &^= atV
 	}
 	if two != 0 {
 		// Theorem 4.1 with (u, v, w) = (0, 1, 2), r1 = robot 0 and r2 =
 		// robot 1. A lane whose watched robot reached its target enters
 		// the next phase; phase 0 waits for r2 on w, 1 for r1 on v, 2 for
 		// r1 on u and 3 for r2 on v.
-		r1, r2 := rows[:n], rows[n:2*n]
+		r1, r2 := rows[:stride], rows[stride:2*stride]
 		lo, hi := b.phase[0], b.phase[1]
 		done := two & (^hi&^lo&r2[2] | ^hi&lo&r1[1] | hi&^lo&r1[0] | hi&lo&r2[1])
 		hi ^= done & lo
@@ -165,7 +200,9 @@ func (b *Lanes) confine(rows []uint64, one, two uint64, cols []uint64) {
 		// e_ul = edge n-1 is removed in phases 0, 1 and 3; e_ur = e_vl =
 		// edge 0 in 0 and 3; e_wl = edge 1 in 1 and 2; e_wr = edge 2 in 1,
 		// 2 and 3.
-		cols[n-1] &^= two &^ (hi &^ lo)
+		for _, g := range ls.Rings() {
+			cols[g.Size-1] &^= two & g.Mask &^ (hi &^ lo)
+		}
 		cols[0] &^= two &^ (lo ^ hi)
 		cols[1] &^= two & (lo ^ hi)
 		cols[2] &^= two & (lo | hi)

@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"fmt"
+	"math/bits"
 	"testing"
 
 	"pef/internal/baseline"
@@ -11,6 +13,7 @@ import (
 	"pef/internal/prng"
 	"pef/internal/ring"
 	"pef/internal/robot"
+	"pef/internal/spec"
 	"pef/internal/telemetry"
 )
 
@@ -65,7 +68,7 @@ func TestLockstepBlockPointedMatchesScalar(t *testing.T) {
 			}
 			sims[l] = sim
 		}
-		bp.Reset(n, dyns)
+		bp.Reset(dyns)
 		ls, err := fsync.NewLockstep(cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -136,7 +139,7 @@ func TestLockstepBlockPointedSharedEdge(t *testing.T) {
 	const n, budget = 5, 2
 	place := []fsync.Placement{{Node: 0, Chirality: robot.RightIsCCW}, {Node: 1, Chirality: robot.RightIsCW}}
 	var bp Lanes
-	bp.Reset(n, []fsync.Dynamics{NewBlockPointed(n, budget)})
+	bp.Reset([]fsync.Dynamics{NewBlockPointed(n, budget)})
 	ls, err := fsync.NewLockstep(fsync.LockstepConfig{
 		Lanes:     []fsync.LaneRun{{Table: baseline.KeepDirection, Placements: place, Horizon: 8}},
 		Adversary: &bp,
@@ -198,7 +201,7 @@ func TestLockstepCreditsBlockPointedLanesAsWordFast(t *testing.T) {
 		lanes[l].Table = core.PEF3Plus
 	}
 	var bp Lanes
-	bp.Reset(n, []fsync.Dynamics{NewBlockPointed(n, 3), NewBlockPointed(n, 7), nil, nil})
+	bp.Reset([]fsync.Dynamics{NewBlockPointed(n, 3), NewBlockPointed(n, 7), nil, nil})
 	ls, err := fsync.AcquireLockstep(fsync.LockstepConfig{Lanes: lanes, Adversary: &bp, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +240,7 @@ func TestLockstepStepAllocFreeWithBlockPointedLanes(t *testing.T) {
 		lanes = append(lanes, run)
 	}
 	var bp Lanes
-	bp.Reset(n, dyns)
+	bp.Reset(dyns)
 	ls, err := fsync.AcquireLockstep(fsync.LockstepConfig{Lanes: lanes, Adversary: &bp})
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +328,7 @@ func TestLockstepConfinementMatchesScalar(t *testing.T) {
 			}
 			sims[l] = sim
 		}
-		bp.Reset(n, dyns)
+		bp.Reset(dyns)
 		ls, err := fsync.NewLockstep(cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -384,7 +387,7 @@ func TestLaneConfinementPanicsOnEscape(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var b Lanes
-			b.Reset(n, []fsync.Dynamics{tc.dyn})
+			b.Reset([]fsync.Dynamics{tc.dyn})
 			ls, err := fsync.NewLockstep(fsync.LockstepConfig{
 				Lanes:     []fsync.LaneRun{{Table: core.PEF3Plus, Placements: tc.place, Horizon: 4}},
 				Adversary: &b,
@@ -404,7 +407,7 @@ func TestLaneConfinementPanicsOnEscape(t *testing.T) {
 
 // TestLaneFormAdmitsFreshRegistryInstances pins which adversaries ride
 // lanes: fresh instances built the way the scenario registry builds them,
-// on the block's ring. Another start node, another watched robot, a used
+// on the lane's ring. Another start node, another watched robot, a used
 // instance or another ring keeps the scalar form. A confine-one instance
 // carries no state between rounds, so it is never "used".
 func TestLaneFormAdmitsFreshRegistryInstances(t *testing.T) {
@@ -464,8 +467,8 @@ func TestLaneAdversaryAllocFree(t *testing.T) {
 		lanes = append(lanes, run)
 	}
 	var b Lanes
-	b.Reset(n, dyns)
-	if allocs := testing.AllocsPerRun(100, func() { b.Reset(n, dyns) }); allocs != 0 {
+	b.Reset(dyns)
+	if allocs := testing.AllocsPerRun(100, func() { b.Reset(dyns) }); allocs != 0 {
 		t.Fatalf("a repeated lane adversary Reset allocates %.1f times, want 0", allocs)
 	}
 	ls, err := fsync.AcquireLockstep(fsync.LockstepConfig{Lanes: lanes, Adversary: &b})
@@ -481,19 +484,28 @@ func TestLaneAdversaryAllocFree(t *testing.T) {
 
 // TestLockstepLassoAllocFree runs whole lasso blocks back to back on one
 // simulator: confine-one, confine-two and block-pointed lanes that
-// retire at their lasso beside Bernoulli lanes that run to the horizon.
+// retire at their lasso beside Bernoulli lanes that run to the horizon,
+// on one ring of 10 nodes and on rings of 4 to 64 nodes in one block.
 // The state saves, compares and early retirements allocate nothing.
 func TestLockstepLassoAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	const n = 10
+	t.Run("one-ring", func(t *testing.T) { lassoAllocFree(t, func(int) int { return 10 }) })
+	t.Run("mixed-rings", func(t *testing.T) { lassoAllocFree(t, func(l int) int { return 4 + l%61 }) })
+}
+
+// lassoAllocFree is TestLockstepLassoAllocFree on the block whose lane l
+// runs on a ring of ringOf(l) nodes.
+func lassoAllocFree(t *testing.T, ringOf func(l int) int) {
 	src := prng.NewSource(29)
 	var lanes []fsync.LaneRun
 	dyns := make([]fsync.Dynamics, 64)
+	horizon := 0
 	for l := range dyns {
-		seed := src.Uint64()
-		run := fsync.LaneRun{Table: core.PEF3Plus, Horizon: 64 * n}
+		seed, n := src.Uint64(), ringOf(l)
+		horizon = max(horizon, 128*n)
+		run := fsync.LaneRun{Table: core.PEF3Plus, Horizon: 128 * n}
 		switch l % 4 {
 		case 0:
 			run.Table, run.Placements = baseline.BounceOnMissing, []fsync.Placement{{Node: 0, Chirality: robot.RightIsCW}}
@@ -509,6 +521,7 @@ func TestLockstepLassoAllocFree(t *testing.T) {
 	}
 	fresh := func() {
 		for l := range dyns {
+			n := ringOf(l)
 			switch l % 4 {
 			case 0:
 				dyns[l] = NewOneRobotConfinement(n, 0, 0)
@@ -521,7 +534,7 @@ func TestLockstepLassoAllocFree(t *testing.T) {
 	}
 	var b Lanes
 	fresh()
-	b.Reset(n, dyns)
+	b.Reset(dyns)
 	reg := telemetry.NewRegistry()
 	m := &fsync.Metrics{LassoLanes: reg.Counter("lasso")}
 	cfg := fsync.LockstepConfig{Lanes: lanes, Adversary: &b, Lasso: true, Metrics: m}
@@ -532,7 +545,7 @@ func TestLockstepLassoAllocFree(t *testing.T) {
 	defer ls.Release()
 	fresh() // the constructors allocate; the block below must not
 	if allocs := testing.AllocsPerRun(20, func() {
-		b.Reset(n, dyns)
+		b.Reset(dyns)
 		if err := ls.Reset(cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -542,7 +555,7 @@ func TestLockstepLassoAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("a lasso block allocates %.1f times per run, want 0", allocs)
 	}
-	if ls.Now() >= 64*n {
+	if ls.Now() >= horizon {
 		t.Fatalf("the block ran %d rounds: its adversary lanes did not retire at their lasso", ls.Now())
 	}
 	if err := ls.Reset(cfg); err != nil { // credits the last run
@@ -550,5 +563,266 @@ func TestLockstepLassoAllocFree(t *testing.T) {
 	}
 	if got := m.LassoLanes.Value(); got != 21*48 {
 		t.Fatalf("%d adversary lanes retired at their lasso over 21 runs, want all 48 each time", got)
+	}
+}
+
+// mixedRingFamilies are the oblivious families of the mixed-ring blocks.
+var mixedRingFamilies = []dynamics.Spec{
+	dynamics.StaticSpec(), dynamics.BernoulliSpec(0.5), dynamics.BoundedBernoulliSpec(0.3, 5),
+	dynamics.TIntervalSpec(3), dynamics.RovingSpec(4), dynamics.ChainSpec(1, 0.5, 4),
+	dynamics.EventualMissingSpec(2, 50, 0.5, 4), dynamics.TimetableSpec(6), dynamics.MarkovSpec(0.4, 0.25),
+	composedSpec(dynamics.ComposeUnion, dynamics.RovingSpec(2)),
+	composedSpec(dynamics.ComposeIntersect, dynamics.TIntervalSpec(3)),
+	composedSpec(dynamics.ComposeInterleave, dynamics.RovingSpec(2)),
+}
+
+// composedSpec composes a Bernoulli(0.5) graph with second, as the
+// registry's compose:* families do.
+func composedSpec(mode string, second dynamics.Spec) dynamics.Spec {
+	return dynamics.Spec{Name: mode, Build: func(n int, seed uint64) dyngraph.EvolvingGraph {
+		c, err := dynamics.NewComposed(mode, dynamics.NewBernoulli(n, 0.5, seed), second.Build(n, seed))
+		if err != nil {
+			panic(err)
+		}
+		return c
+	}}
+}
+
+// mixedLane is one lane of a mixed-ring block: its run without a graph,
+// and fresh, which builds a new instance of its dynamics on every call
+// (fsync.Oblivious for a graph lane).
+type mixedLane struct {
+	run   fsync.LaneRun
+	n     int
+	fresh func() fsync.Dynamics
+}
+
+// mixedRingLanes draws the lanes of a block that mixes every family of
+// mixedRingFamilies with block-pointed, confine-one and confine-two lanes
+// on rings 3–20 and 64, under all nine rule tables, with team sizes 1–5
+// and staggered horizons.
+func mixedRingLanes(src *prng.Source, lanes int) []mixedLane {
+	tables := []robot.Table{
+		core.PEF3Plus, core.PEF2, core.PEF1, core.NoRule2, core.NoRule3,
+		baseline.KeepDirection, baseline.BounceOnMissing, baseline.TowerBounce, baseline.Oscillator,
+	}
+	chir := []robot.Chirality{robot.RightIsCW, robot.RightIsCCW}
+	var rings []int
+	for n := 3; n <= 20; n++ {
+		rings = append(rings, n)
+	}
+	rings = append(rings, 64)
+	kinds := len(mixedRingFamilies) + 3
+	offset := src.Intn(len(rings))
+	out := make([]mixedLane, lanes)
+	for l := range out {
+		n, seed := rings[(l+offset)%len(rings)], src.Uint64()
+		ln := mixedLane{n: n, run: fsync.LaneRun{Table: tables[src.Intn(len(tables))], Horizon: 10 + src.Intn(150)}}
+		random := fsync.RandomPlacements(n, 1+src.Intn(min(5, n-1)), prng.NewSource(seed))
+		switch kind := l % kinds; {
+		case kind == 0 || kind == 1 && n < 4:
+			ln.run.Placements = []fsync.Placement{{Node: 0, Chirality: chir[src.Intn(2)]}}
+			ln.fresh = func() fsync.Dynamics { return NewOneRobotConfinement(n, 0, 0) }
+		case kind == 1:
+			ln.run.Placements = []fsync.Placement{{Node: 0, Chirality: chir[src.Intn(2)]}, {Node: 1, Chirality: chir[src.Intn(2)]}}
+			ln.fresh = func() fsync.Dynamics { return NewTwoRobotConfinement(n, 0, 0, 1) }
+		case kind == 2:
+			budget := 1 + src.Intn(6)
+			ln.run.Placements = random
+			ln.fresh = func() fsync.Dynamics { return NewBlockPointed(n, budget) }
+		default:
+			fam := mixedRingFamilies[kind-3]
+			ln.run.Placements = random
+			ln.fresh = func() fsync.Dynamics { return fsync.Oblivious{G: fam.Build(n, seed)} }
+		}
+		out[l] = ln
+	}
+	return out
+}
+
+// startMixed builds a lockstep block of lanes, with fresh dynamics, under
+// the lane adversary b (wrapped by wrap when non-nil).
+func startMixed(t *testing.T, lanes []mixedLane, b *Lanes, wrap func(*Lanes) fsync.LaneAdversary, lasso bool) *fsync.LockstepSimulator {
+	t.Helper()
+	var adv fsync.LaneAdversary = b
+	if wrap != nil {
+		adv = wrap(b)
+	}
+	cfg := fsync.LockstepConfig{Adversary: adv, Lasso: lasso}
+	dyns := make([]fsync.Dynamics, len(lanes))
+	for l, ln := range lanes {
+		run := ln.run
+		if d, ok := ln.fresh().(fsync.Oblivious); ok {
+			run.Graph = d.G
+		} else {
+			dyns[l] = ln.fresh()
+			if !LaneForm(dyns[l], ln.n) {
+				t.Fatalf("lane %d: fresh %T has no lane form", l, dyns[l])
+			}
+		}
+		cfg.Lanes = append(cfg.Lanes, run)
+	}
+	b.Reset(dyns)
+	ls, err := fsync.NewLockstep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ls
+}
+
+// sameReport compares the fields of a lane report with its scalar twin,
+// as the oracle reads them.
+func sameReport(got, want spec.ExplorationReport) bool {
+	return got.Nodes == want.Nodes && got.Horizon == want.Horizon && got.Covered == want.Covered &&
+		got.CoverTime == want.CoverTime && got.MaxGap == want.MaxGap && got.WorstNode == want.WorstNode &&
+		got.ExploreViolation(2, want.Horizon/2) == want.ExploreViolation(2, want.Horizon/2)
+}
+
+// TestLockstepMixedRingsMatchesScalar runs blocks of 64 lanes on rings
+// 3–20 and 64 at once, every oblivious family beside block-pointed,
+// confine-one and confine-two lanes, and checks every lane round by round
+// against its scalar run: positions, pointed directions, moved flags and
+// E_t, and that no lane has a bit past its own ring. At the horizon each
+// lane's LaneVisits report must equal its scalar VisitTracker's.
+func TestLockstepMixedRingsMatchesScalar(t *testing.T) {
+	src := prng.NewSource(0x313)
+	for trial := 0; trial < 6; trial++ {
+		lanes := mixedRingLanes(src, 64)
+		var b Lanes
+		var rec *recordColumns
+		ls := startMixed(t, lanes, &b, func(b *Lanes) fsync.LaneAdversary {
+			rec = &recordColumns{Lanes: b}
+			return rec
+		}, false)
+		width := ls.Ring().Size()
+		if width != 64 || len(ls.Rings()) != 19 {
+			t.Fatalf("trial %d: block of width %d with %d rings, want 64 and 19", trial, width, len(ls.Rings()))
+		}
+		sims := make([]*fsync.Simulator, len(lanes))
+		vts := make([]*spec.VisitTracker, len(lanes))
+		for l, ln := range lanes {
+			vts[l] = spec.NewVisitTracker(ln.n)
+			sim, err := fsync.New(fsync.Config{Algorithm: ln.run.Table, Dynamics: ln.fresh(), Placements: ln.run.Placements, Observers: []fsync.Observer{vts[l]}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sims[l] = sim
+		}
+		lv := spec.NewLaneVisits()
+		lv.Reset(ls.Rings())
+		lv.Record(0, ls.Occupancy(), ^uint64(0))
+		before := make([][]int, len(lanes))
+		for !ls.Done() {
+			for l, ln := range lanes {
+				before[l] = before[l][:0]
+				for i := range ln.run.Placements {
+					before[l] = append(before[l], ls.Position(i, l))
+				}
+			}
+			stepped := ls.Step()
+			lv.Record(ls.Now(), ls.Occupancy(), stepped)
+			for l, sim := range sims {
+				bit := uint64(1) << uint(l)
+				if stepped&bit == 0 {
+					continue
+				}
+				ln, ev := lanes[l], sim.Step()
+				what := func() string {
+					return fmt.Sprintf("trial %d lane %d (n=%d, %T, %s) at t=%d", trial, l, ln.n, ln.fresh(), ln.run.Table.Name(), ev.T)
+				}
+				for e := 0; e < width && rec.at == ev.T; e++ {
+					if got, want := rec.cols[e]&bit != 0, e < ln.n && ev.Edges.Contains(e); got != want {
+						t.Fatalf("%s edge %d: lane present %v, scalar %v", what(), e, got, want)
+					}
+				}
+				for v := ln.n; v < width; v++ {
+					if ls.Occupancy()[v]&bit != 0 {
+						t.Fatalf("%s: occupies node %d, past its ring", what(), v)
+					}
+				}
+				for i, v := range ev.After.Positions {
+					if got := ls.Position(i, l); got != v {
+						t.Fatalf("%s robot %d: lockstep node %d, scalar node %d", what(), i, got, v)
+					}
+					if got := ls.PointsCW(i)&bit != 0; got != (ev.After.GlobalDirs[i] == ring.CW) {
+						t.Fatalf("%s robot %d: lockstep points CW %v, scalar %v", what(), i, got, ev.After.GlobalDirs[i])
+					}
+					if got := before[l][i] != v; got != ev.After.MovedPrev[i] {
+						t.Fatalf("%s robot %d: lockstep moved %v, scalar %v", what(), i, got, ev.After.MovedPrev[i])
+					}
+				}
+			}
+		}
+		for l, ln := range lanes {
+			if got, want := lv.Report(l, ln.run.Horizon+1), vts[l].Report(); !sameReport(got, want) || lv.Distinct(l) != want.Covered {
+				t.Fatalf("trial %d lane %d (n=%d, %T): lane report %+v (distinct %d), scalar %+v", trial, l, ln.n, ln.fresh(), got, lv.Distinct(l), want)
+			}
+		}
+	}
+}
+
+// TestLockstepMixedRingsLasso checks that a lane's lasso does not depend
+// on the rings beside it: every adversary lane of a mixed-ring block
+// reports the Lasso it reports in a block of its own ring's lanes alone,
+// and each lane's report, carried past its lasso by LaneVisits.Skip,
+// equals its scalar run to the horizon.
+func TestLockstepMixedRingsLasso(t *testing.T) {
+	src := prng.NewSource(0x1A550)
+	run := func(lanes []mixedLane) (*fsync.LockstepSimulator, *spec.LaneVisits) {
+		var b Lanes
+		ls := startMixed(t, lanes, &b, nil, true)
+		lv := spec.NewLaneVisits()
+		lv.Reset(ls.Rings())
+		lv.Record(0, ls.Occupancy(), ^uint64(0)>>uint(64-len(lanes)))
+		for !ls.Done() {
+			stepped := ls.Step()
+			lv.Record(ls.Now(), ls.Occupancy(), stepped)
+		}
+		return ls, lv
+	}
+	lassoed := 0
+	for trial := 0; trial < 6; trial++ {
+		lanes := mixedRingLanes(src, 64)
+		mixed, lv := run(lanes)
+		for _, g := range mixed.Rings() {
+			var alone []mixedLane
+			var idx []int
+			for w := g.Mask; w != 0; w &= w - 1 {
+				l := bits.TrailingZeros64(w)
+				alone, idx = append(alone, lanes[l]), append(idx, l)
+			}
+			single, _ := run(alone)
+			for j, l := range idx {
+				at, period, skip := mixed.Lasso(l)
+				if a, p, s := single.Lasso(j); a != at || p != period || s != skip {
+					t.Fatalf("trial %d lane %d (n=%d, %T): mixed-ring Lasso (%d, %d, %d), one-ring block (%d, %d, %d)",
+						trial, l, g.Size, lanes[l].fresh(), at, period, skip, a, p, s)
+				}
+			}
+		}
+		for l, ln := range lanes {
+			at, period, skip := mixed.Lasso(l)
+			if skip > 0 {
+				lv.Skip(l, ln.run.Horizon-skip, period, skip)
+				lassoed++
+			}
+			if _, ok := ln.fresh().(fsync.Oblivious); ok && at != 0 {
+				t.Fatalf("trial %d lane %d (n=%d, %T): lasso at %d", trial, l, ln.n, ln.fresh(), at)
+			}
+			vt := spec.NewVisitTracker(ln.n)
+			sim, err := fsync.New(fsync.Config{Algorithm: ln.run.Table, Dynamics: ln.fresh(), Placements: ln.run.Placements, Observers: []fsync.Observer{vt}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for sim.Now() < ln.run.Horizon {
+				sim.Step()
+			}
+			if got, want := lv.Report(l, ln.run.Horizon+1), vt.Report(); !sameReport(got, want) {
+				t.Fatalf("trial %d lane %d (n=%d, %T, lasso %d/%d/%d): lane report %+v, scalar %+v", trial, l, ln.n, ln.fresh(), at, period, skip, got, want)
+			}
+		}
+	}
+	if lassoed == 0 {
+		t.Fatal("no lane retired at its lasso")
 	}
 }

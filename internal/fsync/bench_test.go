@@ -2,8 +2,10 @@ package fsync
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
+	"pef/internal/core"
 	"pef/internal/dynamics"
 	"pef/internal/dyngraph"
 	"pef/internal/ring"
@@ -111,6 +113,37 @@ func BenchmarkStep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				dyngraph.LaneColumns(graphs, sets, ^uint64(0), i, cols)
+			}
+		})
+	}
+}
+
+// BenchmarkLockstepStep times one round of a full 64-lane block of PEF_3+
+// teams of three on Bernoulli(0.8) graphs. one-ring puts every lane on a
+// 16-node ring, the shape every block had before blocks mixed rings, and
+// pays no fix-up; mixed-rings puts lane l on a ring of 4 + l%13 nodes, a
+// block as wide that fixes up its 12 narrower rings every round.
+func BenchmarkLockstepStep(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		ring func(l int) int
+	}{
+		{"one-ring", func(int) int { return 16 }},
+		{"mixed-rings", func(l int) int { return 4 + l%13 }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			lanes := make([]LaneRun, 64)
+			for l := range lanes {
+				n := c.ring(l)
+				lanes[l] = LaneRun{Table: core.PEF3Plus, Graph: dynamics.NewBernoulli(n, 0.8, uint64(l+1)), Placements: EvenPlacements(n, 3), Horizon: math.MaxInt}
+			}
+			ls, err := NewLockstep(LockstepConfig{Lanes: lanes})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				ls.Step()
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package fsync
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"pef/internal/dyngraph"
@@ -11,9 +12,9 @@ import (
 )
 
 // This file implements the lockstep engine: one simulator instance that
-// advances up to 64 seed lanes on one ring bit-parallel. Robot positions
-// are kept one-hot — pos[r][v] is a lane word whose bit l says "lane l's
-// robot r stands on node v" — and the whole Look–Compute–Move cycle
+// advances up to 64 seed lanes bit-parallel. Robot positions are kept
+// one-hot — pos[r][v] is a lane word whose bit l says "lane l's robot r
+// stands on node v" — and the whole Look–Compute–Move cycle
 // becomes a fixed boolean circuit over such words: every lane advances
 // exactly as it would under the scalar Simulator (same per-lane edge
 // schedules, same placements, same rule table), so lane l of a lockstep
@@ -22,8 +23,14 @@ import (
 // never move, occupy a node or join a tower. Each lane runs its own rule
 // table: Compute evaluates every distinct table of the block once per
 // robot row and keeps each lane's outputs by mask, so a one-table block
-// pays one circuit per row. The differential tests in lockstep_test.go pin
-// that equivalence round by round.
+// pays one circuit per row. Lanes may also run on rings of different
+// sizes: the block is as wide as its widest ring, and a lane on a ring of
+// m nodes uses nodes and edges 0..m-1 and leaves the rest zero. Only two
+// things of a round depend on the ring, node 0's counter-clockwise edge
+// and the moves across edge m-1 between node m-1 and node 0, so Step
+// fixes those up per narrower ring in O(1) words per robot; a one-ring
+// block has nothing to fix. The differential tests in lockstep_test.go
+// pin that equivalence round by round.
 //
 // A lane's edges come from its own evolving graph (oblivious dynamics) or
 // from the block's LaneAdversary. Adaptive adversaries without a lane form
@@ -41,12 +48,13 @@ import (
 // lanes it drives. Declaring it here keeps package adversary importing
 // fsync, not the reverse.
 type LaneAdversary interface {
-	// Ring returns the ring of the lanes it drives.
-	Ring() ring.Ring
+	// Ring returns the ring of lane l, one of the lanes it drives.
+	Ring(l int) ring.Ring
 	// EdgeColumns runs once per Step, before Compute, for the active
 	// lanes it drives (mask): from the pre-round Rows and PointsCW of ls,
-	// it sets their (clear) bit of cols[e] iff edge e is present, leaving
-	// other bits alone, and advances their state by one round.
+	// it sets their (clear) bit of cols[e] iff edge e of their ring is
+	// present, leaving other bits alone (and a lane's bits past its ring
+	// clear), and advances their state by one round.
 	EdgeColumns(ls *LockstepSimulator, mask uint64, cols []uint64)
 	// State returns the words that hold the adversary's state between
 	// rounds, bit l of each for lane l: with the lane's configuration
@@ -62,8 +70,9 @@ type LaneRun struct {
 	// may run different tables. Only rule tables have a lane form.
 	Table robot.Table
 	// Graph is the lane's edge schedule, or nil for a lane that the
-	// block's Adversary drives. All lanes share one ring size, which may
-	// be at most 64 (one presence word per instant).
+	// block's Adversary drives. Its ring (or the adversary's Ring for the
+	// lane) is the lane's ring, of at most 64 nodes (one presence word
+	// per instant); lanes of one block may run on different rings.
 	Graph dyngraph.EvolvingGraph
 	// Placements give the lane's initial configuration; lanes may place
 	// different numbers of robots. The usual Config rules apply:
@@ -80,10 +89,10 @@ type LaneRun struct {
 
 // LockstepConfig assembles a lockstep simulation.
 type LockstepConfig struct {
-	// Lanes holds 1 to 64 seed lanes on one ring, of any team sizes.
+	// Lanes holds 1 to 64 seed lanes, of any rings and team sizes.
 	Lanes []LaneRun
-	// Adversary, when non-nil, drives every lane whose Graph is nil, and
-	// its Ring is the block's ring.
+	// Adversary, when non-nil, drives every lane whose Graph is nil, each
+	// on the ring its Ring reports for the lane.
 	Adversary LaneAdversary
 	// Lasso retires each adversary lane once its state repeats (see
 	// LockstepSimulator.Lasso); graph lanes always run to their horizon.
@@ -99,11 +108,13 @@ type LockstepConfig struct {
 // once. Create with NewLockstep (or AcquireLockstep, which reuses a
 // pooled instance), then call Step until Done.
 type LockstepSimulator struct {
-	r      ring.Ring
+	r      ring.Ring // the widest ring: the block's width
 	n, k   int
 	lanes  int
 	t      int
 	active uint64 // lanes with t < horizons[l]
+
+	rings []LaneRing // the block's ring sizes, ascending; the last is r
 
 	tables   []laneTable              // the block's distinct rule tables
 	placed   []uint64                 // per robot: lanes that place it
@@ -145,6 +156,12 @@ type LockstepSimulator struct {
 	occ  []uint64       // per node: any-robot occupancy at the current instant
 }
 
+// LaneRing is one ring size of a lockstep block and the lanes on it.
+type LaneRing struct {
+	Size int
+	Mask uint64
+}
+
 // laneTable is one distinct rule table of a block and the lanes running it.
 type laneTable struct {
 	t    robot.Table
@@ -169,27 +186,32 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 	if lanes == 0 || lanes > 64 {
 		return fmt.Errorf("fsync: %d lanes outside [1,64]", lanes)
 	}
-	var r ring.Ring
-	switch {
-	case cfg.Adversary != nil:
-		r = cfg.Adversary.Ring()
-	case cfg.Lanes[0].Graph != nil:
-		r = cfg.Lanes[0].Graph.Ring()
-	default:
-		return fmt.Errorf("fsync: lane 0 has neither a graph nor an adversary")
-	}
-	n := r.Size()
-	if n > 64 {
-		return fmt.Errorf("fsync: ring size %d exceeds the 64-edge lane word", n)
-	}
+	var sizes [64]int // per lane: its ring size
 	k := 0
+	ls.rings = ls.rings[:0]
 	for l, lane := range cfg.Lanes {
-		if kl := len(lane.Placements); kl == 0 || kl >= n {
-			return fmt.Errorf("fsync: lane %d places %d robots on %d nodes, want 1 <= k < n", l, kl, n)
+		var r ring.Ring
+		switch {
+		case lane.Graph != nil:
+			r = lane.Graph.Ring()
+		case cfg.Adversary != nil:
+			r = cfg.Adversary.Ring(l)
+		default:
+			return fmt.Errorf("fsync: lane %d has neither a graph nor an adversary", l)
 		}
+		m := r.Size()
+		if m > 64 {
+			return fmt.Errorf("fsync: lane %d ring size %d exceeds the 64-edge lane word", l, m)
+		}
+		if kl := len(lane.Placements); kl == 0 || kl >= m {
+			return fmt.Errorf("fsync: lane %d places %d robots on %d nodes, want 1 <= k < n", l, kl, m)
+		}
+		sizes[l] = m
 		k = max(k, len(lane.Placements))
+		ls.addRing(m, uint64(1)<<uint(l))
 	}
-	ls.r, ls.n, ls.k, ls.lanes = r, n, k, lanes
+	n := ls.rings[len(ls.rings)-1].Size
+	ls.r, ls.n, ls.k, ls.lanes = ring.New(n), n, k, lanes
 	ls.tables = ls.tables[:0]
 	ls.adv, ls.advLanes = cfg.Adversary, 0
 	ls.metrics = cfg.Metrics
@@ -218,12 +240,7 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 	}
 	for l, lane := range cfg.Lanes {
 		bit := uint64(1) << uint(l)
-		switch {
-		case lane.Graph != nil && lane.Graph.Ring() != r:
-			return fmt.Errorf("fsync: lane %d ring %v disagrees with the block ring %v", l, lane.Graph.Ring(), r)
-		case lane.Graph == nil && cfg.Adversary == nil:
-			return fmt.Errorf("fsync: lane %d has neither a graph nor an adversary", l)
-		case lane.Graph == nil:
+		if lane.Graph == nil {
 			ls.advLanes |= bit
 		}
 		if lane.Horizon < 1 {
@@ -234,7 +251,7 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 		}
 		ls.addTable(lane.Table, bit)
 		for i, p := range lane.Placements {
-			if !r.ValidNode(p.Node) {
+			if p.Node < 0 || p.Node >= sizes[l] {
 				return fmt.Errorf("fsync: lane %d robot %d placed on invalid node %d", l, i, p.Node)
 			}
 			if !p.Chirality.Valid() {
@@ -251,7 +268,7 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 		}
 		// Towerless check: the same lane must not place two robots on one
 		// node.
-		for v := 0; v < n; v++ {
+		for v := 0; v < sizes[l]; v++ {
 			var seen uint64
 			for i := range lane.Placements {
 				if p := ls.pos[i*n+v] & bit; p != 0 {
@@ -265,8 +282,8 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 		ls.horizons[l] = lane.Horizon
 		ls.graphs[l] = lane.Graph
 		ls.active |= bit
-		if ls.sets[l].Size() != n {
-			ls.sets[l] = ring.NewEdgeSet(n)
+		if ls.sets[l].Size() != sizes[l] {
+			ls.sets[l] = ring.NewEdgeSet(sizes[l])
 		}
 	}
 	ls.seek, ls.savedAt, ls.advState = 0, 0, nil
@@ -276,6 +293,20 @@ func (ls *LockstepSimulator) Reset(cfg LockstepConfig) error {
 	}
 	ls.refreshOccupancy()
 	return nil
+}
+
+// addRing adds the lane bit to the mask of the block's ring of size
+// nodes, or inserts that ring in ascending order.
+func (ls *LockstepSimulator) addRing(size int, bit uint64) {
+	i := 0
+	for i < len(ls.rings) && ls.rings[i].Size < size {
+		i++
+	}
+	if i < len(ls.rings) && ls.rings[i].Size == size {
+		ls.rings[i].Mask |= bit
+		return
+	}
+	ls.rings = slices.Insert(ls.rings, i, LaneRing{size, bit})
 }
 
 // addTable adds the lane bit to the mask of the block's table that
@@ -344,8 +375,15 @@ func (ls *LockstepSimulator) flushMetrics() {
 	ls.statRounds, ls.statLaneSteps, ls.statWordFast, ls.statLasso, ls.statSkipped = 0, 0, 0, 0, 0
 }
 
-// Ring returns the underlying ring.
+// Ring returns the block's widest ring: Rows, Occupancy and the edge
+// columns hold one word per node or edge of it.
 func (ls *LockstepSimulator) Ring() ring.Ring { return ls.r }
+
+// Rings returns the block's ring sizes in ascending order, each with the
+// mask of its lanes; the last is Ring. A lane on a ring of m nodes only
+// ever sets bits of nodes and edges 0..m-1. The slice is the simulator's,
+// valid until the next Reset.
+func (ls *LockstepSimulator) Rings() []LaneRing { return ls.rings }
 
 // Now returns the current time instant.
 func (ls *LockstepSimulator) Now() int { return ls.t }
@@ -435,6 +473,7 @@ func (ls *LockstepSimulator) Step() uint64 {
 		return 0
 	}
 	n, k := ls.n, ls.k
+	narrow := ls.rings[:len(ls.rings)-1] // the rings Step fixes up
 
 	// Materialize E_t of every active lane as per-edge lane columns. The
 	// per-lane EdgesInto calls are issued in increasing t order, exactly
@@ -449,6 +488,12 @@ func (ls *LockstepSimulator) Step() uint64 {
 	ls.statRounds++
 	ls.statLaneSteps += bits.OnesCount64(stepped)
 	ls.statWordFast += wordFast
+	// A lane on a narrower ring of m nodes has no edge n-1: its bit there
+	// is clear, so cols[n-1] can carry its node 0's counter-clockwise
+	// edge, m-1, for Look and Move below.
+	for _, g := range narrow {
+		ls.cols[n-1] |= ls.cols[g.Size-1] & g.Mask
+	}
 
 	// Occupancy: mCW doubles as the "seen one robot" accumulator and mCCW
 	// as the "seen two or more" (tower) word per node during this phase;
@@ -524,6 +569,18 @@ func (ls *LockstepSimulator) Step() uint64 {
 			}
 			ls.next[v] = (row[v] &^ (ls.mCW[v] | ls.mCCW[v])) | ls.mCW[prev] | ls.mCCW[nxt]
 			prev = v
+		}
+		// On a narrower ring of m nodes the loop above lands a clockwise
+		// move from node m-1 on node m and a counter-clockwise move from
+		// node 0 on node n-1, neither of which the lane has: they belong on
+		// node 0 and node m-1.
+		for _, g := range narrow {
+			m := g.Size
+			cw, ccw := ls.mCW[m-1]&g.Mask, ls.mCCW[0]&g.Mask
+			ls.next[m] &^= g.Mask
+			ls.next[n-1] &^= g.Mask
+			ls.next[0] |= cw
+			ls.next[m-1] |= ccw
 		}
 		copy(row, ls.next)
 	}

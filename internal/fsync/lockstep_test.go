@@ -35,7 +35,8 @@ func buildLaneGraph(n int, kind int, seed uint64) dyngraph.EvolvingGraph {
 // invariant. Every third trial draws a team size per lane, so the block
 // carries teams narrower than its widest one; three trials in four draw a
 // rule table per lane from all nine tables, and the fourth runs one table
-// on every lane.
+// on every lane. Every fifth trial draws a ring per lane, up to 64 nodes,
+// so the block mixes rings.
 func TestLockstepMatchesScalarTrajectories(t *testing.T) {
 	algs := []robot.Table{
 		core.PEF3Plus, core.PEF2, core.PEF1, core.NoRule2, core.NoRule3,
@@ -49,6 +50,7 @@ func TestLockstepMatchesScalarTrajectories(t *testing.T) {
 		horizon := 20 + src.Intn(60)
 		mixed := trial%3 == 0
 		oneTable := trial%4 == 3
+		mixedRings := trial%5 == 1
 
 		var cfg LockstepConfig
 		type scalarRun struct {
@@ -60,7 +62,11 @@ func TestLockstepMatchesScalarTrajectories(t *testing.T) {
 		var scalars []scalarRun
 		for l := 0; l < lanes; l++ {
 			seed := src.Uint64()
-			k := k
+			n, k := n, k
+			if mixedRings {
+				n = 2 + src.Intn(63)
+				k = min(k, n-1)
+			}
 			if mixed {
 				k = 1 + src.Intn(min(5, n-1))
 			}
@@ -161,9 +167,10 @@ func TestLockstepOccupancyMatchesPositions(t *testing.T) {
 }
 
 // TestLockstepResetRejectsBadLanes checks the per-lane shape checks of
-// Reset: lanes may field different team sizes and tables, but each needs
-// 1 <= k < n robots, the block's ring, a graph or the block's adversary,
-// and a rule table.
+// Reset: lanes may run on different rings and field different team sizes
+// and tables, but each needs a ring of at most 64 nodes, 1 <= k < n robots
+// on nodes of its own ring, a graph or the block's adversary, and a rule
+// table.
 func TestLockstepResetRejectsBadLanes(t *testing.T) {
 	// lane places k robots on nodes 0..k-1 of a static n-ring.
 	lane := func(n, k int) LaneRun {
@@ -177,6 +184,10 @@ func TestLockstepResetRejectsBadLanes(t *testing.T) {
 		l.Table = table
 		return l
 	}
+	// offRing places robot 1 of a 5-ring lane on node 5, a node of the
+	// wider rings beside it but not of its own.
+	offRing := lane(5, 2)
+	offRing.Placements = []Placement{{Node: 0, Chirality: robot.RightIsCW}, {Node: 5, Chirality: robot.RightIsCW}}
 	for _, tc := range []struct {
 		name  string
 		lanes []LaneRun
@@ -188,8 +199,10 @@ func TestLockstepResetRejectsBadLanes(t *testing.T) {
 		{"empty lane", []LaneRun{lane(6, 3), lane(6, 0)}, "lane 1 places 0 robots on 6 nodes"},
 		{"empty lane 0", []LaneRun{lane(6, 0), lane(6, 3)}, "lane 0 places 0 robots on 6 nodes"},
 		{"k = n", []LaneRun{lane(6, 2), lane(6, 3), lane(6, 6)}, "lane 2 places 6 robots on 6 nodes"},
-		{"ring mismatch", []LaneRun{lane(6, 2), lane(7, 2)}, "lane 1 ring"},
-		{"wider lane on a smaller ring", []LaneRun{lane(6, 2), lane(5, 4)}, "lane 1 ring"},
+		{"mixed rings", []LaneRun{lane(6, 2), lane(5, 4), lane(64, 3), lane(3, 1)}, ""},
+		{"ring mismatch", []LaneRun{lane(6, 2), offRing}, "lane 1 robot 1 placed on invalid node 5"},
+		{"wider lane on a smaller ring", []LaneRun{lane(6, 2), lane(5, 5)}, "lane 1 places 5 robots on 5 nodes"},
+		{"ring above 64", []LaneRun{lane(6, 2), lane(65, 2)}, "lane 1 ring size 65 exceeds the 64-edge lane word"},
 		{"no graph in lane 0", []LaneRun{{Table: core.PEF3Plus, Placements: lane(6, 2).Placements, Horizon: 5}, lane(6, 2)}, "lane 0 has neither a graph nor an adversary"},
 		{"no graph in lane 1", []LaneRun{lane(6, 2), {Table: core.PEF3Plus, Placements: lane(6, 2).Placements, Horizon: 5}}, "lane 1 has neither a graph nor an adversary"},
 	} {
@@ -199,12 +212,16 @@ func TestLockstepResetRejectsBadLanes(t *testing.T) {
 			case tc.want == "" && err != nil:
 				t.Fatalf("Reset rejected a valid block: %v", err)
 			case tc.want == "":
-				widest := 0
+				widest, ringWidth := 0, 0
 				for _, l := range tc.lanes {
 					widest = max(widest, len(l.Placements))
+					ringWidth = max(ringWidth, l.Graph.Ring().Size())
 				}
 				if ls.Robots() != widest {
 					t.Fatalf("Robots() = %d, want the widest team %d", ls.Robots(), widest)
+				}
+				if ls.Ring().Size() != ringWidth {
+					t.Fatalf("Ring() = %v, want the widest ring %d", ls.Ring(), ringWidth)
 				}
 			case err == nil:
 				t.Fatalf("Reset accepted the block, want an error containing %q", tc.want)
@@ -251,7 +268,7 @@ func TestAcquireLockstepRepanicsResetPanic(t *testing.T) {
 // lanes present.
 type staticAdversary struct{ r ring.Ring }
 
-func (a staticAdversary) Ring() ring.Ring { return a.r }
+func (a staticAdversary) Ring(int) ring.Ring { return a.r }
 
 func (a staticAdversary) EdgeColumns(_ *LockstepSimulator, mask uint64, cols []uint64) {
 	for e := range cols {
@@ -265,8 +282,9 @@ func (staticAdversary) State() []uint64 { return nil }
 // a lockstep block must not allocate (the engine is pure word arithmetic
 // over preallocated buffers) — for stateless word graphs, for the
 // streaming Markov chain, whose one presence set is advanced in place,
-// for a block whose odd lanes a LaneAdversary drives, and for a block
-// whose lanes run all nine rule tables.
+// for a block whose odd lanes a LaneAdversary drives, for a block whose
+// lanes run all nine rule tables, and for a block whose lanes run on rings
+// of 3 to 64 nodes.
 func TestLockstepStepAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -277,31 +295,37 @@ func TestLockstepStepAllocFree(t *testing.T) {
 		core.PEF3Plus, core.PEF2, core.PEF1, core.NoRule2, core.NoRule3,
 		baseline.KeepDirection, baseline.BounceOnMissing, baseline.TowerBounce, baseline.Oscillator,
 	}
+	bernoulli := func(n int, seed uint64) dyngraph.EvolvingGraph { return dynamics.NewBernoulli(n, 0.8, seed) }
 	for _, tc := range []struct {
-		name      string
-		graph     func(seed uint64) dyngraph.EvolvingGraph
-		adversary LaneAdversary
-		tables    []robot.Table
+		name       string
+		graph      func(n int, seed uint64) dyngraph.EvolvingGraph
+		adversary  LaneAdversary
+		tables     []robot.Table
+		mixedRings bool
 	}{
-		{"bernoulli", func(seed uint64) dyngraph.EvolvingGraph { return dynamics.NewBernoulli(n, 0.8, seed) }, nil, tables},
-		{"markov-stream", func(seed uint64) dyngraph.EvolvingGraph {
+		{"bernoulli", bernoulli, nil, tables, false},
+		{"markov-stream", func(n int, seed uint64) dyngraph.EvolvingGraph {
 			m, err := dynamics.NewMarkovStream(n, 0.4, 0.25, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return m
-		}, nil, tables},
-		{"adversary", func(seed uint64) dyngraph.EvolvingGraph { return dynamics.NewBernoulli(n, 0.8, seed) }, staticAdversary{ring.New(n)}, tables},
-		{"mixed-tables", func(seed uint64) dyngraph.EvolvingGraph { return dynamics.NewBernoulli(n, 0.8, seed) }, nil, all},
+		}, nil, tables, false},
+		{"adversary", bernoulli, staticAdversary{ring.New(n)}, tables, false},
+		{"mixed-tables", bernoulli, nil, all, false},
+		{"mixed-rings", bernoulli, nil, all, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := prng.NewSource(11)
 			var lanesCfg []LaneRun
 			for l := 0; l < 64; l++ {
-				seed := src.Uint64()
+				seed, n := src.Uint64(), n
+				if tc.mixedRings {
+					n = 4 + l%61
+				}
 				run := LaneRun{Table: tc.tables[l%len(tc.tables)], Placements: RandomPlacements(n, k, prng.NewSource(seed)), Horizon: 1 << 20}
 				if tc.adversary == nil || l%2 == 0 {
-					run.Graph = tc.graph(seed)
+					run.Graph = tc.graph(n, seed)
 				}
 				lanesCfg = append(lanesCfg, run)
 			}

@@ -10,11 +10,12 @@ import (
 	"pef/internal/spec"
 )
 
-// LaneEligible reports whether a run under dyn may ride a lane of a
-// lockstep block on an n-node ring: an oblivious graph, or a fresh
-// block-pointed or confinement adversary on that ring, which the block
-// drives through their lane form (adversary.Lanes, as adversary.LaneForm
-// admits them). Any other dynamics runs scalar.
+// LaneEligible reports whether a run under dyn on an n-node ring may ride
+// a lane of a lockstep block, whatever the rings of the other lanes: an
+// oblivious graph, or a fresh block-pointed or confinement adversary on
+// that ring, which the block drives through their lane form
+// (adversary.Lanes, as adversary.LaneForm admits them). Any other
+// dynamics runs scalar.
 func LaneEligible(dyn fsync.Dynamics, n int) bool {
 	if d, ok := dyn.(fsync.Oblivious); ok {
 		return d.G != nil
@@ -36,10 +37,10 @@ type Lane struct {
 	Horizon    int
 }
 
-// LaneConfig describes one lane block: 1 to 64 lanes on one ring, of any
-// team sizes and rule tables. Towers also checks the tower lemmas 3.3 and
-// 3.4 on every lane, and runs every lane to its horizon. Metrics, when
-// non-nil, receives the engine counters.
+// LaneConfig describes one lane block: 1 to 64 lanes, of any rings (each
+// of at most 64 nodes), team sizes and rule tables. Towers also checks
+// the tower lemmas 3.3 and 3.4 on every lane, and runs every lane to its
+// horizon. Metrics, when non-nil, receives the engine counters.
 type LaneConfig struct {
 	Lanes   []Lane
 	Towers  bool
@@ -89,7 +90,6 @@ func NewLaneBlock() *LaneBlock {
 func (b *LaneBlock) Run(ctx context.Context, cfg LaneConfig) ([]LaneReport, error) {
 	b.runs, b.advs = b.runs[:0], b.advs[:0]
 	var adv fsync.LaneAdversary
-	advRing := 0
 	for l, ln := range cfg.Lanes {
 		run := fsync.LaneRun{Table: ln.Table, Placements: ln.Placements, Horizon: ln.Horizon}
 		var d fsync.Dynamics
@@ -99,23 +99,23 @@ func (b *LaneBlock) Run(ctx context.Context, cfg LaneConfig) ([]LaneReport, erro
 		case !adversary.LaneForm(ln.Dynamics, ln.Dynamics.Ring().Size()):
 			return nil, fmt.Errorf("harness: lane %d: %T has no lane form", l, ln.Dynamics)
 		default:
-			d, adv, advRing = ln.Dynamics, &b.adv, ln.Dynamics.Ring().Size()
+			d, adv = ln.Dynamics, &b.adv
 		}
 		b.runs = append(b.runs, run)
 		b.advs = append(b.advs, d)
 	}
 	if adv != nil {
-		b.adv.Reset(advRing, b.advs)
+		b.adv.Reset(b.advs)
 	}
 	ls, err := fsync.AcquireLockstep(fsync.LockstepConfig{Lanes: b.runs, Adversary: adv, Lasso: !cfg.Towers, Metrics: cfg.Metrics})
 	if err != nil {
 		return nil, err
 	}
 
-	n, lv, lt := ls.Ring().Size(), b.lv, b.lt
-	lv.Reset(n)
+	lv, lt := b.lv, b.lt
+	lv.Reset(ls.Rings())
 	if cfg.Towers {
-		lt.Reset(n, ls.Robots())
+		lt.Reset(ls.Ring().Size(), ls.Robots())
 	}
 	sinceCheck, primed := 0, false
 	for !ls.Done() {

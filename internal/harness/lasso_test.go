@@ -122,7 +122,7 @@ func lassoOf(t *testing.T, n int, shapes []lassoShape) (at, period []int) {
 			dyns[l] = sh.dyn()
 		}
 		var adv adversary.Lanes
-		adv.Reset(n, dyns)
+		adv.Reset(dyns)
 		ls, err := fsync.NewLockstep(fsync.LockstepConfig{Lanes: runs, Adversary: &adv, Lasso: true})
 		if err != nil {
 			t.Fatal(err)

@@ -48,8 +48,8 @@ func (x exploration) ok(horizon int) bool {
 
 // explorations runs team(0), …, team(runs-1) for horizon rounds each,
 // checking the tower invariants when towers is set. team(i) must build a
-// fresh config for run i on every call; all runs share one ring, of any
-// team sizes and algorithms. The runs of a rule table whose dynamics have
+// fresh config for run i on every call; runs may differ in ring, team size
+// and algorithm. The runs of a rule table whose dynamics have
 // a lane form (LaneEligible: here oblivious graphs and the fresh
 // block-pointed adversary) form one LaneBlock, each lane with its own
 // table; the others, and every lane that fails the
@@ -66,7 +66,7 @@ func explorations(runs, horizon int, towers bool, team func(i int) fsync.Config)
 	for i := range cs {
 		cs[i] = team(i)
 		table, ok := cs[i].Algorithm.(robot.Table)
-		if ok && LaneEligible(cs[i].Dynamics, cs[0].Dynamics.Ring().Size()) {
+		if ok && LaneEligible(cs[i].Dynamics, cs[i].Dynamics.Ring().Size()) {
 			idx = append(idx, i)
 			lanes = append(lanes, Lane{Dynamics: cs[i].Dynamics, Table: table, Placements: cs[i].Placements, Horizon: horizon})
 		}

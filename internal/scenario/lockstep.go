@@ -72,15 +72,16 @@ func newLanePlan(dyn fsync.Dynamics, res preparedRun) lanePlan {
 	return lanePlan{dyn: dyn, table: res.alg.(robot.Table), prop: res.prop, confineLimit: res.fam.ConfineLimit}
 }
 
-// RunBlock executes a block of specs, running eligible specs that share a
-// ring as lane groups of up to 64 on a harness.LaneBlock and the
-// rest through the scalar oracle. Verdicts come back in spec order and are
-// byte-identical to per-spec RunWith calls, with run errors folded into
-// Verdict.Err exactly like the campaign worker folds them.
+// RunBlock executes a block of specs, running the eligible specs as lane
+// groups of up to 64 on a harness.LaneBlock and the rest through the
+// scalar oracle. Verdicts come back in spec order and are byte-identical
+// to per-spec RunWith calls, with run errors folded into Verdict.Err
+// exactly like the campaign worker folds them.
 //
 // A sequential plan resolves every spec once and cuts the eligible ones
-// into lane groups by ring, yielding independent units: lane groups, ring
-// by ring in first-member order, then single scalar specs in spec order.
+// into lane groups of 64, whatever their rings, yielding independent
+// units: lane groups, longest horizons first, then single scalar specs in
+// spec order.
 // Up to o.fan goroutines then drain the units from one cursor, each with
 // its own LaneBlock, and write verdicts by position, so the output bytes
 // do not depend on the fan or on scheduling. Only StreamSpecs sets a fan
@@ -89,15 +90,13 @@ func newLanePlan(dyn fsync.Dynamics, res preparedRun) lanePlan {
 func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 	out := make([]Verdict, len(specs))
 
-	// Plan: cut eligible specs into lane groups by ring, the one shape a
-	// lockstep run shares across its lanes (team sizes, tables, dynamics,
-	// placements, horizons and verdicts differ freely); the rest run
+	// Plan: cut eligible specs into lane groups; a lockstep run shares
+	// no shape across its lanes (rings, team sizes, tables, dynamics,
+	// placements, horizons and verdicts differ freely). The rest run
 	// scalar.
 	tel := o.Telemetry
-	rings := map[int]int{} // each ring's index in byRing
-	var byRing, units [][]int
 	plans := make([]lanePlan, len(specs))
-	var scalar []int
+	var lanes, scalar []int
 	for i, s := range specs {
 		v, res, err := prepareRun(s, o)
 		// An error verdict is final (RunWith would add nothing); a lane
@@ -118,25 +117,18 @@ func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
 			continue
 		}
 		plans[i] = newLanePlan(dyn, res)
-		if r, ok := rings[s.Ring]; ok {
-			byRing[r] = append(byRing[r], i)
-		} else {
-			rings[s.Ring] = len(byRing)
-			byRing = append(byRing, []int{i})
-		}
+		lanes = append(lanes, i)
 	}
 	// A group steps until its longest lane retires, on as many rows as its
-	// widest team, so a ring with more than 64 specs is cut longest and
-	// widest first: its last group gets the short, narrow lanes rather
-	// than a few long ones.
-	for _, members := range byRing {
-		if len(members) > laneWordSize {
-			slices.SortStableFunc(members, func(a, b int) int {
-				return cmp.Or(cmp.Compare(specs[b].Horizon, specs[a].Horizon), cmp.Compare(specs[b].Robots, specs[a].Robots))
-			})
-		}
-		units = slices.AppendSeq(units, slices.Chunk(members, laneWordSize))
+	// widest team and as many nodes as its widest ring, so a block with
+	// more than 64 lane specs is cut longest, widest first: its last group
+	// gets the short, small lanes rather than a few long ones.
+	if len(lanes) > laneWordSize {
+		slices.SortStableFunc(lanes, func(a, b int) int {
+			return cmp.Or(cmp.Compare(specs[b].Horizon, specs[a].Horizon), cmp.Compare(specs[b].Ring, specs[a].Ring), cmp.Compare(specs[b].Robots, specs[a].Robots))
+		})
 	}
+	units := slices.Collect(slices.Chunk(lanes, laneWordSize))
 	// Lane groups come first: they are the heavy units, which keeps the
 	// tail short when several goroutines share the cursor.
 	units = slices.AppendSeq(units, slices.Chunk(scalar, 1))
@@ -195,8 +187,8 @@ func foldErr(v Verdict, err error) Verdict {
 	return v
 }
 
-// runLockstepGroup runs one ring's group of ≤ 64 specs as one lane
-// block and classifies their verdicts into out, which holds each member's
+// runLockstepGroup runs a group of ≤ 64 specs as one lane block and
+// classifies their verdicts into out, which holds each member's
 // prepareRun verdict. If the engine rejects the block or panics mid-run,
 // the whole group falls back to scalar runs, which rebuild their dynamics
 // and reproduce the verdicts (or the error) independently. Only a group

@@ -8,8 +8,10 @@ import (
 
 // BenchmarkSearchGeneration measures one 256-spec generation — plan,
 // engine block, fold — at one and two workers. The generation fits one
-// 1024-wide lane block, so the pool has a single job; the second worker
-// speeds it up only through RunBlock's in-block fan-out.
+// 1024-spec engine block, so the pool has a single job; the second worker
+// speeds it up only through RunBlock's in-block fan-out over the block's
+// units: about four full 64-lane groups of mixed rings, then the scalar
+// specs.
 func BenchmarkSearchGeneration(b *testing.B) {
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -307,3 +307,31 @@ func TestSearchCorpusInvariants(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchLaneTelemetry pins the engine work of searches 1–4 at 6
+// generations of 256 specs and 2 workers, the pefbench search workload.
+// Lane groups mix rings, so a generation's lane specs fill about four
+// full 64-lane groups: 96 groups take 232,600 word steps, where groups
+// keyed by ring took 313 groups and 817,800 word steps. The lane rounds
+// are the same in any grouping, since no lane's rounds depend on the
+// lanes beside it.
+func TestSearchLaneTelemetry(t *testing.T) {
+	tel := scenario.NewTelemetry()
+	for seed := uint64(1); seed <= 4; seed++ {
+		if _, err := Run(context.Background(), Config{Seed: seed, Generations: 6, GenerationSize: 256, Workers: 2, Telemetry: tel}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := tel.Snapshot().Counters
+	for name, want := range map[string]int64{
+		"engine.lockstepGroups":          96,
+		"engine.lockstepSpecs":           6144,
+		"sim.lockstep.rounds":            232600,
+		"sim.lockstep.laneRounds":        11753894,
+		"sim.lockstep.skippedLaneRounds": 1560306,
+	} {
+		if got := c[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package spec
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"pef/internal/fsync"
+)
 
 // LaneVisits is the lockstep-engine form of VisitTracker and
 // ConfinementTracker in one: it consumes per-node lane-occupancy words
@@ -16,25 +20,36 @@ import "math/bits"
 // (node, lane) integers. Report(l, instants) reproduces the scalar
 // VisitTracker.Report for lane l bit for bit — the differential tests in
 // lanes_test.go drive both trackers with identical position streams and
-// require equal reports.
+// require equal reports. Lanes may run on rings of different sizes (a
+// mixed-ring lockstep block): a lane's coverage, gaps and reports span
+// only the nodes of its own ring.
 type LaneVisits struct {
-	n         int
-	lastVisit []int32  // (node, lane) last visit instant, -1 if never; index v*64+l
-	maxGap    []int32  // (node, lane) largest closed revisit gap
-	ever      []uint64 // per node: lanes that ever visited it
-	twice     []uint64 // per node: lanes that visited it at least twice
-	complete  uint64   // lanes whose ever-set covers every node
-	coverTime []int32  // per lane: first instant of full coverage
+	rings     []fsync.LaneRing // ascending, as LockstepSimulator.Rings
+	size      [64]int          // per lane: its ring's nodes
+	lastVisit []int32          // (node, lane) last visit instant, -1 if never; index v*64+l
+	maxGap    []int32          // (node, lane) largest closed revisit gap
+	ever      []uint64         // per node: lanes that ever visited it
+	twice     []uint64         // per node: lanes that visited it at least twice
+	complete  uint64           // lanes whose ever-set covers every node
+	coverTime []int32          // per lane: first instant of full coverage
 }
 
-// NewLaneVisits creates a tracker; Reset arms it for a ring size.
+// NewLaneVisits creates a tracker; Reset arms it for a block's rings.
 func NewLaneVisits() *LaneVisits { return &LaneVisits{} }
 
-// Reset re-arms the tracker for a fresh lockstep run over an n-node
-// ring, reusing its backing storage — the pooling hook mirroring
-// VisitTracker.Reset.
-func (lv *LaneVisits) Reset(n int) {
-	lv.n = n
+// Reset re-arms the tracker for a fresh lockstep run over rings, the
+// block's ring sizes in ascending order with their lanes
+// (LockstepSimulator.Rings), reusing its backing storage — the pooling
+// hook mirroring VisitTracker.Reset.
+func (lv *LaneVisits) Reset(rings []fsync.LaneRing) {
+	lv.rings = append(lv.rings[:0], rings...)
+	lv.size = [64]int{}
+	for _, g := range rings {
+		for b := g.Mask; b != 0; b &= b - 1 {
+			lv.size[bits.TrailingZeros64(b)] = g.Size
+		}
+	}
+	n := rings[len(rings)-1].Size // the widest ring
 	lv.lastVisit = resizeInt32s(lv.lastVisit, n*64)
 	lv.maxGap = resizeInt32s(lv.maxGap, n*64)
 	lv.ever = resizeWords(lv.ever, n)
@@ -80,36 +95,41 @@ func (lv *LaneVisits) Record(t int, occupied []uint64, mask uint64) {
 		return
 	}
 	t32 := int32(t)
-	andAcc := ^uint64(0)
-	for v := 0; v < lv.n; v++ {
-		w := occupied[v] & mask
-		if w != 0 {
-			ever := lv.ever[v]
-			// First visits: the wait from the start of the execution
-			// counts as a gap (a node first visited at t waited t
-			// instants). Repeat visits close a (t - lastVisit) gap and
-			// certify the second visit.
-			lv.twice[v] |= w & ever
-			base := v << 6
-			for b := w; b != 0; b &= b - 1 {
-				l := bits.TrailingZeros64(b)
-				idx := base + l
-				if ever&(1<<uint(l)) == 0 {
-					if t32 > lv.maxGap[idx] {
-						lv.maxGap[idx] = t32
+	// andAcc holds the lanes that visited every node so far; a ring's lanes
+	// are complete when it holds them at the ring's last node.
+	andAcc, full, v := ^uint64(0), uint64(0), 0
+	for _, g := range lv.rings {
+		for ; v < g.Size; v++ {
+			w := occupied[v] & mask
+			if w != 0 {
+				ever := lv.ever[v]
+				// First visits: the wait from the start of the execution
+				// counts as a gap (a node first visited at t waited t
+				// instants). Repeat visits close a (t - lastVisit) gap and
+				// certify the second visit.
+				lv.twice[v] |= w & ever
+				base := v << 6
+				for b := w; b != 0; b &= b - 1 {
+					l := bits.TrailingZeros64(b)
+					idx := base + l
+					if ever&(1<<uint(l)) == 0 {
+						if t32 > lv.maxGap[idx] {
+							lv.maxGap[idx] = t32
+						}
+					} else if gap := t32 - lv.lastVisit[idx]; gap > lv.maxGap[idx] {
+						lv.maxGap[idx] = gap
 					}
-				} else if g := t32 - lv.lastVisit[idx]; g > lv.maxGap[idx] {
-					lv.maxGap[idx] = g
+					lv.lastVisit[idx] = t32
 				}
-				lv.lastVisit[idx] = t32
+				lv.ever[v] = ever | w
 			}
-			lv.ever[v] = ever | w
+			andAcc &= lv.ever[v]
 		}
-		andAcc &= lv.ever[v]
+		full |= andAcc & g.Mask
 	}
 	// Lanes that just reached full coverage record this instant as their
 	// cover time.
-	newly := andAcc & mask &^ lv.complete
+	newly := full & mask &^ lv.complete
 	for b := newly; b != 0; b &= b - 1 {
 		lv.coverTime[bits.TrailingZeros64(b)] = t32
 	}
@@ -127,7 +147,7 @@ func (lv *LaneVisits) Record(t int, occupied []uint64, mask uint64) {
 // the lane run to instant t+s.
 func (lv *LaneVisits) Skip(l, t, period, s int) {
 	since, s32 := int32(t-period), int32(s)
-	for v := 0; v < lv.n; v++ {
+	for v := 0; v < lv.size[l]; v++ {
 		if idx := v<<6 + l; lv.lastVisit[idx] > since {
 			lv.lastVisit[idx] += s32
 		}
@@ -148,13 +168,13 @@ func (lv *LaneVisits) Skip(l, t, period, s int) {
 // rendered message (a covered node with fewer than two visits has
 // exactly one).
 func (lv *LaneVisits) Report(l, instants int) ExplorationReport {
-	bit := uint64(1) << uint(l)
-	rep := ExplorationReport{Nodes: lv.n, Horizon: instants, CoverTime: -1}
+	bit, n := uint64(1)<<uint(l), lv.size[l]
+	rep := ExplorationReport{Nodes: n, Horizon: instants, CoverTime: -1}
 	if lv.complete&bit != 0 {
 		rep.CoverTime = int(lv.coverTime[l])
 	}
 	allTwice := true
-	for v := 0; v < lv.n; v++ {
+	for v := 0; v < n; v++ {
 		idx := v<<6 + l
 		gap := int(lv.maxGap[idx])
 		if lv.ever[v]&bit == 0 {
@@ -187,7 +207,7 @@ func (lv *LaneVisits) Report(l, instants int) ExplorationReport {
 func (lv *LaneVisits) Distinct(l int) int {
 	bit := uint64(1) << uint(l)
 	d := 0
-	for v := 0; v < lv.n; v++ {
+	for v := 0; v < lv.size[l]; v++ {
 		if lv.ever[v]&bit != 0 {
 			d++
 		}

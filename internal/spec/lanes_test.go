@@ -21,26 +21,41 @@ import (
 // VisitTracker/ConfinementTracker with identical random position streams
 // (staggered per-lane horizons included) and requires identical reports —
 // including the ExploreViolation strings the oracle ultimately consumes.
+// Every other trial gives each lane its own ring of 2 to n nodes, as a
+// mixed-ring lockstep block does, so coverage, gaps and distinct counts
+// must span each lane's own nodes only.
 func TestLaneVisitsMatchesScalarTrackers(t *testing.T) {
 	src := prng.NewSource(0xA11CE)
 	lv := NewLaneVisits()
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 60; trial++ {
 		n := 2 + src.Intn(14)
 		k := 1 + src.Intn(3)
 		lanes := 1 + src.Intn(64)
 		baseRounds := 1 + src.Intn(40)
+		mixed := trial%2 == 1
 
 		pos := make([][]int, lanes)
+		sizes := make([]int, lanes)
 		vts := make([]*VisitTracker, lanes)
 		cts := make([]*ConfinementTracker, lanes)
 		rounds := make([]int, lanes)
 		maxRounds := 0
+		var rings []fsync.LaneRing
 		for l := range pos {
+			sizes[l] = n
+			if mixed {
+				sizes[l] = 2 + src.Intn(n-1)
+			}
+			i, found := slices.BinarySearchFunc(rings, sizes[l], func(g fsync.LaneRing, m int) int { return g.Size - m })
+			if !found {
+				rings = slices.Insert(rings, i, fsync.LaneRing{Size: sizes[l]})
+			}
+			rings[i].Mask |= 1 << uint(l)
 			pos[l] = make([]int, k)
 			for i := range pos[l] {
-				pos[l][i] = src.Intn(n)
+				pos[l][i] = src.Intn(sizes[l])
 			}
-			vts[l] = NewVisitTracker(n)
+			vts[l] = NewVisitTracker(sizes[l])
 			cts[l] = NewConfinementTracker()
 			rounds[l] = baseRounds + l%3
 			if rounds[l] > maxRounds {
@@ -48,7 +63,7 @@ func TestLaneVisitsMatchesScalarTrackers(t *testing.T) {
 			}
 		}
 
-		lv.Reset(n)
+		lv.Reset(rings)
 		occ := make([]uint64, n)
 		buildOcc := func(mask uint64) {
 			for v := range occ {
@@ -79,7 +94,7 @@ func TestLaneVisitsMatchesScalarTrackers(t *testing.T) {
 				mask |= 1 << uint(l)
 				prev := append([]int(nil), pos[l]...)
 				for i := range pos[l] {
-					pos[l][i] = (pos[l][i] + src.Intn(3) - 1 + n) % n
+					pos[l][i] = (pos[l][i] + src.Intn(3) - 1 + sizes[l]) % sizes[l]
 				}
 				ev := &fsync.RoundEvent{
 					Before: &fsync.Snapshot{T: instant - 1, Positions: prev},
@@ -98,8 +113,8 @@ func TestLaneVisitsMatchesScalarTrackers(t *testing.T) {
 			if got.Nodes != want.Nodes || got.Horizon != want.Horizon ||
 				got.Covered != want.Covered || got.CoverTime != want.CoverTime ||
 				got.MaxGap != want.MaxGap || got.WorstNode != want.WorstNode {
-				t.Fatalf("trial %d lane %d (n=%d k=%d rounds=%d):\nlane   %+v\nscalar %+v",
-					trial, l, n, k, rounds[l], got, want)
+				t.Fatalf("trial %d lane %d (n=%d of %d, k=%d rounds=%d):\nlane   %+v\nscalar %+v",
+					trial, l, sizes[l], n, k, rounds[l], got, want)
 			}
 			for _, bound := range []int{0, want.MaxGap, want.Horizon} {
 				if g, w := got.ExploreViolation(2, bound), want.ExploreViolation(2, bound); g != w {
@@ -124,7 +139,7 @@ func TestLaneVisitsRecordAllocFree(t *testing.T) {
 	}
 	const n = 12
 	lv := NewLaneVisits()
-	lv.Reset(n)
+	lv.Reset([]fsync.LaneRing{{Size: n, Mask: ^uint64(0)}})
 	occ := make([]uint64, n)
 	for v := range occ {
 		occ[v] = 0xDEADBEEFCAFE1234 >> uint(v%8)
@@ -149,8 +164,8 @@ type lateCycle struct {
 	planes [3]uint64
 }
 
-func (a *lateCycle) Ring() ring.Ring { return ring.New(3) }
-func (a *lateCycle) State() []uint64 { return a.planes[:] }
+func (a *lateCycle) Ring(int) ring.Ring { return ring.New(3) }
+func (a *lateCycle) State() []uint64    { return a.planes[:] }
 func (a *lateCycle) EdgeColumns(_ *fsync.LockstepSimulator, mask uint64, cols []uint64) {
 	if a.phase >= 4 {
 		for e := range cols {
@@ -187,7 +202,7 @@ func TestLaneVisitsSkipAfterLateCycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		lv := NewLaneVisits()
-		lv.Reset(3)
+		lv.Reset(ls.Rings())
 		lv.Record(0, ls.Occupancy(), ^uint64(0)>>(64-lanes))
 		for !ls.Done() {
 			stepped := ls.Step()
