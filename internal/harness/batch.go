@@ -23,10 +23,11 @@ type BatchConfig struct {
 	// matrix, so no single experiment serializes a sweep on one worker.
 	Shard bool
 	// OnResult, when non-nil, is invoked from the collecting goroutine
-	// in canonical (experiment, seed) order, as soon as every earlier
-	// job has finished. Emission order is therefore independent of the
-	// worker count. On cancellation only the solid prefix is streamed
-	// (see PoolConfig.OnResult).
+	// in canonical (experiment, seed) order, as soon as the pool job
+	// holding the result and every earlier one have finished. Emission
+	// order is therefore independent of the worker count. On
+	// cancellation only the solid prefix is streamed (see
+	// PoolConfig.OnResult).
 	OnResult func(JobResult)
 	// Metrics, when non-nil, instruments the underlying pool (see
 	// PoolConfig.Metrics); it never affects results or report bytes.
@@ -66,17 +67,6 @@ func Passes(jobs []JobResult) int {
 	return n
 }
 
-// newJobResult is the canonical identity-filled (not yet executed) job
-// outcome; the prefill loop and runJob share it so cancelled and executed
-// jobs render with the same identity.
-func newJobResult(e Experiment, seed uint64) JobResult {
-	return JobResult{
-		ID:     e.ID,
-		Seed:   seed,
-		Result: e.result(),
-	}
-}
-
 // Seeds returns the n consecutive seeds starting at base, the canonical
 // sweep for "-seeds n" style invocations.
 func Seeds(base uint64, n int) []uint64 {
@@ -90,17 +80,30 @@ func Seeds(base uint64, n int) []uint64 {
 	return out
 }
 
-// RunBatch fans the (experiment × seed) job matrix out across the generic
-// RunPool worker pool and returns one JobResult per job in canonical order:
+// RunBatch runs the (experiment × seed) job matrix on the generic
+// StreamPool worker pool and returns one JobResult per job in canonical order:
 // experiments in index order, seeds in the order given, seeds varying
 // fastest. Results are collected unordered but the returned slice — and the
 // OnResult callback sequence — is identical for any worker count, so batch
 // output is bit-for-bit reproducible.
 //
-// A job that panics is recovered into a failed JobResult; execution errors
-// likewise mark only their own job. RunBatch itself fails only when ctx is
-// cancelled, in which case in-flight jobs finish, unstarted jobs are marked
-// with ctx's error, and the partially-filled slice is returned alongside it.
+// A pool job covers one experiment and a block of its seeds. A seed-free
+// experiment (one that never reads Config.Seed, such as the confinement
+// rows and the figures) runs once, with Seed zero, and its Result is
+// copied to every seed. A planned experiment (E-T1.R1 and E-X7) runs its
+// lane plan for blocks of laneWidth / (its widest row's runs) seeds,
+// packing their runs into shared lane blocks. Every other experiment runs
+// one job per seed. The block size depends only on the experiment and the
+// quick setting, and each seed's Result is the one Run gives it alone, so
+// the job shapes never reach the output. A caller that wraps an
+// experiment's Run (to time it, say) sees one call per seed-free
+// experiment and none for a planned one, whose blocks bypass Run.
+//
+// A job that panics is recovered into failed JobResults; execution errors
+// likewise mark only their own job's seeds. RunBatch itself fails only
+// when ctx is cancelled, in which case in-flight jobs finish, the seeds of
+// unstarted jobs are marked with ctx's error, and the partially-filled
+// slice is returned alongside it.
 func RunBatch(ctx context.Context, cfg BatchConfig) ([]JobResult, error) {
 	exps := cfg.Experiments
 	if exps == nil {
@@ -113,48 +116,111 @@ func RunBatch(ctx context.Context, cfg BatchConfig) ([]JobResult, error) {
 	if len(seeds) == 0 {
 		seeds = []uint64{1}
 	}
-	return RunPool(ctx, PoolConfig[JobResult]{
-		Total:   len(exps) * len(seeds),
+	type job struct {
+		e     Experiment
+		at    int // index of the job's first JobResult
+		seeds []uint64
+	}
+	var jobs []job
+	for i, e := range exps {
+		size := 1
+		switch {
+		case e.seedFree:
+			size = len(seeds)
+		case e.packing != nil:
+			size = e.packing.size(cfg.Quick)
+		}
+		for lo := 0; lo < len(seeds); lo += size {
+			jobs = append(jobs, job{e, i*len(seeds) + lo, seeds[lo:min(lo+size, len(seeds))]})
+		}
+	}
+	out := make([]JobResult, len(exps)*len(seeds))
+	for item := range StreamPool(ctx, PoolConfig[[]JobResult]{
+		Total:   len(jobs),
 		Workers: cfg.Workers,
 		Metrics: cfg.Metrics,
-		Run: func(i int) JobResult {
-			return runJob(exps[i/len(seeds)], Config{Seed: seeds[i%len(seeds)], Quick: cfg.Quick})
+		Run: func(i int) []JobResult {
+			return runJob(jobs[i].e, jobs[i].seeds, cfg.Quick)
 		},
-		Placeholder: func(i int) JobResult {
-			return newJobResult(exps[i/len(seeds)], seeds[i%len(seeds)])
-		},
-		Cancelled: func(_ int, jr JobResult, err error) JobResult {
-			jr.Err = fmt.Errorf("harness: experiment %s (seed %d): %w", jr.ID, jr.Seed, err)
-			jr.Result.Notes = append(jr.Result.Notes, "job cancelled before running")
-			return jr
-		},
-		OnResult: func(_ int, jr JobResult) {
-			if cfg.OnResult != nil {
-				cfg.OnResult(jr)
+	}) {
+		j := jobs[item.I]
+		for k, seed := range j.seeds {
+			if item.Err != nil {
+				out[j.at+k] = failedJob(j.e, seed, item.Err, "job cancelled before running")
+				continue
 			}
-		},
-	})
+			out[j.at+k] = item.R[k]
+			if cfg.OnResult != nil {
+				cfg.OnResult(item.R[k])
+			}
+		}
+	}
+	return out, ctx.Err()
 }
 
-// runJob executes one experiment under one job Config, converting panics
-// into failed results so a single diverging experiment cannot take down a
-// sweep.
-func runJob(e Experiment, c Config) (jr JobResult) {
-	jr = newJobResult(e, c.Seed)
+// failedJob is the JobResult of an experiment that did not run under seed:
+// its identity on a failed result, with err and, when not empty, a note.
+func failedJob(e Experiment, seed uint64, err error, note string) JobResult {
+	jr := JobResult{ID: e.ID, Seed: seed, Result: e.result()}
+	jr.Err = fmt.Errorf("harness: experiment %s (seed %d): %w", e.ID, seed, err)
+	if note != "" {
+		jr.Result.Notes = append(jr.Result.Notes, note)
+	}
+	return jr
+}
+
+// runJob runs experiment e for seeds, one JobResult per seed, converting
+// an error or a panic into failed results so a single diverging
+// experiment cannot take down a sweep.
+func runJob(e Experiment, seeds []uint64, quick bool) []JobResult {
+	var results []Result
+	err := recovered(func() error {
+		switch {
+		case e.seedFree:
+			res, err := e.Run(Config{Quick: quick})
+			results = make([]Result, len(seeds))
+			for k := range results {
+				results[k] = res.clone()
+			}
+			return err
+		case e.packing != nil:
+			var err error
+			results, err = e.packing.run(quick, seeds)
+			return err
+		default:
+			res, err := e.Run(Config{Seed: seeds[0], Quick: quick})
+			results = []Result{res}
+			return err
+		}
+	})
+	note := ""
+	if p, ok := err.(panicked); ok {
+		note = fmt.Sprintf("recovered panic: %v", p.v)
+	}
+	out := make([]JobResult, len(seeds))
+	for k, seed := range seeds {
+		if err != nil {
+			out[k] = failedJob(e, seed, err, note)
+			continue
+		}
+		out[k] = JobResult{ID: e.ID, Seed: seed, Result: results[k]}
+	}
+	return out
+}
+
+// panicked is a panic recovered by recovered.
+type panicked struct{ v any }
+
+func (p panicked) Error() string { return fmt.Sprintf("panic: %v", p.v) }
+
+// recovered calls f, returning a panic in it as a panicked error.
+func recovered(f func() error) (err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			jr.Err = fmt.Errorf("harness: experiment %s (seed %d): panic: %v", e.ID, c.Seed, r)
-			jr.Result.Pass = false
-			jr.Result.Notes = append(jr.Result.Notes, fmt.Sprintf("recovered panic: %v", r))
+		if v := recover(); v != nil {
+			err = panicked{v}
 		}
 	}()
-	res, err := e.Run(c)
-	if err != nil {
-		jr.Err = fmt.Errorf("harness: experiment %s (seed %d): %w", e.ID, c.Seed, err)
-		return jr
-	}
-	jr.Result = res
-	return jr
+	return f()
 }
 
 // SweepAggregate folds a batch's results into the metrics sweep matrix used

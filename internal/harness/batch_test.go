@@ -286,3 +286,119 @@ func TestRunBatchRealIndexAcrossSeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestSeedFreeExperiments guards the seedFree declarations: every
+// experiment and shard declared seed-free gives deep-equal results under
+// seeds 1 and 2, and the declared set is the one RunBatch's copying was
+// measured on.
+func TestSeedFreeExperiments(t *testing.T) {
+	var free []string
+	for _, e := range All() {
+		if e.seedFree {
+			free = append(free, e.ID)
+		}
+	}
+	want := []string{"E-T1.R2", "E-T1.R4", "E-F1", "E-F2", "E-F3", "E-X4", "E-X8", "E-X11"}
+	if !reflect.DeepEqual(free, want) {
+		t.Fatalf("seed-free experiments %v, want %v", free, want)
+	}
+	for _, e := range append(All(), Sharded(All(), true)...) {
+		if !e.seedFree {
+			continue
+		}
+		r1, err1 := e.Run(Config{Seed: 1, Quick: true})
+		r2, err2 := e.Run(Config{Seed: 2, Quick: true})
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: %v, %v", e.ID, err1, err2)
+		}
+		if !reflect.DeepEqual(r1, r2) {
+			t.Errorf("%s is declared seed-free, but seeds 1 and 2 differ:\n%s\n%s", e.ID, r1.Table, r2.Table)
+		}
+	}
+}
+
+// TestSeedFreeRunsOnceAndCopies checks how RunBatch runs a seed-free
+// experiment: once per batch, with Seed zeroed, each seed getting its own
+// copy of the result, so that an append to one job's notes, scalars or
+// table reaches no other.
+func TestSeedFreeRunsOnceAndCopies(t *testing.T) {
+	var calls []uint64
+	e := seedFree(Experiment{
+		ID: "E-FREE", Title: "seed-free", Artifact: "test",
+		Run: func(cfg Config) (Result, error) {
+			calls = append(calls, cfg.Seed)
+			res := Result{ID: "E-FREE", Pass: true, Table: metrics.NewTable("a"), Notes: []string{"n"}}
+			res.Table.AddRow(1)
+			res.Observe("s", 1)
+			return res, nil
+		},
+	})
+	jobs, err := RunBatch(context.Background(), BatchConfig{Experiments: []Experiment{e}, Seeds: Seeds(4, 3), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(calls, []uint64{0}) {
+		t.Fatalf("Run called with seeds %v, want once with seed 0", calls)
+	}
+	for i, j := range jobs {
+		if j.ID != "E-FREE" || j.Seed != uint64(4+i) || !j.Passed() {
+			t.Fatalf("job %d: %s seed %d passed %v", i, j.ID, j.Seed, j.Passed())
+		}
+	}
+	first := jobs[0].Result
+	for _, j := range jobs[1:] {
+		r := j.Result
+		if &r.Notes[0] == &first.Notes[0] || &r.Scalars[0] == &first.Scalars[0] || r.Table == first.Table {
+			t.Fatalf("seed %d shares its notes, scalars or table with seed 4", j.Seed)
+		}
+	}
+	first.Table.AddRow(2)
+	if jobs[1].Result.Table.Rows() != 1 {
+		t.Fatal("a row added to seed 4's table reached seed 5's")
+	}
+}
+
+// TestRunBatchBlocksMatchSingleSeeds checks that the job shapes never
+// reach a result: a batch over seeds 1–5, sharded and not, equals five
+// single-seed batches job for job, and the planned experiments' blocks
+// cut across 18 seeds (at quick sizes, E-X7 packs 16 seeds per job and
+// E-T1.R1 7) give each seed the result it gets alone.
+func TestRunBatchBlocksMatchSingleSeeds(t *testing.T) {
+	batch := func(exps []Experiment, seeds []uint64, shard bool) []JobResult {
+		t.Helper()
+		jobs, err := RunBatch(context.Background(), BatchConfig{Experiments: exps, Seeds: seeds, Quick: true, Shard: shard, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jobs
+	}
+	check := func(exps []Experiment, n int, shard bool) {
+		t.Helper()
+		seeds := Seeds(1, n)
+		jobs := batch(exps, seeds, shard)
+		for s, seed := range seeds {
+			alone := batch(exps, []uint64{seed}, shard)
+			for e, want := range alone {
+				if got := jobs[e*n+s]; !reflect.DeepEqual(got, want) {
+					t.Errorf("shard=%v: %s seed %d differs from its single-seed batch:\n%s\n%s", shard, want.ID, seed, got.Result.Table, want.Result.Table)
+				}
+			}
+		}
+	}
+	for _, shard := range []bool{true, false} {
+		check(All(), 5, shard)
+	}
+	var planned []Experiment
+	for _, e := range All() {
+		if e.packing != nil {
+			planned = append(planned, e)
+			if e.Shards != nil {
+				planned = append(planned, e.Shards(true)...)
+			}
+		}
+	}
+	if len(planned) != 4 { // E-T1.R1, its two quick shards, E-X7
+		t.Fatalf("%d planned experiments, want 4", len(planned))
+	}
+	check(planned, 18, false)
+}

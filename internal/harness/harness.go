@@ -9,6 +9,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"pef/internal/metrics"
 	"pef/internal/robot"
@@ -70,6 +71,14 @@ func (r *Result) ObserveExploration(rep spec.ExplorationReport) {
 	r.Observe("maxGap", rep.MaxGap)
 }
 
+// clone returns a copy of r that appends to either result do not reach.
+func (r Result) clone() Result {
+	r.Table = r.Table.Clone()
+	r.Notes = slices.Clone(r.Notes)
+	r.Scalars = slices.Clone(r.Scalars)
+	return r
+}
+
 // fail marks the result failed and records why.
 func (r *Result) fail(format string, args ...any) {
 	r.Pass = false
@@ -88,6 +97,21 @@ type Experiment struct {
 	// serializes on one batch worker. The quick flag must match the
 	// Config the shards will run under, because it selects the cases.
 	Shards func(quick bool) []Experiment
+	// seedFree marks an experiment whose Run never reads Config.Seed:
+	// RunBatch runs it once per batch and copies its Result to every seed.
+	seedFree bool
+	// packing, when non-nil, runs the experiment for a block of seeds at
+	// once; RunBatch uses it in place of Run.
+	packing *packing
+}
+
+// packing is the seed-block form of an experiment's Run: a batch job runs
+// up to size(quick) seeds, and run returns one Result per seed, each the
+// one Run gives that seed alone. The planned experiments (lanePlan) have
+// one, so that their lane blocks hold the runs of several seeds.
+type packing struct {
+	size func(quick bool) int
+	run  func(quick bool, seeds []uint64) ([]Result, error)
 }
 
 // result is e's identity on a not yet passing result: every Result, of a
@@ -114,6 +138,22 @@ func single(id, title, artifact string, body func(cfg Config, res *Result) error
 	return e
 }
 
+// seedFree declares that e, and each of its shards, never reads
+// Config.Seed; TestSeedFreeExperiments checks it.
+func seedFree(e Experiment) Experiment {
+	e.seedFree = true
+	if shards := e.Shards; shards != nil {
+		e.Shards = func(quick bool) []Experiment {
+			out := shards(quick)
+			for i := range out {
+				out[i].seedFree = true
+			}
+			return out
+		}
+	}
+	return e
+}
+
 // sweep is an experiment whose rows split into independent cases: a ring
 // size, or a (ring size, victim) pair. The full run and each shard call
 // the same per-case body, so the shard tables concatenate to the full one.
@@ -124,6 +164,9 @@ type sweep struct {
 	victims bool
 	header  []string
 	body    func(cfg Config, res *Result, c sweepCase) error
+	// row, set instead of body, is a case whose runs all go through
+	// explorations; the sweep is then planned (sweep.experiment).
+	row func(quick bool, c sweepCase) laneRow
 	// notes close the result, after the cases.
 	notes []string
 }
@@ -172,10 +215,34 @@ func (s sweep) run(cases []sweepCase) func(cfg Config, res *Result) error {
 	}
 }
 
+// experiment declares the sweep over the given cases, or over every case
+// of the run's quick setting when cases is nil. A sweep with a row is
+// planned: case by case, its rows form the experiment's lane plan.
+func (s sweep) experiment(id, title, artifact string, cases []sweepCase) Experiment {
+	if s.row == nil {
+		return single(id, title, artifact, s.run(cases))
+	}
+	return planned(id, title, artifact, &lanePlan{
+		header: s.header,
+		notes:  s.notes,
+		rows: func(quick bool) []laneRow {
+			cs := cases
+			if cs == nil {
+				cs = s.cases(quick)
+			}
+			rows := make([]laneRow, len(cs))
+			for i, c := range cs {
+				rows[i] = s.row(quick, c)
+			}
+			return rows
+		},
+	})
+}
+
 // swept declares a sweep experiment and its shards: one per case, with
 // IDs "<id>#n=<size>" or "<id>#n=<size>/a=<victim>".
 func swept(id, title, artifact string, s sweep) Experiment {
-	e := single(id, title, artifact, s.run(nil))
+	e := s.experiment(id, title, artifact, nil)
 	e.Shards = func(quick bool) []Experiment {
 		var out []Experiment
 		for _, c := range s.cases(quick) {
@@ -184,7 +251,7 @@ func swept(id, title, artifact string, s sweep) Experiment {
 				sid += "/a=" + c.alg.Name()
 				label += ", " + c.alg.Name()
 			}
-			sh := single(sid, title, artifact, s.run([]sweepCase{c}))
+			sh := s.experiment(sid, title, artifact, []sweepCase{c})
 			// A shard's result keeps the experiment's title, like its
 			// report rows; the labelled title names the job before it runs.
 			sh.Title = fmt.Sprintf("%s [%s]", title, label)
@@ -217,24 +284,24 @@ func Sharded(exps []Experiment, quick bool) []Experiment {
 func All() []Experiment {
 	return []Experiment{
 		swept("E-T1.R1", "PEF_3+ explores with k>=3 robots on n>k rings", "Table 1 row 1 (Theorem 3.1)", t1r1),
-		swept("E-T1.R2", "Two robots are confined on rings of size >= 4", "Table 1 row 2 (Theorem 4.1)", t1r2),
+		seedFree(swept("E-T1.R2", "Two robots are confined on rings of size >= 4", "Table 1 row 2 (Theorem 4.1)", t1r2)),
 		single("E-T1.R3", "PEF_2 explores the 3-node ring with 2 robots", "Table 1 row 3 (Theorem 4.2)", runT1R3),
-		swept("E-T1.R4", "One robot is confined on rings of size >= 3", "Table 1 row 4 (Theorem 5.1)", t1r4),
+		seedFree(swept("E-T1.R4", "One robot is confined on rings of size >= 3", "Table 1 row 4 (Theorem 5.1)", t1r4)),
 		single("E-T1.R5", "PEF_1 explores the 2-node ring with 1 robot", "Table 1 row 5 (Theorem 5.2)", runT1R5),
-		single("E-F1", "Mirror gadget G' and Claims 1-4 of Lemma 4.1", "Figure 1", runF1),
-		single("E-F2", "Four-phase confinement schedule for two robots", "Figure 2 (Theorem 4.1 construction)", runF2),
-		single("E-F3", "Two-phase confinement schedule for one robot", "Figure 3 (Theorem 5.1 construction)", runF3),
+		seedFree(single("E-F1", "Mirror gadget G' and Claims 1-4 of Lemma 4.1", "Figure 1", runF1)),
+		seedFree(single("E-F2", "Four-phase confinement schedule for two robots", "Figure 2 (Theorem 4.1 construction)", runF2)),
+		seedFree(single("E-F3", "Two-phase confinement schedule for one robot", "Figure 3 (Theorem 5.1 construction)", runF3)),
 		swept("E-X1", "Cover time scaling of PEF_3+ with ring size", "extension", x1),
 		single("E-X2", "Revisit gap versus edge recurrence bound", "extension", runX2),
 		single("E-X3", "Rule ablations of PEF_3+", "extension (Section 3.1 rationale)", runX3),
-		single("E-X4", "SSYNC impossibility versus FSYNC control", "related work [10] (Section 1)", runX4),
+		seedFree(single("E-X4", "SSYNC impossibility versus FSYNC control", "related work [10] (Section 1)", runX4)),
 		swept("E-X5", "PEF_3+ on connected-over-time chains", "Section 1 remark", x5),
 		single("E-X6", "Self-stabilization probe from corrupted configurations", "extension ([4] context)", runX6),
-		single("E-X7", "Team size sweep", "extension", runX7),
-		single("E-X8", "Convergence framework prefix growth", "framework [5]", runX8),
+		planned("E-X7", "Team size sweep", "extension", &x7),
+		seedFree(single("E-X8", "Convergence framework prefix growth", "framework [5]", runX8)),
 		single("E-X9", "Dynamics taxonomy classification", "taxonomy of [6] (Section 2.1 context)", runX9),
 		swept("E-X10", "Sentinel formation time (Lemma 3.7)", "Lemma 3.7", x10),
-		single("E-X11", "The three-robot threshold: containment vs legality", "Table 1 synthesis", runX11),
+		seedFree(single("E-X11", "The three-robot threshold: containment vs legality", "Table 1 synthesis", runX11)),
 		single("E-X12", "Lockstep engine equivalence: bit-parallel vs scalar trajectories", "extension (engine invariant)", runX12),
 	}
 }

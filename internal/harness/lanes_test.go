@@ -17,10 +17,10 @@ import (
 )
 
 // TestLaneRowsMatchCommittedTrajectory reruns, at full size for seeds 1
-// and 2, the lane-routed possibility jobs (every E-T1.R1 shard, E-T1.R3
-// and E-T1.R5) and the jobs that build a recorded graph (every shard of
-// E-F1, E-F2, E-F3, E-X8 and E-X11), and requires the verdict, table and
-// notes that BENCH_0005.json records for each job.
+// and 2, the lane-routed jobs (every E-T1.R1 shard, E-T1.R3, E-T1.R5 and
+// E-X7) and the jobs that build a recorded graph (every shard of E-F1,
+// E-F2, E-F3, E-X8 and E-X11), and requires the verdict, table and notes
+// that BENCH_0005.json records for each job.
 func TestLaneRowsMatchCommittedTrajectory(t *testing.T) {
 	raw, err := os.ReadFile("../../BENCH_0005.json")
 	if err != nil {
@@ -40,7 +40,7 @@ func TestLaneRowsMatchCommittedTrajectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	pinned := func(id string) bool {
-		for _, exp := range []string{"E-T1.R1", "E-T1.R3", "E-T1.R5", "E-F1", "E-F2", "E-F3", "E-X8", "E-X11"} {
+		for _, exp := range []string{"E-T1.R1", "E-T1.R3", "E-T1.R5", "E-F1", "E-F2", "E-F3", "E-X7", "E-X8", "E-X11"} {
 			if id == exp || strings.HasPrefix(id, exp+"#") {
 				return true
 			}
@@ -69,8 +69,8 @@ func TestLaneRowsMatchCommittedTrajectory(t *testing.T) {
 			checked++
 		}
 	}
-	if checked != 22 {
-		t.Fatalf("checked %d jobs, want 22 (4 E-T1.R1 shards, E-T1.R3, E-T1.R5, E-F1, E-F2, E-F3, E-X8, E-X11; 2 seeds)", checked)
+	if checked != 24 {
+		t.Fatalf("checked %d jobs, want 24 (4 E-T1.R1 shards, E-T1.R3, E-T1.R5, E-F1, E-F2, E-F3, E-X7, E-X8, E-X11; 2 seeds)", checked)
 	}
 }
 

@@ -12,8 +12,10 @@ import (
 	"pef/internal/baseline"
 	"pef/internal/core"
 	"pef/internal/dynamics"
+	"pef/internal/dyngraph"
 	"pef/internal/fsync"
 	"pef/internal/prng"
+	"pef/internal/ring"
 	"pef/internal/robot"
 	"pef/internal/spec"
 	"pef/internal/telemetry"
@@ -341,6 +343,64 @@ func TestConfinementOutcomesPerVictim(t *testing.T) {
 			if f[3] != want {
 				t.Errorf("%s %s n=%s: outcome %s, want %s", id, f[0], f[1], f[3], want)
 			}
+		}
+	}
+}
+
+// TestForeverMissingReadsTheCycle checks the lasso reading behind E-X11's
+// k = 1 legality and E-F3's finite-absence rows: an edge is missing
+// forever iff no round of the lasso cycle has it, and the verdict "legal"
+// (connected-over-time: at most one edge missing forever) needs a closed
+// lasso. On a recorded 6-ring, a cycle missing one edge is legal and one
+// missing two is not, whatever the rounds before the cycle held. Real
+// runs: the robot stalled by the Theorem 5.1 adversary leaves one edge
+// out of its cycle, the live bounce-on-missing robot of Figure 3 lets
+// every edge recur, and a run cut before its lasso closes settles nothing.
+func TestForeverMissingReadsTheCycle(t *testing.T) {
+	legal := func(missing []int, closed bool) bool { return closed && len(missing) <= 1 }
+
+	// Rounds 0 and 1 hold every edge; the cycle [2, 5) never has edges
+	// 1 and 4, and has edge 3 only in round 3.
+	g := dyngraph.NewRecorded(6)
+	for t := 0; t < 8; t++ {
+		present := ring.FullEdgeSet(6)
+		if t >= 2 {
+			present.Remove(1)
+			present.Remove(4)
+			if t%3 != 0 {
+				present.Remove(3)
+			}
+		}
+		g.Append(present)
+	}
+	if missing, closed := foreverMissing(g, 5, 3); !slices.Equal(missing, []int{1, 4}) || !closed || legal(missing, closed) {
+		t.Errorf("cycle missing two edges: missing %v, closed %v, legal %v; want [1 4], true, false", missing, closed, legal(missing, closed))
+	}
+	if missing, closed := foreverMissing(g, 2, 1); !slices.Equal(missing, []int{}) || !legal(missing, closed) {
+		t.Errorf("cycle [1, 2) of full rounds: missing %v, legal %v; want none, legal", missing, legal(missing, closed))
+	}
+	if missing, closed := foreverMissing(g, 0, 0); closed || legal(missing, closed) {
+		t.Errorf("no lasso: closed %v, legal %v; want neither", closed, legal(missing, closed))
+	}
+
+	for _, tc := range []struct {
+		name    string
+		alg     robot.Algorithm
+		horizon int
+		missing int // edges missing forever; -1: no lasso closes
+	}{
+		{"k=1 stalled", core.PEF3Plus, 240, 1},
+		{"figure 3", baseline.BounceOnMissing, 80, 0},
+		{"cut short", core.PEF3Plus, 1, -1},
+	} {
+		_, sim, _, err := confinementRun(tc.alg, adversary.NewOneRobotConfinement(8, 0, 0), team(robot.RightIsCW), tc.horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at, period, _ := sim.Lasso()
+		missing, closed := foreverMissing(sim.RecordedGraph(), at, period)
+		if closed != (tc.missing >= 0) || (closed && len(missing) != tc.missing) {
+			t.Errorf("%s: missing %v (lasso closed %v), want %d edges", tc.name, missing, closed, tc.missing)
 		}
 	}
 }

@@ -70,30 +70,39 @@ func runX2(cfg Config, res *Result) error {
 	return nil
 }
 
-func runX7(cfg Config, res *Result) error {
-	res.Table = metrics.NewTable("k", "workload", "cover", "maxGap", "verdict")
-	const n = 16
-	workloads := []dynamics.Spec{
-		dynamics.BernoulliSpec(0.6),
-		dynamics.EventualMissingSpec(3, 40, 0.7, 4),
-	}
-	for _, k := range pick(cfg, []int{3, 4, 5, 6, 8}, []int{3, 5}) {
+var x7 = lanePlan{
+	header: []string{"k", "workload", "cover", "maxGap", "verdict"},
+	rows: func(quick bool) []laneRow {
+		const n = 16
+		cfg := Config{Quick: quick}
+		ks := pick(cfg, []int{3, 4, 5, 6, 8}, []int{3, 5})
 		horizon := pick(cfg, 300*n, 80*n)
-		for _, sp := range workloads {
-			rep, err := explorationRun(randomTeam(core.PEF3Plus, k, obliviousBuild(sp, n), cfg.Seed+uint64(k)), horizon)
-			if err != nil {
-				return err
-			}
-			res.ObserveExploration(rep)
-			ok := possibleVerdict(rep, horizon)
-			if !ok {
-				res.fail("FAIL k=%d %s: %s", k, sp.Name, rep)
-			}
-			res.Table.AddRow(k, sp.Name, rep.CoverTime, rep.MaxGap, verdict(ok))
+		// Run i of a seed is team ks[i/len(wls)] on workload i%len(wls).
+		wls := []dynamics.Spec{
+			dynamics.BernoulliSpec(0.6),
+			dynamics.EventualMissingSpec(3, 40, 0.7, 4),
 		}
-	}
-	res.Notes = append(res.Notes, "More robots shorten cover times but are never required beyond three.")
-	return nil
+		return []laneRow{{
+			runs:    len(ks) * len(wls),
+			horizon: horizon,
+			team: func(seed uint64, i int) fsync.Config {
+				k := ks[i/len(wls)]
+				return randomTeam(core.PEF3Plus, k, obliviousBuild(wls[i%len(wls)], n), seed+uint64(k))
+			},
+			fold: func(res *Result, xs []exploration) {
+				for i, x := range xs {
+					k, name := ks[i/len(wls)], wls[i%len(wls)].Name
+					res.ObserveExploration(x.rep)
+					ok := x.ok(horizon)
+					if !ok {
+						res.fail("FAIL k=%d %s: %s", k, name, x.rep)
+					}
+					res.Table.AddRow(k, name, x.rep.CoverTime, x.rep.MaxGap, verdict(ok))
+				}
+			},
+		}}
+	},
+	notes: []string{"More robots shorten cover times but are never required beyond three."},
 }
 
 var x10 = sweep{

@@ -9,6 +9,7 @@ import (
 	"pef/internal/baseline"
 	"pef/internal/core"
 	"pef/internal/dynamics"
+	"pef/internal/dyngraph"
 	"pef/internal/fsync"
 	"pef/internal/metrics"
 	"pef/internal/prng"
@@ -52,13 +53,17 @@ func (x exploration) ok(horizon int) bool {
 // and algorithm. The runs of a rule table whose dynamics have
 // a lane form (LaneEligible: here oblivious graphs and the fresh
 // block-pointed adversary) form one LaneBlock, each lane with its own
-// table; the others, and every lane that fails the
+// table (callers keep it within laneWidth lanes: the engine rejects a
+// wider block, and its runs go scalar); the others, and every lane that fails the
 // possibility verdict or a tower lemma, run on the scalar path, so every
 // outcome, failure notes included, is the scalar run's. Lanes pay for
 // blocks of about n/2 runs or more (a lockstep round costs O(k·n) word
-// operations whatever the lane count, a scalar round O(k) per run), which
-// is why only the Table 1 rows with 8–24 runs per ring call this and E-X1,
-// E-X2 and E-X7 run each team through explorationRun.
+// operations whatever the lane count, a scalar round O(k) per run). The
+// callers are the planned experiments (lanePlan): E-T1.R1 and E-X7, whose
+// batch jobs pack the runs of several seeds into one call, and E-T1.R3
+// and E-T1.R5, with 16 and 15 runs per seed. E-X1 and E-X2 run each team
+// through explorationRun: E-X1's 3 runs per ring measured slower on lanes,
+// even packed across seeds.
 func explorations(runs, horizon int, towers bool, team func(i int) fsync.Config) ([]exploration, error) {
 	cs := make([]fsync.Config, runs)
 	var idx []int
@@ -100,6 +105,85 @@ func explorations(runs, horizon int, towers bool, team func(i int) fsync.Config)
 		}
 	}
 	return out, nil
+}
+
+// laneWidth is the widest lane block: one bit of a lane word per lane.
+const laneWidth = 64
+
+// laneRow is a part of an experiment whose runs all go through
+// explorations: runs per seed, each horizon rounds long, with the tower
+// invariants checked when towers is set. team(seed, i) builds run i of a
+// seed, and fold fills the seed's result from its runs' outcomes, in run
+// order.
+type laneRow struct {
+	runs, horizon int
+	towers        bool
+	team          func(seed uint64, i int) fsync.Config
+	fold          func(res *Result, xs []exploration)
+}
+
+// lanePlan is an experiment made of lane rows: a table with the given
+// header, the rows of the quick setting in report order, and closing
+// notes. Running it for several seeds at once packs each row's runs of
+// every seed into one lane block; a lane's report does not depend on the
+// other lanes, so each seed's result is the one it gets alone.
+type lanePlan struct {
+	header []string
+	rows   func(quick bool) []laneRow
+	notes  []string
+}
+
+// block is the number of seeds a batch job runs through p: as many as
+// fit the runs of p's widest row into one lane block.
+func (p *lanePlan) block(quick bool) int {
+	widest := 1
+	for _, r := range p.rows(quick) {
+		widest = max(widest, r.runs)
+	}
+	return max(1, laneWidth/widest)
+}
+
+// run fills results[j], seeds[j]'s result, row by row.
+func (p *lanePlan) run(quick bool, seeds []uint64, results []Result) error {
+	for j := range results {
+		results[j].Table = metrics.NewTable(p.header...)
+	}
+	for _, r := range p.rows(quick) {
+		xs, err := explorations(len(seeds)*r.runs, r.horizon, r.towers, func(i int) fsync.Config {
+			return r.team(seeds[i/r.runs], i%r.runs)
+		})
+		if err != nil {
+			return err
+		}
+		for j := range results {
+			r.fold(&results[j], xs[j*r.runs:(j+1)*r.runs])
+		}
+	}
+	for j := range results {
+		results[j].Notes = append(results[j].Notes, p.notes...)
+	}
+	return nil
+}
+
+// planned declares an experiment that follows p. Its Run runs p for one
+// seed, and its packing runs p for a block of seeds.
+func planned(id, title, artifact string, p *lanePlan) Experiment {
+	e := Experiment{ID: id, Title: title, Artifact: artifact}
+	start := e.result()
+	start.Pass = true
+	run := func(quick bool, seeds []uint64) ([]Result, error) {
+		results := make([]Result, len(seeds))
+		for j := range results {
+			results[j] = start
+		}
+		return results, p.run(quick, seeds, results)
+	}
+	e.Run = func(cfg Config) (Result, error) {
+		results, err := run(cfg.Quick, []uint64{cfg.Seed})
+		return results[0], err
+	}
+	e.packing = &packing{size: p.block, run: run}
+	return e
 }
 
 // randomTeam places k robots running alg at random on the ring of
@@ -157,29 +241,32 @@ var t1r1 = sweep{
 	rings:      []int{4, 6, 8, 12},
 	quickRings: []int{4, 8},
 	header:     []string{"k", "n", "workload", "cover", "maxGap", "towers", "verdict"},
-	body: func(cfg Config, res *Result, c sweepCase) error {
-		n := c.n
+	row: func(quick bool, c sweepCase) laneRow {
+		n, cfg := c.n, Config{Quick: quick}
 		horizon := pick(cfg, 200*n, 60*n)
 		ks := slices.DeleteFunc(pick(cfg, []int{3, 4, 5}, []int{3}), func(k int) bool { return k >= n })
-		// Run i is team ks[i/len(wls)] on workload i%len(wls), all one block.
+		// Run i of a seed is team ks[i/len(wls)] on workload i%len(wls).
 		wls := positiveWorkloads(n)
-		xs, err := explorations(len(ks)*len(wls), horizon, true, func(i int) fsync.Config {
-			k := ks[i/len(wls)]
-			return randomTeam(core.PEF3Plus, k, wls[i%len(wls)].build, cfg.Seed+uint64(n*100+k))
-		})
-		if err != nil {
-			return err
+		return laneRow{
+			runs:    len(ks) * len(wls),
+			horizon: horizon,
+			towers:  true,
+			team: func(seed uint64, i int) fsync.Config {
+				k := ks[i/len(wls)]
+				return randomTeam(core.PEF3Plus, k, wls[i%len(wls)].build, seed+uint64(n*100+k))
+			},
+			fold: func(res *Result, xs []exploration) {
+				for i, x := range xs {
+					k, name := ks[i/len(wls)], wls[i%len(wls)].name
+					res.ObserveExploration(x.rep)
+					ok := x.ok(horizon)
+					if !ok {
+						res.fail("FAIL k=%d n=%d %s: %s, tower violations %v", k, n, name, x.rep, x.violations)
+					}
+					res.Table.AddRow(k, n, name, x.rep.CoverTime, x.rep.MaxGap, x.towers, verdict(ok))
+				}
+			},
 		}
-		for i, x := range xs {
-			k, name := ks[i/len(wls)], wls[i%len(wls)].name
-			res.ObserveExploration(x.rep)
-			ok := x.ok(horizon)
-			if !ok {
-				res.fail("FAIL k=%d n=%d %s: %s, tower violations %v", k, n, name, x.rep, x.violations)
-			}
-			res.Table.AddRow(k, n, name, x.rep.CoverTime, x.rep.MaxGap, x.towers, verdict(ok))
-		}
-		return nil
 	},
 	notes: []string{
 		"Paper prediction: possible — every workload row must pass.",
@@ -317,6 +404,17 @@ func confinementRun(alg robot.Algorithm, adv fsync.Dynamics, placements []fsync.
 	}
 	sim.Run(horizon)
 	return ct, sim, rec, nil
+}
+
+// foreverMissing returns the edges of a run's realized graph g that are
+// missing forever, given the run's lasso (Simulator.Lasso): those absent
+// from every round of the cycle [at−period, at), which repeats from then
+// on. ok is false when no lasso closed (at 0), so nothing is settled.
+func foreverMissing(g dyngraph.EvolvingGraph, at, period int) (missing []int, ok bool) {
+	if at == 0 {
+		return nil, false
+	}
+	return dyngraph.EventuallyMissingEdges(g, at, period), true
 }
 
 // confinementSweep is the shared body of the Table 1 impossibility rows:

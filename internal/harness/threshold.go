@@ -27,13 +27,12 @@ func runX11(cfg Config, res *Result) error {
 		if err != nil {
 			return err
 		}
-		// A stalled victim freezes the schedule legally (one eventually
-		// missing edge keeps the eventual underlying graph connected, a
-		// chain); treat that case as legal even though the journey check
-		// needs a longer horizon to certify it.
-		g := sim.RecordedGraph()
-		legal := dyngraph.VerifyConnectedOverTime(g, horizon, cotStarts).OK ||
-			len(dyngraph.EventuallyMissingEdges(g, horizon, horizon/2)) == 1
+		// A stalled victim freezes the schedule legally: the run's lasso
+		// cycle repeats forever, and one edge missing from it keeps the
+		// eventual underlying graph connected, a chain.
+		at, period, _ := sim.Lasso()
+		missing, closed := foreverMissing(sim.RecordedGraph(), at, period)
+		legal := closed && len(missing) <= 1
 		confined := ct.ConfinedTo(2)
 		if !confined || !legal {
 			res.Pass = false

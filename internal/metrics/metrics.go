@@ -6,6 +6,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -90,6 +91,16 @@ func (t *Table) AddRow(cells ...interface{}) {
 
 // Rows returns the number of data rows.
 func (t *Table) Rows() int { return len(t.rows) }
+
+// Clone returns a copy of t that rows added to either table do not reach
+// (nil for a nil t). The cells of existing rows are never rewritten, so
+// the copies share them.
+func (t *Table) Clone() *Table {
+	if t == nil {
+		return nil
+	}
+	return &Table{headers: t.headers, rows: slices.Clone(t.rows)}
+}
 
 // Render writes the table, aligned with tabs.
 func (t *Table) Render(w io.Writer) error {
