@@ -54,13 +54,13 @@ func benchPool(b *testing.B, jobs, workers, window int) {
 // jobs without a pool. On a 2-CPU host two workers reach 1.35× of the
 // loop and eight 1.74×: with as many workers as CPUs, a worker waits
 // ~28 µs after each job (75 µs under tracing) for the dispatcher and the
-// emitter to get a CPU (SCENARIOS.md "Pool scaling, measured"). The window axis times
-// StreamPool's permit window at 1×, 2×, 8× (the default) and 32× the
-// workers. A narrow window could hold dispatch behind the slowest
-// in-flight job (head-of-line blocking in the reorder ring), but medians
-// of five runs on a 2-CPU host show none at 1×: 1×, 8× and 32× lie
-// within 6% of each other and 2× is the slowest. Widening past 8× only
-// grows the ring's memory footprint.
+// emitter to get a CPU (SCENARIOS.md "Pool scaling, measured"). The
+// window axis times StreamPool's permit window at 1×, 2×, 8× (the
+// default) and 32× the workers. A narrow window could hold dispatch
+// behind the slowest in-flight job (head-of-line blocking in the reorder
+// ring), but medians of five runs on a 2-CPU host show none at 1×: 1×,
+// 8× and 32× lie within 6% of each other and 2× is the slowest. Widening
+// past 8× only grows the ring's memory footprint.
 func BenchmarkPoolScaling(b *testing.B) {
 	const jobs = 256
 	// serial runs the same jobs in a plain loop, with no pool: the floor

@@ -54,9 +54,9 @@ func (x exploration) ok(horizon int) bool {
 // a lane form (LaneEligible: here oblivious graphs and the fresh
 // block-pointed adversary) form one LaneBlock, each lane with its own
 // table (callers keep it within laneWidth lanes: the engine rejects a
-// wider block, and its runs go scalar); the others, and every lane that fails the
-// possibility verdict or a tower lemma, run on the scalar path, so every
-// outcome, failure notes included, is the scalar run's. Lanes pay for
+// wider block, and its runs go scalar); the others, and every lane that
+// fails the possibility verdict or a tower lemma, run on the scalar path,
+// so every outcome, failure notes included, is the scalar run's. Lanes pay for
 // blocks of about n/2 runs or more (a lockstep round costs O(k·n) word
 // operations whatever the lane count, a scalar round O(k) per run). The
 // callers are the planned experiments (lanePlan): E-T1.R1 and E-X7, whose
