@@ -170,7 +170,8 @@ func ExampleMinimize() {
 	}
 	minimal := pef.Minimize(broken)
 	fmt.Printf("minimal reproducer: %s\n", minimal.ID())
-	fmt.Printf("still violating: %t\n", !pef.RunScenario(minimal).OK)
+	v, _ := pef.Run(context.Background(), minimal)
+	fmt.Printf("still violating: %t\n", !v.OK)
 	// Output:
 	// minimal reproducer: v1/n5.k3/oscillator/adjacent/static/h6/s7/explore
 	// still violating: true

@@ -40,7 +40,7 @@ func main() {
 	for e := range patterns {
 		patterns[e] = timetable(e, stations)
 	}
-	line, err := pef.Periodic(stations, patterns)
+	line, err := pef.PeriodicTimetable(patterns)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -76,10 +76,10 @@ func TestConfineWithDiagramVariants(t *testing.T) {
 }
 
 func TestPeriodicFacadeValidation(t *testing.T) {
-	if _, err := Periodic(2, [][]bool{{true}}); err == nil {
-		t.Error("pattern count mismatch accepted")
+	if _, err := PeriodicTimetable([][]bool{{true}, {false, false}}); err == nil {
+		t.Error("never-present edge accepted")
 	}
-	dyn, err := Periodic(3, [][]bool{{true}, {true, false}, {false, true}})
+	dyn, err := PeriodicTimetable([][]bool{{true}, {true, false}, {false, true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,9 +44,9 @@ func FuzzScenario(f *testing.F) {
 		// Let the oracle derive the paper's prediction: a failure is then
 		// a genuine theorem-boundary violation, not a mutated claim.
 		s.Expect = ""
-		v := pef.RunScenario(s)
-		if v.Err != "" {
-			t.Fatalf("execution error on valid spec %s: %s", v.ID, v.Err)
+		v, err := pef.Run(context.Background(), s)
+		if err != nil || v.Err != "" {
+			t.Fatalf("execution error on valid spec %s: %v %s", v.ID, err, v.Err)
 		}
 		if !v.OK {
 			minimal := pef.Minimize(v.Spec)

@@ -22,12 +22,12 @@ type BatchConfig struct {
 	// sweeps) into per-ring-size sub-experiments before building the job
 	// matrix, so no single experiment serializes a sweep on one worker.
 	Shard bool
-	// OnResult, when non-nil, is invoked from the collecting goroutine
-	// in canonical (experiment, seed) order, as soon as the pool job
-	// holding the result and every earlier one have finished. Emission
-	// order is therefore independent of the worker count. On
-	// cancellation only the solid prefix is streamed (see
-	// PoolConfig.OnResult).
+	// OnResult, when non-nil, is invoked from RunBatch's goroutine in
+	// canonical (experiment, seed) order, as soon as the pool job holding
+	// the result and every earlier one have finished. Emission order is
+	// therefore independent of the worker count. On cancellation only
+	// the results of jobs that ran are streamed, a solid prefix; the
+	// cancelled jobs' results appear only in the returned slice.
 	OnResult func(JobResult)
 	// Metrics, when non-nil, instruments the underlying pool (see
 	// PoolConfig.Metrics); it never affects results or report bytes.

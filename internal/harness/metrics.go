@@ -2,24 +2,25 @@ package harness
 
 import "pef/internal/telemetry"
 
-// PoolMetrics instruments StreamPool/RunPool. Every field is a nilable
-// telemetry instrument and a nil *PoolMetrics disables the group, so
-// unwired pools pay one branch per job. The pool records around the
-// scheduling edges (dispatch, completion, emission) — never inside Run —
-// and nothing it records feeds back into scheduling, so wiring metrics
-// cannot change emission order or any output byte.
+// PoolMetrics instruments StreamPool. Every field is a nilable telemetry
+// instrument and a nil *PoolMetrics disables the group, so unwired pools
+// pay one branch per job. The pool records around the scheduling edges
+// (claim, completion, emission) — never inside Run — and nothing it
+// records feeds back into scheduling, so wiring metrics cannot change
+// emission order or any output byte.
 type PoolMetrics struct {
-	// Dispatched counts jobs handed to workers; Retired counts jobs
+	// Dispatched counts jobs claimed by workers; Retired counts jobs
 	// emitted in index order. Dispatched-Retired is the live pipeline
 	// depth.
 	Dispatched *telemetry.Counter
 	Retired    *telemetry.Counter
-	// PermitWaits counts dispatch stalls: the dispatcher wanted to issue
-	// the next job but the reorder window was full. A high rate relative
-	// to Dispatched means emission (a slow consumer or one straggler job)
-	// is the bottleneck, not the workers.
+	// PermitWaits counts claims that blocked on the reorder window: a
+	// worker wanted the next job but it lay Window or more past the
+	// emission cursor. A high rate relative to Dispatched means emission
+	// (a slow consumer or one straggler job) is the bottleneck, not the
+	// workers.
 	PermitWaits *telemetry.Counter
-	// InFlight gauges jobs currently dispatched but not yet completed
+	// InFlight gauges jobs currently claimed but not yet completed
 	// (high-water = peak concurrency actually reached). ReorderDepth
 	// gauges completed-but-unemitted results parked in the reorder ring
 	// (high-water = worst out-of-order burst).

@@ -15,14 +15,14 @@ func TestPoolMetricsAccounting(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	pm := NewPoolMetrics(reg, "pool")
 	const total, workers = 97, 4
-	results, err := RunPool(context.Background(), PoolConfig[int]{
+	var results []int
+	for item := range StreamPool(context.Background(), PoolConfig[int]{
 		Total:   total,
 		Workers: workers,
 		Metrics: pm,
 		Run:     func(i int) int { return i * i },
-	})
-	if err != nil {
-		t.Fatal(err)
+	}) {
+		results = append(results, item.R)
 	}
 	if len(results) != total || results[10] != 100 {
 		t.Fatalf("results corrupted: len %d", len(results))
@@ -61,12 +61,18 @@ func TestPoolMetricsNilSafe(t *testing.T) {
 	if NewPoolMetrics(nil, "pool") != nil {
 		t.Fatal("nil registry must yield nil metrics")
 	}
-	results, err := RunPool(context.Background(), PoolConfig[int]{
+	n := 0
+	for item := range StreamPool(context.Background(), PoolConfig[int]{
 		Total: 10,
 		Run:   func(i int) int { return i },
-	})
-	if err != nil || len(results) != 10 {
-		t.Fatalf("uninstrumented pool broke: %v, %d results", err, len(results))
+	}) {
+		if item.Err != nil || item.R != n {
+			t.Fatalf("uninstrumented pool broke at %d: %v, result %d", n, item.Err, item.R)
+		}
+		n++
+	}
+	if n != 10 {
+		t.Fatalf("uninstrumented pool yielded %d of 10 results", n)
 	}
 }
 

@@ -21,25 +21,21 @@ func poolBenchJob(i int) uint64 {
 	return h
 }
 
-// benchPool runs one full RunPool sweep and folds the results so the work
-// cannot be optimized away.
+// benchPool runs one full StreamPool sweep and folds the results so the
+// work cannot be optimized away.
 func benchPool(b *testing.B, jobs, workers, window int) {
 	b.Helper()
 	var sink uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := RunPool(context.Background(), PoolConfig[uint64]{
+		for item := range StreamPool(context.Background(), PoolConfig[uint64]{
 			Total:   jobs,
 			Workers: workers,
 			Window:  window,
 			Run:     poolBenchJob,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range results {
-			sink ^= r
+		}) {
+			sink ^= item.R
 		}
 	}
 	if sink == 0x5EED {
@@ -51,20 +47,19 @@ func benchPool(b *testing.B, jobs, workers, window int) {
 // defaults were chosen on. The workers axis is the multi-core scaling
 // curve of a CPU-bound sweep (flat on single-CPU runners, approaching
 // linear on real cores), against the serial loop that runs the same
-// jobs without a pool. On a 2-CPU host two workers reach 1.35× of the
-// loop and eight 1.74×: with as many workers as CPUs, a worker waits
-// ~28 µs after each job (75 µs under tracing) for the dispatcher and the
-// emitter to get a CPU (SCENARIOS.md "Pool scaling, measured"). The
-// window axis times StreamPool's permit window at 1×, 2×, 8× (the
-// default) and 32× the workers. A narrow window could hold dispatch
-// behind the slowest in-flight job (head-of-line blocking in the reorder
-// ring), but medians of five runs on a 2-CPU host show none at 1×: 1×,
-// 8× and 32× lie within 6% of each other and 2× is the slowest. Widening
+// jobs without a pool. On a 2-CPU host two workers reach 1.92× of the
+// loop and four and eight about 1.95×: workers claim their own jobs, so
+// a job's only handoff is its result reaching the caller (SCENARIOS.md
+// "Pool scaling, measured"). The window axis times StreamPool's reorder
+// window at 1×, 2×, 8× (the default) and 32× the workers. A narrow
+// window could hold claims behind the slowest in-flight job
+// (head-of-line blocking in the reorder ring), but medians of five runs
+// on a 2-CPU host lie within 4% of each other from 1× to 32×. Widening
 // past 8× only grows the ring's memory footprint.
 func BenchmarkPoolScaling(b *testing.B) {
 	const jobs = 256
 	// serial runs the same jobs in a plain loop, with no pool: the floor
-	// that the workers=1 point pays dispatch and reorder on top of.
+	// that the workers=1 point pays claims and reordering on top of.
 	b.Run("serial", func(b *testing.B) {
 		var sink uint64
 		for i := 0; i < b.N; i++ {

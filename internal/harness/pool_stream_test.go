@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -41,8 +42,8 @@ func TestStreamPoolYieldsInOrder(t *testing.T) {
 }
 
 // TestStreamPoolWindowBoundsDispatch pins the O(Window) memory contract:
-// the dispatcher never runs more than Window jobs ahead of the emission
-// cursor, even when the head job stalls arbitrarily long.
+// workers never claim more than Window jobs ahead of the emission cursor,
+// even when the head job stalls arbitrarily long.
 func TestStreamPoolWindowBoundsDispatch(t *testing.T) {
 	const window = 4
 	release := make(chan struct{})
@@ -66,12 +67,12 @@ func TestStreamPoolWindowBoundsDispatch(t *testing.T) {
 		}
 	}()
 	// With index 0 stalled the cursor stays at 0, so at most window jobs
-	// may ever be fed. Wait for the dispatcher to go as far as it can.
+	// may ever be fed. Wait for the workers to claim as far as they can.
 	for dispatched.Load() < window {
 		runtime.Gosched()
 	}
 	if d := dispatched.Load(); d > window {
-		t.Fatalf("dispatcher ran %d jobs ahead of a stalled cursor (window %d)", d, window)
+		t.Fatalf("workers claimed %d jobs ahead of a stalled cursor (window %d)", d, window)
 	}
 	close(release)
 	<-done
@@ -108,11 +109,10 @@ func TestStreamPoolFeedHappensBeforeRun(t *testing.T) {
 	}
 }
 
-// TestStreamPoolPreCancelledDispatchesNothing pins the dispatcher's
+// TestStreamPoolPreCancelledDispatchesNothing pins the workers'
 // cancellation check: under a context cancelled before the pool starts, no
-// job is fed or run, and every job yields as cancelled. The dispatcher's
-// select chooses at random among ready cases, so the test repeats the run
-// to catch a dispatch that races Done.
+// job is claimed, fed or run, and every job yields as cancelled. The test
+// repeats the run to catch a claim that races the cancellation.
 func TestStreamPoolPreCancelledDispatchesNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -141,8 +141,8 @@ func TestStreamPoolPreCancelledDispatchesNothing(t *testing.T) {
 }
 
 // TestStreamPoolCancellation checks the tail contract: after
-// cancellation, finished jobs yield normally and unstarted jobs yield in
-// order with Err set and the Placeholder/Cancelled rewrites applied.
+// cancellation, finished jobs yield normally and unclaimed jobs yield in
+// order with Err set and a zero R.
 func TestStreamPoolCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var mu sync.Mutex
@@ -162,8 +162,6 @@ func TestStreamPoolCancellation(t *testing.T) {
 			mu.Unlock()
 			return fmt.Sprintf("ran-%d", i)
 		},
-		Placeholder: func(i int) string { return fmt.Sprintf("skip-%d", i) },
-		Cancelled:   func(i int, r string, err error) string { return r + ":" + err.Error() },
 	}) {
 		if item.I != items {
 			t.Fatalf("yield order broken: got %d at position %d", item.I, items)
@@ -171,8 +169,8 @@ func TestStreamPoolCancellation(t *testing.T) {
 		items++
 		if item.Err != nil {
 			sawErr = true
-			if want := fmt.Sprintf("skip-%d:%v", item.I, context.Canceled); item.R != want {
-				t.Fatalf("cancelled item %d = %q, want %q", item.I, item.R, want)
+			if item.Err != context.Canceled || item.R != "" {
+				t.Fatalf("cancelled item %d = (%q, %v), want a zero result and %v", item.I, item.R, item.Err, context.Canceled)
 			}
 			mu.Lock()
 			didRun := ran[item.I]
@@ -253,31 +251,91 @@ func TestStreamPoolEarlyBreakDrainsInFlight(t *testing.T) {
 	}
 }
 
-// TestRunPoolMatchesStreamPool checks RunPool is exactly the collected
-// stream: same results, same OnResult prefix.
-func TestRunPoolMatchesStreamPool(t *testing.T) {
-	cfg := func() PoolConfig[int] {
-		return PoolConfig[int]{
+// TestStreamPoolCollectsInOrder checks that a plain collect loop over
+// the stream rebuilds the same slice for any worker count: every index
+// lands once, in ascending order, carrying its own result.
+func TestStreamPoolCollectsInOrder(t *testing.T) {
+	collect := func(workers int) []int {
+		results := make([]int, 64)
+		next := 0
+		for item := range StreamPool(context.Background(), PoolConfig[int]{
 			Total:   64,
-			Workers: 4,
+			Workers: workers,
 			Run:     func(i int) int { return 7 * i },
+		}) {
+			if item.I != next || item.Err != nil {
+				t.Fatalf("workers=%d: item %d (err %v) at position %d", workers, item.I, item.Err, next)
+			}
+			results[item.I] = item.R
+			next++
+		}
+		return results
+	}
+	serial := collect(1)
+	for i, r := range serial {
+		if r != 7*i {
+			t.Fatalf("collected[%d] = %d, want %d", i, r, 7*i)
 		}
 	}
-	var streamed []int
-	for item := range StreamPool(context.Background(), cfg()) {
-		streamed = append(streamed, item.R)
+	if parallel := collect(4); !slices.Equal(parallel, serial) {
+		t.Fatalf("collected slices differ:\n1 worker  %v\n4 workers %v", serial, parallel)
 	}
-	var onResult []int
-	c := cfg()
-	c.OnResult = func(i, r int) { onResult = append(onResult, r) }
-	collected, err := RunPool(context.Background(), c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range collected {
-		if collected[i] != streamed[i] || onResult[i] != streamed[i] {
-			t.Fatalf("divergence at %d: collected=%d onResult=%d streamed=%d",
-				i, collected[i], onResult[i], streamed[i])
+}
+
+// TestStreamPoolFeedWaitsForYield pins the slot-reuse contract campaigns
+// rely on when Feed refills spec-ring slot i%Window: Feed(i) starts only
+// after yield for job i-Window has returned, Feed calls arrive in strictly
+// ascending order, and no two Feed calls overlap. Jobs and the consumer
+// take varying time so that workers race ahead of the cursor; a pool that
+// refunded a slot before its yield returned would feed into a slot the
+// consumer still holds.
+func TestStreamPoolFeedWaitsForYield(t *testing.T) {
+	const total, window = 300, 4
+	var (
+		yielded  [total]atomic.Bool
+		feeding  atomic.Int32
+		lastFed  = -1
+		failures []string
+	)
+	ring := make([]int, window)
+	spin := func(n int) {
+		for end := time.Now().Add(time.Duration(n) * 20 * time.Microsecond); time.Now().Before(end); {
 		}
+	}
+	for item := range StreamPool(context.Background(), PoolConfig[int]{
+		Total:   total,
+		Workers: 8,
+		Window:  window,
+		Feed: func(i int) {
+			if feeding.Add(1) != 1 {
+				failures = append(failures, fmt.Sprintf("Feed(%d) overlaps another Feed", i))
+			}
+			if i != lastFed+1 {
+				failures = append(failures, fmt.Sprintf("Feed(%d) after Feed(%d)", i, lastFed))
+			}
+			lastFed = i
+			if i >= window && !yielded[i-window].Load() {
+				failures = append(failures, fmt.Sprintf("Feed(%d) before yield of %d returned", i, i-window))
+			}
+			ring[i%window] = i
+			spin(i % 2)
+			feeding.Add(-1)
+		},
+		Run: func(i int) int {
+			spin(i % 5)
+			return ring[i%window]
+		},
+	}) {
+		if item.R != item.I {
+			t.Fatalf("job %d read slot contents %d", item.I, item.R)
+		}
+		spin(item.I % 3)
+		yielded[item.I].Store(true)
+	}
+	if lastFed != total-1 {
+		t.Fatalf("fed up to %d of %d jobs", lastFed, total)
+	}
+	if len(failures) > 0 {
+		t.Fatalf("%d contract violations, first: %s", len(failures), failures[0])
 	}
 }

@@ -355,14 +355,13 @@ func streamBlocks(ctx context.Context, rcfg CampaignConfig, reg *Registry, next 
 		ring[i] = make([]Spec, 0, min(blockSpecs, total))
 	}
 	slot := func(i int) int { return i % len(ring) }
-	fed := 0
 	for item := range harness.StreamPool(ctx, harness.PoolConfig[[]Verdict]{
 		Total:   jobs,
 		Workers: rcfg.Workers,
 		Window:  window,
 		Metrics: rcfg.Telemetry.poolMetrics(),
 		// Feed materializes job i's spec block into its ring slot right
-		// before dispatch; the pool guarantees Feed(i) happens-before
+		// before it runs; the pool guarantees Feed(i) happens-before
 		// Run(i) and that the slot is not reused until job i was yielded.
 		Feed: func(i int) {
 			block := ring[slot(i)][:0]
@@ -370,7 +369,6 @@ func streamBlocks(ctx context.Context, rcfg CampaignConfig, reg *Registry, next 
 				block = append(block, next())
 			}
 			ring[slot(i)] = block
-			fed = i + 1
 		},
 		Run: func(i int) []Verdict {
 			block := ring[slot(i)]
@@ -404,32 +402,20 @@ func streamBlocks(ctx context.Context, rcfg CampaignConfig, reg *Registry, next 
 			}
 			return vs
 		},
-		// Placeholder runs after the dispatcher has exited (the pool
-		// orders it after close(out)), so continuing the sampler for
-		// never-fed indices is race-free.
-		Placeholder: func(i int) []Verdict {
-			var block []Spec
-			if i < fed {
-				block = ring[slot(i)]
-			} else {
-				for j := 0; j < blockLen(i); j++ {
-					block = append(block, next())
-				}
-			}
-			vs := make([]Verdict, len(block))
-			for j, s := range block {
-				vs[j] = Verdict{ID: s.ID(), Spec: s, Expect: s.Expect, Outcome: "error", CoverTime: -1}
-			}
-			return vs
-		},
-		Cancelled: func(_ int, vs []Verdict, err error) []Verdict {
-			for j := range vs {
-				vs[j].Err = fmt.Sprintf("scenario cancelled before running: %v", err)
-			}
-			return vs
-		},
 	}) {
-		for _, v := range item.R {
+		vs := item.R
+		if item.Err != nil {
+			// A claimed job always runs, so this block was never fed, and
+			// cancelled jobs are yielded only after every worker has
+			// exited: continuing the sampler here is race-free.
+			msg := fmt.Sprintf("scenario cancelled before running: %v", item.Err)
+			vs = make([]Verdict, blockLen(item.I))
+			for j := range vs {
+				s := next()
+				vs[j] = Verdict{ID: s.ID(), Spec: s, Expect: s.Expect, Outcome: "error", CoverTime: -1, Err: msg}
+			}
+		}
+		for _, v := range vs {
 			if !yield(v, item.Err) {
 				return
 			}
@@ -438,7 +424,7 @@ func streamBlocks(ctx context.Context, rcfg CampaignConfig, reg *Registry, next 
 		// the event sequence is deterministic for any worker count.
 		rcfg.Trace.Emit("block-retired", map[string]any{
 			"block": item.I,
-			"specs": len(item.R),
+			"specs": len(vs),
 		})
 	}
 }

@@ -271,6 +271,47 @@ func TestStreamCampaignCancellationYieldsIdentifiedTail(t *testing.T) {
 	}
 }
 
+// TestStreamCampaignPreCancelledTail pins every verdict of a campaign
+// whose context is cancelled before it starts: no block runs, so each of
+// the 1200 specs (two pool jobs of blockSpecs) comes back, in the
+// uncancelled campaign's order and with its identity, as an error verdict
+// that names the cancellation.
+func TestStreamCampaignPreCancelledTail(t *testing.T) {
+	cfg := campaignCfg(2)
+	cfg.Count = 600
+	if total := cfg.Count * len(cfg.Seeds); total <= blockSpecs {
+		t.Fatalf("%d specs fit one pool job", total)
+	}
+	full, err := RunCampaign(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	const wantErr = "scenario cancelled before running: context canceled"
+	i := 0
+	for v, serr := range StreamCampaign(ctx, cfg) {
+		if i >= len(full.Verdicts) {
+			t.Fatalf("cancelled campaign yields more than %d verdicts", len(full.Verdicts))
+		}
+		ref := full.Verdicts[i]
+		if serr != context.Canceled {
+			t.Fatalf("verdict %d: stream error %v, want %v", i, serr, context.Canceled)
+		}
+		if v.ID != ref.ID || !reflect.DeepEqual(v.Spec, ref.Spec) || v.Expect != ref.Expect {
+			t.Fatalf("verdict %d identity %s (expect %q), want %s (expect %q)", i, v.ID, v.Expect, ref.ID, ref.Expect)
+		}
+		if v.Outcome != "error" || v.CoverTime != -1 || v.Err != wantErr {
+			t.Fatalf("verdict %d = outcome %q, cover time %d, err %q; want \"error\", -1, %q",
+				i, v.Outcome, v.CoverTime, v.Err, wantErr)
+		}
+		i++
+	}
+	if i != len(full.Verdicts) {
+		t.Fatalf("cancelled campaign yielded %d of %d verdicts", i, len(full.Verdicts))
+	}
+}
+
 // TestRunCampaignEchoesResolvedConfig pins the Campaign echo fields the
 // facade and CLI rely on.
 func TestRunCampaignEchoesResolvedConfig(t *testing.T) {

@@ -280,12 +280,6 @@ func GenerateScenarios(family string, cfg GenConfig, seed uint64, count int) ([]
 	return scenario.Generate(family, cfg, seed, count)
 }
 
-// RunScenario executes one scenario and checks the paper's predicate for
-// it: exploration where Table 1 says possible, confinement under the
-// impossibility adversaries. It never panics; failures come back as error
-// verdicts.
-func RunScenario(s Scenario) ScenarioVerdict { return scenario.Run(s) }
-
 // RunCampaign generates Count scenarios per seed from the configured
 // generator and shards them across a worker pool, checking every one
 // against the property oracle. Campaign reports (WriteReport, WriteJSON)

@@ -30,10 +30,6 @@ func TestRunDeclarativeScenario(t *testing.T) {
 	if !v.OK || v.Outcome != "explored" || v.Covered != 8 {
 		t.Fatalf("unified Run verdict: %+v", v)
 	}
-	// Run and the legacy RunScenario agree bit for bit.
-	if legacy := RunScenario(exploreScenario()); legacy != v {
-		t.Fatalf("Run diverges from RunScenario:\n %+v\nvs %+v", v, legacy)
-	}
 }
 
 // TestRunRejectsNonPositiveHorizon is the regression test for the silent

@@ -33,11 +33,11 @@ func TestScenarioFacadeGenerateAndRun(t *testing.T) {
 	if !reflect.DeepEqual(back, specs[0]) {
 		t.Fatal("facade decode changed the scenario")
 	}
-	v := RunScenario(back)
-	if v.Err != "" || !v.OK {
-		t.Fatalf("generated scenario failed its predicate: %+v", v)
+	v, err := Run(context.Background(), back)
+	if err != nil || v.Err != "" || !v.OK {
+		t.Fatalf("generated scenario failed its predicate: %v %+v", err, v)
 	}
-	if v2 := RunScenario(specs[0]); !reflect.DeepEqual(v, v2) {
+	if v2, _ := Run(context.Background(), specs[0]); !reflect.DeepEqual(v, v2) {
 		t.Fatal("replaying the same scenario changed the verdict")
 	}
 }

@@ -3,24 +3,11 @@ package pef
 import (
 	"fmt"
 
-	"pef/internal/dynamics"
 	"pef/internal/fsync"
 	"pef/internal/scenario"
 	"pef/internal/spec"
 	"pef/internal/trace"
 )
-
-// Periodic returns a periodically varying ring: edge e is present at t iff
-// patterns[e][t mod len(patterns[e])] — public-transport style timetables.
-// It returns an error if a pattern is empty or never true (such an edge
-// would break the connected-over-time assumption).
-func Periodic(n int, patterns [][]bool) (Dynamics, error) {
-	g, err := dynamics.NewPeriodic(n, patterns)
-	if err != nil {
-		return nil, fmt.Errorf("pef: %w", err)
-	}
-	return fsync.Oblivious{G: g}, nil
-}
 
 // ExploreWithDiagram is Explore plus a rendered space-time diagram of the
 // first rows instants (Figures 2/3 style: robots, towers, missing edges).
